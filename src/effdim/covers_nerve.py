@@ -8,6 +8,13 @@ cube is constant on every cell, so coverage, multiplicity, intersection
 and complement-distance queries are all decided exactly by inspecting
 one representative per cell.
 
+One scan, ``_scan``, serves every such query.  It cuts a box only by the
+cubes that meet it, since the others hold none of its points.  On each
+axis a cube holds a contiguous run of the sorted axis cells, so each axis
+cell carries an int bitset of the cubes holding it, and the cube set of
+a cell is the AND of its per-axis bitsets: membership costs one AND per
+axis, not one Fraction comparison per (cell, cube, axis).
+
 Carriers come in two kinds.  A point cloud is checked pointwise.  A
 symbolic carrier is the depth-d approximant of a digit-defined
 compactum, a finite union of closed grid cells, and is checked cell by
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -72,6 +80,7 @@ class OpenSet:
     """
 
     balls: tuple[FormalBall, ...]
+    _cubes: tuple[Bounds, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.balls:
@@ -79,13 +88,14 @@ class OpenSet:
         dims = {b.center.dim for b in self.balls}
         if len(dims) != 1:
             raise PreconditionError("balls of one set must share a dimension")
+        object.__setattr__(self, "_cubes", tuple(_cube(b) for b in self.balls))
 
     @property
     def dim(self) -> int:
         return self.balls[0].center.dim
 
     def cubes(self) -> tuple[Bounds, ...]:
-        return tuple(_cube(b) for b in self.balls)
+        return self._cubes
 
     def contains(self, coords: Sequence[Fraction]) -> bool:
         if not all(ZERO <= c <= ONE for c in coords):
@@ -178,10 +188,6 @@ def cantor_carrier(depth: int) -> SymbolicCarrier:
 Carrier = PointCloud | SymbolicCarrier
 
 
-def _carrier_dim(carrier: Carrier) -> int:
-    return carrier.dim
-
-
 # --- cell decompositions ---------------------------------------------------
 
 
@@ -212,28 +218,66 @@ def _iter_cells(box: Box, cubes: Sequence[Bounds]) -> Iterator[tuple[tuple[Fract
         yield rep, closure
 
 
-def _in_cube(coords: Sequence[Fraction], cube: Bounds) -> bool:
-    return all(lo < c < hi for (lo, hi), c in zip(cube, coords))
+def _scan(
+    box: Box, groups: Sequence[Sequence[Bounds]], closed: bool = False
+) -> Iterator[tuple[tuple[Fraction, ...], Bounds, frozenset[int]]]:
+    """Cells of the box cut by the cubes meeting it, with their group masks.
+
+    Yields (representative, closure bounds, mask) per cell, where mask
+    holds the indices of the groups with a cube containing the cell:
+    as an open cube, or as a closed box when closed is set.  A cube
+    meeting no point of the box neither cuts it nor enters a mask.
+    """
+    local = [
+        (g, cube)
+        for g, cubes in enumerate(groups)
+        for cube in cubes
+        if all(
+            (clo <= bhi and chi >= blo) if closed else (clo < bhi and chi > blo)
+            for (blo, bhi), (clo, chi) in zip(box.bounds, cube)
+        )
+    ]
+    per_axis = []
+    for a, (lo, hi) in enumerate(box.bounds):
+        cells = _axis_cells(lo, hi, [c[a][0] for _, c in local] + [c[a][1] for _, c in local])
+        reps = [rep for rep, _, _ in cells]
+        # the cells holding cube j on this axis are the run reps[s:e];
+        # flipping bit j at both ends makes the running XOR the bitset
+        flips = [0] * (len(cells) + 1)
+        for j, (_, cube) in enumerate(local):
+            clo, chi = cube[a]
+            if closed:
+                s, e = bisect_left(reps, clo), bisect_right(reps, chi)
+            else:
+                s, e = bisect_right(reps, clo), bisect_left(reps, chi)
+            flips[s] ^= 1 << j
+            flips[e] ^= 1 << j
+        bits = 0
+        axis = []
+        for (rep, clo, chi), flip in zip(cells, flips):
+            bits ^= flip
+            axis.append((rep, (clo, chi), bits))
+        per_axis.append(axis)
+    masks: dict[int, frozenset[int]] = {}
+    for combo in itertools.product(*per_axis):
+        bits = combo[0][2]
+        for c in combo[1:]:
+            bits &= c[2]
+        mask = masks.get(bits)
+        if mask is None:
+            mask = masks[bits] = frozenset(g for j, (g, _) in enumerate(local) if bits >> j & 1)
+        yield tuple(c[0] for c in combo), tuple(c[1] for c in combo), mask
 
 
 def _carrier_masks(members: Sequence[OpenSet], carrier: Carrier) -> set[frozenset[int]]:
     """Distinct membership patterns realized somewhere on the carrier."""
-    all_cubes = [cube for m in members for cube in m.cubes()]
-    masks: set[frozenset[int]] = set()
     if isinstance(carrier, PointCloud):
-        for p in carrier.points:
-            masks.add(frozenset(i for i, m in enumerate(members) if m.contains(p)))
-        return masks
-    for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, all_cubes):
-            masks.add(
-                frozenset(
-                    i
-                    for i, m in enumerate(members)
-                    if any(_in_cube(rep, cube) for cube in m.cubes())
-                )
-            )
-    return masks
+        return {
+            frozenset(i for i, m in enumerate(members) if m.contains(p))
+            for p in carrier.points
+        }
+    groups = [m.cubes() for m in members]
+    return {mask for box in carrier.boxes() for _, _, mask in _scan(box, groups)}
 
 
 def _mult_exceeds(members: Sequence[OpenSet], carrier: Carrier, limit: int) -> bool:
@@ -242,16 +286,10 @@ def _mult_exceeds(members: Sequence[OpenSet], carrier: Carrier, limit: int) -> b
         return any(
             sum(1 for m in members if m.contains(p)) > limit for p in carrier.points
         )
-    all_cubes = [cube for m in members for cube in m.cubes()]
-    for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, all_cubes):
-            hits = 0
-            for m in members:
-                if any(_in_cube(rep, cube) for cube in m.cubes()):
-                    hits += 1
-                    if hits > limit:
-                        return True
-    return False
+    groups = [m.cubes() for m in members]
+    return any(
+        len(mask) > limit for box in carrier.boxes() for _, _, mask in _scan(box, groups)
+    )
 
 
 def _first_uncovered(members: Sequence[OpenSet], carrier: Carrier):
@@ -261,12 +299,11 @@ def _first_uncovered(members: Sequence[OpenSet], carrier: Carrier):
             if not any(m.contains(p) for m in members):
                 return p
         return None
-    all_cubes = [cube for m in members for cube in m.cubes()]
-    for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, all_cubes):
-            if not any(any(_in_cube(rep, c) for c in m.cubes()) for m in members):
-                return rep
-    return None
+    groups = [m.cubes() for m in members]
+    return next(
+        (rep for box in carrier.boxes() for rep, _, mask in _scan(box, groups) if not mask),
+        None,
+    )
 
 
 @dataclass(frozen=True)
@@ -286,7 +323,7 @@ class FiniteCover:
     def __post_init__(self) -> None:
         if not self.members:
             raise PreconditionError("empty cover")
-        dims = {m.dim for m in self.members} | {_carrier_dim(self.carrier)}
+        dims = {m.dim for m in self.members} | {self.carrier.dim}
         if len(dims) != 1:
             raise PreconditionError("cover members and carrier disagree on dimension")
         if self.validate:
@@ -296,7 +333,7 @@ class FiniteCover:
 
     @property
     def dim(self) -> int:
-        return _carrier_dim(self.carrier)
+        return self.carrier.dim
 
 
 # --- diameters and complements ---------------------------------------------
@@ -322,23 +359,20 @@ def _pieces_within(s: OpenSet, region: Sequence[Box]) -> list[Bounds]:
 
 
 def _diam_within(s: OpenSet, carrier: Carrier) -> Fraction:
+    """Max-metric diameter of the set inside the carrier; 0 when they miss.
+
+    The largest pairwise distance under the max metric is the largest
+    per-axis span: highest upper bound minus lowest lower bound.
+    """
     if isinstance(carrier, PointCloud):
-        inside = [p for p in carrier.points if s.contains(p)]
-        best = ZERO
-        for i, p in enumerate(inside):
-            for q in inside[i:]:
-                best = max(best, max_dist(p, q))
-        return best
-    pieces = _pieces_within(s, carrier.boxes())
-    best = ZERO
-    for i, a in enumerate(pieces):
-        for b in pieces[i:]:
-            gap = max(
-                max(ahi - blo, bhi - alo)
-                for (alo, ahi), (blo, bhi) in zip(a, b)
-            )
-            best = max(best, gap)
-    return best
+        pieces = [tuple((c, c) for c in p) for p in carrier.points if s.contains(p)]
+    else:
+        pieces = _pieces_within(s, carrier.boxes())
+    if not pieces:
+        return ZERO
+    return max(
+        max(hi for _, hi in axis) - min(lo for lo, _ in axis) for axis in zip(*pieces)
+    )
 
 
 def cover_mesh(U: FiniteCover) -> Fraction:
@@ -363,6 +397,8 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet, box: Box | None 
     of the arrangement cells missed by every cube, so the minimum of the
     exact point-to-cell distances is the exact distance.
     """
+    if len(coords) != s.dim:
+        raise PreconditionError("point dimension differs from the set's")
     if box is None:
         box = Box(_unit_bounds(s.dim))
     cubes = s.cubes()
@@ -381,12 +417,10 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet, box: Box | None 
                 d = chi - coords[a]
                 best = d if best is None else min(best, d)
         return best
-    best = None
-    for rep, closure in _iter_cells(box, cubes):
-        if not any(_in_cube(rep, cube) for cube in cubes):
-            d = _dist_to_bounds(coords, closure)
-            best = d if best is None else min(best, d)
-    return best
+    return min(
+        (_dist_to_bounds(coords, closure) for _, closure, mask in _scan(box, [cubes]) if not mask),
+        default=None,
+    )
 
 
 # --- cover operations ------------------------------------------------------
@@ -436,6 +470,8 @@ def kappa_map(x, U: FiniteCover, vertices: Sequence[RationalPoint]) -> RationalP
     of members containing x and the weights sum to 1 after normalizing.
     """
     coords = x.coords if isinstance(x, RationalPoint) else tuple(rat(c) for c in x)
+    if len(coords) != U.dim:
+        raise PreconditionError("point dimension differs from the cover's")
     if len(vertices) != len(U.members):
         raise PreconditionError("one vertex per cover member is required")
     weights = []
@@ -481,12 +517,8 @@ def _closed_family_covers(family: Sequence[tuple[Box, ...]], carrier: Carrier) -
             any(b.contains(p) for boxes in family for b in boxes)
             for p in carrier.points
         )
-    cubes = [b.bounds for boxes in family for b in boxes]
-    for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, cubes):
-            if not any(b.contains(rep) for boxes in family for b in boxes):
-                return False
-    return True
+    groups = [[b.bounds for b in boxes] for boxes in family]
+    return all(mask for box in carrier.boxes() for _, _, mask in _scan(box, groups, closed=True))
 
 
 def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[OpenSet, ...]]:
@@ -503,6 +535,9 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
     if isinstance(U.carrier, PointCloud):
         units = [p for p in U.carrier.points]
     else:
+        # the whole-cover arrangement, not _scan's box-local one: the margin
+        # is a minimum over these representatives, and coarser cells could
+        # drop the ones that set it
         all_cubes = [cube for m in U.members for cube in m.cubes()]
         units = [
             rep
@@ -547,14 +582,12 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
 def _subset_within(inner: OpenSet, outer: OpenSet, carrier: Carrier) -> bool:
     if isinstance(carrier, PointCloud):
         return all(outer.contains(p) for p in carrier.points if inner.contains(p))
-    cubes = list(inner.cubes()) + list(outer.cubes())
-    for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, cubes):
-            if any(_in_cube(rep, c) for c in inner.cubes()) and not any(
-                _in_cube(rep, c) for c in outer.cubes()
-            ):
-                return False
-    return True
+    groups = [inner.cubes(), outer.cubes()]
+    return not any(
+        0 in mask and 1 not in mask
+        for box in carrier.boxes()
+        for _, _, mask in _scan(box, groups)
+    )
 
 
 def _grid_cells_for_cloud(cloud: PointCloud, w: Fraction) -> list[tuple[Fraction, ...]]:

@@ -1,0 +1,367 @@
+"""Differential tests: the box-local bitset scan against the global cell loops.
+
+The reference functions below are verbatim copies of the loops that
+``covers_nerve`` ran before ``_scan`` replaced them: every carrier box cut
+by every cube of the whole cover, and membership tested per (cell, cube)
+through ``_in_cube``.  Random covers in one to three dimensions, with
+cubes poking past the unit box, explicit zero-width carrier boxes and
+point clouds, must get the same answers from the scan's consumers as
+from these copies.
+"""
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import effdim.covers_nerve as cn
+from effdim import (
+    Box,
+    OpenSet,
+    PointCloud,
+    SymbolicCarrier,
+    ball,
+    cantor_carrier,
+    carpet_descriptor,
+    interval_carrier,
+    sponge_descriptor,
+)
+from effdim._rat import ZERO, max_dist
+from effdim.covers_nerve import Bounds, _dist_to_bounds, _pieces_within, _unit_bounds
+
+F = Fraction
+GRID = 24  # every drawn coordinate is a multiple of 1/GRID, so cuts coincide often
+
+
+# --- reference: the global loops, verbatim ---------------------------------
+
+
+def _axis_cells(lo: Fraction, hi: Fraction, cuts: Iterable[Fraction]):
+    vals = sorted({lo, hi} | {c for c in cuts if lo < c < hi})
+    out = []
+    for t, v in enumerate(vals):
+        out.append((v, v, v))
+        if t + 1 < len(vals):
+            nxt = vals[t + 1]
+            out.append(((v + nxt) / 2, v, nxt))
+    return out
+
+
+def _iter_cells(box: Box, cubes: Sequence[Bounds]) -> Iterator[tuple[tuple[Fraction, ...], Bounds]]:
+    per_axis = []
+    for a, (lo, hi) in enumerate(box.bounds):
+        cuts = [c[a][0] for c in cubes] + [c[a][1] for c in cubes]
+        per_axis.append(_axis_cells(lo, hi, cuts))
+    for combo in itertools.product(*per_axis):
+        rep = tuple(c[0] for c in combo)
+        closure = tuple((c[1], c[2]) for c in combo)
+        yield rep, closure
+
+
+def _in_cube(coords: Sequence[Fraction], cube: Bounds) -> bool:
+    return all(lo < c < hi for (lo, hi), c in zip(cube, coords))
+
+
+def _carrier_masks(members, carrier) -> set[frozenset[int]]:
+    all_cubes = [cube for m in members for cube in m.cubes()]
+    masks: set[frozenset[int]] = set()
+    if isinstance(carrier, PointCloud):
+        for p in carrier.points:
+            masks.add(frozenset(i for i, m in enumerate(members) if m.contains(p)))
+        return masks
+    for box in carrier.boxes():
+        for rep, _ in _iter_cells(box, all_cubes):
+            masks.add(
+                frozenset(
+                    i
+                    for i, m in enumerate(members)
+                    if any(_in_cube(rep, cube) for cube in m.cubes())
+                )
+            )
+    return masks
+
+
+def _mult_exceeds(members, carrier, limit: int) -> bool:
+    if isinstance(carrier, PointCloud):
+        return any(
+            sum(1 for m in members if m.contains(p)) > limit for p in carrier.points
+        )
+    all_cubes = [cube for m in members for cube in m.cubes()]
+    for box in carrier.boxes():
+        for rep, _ in _iter_cells(box, all_cubes):
+            hits = 0
+            for m in members:
+                if any(_in_cube(rep, cube) for cube in m.cubes()):
+                    hits += 1
+                    if hits > limit:
+                        return True
+    return False
+
+
+def _first_uncovered(members, carrier):
+    if isinstance(carrier, PointCloud):
+        for p in carrier.points:
+            if not any(m.contains(p) for m in members):
+                return p
+        return None
+    all_cubes = [cube for m in members for cube in m.cubes()]
+    for box in carrier.boxes():
+        for rep, _ in _iter_cells(box, all_cubes):
+            if not any(any(_in_cube(rep, c) for c in m.cubes()) for m in members):
+                return rep
+    return None
+
+
+def complement_distance(coords, s: OpenSet, box: Box | None = None):
+    if box is None:
+        box = Box(_unit_bounds(s.dim))
+    cubes = s.cubes()
+    if len(cubes) == 1:
+        cube = cubes[0]
+        if not all(lo < c < hi for (lo, hi), c in zip(cube, coords)):
+            return ZERO
+        best = None
+        for a, ((clo, chi), (blo, bhi)) in enumerate(zip(cube, box.bounds)):
+            if clo >= blo:
+                d = coords[a] - clo
+                best = d if best is None else min(best, d)
+            if chi <= bhi:
+                d = chi - coords[a]
+                best = d if best is None else min(best, d)
+        return best
+    best = None
+    for rep, closure in _iter_cells(box, cubes):
+        if not any(_in_cube(rep, cube) for cube in cubes):
+            d = _dist_to_bounds(coords, closure)
+            best = d if best is None else min(best, d)
+    return best
+
+
+def _closed_family_covers(family, carrier) -> bool:
+    if isinstance(carrier, PointCloud):
+        return all(
+            any(b.contains(p) for boxes in family for b in boxes)
+            for p in carrier.points
+        )
+    cubes = [b.bounds for boxes in family for b in boxes]
+    for box in carrier.boxes():
+        for rep, _ in _iter_cells(box, cubes):
+            if not any(b.contains(rep) for boxes in family for b in boxes):
+                return False
+    return True
+
+
+def _subset_within(inner: OpenSet, outer: OpenSet, carrier) -> bool:
+    if isinstance(carrier, PointCloud):
+        return all(outer.contains(p) for p in carrier.points if inner.contains(p))
+    cubes = list(inner.cubes()) + list(outer.cubes())
+    for box in carrier.boxes():
+        for rep, _ in _iter_cells(box, cubes):
+            if any(_in_cube(rep, c) for c in inner.cubes()) and not any(
+                _in_cube(rep, c) for c in outer.cubes()
+            ):
+                return False
+    return True
+
+
+def _diam_within(s: OpenSet, carrier) -> Fraction:
+    if isinstance(carrier, PointCloud):
+        inside = [p for p in carrier.points if s.contains(p)]
+        best = ZERO
+        for i, p in enumerate(inside):
+            for q in inside[i:]:
+                best = max(best, max_dist(p, q))
+        return best
+    pieces = _pieces_within(s, carrier.boxes())
+    best = ZERO
+    for i, a in enumerate(pieces):
+        for b in pieces[i:]:
+            gap = max(
+                max(ahi - blo, bhi - alo)
+                for (alo, ahi), (blo, bhi) in zip(a, b)
+            )
+            best = max(best, gap)
+    return best
+
+
+# --- random covers ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BoxCarrier:
+    """A carrier given by explicit closed boxes; zero-width axes allowed."""
+
+    dim: int
+    cells: tuple[Box, ...]
+
+    def boxes(self) -> tuple[Box, ...]:
+        return self.cells
+
+
+def grid(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda k: F(k, GRID))
+
+
+@st.composite
+def boxes_in_unit(draw, dim: int) -> Box:
+    bounds = []
+    for _ in range(dim):
+        lo = draw(st.integers(0, GRID))
+        width = draw(st.sampled_from((0, 0, 1, 2, 3, 6, 8, 12, 24)))
+        bounds.append((F(lo, GRID), F(min(lo + width, GRID), GRID)))
+    return Box(tuple(bounds))
+
+
+@st.composite
+def open_sets(draw, dim: int, max_balls: int) -> OpenSet:
+    # radii up to 1/2 let cubes centred near a face poke past the unit box
+    n = draw(st.integers(1, max_balls))
+    return OpenSet(
+        tuple(
+            ball(tuple(draw(grid(0, GRID)) for _ in range(dim)), draw(grid(1, 12)))
+            for _ in range(n)
+        )
+    )
+
+
+SYMBOLIC = {
+    1: lambda depth: (interval_carrier(depth), cantor_carrier(depth)),
+    2: lambda depth: (SymbolicCarrier(carpet_descriptor(), min(depth, 1)),),
+    3: lambda depth: (SymbolicCarrier(sponge_descriptor(), min(depth, 1)),),
+}
+# (members, balls per member) caps, so the global reference stays cheap
+SIZES = {1: (4, 3), 2: (4, 2), 3: (3, 1)}
+
+
+@st.composite
+def carriers(draw, dim: int):
+    kind = draw(st.sampled_from(("boxes", "symbolic", "cloud")))
+    if kind == "boxes":
+        n = draw(st.integers(1, 3))
+        return BoxCarrier(dim, tuple(draw(boxes_in_unit(dim)) for _ in range(n)))
+    if kind == "symbolic":
+        return draw(st.sampled_from(SYMBOLIC[dim](draw(st.integers(0, 2)))))
+    n = draw(st.integers(1, 6))
+    return PointCloud(dim, tuple(tuple(draw(grid(0, GRID)) for _ in range(dim)) for _ in range(n)))
+
+
+@st.composite
+def covers(draw):
+    """(members, carrier) in one dimension; members need not cover."""
+    dim = draw(st.integers(1, 3))
+    max_members, max_balls = SIZES[dim]
+    n = draw(st.integers(1, max_members))
+    members = tuple(draw(open_sets(dim, max_balls)) for _ in range(n))
+    return members, draw(carriers(dim))
+
+
+# --- the scan and its consumers against the reference ----------------------
+
+
+@given(covers())
+def test_scan_masks_equal_global_masks_per_box(case):
+    members, carrier = case
+    groups = [m.cubes() for m in members]
+    all_cubes = [c for g in groups for c in g]
+    boxes = carrier.boxes() if not isinstance(carrier, PointCloud) else (
+        Box(_unit_bounds(carrier.dim)),
+    )
+    for box in boxes:
+        local = {mask for _, _, mask in cn._scan(box, groups)}
+        whole = {
+            frozenset(i for i, g in enumerate(groups) if any(_in_cube(rep, c) for c in g))
+            for rep, _ in _iter_cells(box, all_cubes)
+        }
+        assert local == whole
+        closed_local = {mask for _, _, mask in cn._scan(box, groups, closed=True)}
+        closed_whole = {
+            frozenset(i for i, g in enumerate(groups) if any(Box(c).contains(rep) for c in g))
+            for rep, _ in _iter_cells(box, all_cubes)
+        }
+        assert closed_local == closed_whole
+    assert cn._carrier_masks(members, carrier) == _carrier_masks(members, carrier)
+
+
+@given(covers())
+def test_scan_cells_are_homogeneous_and_inside_the_box(case):
+    members, carrier = case
+    if isinstance(carrier, PointCloud):
+        return
+    groups = [m.cubes() for m in members]
+    for box in carrier.boxes():
+        for rep, closure, mask in cn._scan(box, groups):
+            assert box.contains(rep)
+            assert Box(closure).contains(rep)
+            assert all(blo <= lo and hi <= bhi for (lo, hi), (blo, bhi) in zip(closure, box.bounds))
+            # the closure's corners lie in the closure of every member holding rep
+            for corner in itertools.product(*closure):
+                for i in mask:
+                    assert any(Box(c).contains(corner) for c in groups[i])
+
+
+@given(covers())
+def test_first_uncovered_agrees(case):
+    members, carrier = case
+    new = cn._first_uncovered(members, carrier)
+    old = _first_uncovered(members, carrier)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert not any(_in_cube(new, c) for m in members for c in m.cubes())
+        if isinstance(carrier, PointCloud):
+            assert new in carrier.points
+        else:
+            assert any(box.contains(new) for box in carrier.boxes())
+
+
+@given(covers())
+def test_mult_exceeds_agrees_at_every_limit(case):
+    members, carrier = case
+    for limit in range(len(members) + 2):
+        assert cn._mult_exceeds(members, carrier, limit) == _mult_exceeds(members, carrier, limit)
+
+
+@given(st.data())
+def test_complement_distance_agrees(data):
+    dim = data.draw(st.integers(1, 3))
+    s = data.draw(open_sets(dim, SIZES[dim][0]))
+    box = data.draw(st.none() | boxes_in_unit(dim))
+    for _ in range(3):
+        x = tuple(data.draw(grid(0, GRID)) for _ in range(dim))
+        assert cn.complement_distance(x, s, box) == complement_distance(x, s, box)
+
+
+@given(covers(), st.data())
+def test_subset_within_agrees(case, data):
+    members, carrier = case
+    inner = data.draw(st.sampled_from(members))
+    outer = data.draw(st.sampled_from(members) | open_sets(carrier.dim, 2))
+    assert cn._subset_within(inner, outer, carrier) == _subset_within(inner, outer, carrier)
+
+
+@given(covers(), st.data())
+def test_closed_family_covers_agrees(case, data):
+    _, carrier = case
+    dim = carrier.dim
+
+    @st.composite
+    def closed_box(draw):
+        bounds = []
+        for _ in range(dim):
+            lo = draw(st.integers(-6, 30))
+            bounds.append((F(lo, GRID), F(lo + draw(st.integers(0, 16)), GRID)))
+        return Box(tuple(bounds))
+
+    family = data.draw(
+        st.lists(st.lists(closed_box(), min_size=1, max_size=2).map(tuple), min_size=1, max_size=3)
+    )
+    assert cn._closed_family_covers(family, carrier) == _closed_family_covers(family, carrier)
+
+
+@given(covers())
+def test_diam_within_equals_pairwise_maximum(case):
+    members, carrier = case
+    for s in members:
+        assert cn._diam_within(s, carrier) == _diam_within(s, carrier)

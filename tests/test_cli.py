@@ -5,11 +5,13 @@ module is launchable on its own.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import effdim
 from effdim.cli import run
 
 COVER1 = {
@@ -71,6 +73,9 @@ class TestDispatch:
         assert code == 3
 
     def test_subprocess_entry(self):
+        # the child finds effdim where this process found it, however that was
+        src = os.path.dirname(os.path.dirname(effdim.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [
                 sys.executable,
@@ -86,6 +91,7 @@ class TestDispatch:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["leaf_count"] == 4
@@ -355,6 +361,26 @@ class TestCoverCommands:
             capsys, "kappa", "--in", cover_file, "--x", "1/2", "--vertices", "0;1"
         )
         assert data == {"image": ["1/2"]}
+
+    @pytest.mark.parametrize("x", ["1/4", "1/4,1/4,9"])
+    def test_kappa_point_dimension_mismatch(self, capsys, tmp_path, x):
+        path = tmp_path / "cloud.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "carrier": {"kind": "cloud", "dim": 2, "points": [["1/4", "1/4"], ["3/4", "3/4"]]},
+                    "members": [
+                        [{"center": ["1/4", "1/4"], "radius": "1/4"}],
+                        [{"center": ["3/4", "3/4"], "radius": "1/4"}],
+                    ],
+                }
+            )
+        )
+        code, out, err = invoke(capsys, "kappa", "--in", str(path), "--x", x)
+        assert code == 2
+        assert out == ""
+        assert "point dimension" in err
+        assert "Traceback" not in err
 
     def test_refine(self, capsys, cover_file):
         data = invoke_json(

@@ -291,6 +291,19 @@ class TestKappaMap:
         with pytest.raises(PreconditionError, match="uncovered point"):
             kappa_map((F(3, 4),), partial, (RationalPoint((F(0),)),))
 
+    def test_point_dimension_must_match(self):
+        cloud = PointCloud(2, ((F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))))
+        U = FiniteCover(
+            (open_set(ball((F(1, 4), F(1, 4)), F(1, 4))), open_set(ball((F(3, 4), F(3, 4)), F(1, 4)))),
+            cloud,
+        )
+        verts = tuple(m.balls[0].center for m in U.members)
+        for x in ((F(1, 4),), (F(1, 4), F(1, 4), F(9))):
+            with pytest.raises(PreconditionError, match="point dimension"):
+                kappa_map(x, U, verts)
+            with pytest.raises(PreconditionError, match="point dimension"):
+                complement_distance(x, U.members[0])
+
 
 class TestShrinkCover:
     def test_two_sided_shrinking_frozen(self):
