@@ -365,6 +365,8 @@ def precision_candidates(x, r: int) -> list[tuple[int, ...]]:
     For stream input only candidates certified against the whole value
     interval are returned; if none survives the stream is too short.
     """
+    if r < 0:
+        raise PreconditionError("precision must be nonnegative")
     intervals = _coordinate_intervals(x, r)
     top = 2 ** (r + 1)
     per_coord: list[list[int]] = []

@@ -228,7 +228,7 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _cmd_menger_check(args, budget) -> None:
+def _cmd_menger_check(args) -> None:
     n = args.n
     _require(bool(args.infile) or bool(args.x), "provide --x or --in")
     if args.infile:
@@ -240,7 +240,7 @@ def _cmd_menger_check(args, budget) -> None:
     _emit(_verdict_json(fs.menger_membership(coords, n, z)))
 
 
-def _cmd_noebeling_check(args, budget) -> None:
+def _cmd_noebeling_check(args) -> None:
     coords = []
     for token in args.coords.split(","):
         token = token.strip()
@@ -253,7 +253,7 @@ def _cmd_noebeling_check(args, budget) -> None:
     _emit(_verdict_json(fs.noebeling_membership(coords, args.n)))
 
 
-def _cmd_generic_point(args, budget) -> None:
+def _cmd_generic_point(args) -> None:
     count, blocks = fs.extrema_combinatorics(args.n)
     if args.word:
         word = _ints(args.word)
@@ -276,7 +276,7 @@ def _cmd_generic_point(args, budget) -> None:
     )
 
 
-def _cmd_boxdim(args, budget) -> None:
+def _cmd_boxdim(args) -> None:
     _require(bool(args.set_name) or bool(args.infile), "provide --set or --in")
     _require(not args.infile or bool(args.scales), "cloud input needs --scales")
     if args.set_name:
@@ -291,7 +291,7 @@ def _cmd_boxdim(args, budget) -> None:
     _emit(dim.estimate_report(counts, est))
 
 
-def _cmd_assouad(args, budget) -> None:
+def _cmd_assouad(args) -> None:
     _require(
         bool(args.set_name) or (args.m is not None and args.n is not None),
         "provide --set or both --m and --n",
@@ -309,16 +309,16 @@ def _cmd_assouad(args, budget) -> None:
     _emit({"exponent": fmt(s), "~exponent": float12(float(s))})
 
 
-def _cmd_kdim(args, budget) -> None:
+def _cmd_kdim(args) -> None:
     _require(bool(args.infile) or bool(args.x), "provide --x or --in")
     M = _compressor(args.compressor)
     x = _read_stream(args.infile)[0] if args.infile else tuple(_fractions(args.x))
     rs = _ints(args.r)
+    lo, hi = alg.schnorr_dims(x, M, rs)
     values = []
     for r in rs:
         c = alg.precision_complexity(x, r, M)
         values.append({"r": r, "C": c, "~ratio": float12(c / r)})
-    lo, hi = alg.schnorr_dims(x, M, rs)
     _emit({"values": values, "~dim_lower": float12(lo), "~dim_upper": float12(hi)})
 
 
@@ -329,7 +329,7 @@ def _read_bits(args) -> str:
     return args.prefix
 
 
-def _cmd_cocompress(args, budget) -> None:
+def _cmd_cocompress(args) -> None:
     _require(args.prefix is not None or bool(args.infile), "provide --prefix or --in")
     _require(args.s is not None or args.s_grid is not None, "provide --s or --s-grid")
     M = _compressor(args.compressor)
@@ -346,7 +346,7 @@ def _cmd_cocompress(args, budget) -> None:
     _emit({"results": results})
 
 
-def _cmd_pf_transform(args, budget) -> None:
+def _cmd_pf_transform(args) -> None:
     machine = alg.prefixfree_transform(_compressor(args.compressor))
     code = machine.code_for_input(args.input)
     out = {
@@ -360,7 +360,7 @@ def _cmd_pf_transform(args, budget) -> None:
     _emit(out)
 
 
-def _cmd_orbit(args, budget) -> None:
+def _cmd_orbit(args) -> None:
     f = _read_map(args)
     report = il.orbit_analyze(
         f,
@@ -372,20 +372,20 @@ def _cmd_orbit(args, budget) -> None:
     _emit(report.to_json())
 
 
-def _cmd_il_encode(args, budget) -> None:
+def _cmd_il_encode(args) -> None:
     system = il.InverseSystem.constant(_read_map(args))
     code = il.encode_point(system, _fractions(args.trajectory))
     _emit(code.to_json())
 
 
-def _cmd_il_decode(args, budget) -> None:
+def _cmd_il_decode(args) -> None:
     system = il.InverseSystem.constant(_read_map(args))
     code = il.BranchCode(rat(args.x0), tuple(_ints(args.word)), frozenset())
     traj = il.decode_point(system, code)
     _emit({"trajectory": [fmt(x) for x in traj]})
 
 
-def _cmd_il_tree(args, budget) -> None:
+def _cmd_il_tree(args) -> None:
     system = il.InverseSystem.constant(_read_map(args))
     tree = il.branching_tree(system, rat(args.x0), args.depth)
     profile = tree.arity_profile()
@@ -398,7 +398,7 @@ def _cmd_il_tree(args, budget) -> None:
     )
 
 
-def _cmd_kappa(args, budget) -> None:
+def _cmd_kappa(args) -> None:
     U = _read_cover(args.infile)
     x = tuple(_fractions(args.x))
     if args.vertices:
@@ -411,7 +411,12 @@ def _cmd_kappa(args, budget) -> None:
     _emit({"image": [fmt(c) for c in image.coords]})
 
 
-def _cmd_refine(args, budget) -> None:
+def _cmd_refine(args) -> None:
+    raw = os.environ.get("EFFDIM_STEP_BUDGET")
+    try:
+        budget = None if raw is None else int(raw)
+    except ValueError:
+        raise ValueError("EFFDIM_STEP_BUDGET must be an integer") from None
     U = _read_cover(args.infile)
     refined = cov.refine_cover(U, args.target_mult, rat(args.mesh), budget=budget)
     out = _cover_json(refined)
@@ -420,7 +425,7 @@ def _cmd_refine(args, budget) -> None:
     _emit(out)
 
 
-def _cmd_condense_sample(args, budget) -> None:
+def _cmd_condense_sample(args) -> None:
     path = cond.dyadic_path(args.anchors)
     xs = _fractions(args.xs)
     if args.stages is not None:
@@ -436,7 +441,7 @@ def _cmd_condense_sample(args, budget) -> None:
     _emit(_cloud_json(cloud))
 
 
-def _cmd_chain_spec(args, budget) -> None:
+def _cmd_chain_spec(args) -> None:
     kappa_vals = _ints(args.kappa) if args.kappa else None
     spec = cond.chain_descriptor(_ints(args.g), kappa_vals, args.stages)
     _emit(spec.to_json())
@@ -583,16 +588,8 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     except SystemExit as exc:
         return int(exc.code or 0)
-    budget = None
-    raw_budget = os.environ.get("EFFDIM_STEP_BUDGET")
-    if raw_budget is not None:
-        try:
-            budget = int(raw_budget)
-        except ValueError:
-            print("effdim: EFFDIM_STEP_BUDGET must be an integer", file=sys.stderr)
-            return 3
     try:
-        args.func(args, budget)
+        args.func(args)
     except PreconditionError as exc:
         print(f"effdim: {exc}", file=sys.stderr)
         return 2

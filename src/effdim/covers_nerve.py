@@ -15,10 +15,11 @@ cell carries an int bitset of the cubes holding it, and the cube set of
 a cell is the AND of its per-axis bitsets: membership costs one AND per
 axis, not one Fraction comparison per (cell, cube, axis).
 
-Carriers come in two kinds.  A point cloud is checked pointwise.  A
+Carriers come in two kinds, and the scan reads both as closed boxes.  A
 symbolic carrier is the depth-d approximant of a digit-defined
-compactum, a finite union of closed grid cells, and is checked cell by
-cell.
+compactum, a finite union of closed grid cells.  A point cloud is the
+degenerate case: each point p is the zero-width box [p, p], whose one
+cell is p itself.
 """
 
 from __future__ import annotations
@@ -269,41 +270,40 @@ def _scan(
         yield tuple(c[0] for c in combo), tuple(c[1] for c in combo), mask
 
 
+def _carrier_boxes(carrier: Carrier) -> tuple[Box, ...]:
+    """The carrier as closed boxes; a cloud point p is the box [p, p].
+
+    Cloud points lie in the unit box, so a member contains p exactly
+    when one of its open cubes passes _scan's open filter for [p, p],
+    a box whose single cell is p itself.
+    """
+    if isinstance(carrier, PointCloud):
+        return tuple(Box(tuple((c, c) for c in p)) for p in carrier.points)
+    return carrier.boxes()
+
+
+def _carrier_cells(
+    carrier: Carrier, groups: Sequence[Sequence[Bounds]], closed: bool = False
+) -> Iterator[tuple[tuple[Fraction, ...], Bounds, frozenset[int]]]:
+    """_scan's cells over every box of the carrier, box by box."""
+    return (cell for box in _carrier_boxes(carrier) for cell in _scan(box, groups, closed))
+
+
 def _carrier_masks(members: Sequence[OpenSet], carrier: Carrier) -> set[frozenset[int]]:
     """Distinct membership patterns realized somewhere on the carrier."""
-    if isinstance(carrier, PointCloud):
-        return {
-            frozenset(i for i, m in enumerate(members) if m.contains(p))
-            for p in carrier.points
-        }
-    groups = [m.cubes() for m in members]
-    return {mask for box in carrier.boxes() for _, _, mask in _scan(box, groups)}
+    return {mask for _, _, mask in _carrier_cells(carrier, [m.cubes() for m in members])}
 
 
 def _mult_exceeds(members: Sequence[OpenSet], carrier: Carrier, limit: int) -> bool:
     """Early-exit test for some carrier point inside more than limit members."""
-    if isinstance(carrier, PointCloud):
-        return any(
-            sum(1 for m in members if m.contains(p)) > limit for p in carrier.points
-        )
-    groups = [m.cubes() for m in members]
-    return any(
-        len(mask) > limit for box in carrier.boxes() for _, _, mask in _scan(box, groups)
-    )
+    cells = _carrier_cells(carrier, [m.cubes() for m in members])
+    return any(len(mask) > limit for _, _, mask in cells)
 
 
 def _first_uncovered(members: Sequence[OpenSet], carrier: Carrier):
     """A carrier point no member contains, or None when covered."""
-    if isinstance(carrier, PointCloud):
-        for p in carrier.points:
-            if not any(m.contains(p) for m in members):
-                return p
-        return None
-    groups = [m.cubes() for m in members]
-    return next(
-        (rep for box in carrier.boxes() for rep, _, mask in _scan(box, groups) if not mask),
-        None,
-    )
+    cells = _carrier_cells(carrier, [m.cubes() for m in members])
+    return next((rep for rep, _, mask in cells if not mask), None)
 
 
 @dataclass(frozen=True)
@@ -340,22 +340,19 @@ class FiniteCover:
 
 
 def _pieces_within(s: OpenSet, region: Sequence[Box]) -> list[Bounds]:
-    """Closures of the nonempty (cube ∩ region-box) fragments."""
-    out = []
-    for box in region:
-        for cube in s.cubes():
-            bounds = []
-            ok = True
-            for (blo, bhi), (clo, chi) in zip(box.bounds, cube):
-                lo, hi = max(blo, clo), min(bhi, chi)
-                if lo < hi or (blo == bhi and clo < blo < chi):
-                    bounds.append((lo, hi))
-                else:
-                    ok = False
-                    break
-            if ok:
-                out.append(tuple(bounds))
-    return out
+    """Closures of the nonempty (cube ∩ region-box) fragments.
+
+    An open cube meets a closed box where _scan's open filter keeps it;
+    its bounds are only built then.  Radii are positive, so the fragment
+    spans a positive length on each axis of positive width, and is the
+    axis value itself on a zero-width axis.
+    """
+    return [
+        tuple((max(blo, clo), min(bhi, chi)) for (blo, bhi), (clo, chi) in zip(box.bounds, cube))
+        for box in region
+        for cube in s.cubes()
+        if all(clo < bhi and chi > blo for (blo, bhi), (clo, chi) in zip(box.bounds, cube))
+    ]
 
 
 def _diam_within(s: OpenSet, carrier: Carrier) -> Fraction:
@@ -364,10 +361,7 @@ def _diam_within(s: OpenSet, carrier: Carrier) -> Fraction:
     The largest pairwise distance under the max metric is the largest
     per-axis span: highest upper bound minus lowest lower bound.
     """
-    if isinstance(carrier, PointCloud):
-        pieces = [tuple((c, c) for c in p) for p in carrier.points if s.contains(p)]
-    else:
-        pieces = _pieces_within(s, carrier.boxes())
+    pieces = _pieces_within(s, _carrier_boxes(carrier))
     if not pieces:
         return ZERO
     return max(
@@ -474,6 +468,8 @@ def kappa_map(x, U: FiniteCover, vertices: Sequence[RationalPoint]) -> RationalP
         raise PreconditionError("point dimension differs from the cover's")
     if len(vertices) != len(U.members):
         raise PreconditionError("one vertex per cover member is required")
+    if len({v.dim for v in vertices}) != 1:
+        raise PreconditionError("vertices disagree on dimension")
     weights = []
     for m in U.members:
         d = complement_distance(coords, m)
@@ -512,13 +508,8 @@ def _shrunk_set(s: OpenSet, pull: Fraction) -> OpenSet | None:
 
 
 def _closed_family_covers(family: Sequence[tuple[Box, ...]], carrier: Carrier) -> bool:
-    if isinstance(carrier, PointCloud):
-        return all(
-            any(b.contains(p) for boxes in family for b in boxes)
-            for p in carrier.points
-        )
     groups = [[b.bounds for b in boxes] for boxes in family]
-    return all(mask for box in carrier.boxes() for _, _, mask in _scan(box, groups, closed=True))
+    return all(mask for _, _, mask in _carrier_cells(carrier, groups, closed=True))
 
 
 def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[OpenSet, ...]]:
@@ -531,19 +522,11 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
     are verified to cover exactly, halving the margin when the
     representative-based estimate was too coarse.
     """
-    units: list[tuple[Fraction, ...]]
-    if isinstance(U.carrier, PointCloud):
-        units = [p for p in U.carrier.points]
-    else:
-        # the whole-cover arrangement, not _scan's box-local one: the margin
-        # is a minimum over these representatives, and coarser cells could
-        # drop the ones that set it
-        all_cubes = [cube for m in U.members for cube in m.cubes()]
-        units = [
-            rep
-            for box in U.carrier.boxes()
-            for rep, _ in _iter_cells(box, all_cubes)
-        ]
+    # the whole-cover arrangement, not _scan's box-local one: the margin
+    # is a minimum over these representatives, and coarser cells could
+    # drop the ones that set it
+    all_cubes = [cube for m in U.members for cube in m.cubes()]
+    units = [rep for box in _carrier_boxes(U.carrier) for rep, _ in _iter_cells(box, all_cubes)]
     lam = None
     for u in units:
         depth = ZERO
@@ -580,14 +563,8 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
 
 
 def _subset_within(inner: OpenSet, outer: OpenSet, carrier: Carrier) -> bool:
-    if isinstance(carrier, PointCloud):
-        return all(outer.contains(p) for p in carrier.points if inner.contains(p))
-    groups = [inner.cubes(), outer.cubes()]
-    return not any(
-        0 in mask and 1 not in mask
-        for box in carrier.boxes()
-        for _, _, mask in _scan(box, groups)
-    )
+    cells = _carrier_cells(carrier, [inner.cubes(), outer.cubes()])
+    return not any(0 in mask and 1 not in mask for _, _, mask in cells)
 
 
 def _grid_cells_for_cloud(cloud: PointCloud, w: Fraction) -> list[tuple[Fraction, ...]]:
@@ -625,15 +602,12 @@ def _candidate_families(U: FiniteCover, k: int) -> Iterator[tuple[OpenSet, ...]]
             tuple(c + w / 2 for c in corner)
             for corner in _grid_cells_for_cloud(carrier, w)
         ]
+    region = _carrier_boxes(carrier)
     for radius in (w / 2, w):
         members = []
         for c in centers:
             s = open_set(ball(c, radius))
-            if isinstance(carrier, PointCloud):
-                keep = any(s.contains(p) for p in carrier.points)
-            else:
-                keep = bool(_pieces_within(s, carrier.boxes()))
-            if keep:
+            if _pieces_within(s, region):
                 members.append(s)
         if members:
             yield tuple(members)

@@ -191,6 +191,10 @@ class TestPrecisionComplexity:
         M = DigitMatrix(((0, 2),), BoundSeq.constant(3))
         assert precision_candidates(M, 1) == [(0,), (1,), (2,)]
 
+    def test_negative_precision_raises(self):
+        with pytest.raises(PreconditionError, match="precision must be nonnegative"):
+            precision_candidates((Fraction(1, 3),), -4)
+
     def test_stream_too_short_raises(self):
         M = DigitMatrix(((0,),), BoundSeq.constant(3))
         with pytest.raises(PreconditionError, match="stream too short"):

@@ -288,10 +288,18 @@ def test_scan_masks_equal_global_masks_per_box(case):
 @given(covers())
 def test_scan_cells_are_homogeneous_and_inside_the_box(case):
     members, carrier = case
-    if isinstance(carrier, PointCloud):
-        return
     groups = [m.cubes() for m in members]
-    for box in carrier.boxes():
+    if isinstance(carrier, PointCloud):
+        # a cloud point p is read as the zero-width box [p, p]: its one cell
+        # is p, and the mask holds the members containing p
+        boxes = tuple(Box(tuple((c, c) for c in p)) for p in carrier.points)
+        for p, box in zip(carrier.points, boxes):
+            assert [(rep, mask) for rep, _, mask in cn._scan(box, groups)] == [
+                (p, frozenset(i for i, m in enumerate(members) if m.contains(p)))
+            ]
+    else:
+        boxes = carrier.boxes()
+    for box in boxes:
         for rep, closure, mask in cn._scan(box, groups):
             assert box.contains(rep)
             assert Box(closure).contains(rep)

@@ -174,6 +174,13 @@ class TestEstimatorCommands:
         assert data["rows"][0] == {"r": "1/3", "count": 8}
         assert len(data["rows"]) == 6
 
+    def test_step_budget_env_is_not_read(self, capsys, monkeypatch):
+        # only refine reads EFFDIM_STEP_BUDGET, so a malformed value cannot fail boxdim
+        monkeypatch.setenv("EFFDIM_STEP_BUDGET", "lots")
+        code, out, err = invoke(capsys, "boxdim", "--set", "cantor", "--depths", "1..2")
+        assert code == 0, err
+        assert json.loads(out)["rows"][0] == {"r": "1/3", "count": 2}
+
     def test_cloud_input_needs_scales(self, capsys, tmp_path):
         path = tmp_path / "cloud.json"
         path.write_text(json.dumps({"dim": 1, "points": [["0"], ["1/2"]]}))
@@ -220,6 +227,14 @@ class TestAlgorithmicCommands:
         assert [v["C"] for v in data["values"]] == [15, 23]
         assert data["values"][0]["~ratio"] == "3.75"
         assert "~dim_lower" in data and "~dim_upper" in data
+
+    @pytest.mark.parametrize("r", ["0", "16,-4"])
+    def test_kdim_rejects_nonpositive_precisions(self, capsys, r):
+        code, out, err = invoke(capsys, "kdim", "--x", "1/3", "--r", r)
+        assert code == 2
+        assert out == ""
+        assert "positive integers" in err
+        assert "Traceback" not in err
 
     def test_cocompress_windows(self, capsys):
         data = invoke_json(
@@ -380,6 +395,16 @@ class TestCoverCommands:
         assert code == 2
         assert out == ""
         assert "point dimension" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("vertices", ["0,0;1", "0;1,1"])
+    def test_kappa_vertex_dimension_mismatch(self, capsys, cover_file, vertices):
+        code, out, err = invoke(
+            capsys, "kappa", "--in", cover_file, "--x", "1/2", "--vertices", vertices
+        )
+        assert code == 2
+        assert out == ""
+        assert "vertices disagree on dimension" in err
         assert "Traceback" not in err
 
     def test_refine(self, capsys, cover_file):

@@ -47,6 +47,20 @@ def two_sided_cover(depth: int = 2) -> FiniteCover:
     return FiniteCover(members, interval_carrier(depth))
 
 
+def seven_point_cloud_cover() -> FiniteCover:
+    # two members over a 2-D cloud whose points lie off every dyadic grid line
+    pts = (
+        (F(1, 3), F(1, 5)), (F(2, 5), F(1, 3)), (F(2, 3), F(3, 5)), (F(3, 5), F(5, 7)),
+        (F(1, 5), F(2, 3)), (F(1, 7), F(6, 7)), (F(5, 7), F(2, 7)),
+    )
+    cloud = PointCloud(2, pts)
+    members = (
+        open_set(ball((F(1, 4), F(1, 4)), F(3, 8)), ball((F(1, 4), F(3, 4)), F(3, 8))),
+        open_set(ball((F(3, 4), F(1, 2)), F(3, 8))),
+    )
+    return FiniteCover(members, cloud)
+
+
 class TestOpenSet:
     def test_contains_is_strict_and_clipped(self):
         s = open_set(ball((F(1, 4),), F(1, 4)))
@@ -291,6 +305,15 @@ class TestKappaMap:
         with pytest.raises(PreconditionError, match="uncovered point"):
             kappa_map((F(3, 4),), partial, (RationalPoint((F(0),)),))
 
+    def test_vertices_must_share_a_dimension(self):
+        U = two_sided_cover()
+        for verts in (
+            (RationalPoint((F(0), F(0))), RationalPoint((F(1),))),
+            (RationalPoint((F(0),)), RationalPoint((F(1), F(1)))),
+        ):
+            with pytest.raises(PreconditionError, match="vertices disagree on dimension"):
+                kappa_map((F(1, 2),), U, verts)
+
     def test_point_dimension_must_match(self):
         cloud = PointCloud(2, ((F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))))
         U = FiniteCover(
@@ -333,6 +356,21 @@ class TestShrinkCover:
                 blo, bhi = part[0].bounds[0]
                 assert blo <= max(lo, 0) and min(hi, 1) <= bhi
 
+    def test_cloud_shrinking_frozen(self):
+        # exact outputs frozen from the pointwise cloud loops this scan replaced
+        F_fam, V_fam = shrink_cover(seven_point_cloud_cover())
+        assert [tuple(b.bounds for b in part) for part in F_fam] == [
+            (
+                ((F(0), F(61, 112)), (F(0), F(61, 112))),
+                ((F(0), F(61, 112)), (F(51, 112), F(1))),
+            ),
+            (((F(51, 112), F(1)), (F(23, 112), F(89, 112))),),
+        ]
+        assert [[(b.center.coords, b.radius) for b in v.balls] for v in V_fam] == [
+            [((F(1, 4), F(1, 4)), F(57, 224)), ((F(1, 4), F(3, 4)), F(57, 224))],
+            [((F(3, 4), F(1, 2)), F(57, 224))],
+        ]
+
     def test_no_margin_without_coverage(self):
         U = FiniteCover(
             (open_set(ball((0,), F(1, 4))),), interval_carrier(1), validate=False
@@ -354,6 +392,22 @@ class TestRefineCover:
             assert parent in (0, 1)
             center = member.balls[0].center.coords
             assert complement_distance(center, U.members[parent]) > 0
+
+    def test_cloud_refinement_frozen(self):
+        # exact outputs frozen from the pointwise cloud loops this scan replaced
+        refined = refine_cover(seven_point_cloud_cover(), 1, F(1, 8))
+        r = F(1, 8)
+        assert [[(b.center.coords, b.radius) for b in m.balls] for m in refined.members] == [
+            [((F(1, 8), F(5, 8)), r)],
+            [((F(1, 8), F(7, 8)), r)],
+            [((F(3, 8), F(1, 8)), r)],
+            [((F(3, 8), F(3, 8)), r)],
+            [((F(5, 8), F(3, 8)), r)],
+            [((F(5, 8), F(5, 8)), r)],
+        ]
+        assert refined.parents == (0, 0, 0, 0, 1, 1)
+        assert cover_multiplicity(refined) == 1
+        assert cover_mesh(refined) == F(4, 35)
 
     def test_cantor_multiplicity_one(self):
         U0 = FiniteCover(
