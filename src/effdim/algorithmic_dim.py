@@ -401,12 +401,17 @@ class PrecisionQuery:
         return precision_complexity(self.x, self.r, self.M)
 
 
-def schnorr_dims(x, M: Compressor, r_range: Sequence[int]) -> tuple[float, float]:
-    """Min and max of C_{M,r}(x)/r over the given precision range."""
+def precision_complexities(x, M: Compressor, r_range: Sequence[int]) -> dict[int, int]:
+    """C_{M,r}(x) once for each distinct r of the range, in ascending r."""
     rs = sorted(set(int(r) for r in r_range))
     if not rs or rs[0] < 1:
         raise PreconditionError("precision range must contain positive integers")
-    ratios = [precision_complexity(x, r, M) / r for r in rs]
+    return {r: precision_complexity(x, r, M) for r in rs}
+
+
+def schnorr_dims(x, M: Compressor, r_range: Sequence[int]) -> tuple[float, float]:
+    """Min and max of C_{M,r}(x)/r over the given precision range."""
+    ratios = [c / r for r, c in precision_complexities(x, M, r_range).items()]
     return min(ratios), max(ratios)
 
 

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -25,26 +24,6 @@ from . import fractal_spaces as fs
 from . import inverse_limits as il
 from ._rat import float12, fmt, parse_point, rat
 from .ball_calculus import PreconditionError, RationalPoint
-
-COMMANDS = (
-    "menger-check",
-    "noebeling-check",
-    "generic-point",
-    "boxdim",
-    "assouad",
-    "kdim",
-    "cocompress",
-    "pf-transform",
-    "orbit",
-    "il-encode",
-    "il-decode",
-    "il-tree",
-    "kappa",
-    "refine",
-    "condense-sample",
-    "chain-spec",
-)
-
 
 class _ParseFailure(Exception):
     pass
@@ -314,12 +293,10 @@ def _cmd_kdim(args) -> None:
     M = _compressor(args.compressor)
     x = _read_stream(args.infile)[0] if args.infile else tuple(_fractions(args.x))
     rs = _ints(args.r)
-    lo, hi = alg.schnorr_dims(x, M, rs)
-    values = []
-    for r in rs:
-        c = alg.precision_complexity(x, r, M)
-        values.append({"r": r, "C": c, "~ratio": float12(c / r)})
-    _emit({"values": values, "~dim_lower": float12(lo), "~dim_upper": float12(hi)})
+    cs = alg.precision_complexities(x, M, rs)
+    ratios = [cs[r] / r for r in rs]
+    values = [{"r": r, "C": cs[r], "~ratio": float12(q)} for r, q in zip(rs, ratios)]
+    _emit({"values": values, "~dim_lower": float12(min(ratios)), "~dim_upper": float12(max(ratios))})
 
 
 def _read_bits(args) -> str:
@@ -412,13 +389,8 @@ def _cmd_kappa(args) -> None:
 
 
 def _cmd_refine(args) -> None:
-    raw = os.environ.get("EFFDIM_STEP_BUDGET")
-    try:
-        budget = None if raw is None else int(raw)
-    except ValueError:
-        raise ValueError("EFFDIM_STEP_BUDGET must be an integer") from None
     U = _read_cover(args.infile)
-    refined = cov.refine_cover(U, args.target_mult, rat(args.mesh), budget=budget)
+    refined = cov.refine_cover(U, args.target_mult, rat(args.mesh))
     out = _cover_json(refined)
     out["multiplicity"] = cov.cover_multiplicity(refined)
     out["mesh"] = fmt(cov.cover_mesh(refined))
@@ -570,19 +542,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--stages", type=int, required=True)
     p.set_defaults(func=_cmd_chain_spec)
 
+    parser.commands = tuple(sub.choices)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = _build_parser()
     if argv and argv[0] in ("-h", "--help"):
-        _build_parser().print_help()
+        parser.print_help()
         return 0
-    if not argv or argv[0] not in COMMANDS:
-        _build_parser().print_usage(sys.stderr)
+    if not argv or argv[0] not in parser.commands:
+        parser.print_usage(sys.stderr)
         return 1
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except _ParseFailure as exc:
         print(f"effdim: {exc}", file=sys.stderr)
         return 3

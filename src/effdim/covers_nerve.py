@@ -617,7 +617,7 @@ def refine_cover(
     U: FiniteCover,
     target_mult: int,
     mesh: Fraction,
-    budget: int | None = None,
+    budget: int = 64,
 ) -> FiniteCover:
     """Search widths coarse to fine for a refinement meeting both targets.
 
@@ -629,8 +629,6 @@ def refine_cover(
     mesh = rat(mesh)
     if target_mult < 1:
         raise PreconditionError("target multiplicity must be at least 1")
-    if budget is None:
-        budget = 64
     tried = 0
     k = 0
     while True:

@@ -55,12 +55,21 @@ class PLMap:
         # Compositions evaluate maps with thousands of segments, so the
         # segment lookup must not scan linearly.
         i = min(bisect_right(self._xs, x), len(verts) - 1) - 1
-        i = max(i, 0)
         (x0, y0), (x1, y1) = verts[i], verts[i + 1]
         return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
 
     def segments(self):
         return tuple(zip(self.vertices, self.vertices[1:]))
+
+    @functools.cached_property
+    def _extrema(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        # Computed on first use: iterate_map builds huge maps that never
+        # need their extrema.
+        verts = self.vertices
+        turns = [
+            v for u, v, w in zip(verts, verts[1:], verts[2:]) if (v[1] > u[1]) != (w[1] > v[1])
+        ]
+        return tuple(x for x, _ in turns), tuple(sorted({y for _, y in turns}))
 
 
 def tent_map() -> PLMap:
@@ -79,30 +88,21 @@ def extrema_of(f: PLMap) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
 
     Returns (ex, ex_val) sorted ascending; ex_val keeps one copy per value.
     """
-    verts = f.vertices
-    ex = []
-    for i in range(1, len(verts) - 1):
-        left = verts[i][1] - verts[i - 1][1]
-        right = verts[i + 1][1] - verts[i][1]
-        if (left > 0) != (right > 0):
-            ex.append(verts[i][0])
-    ex_vals = sorted({f(x) for x in ex})
-    return tuple(ex), tuple(ex_vals)
+    return f._extrema
+
+
+def _solutions(f: PLMap, y: Fraction) -> set[Fraction]:
+    """Solutions of f(x) = y, one per segment whose y-range holds y."""
+    return {
+        x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        for (x0, y0), (x1, y1) in f.segments()
+        if min(y0, y1) <= y <= max(y0, y1)
+    }
 
 
 def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
     """All exact solutions of f(x) = y, sorted ascending."""
-    y = Fraction(y)
-    lo = min(v for _, v in f.vertices)
-    hi = max(v for _, v in f.vertices)
-    if not lo <= y <= hi:
-        raise PreconditionError("value outside the range of the map")
-    sols = set()
-    for (x0, y0), (x1, y1) in f.segments():
-        if min(y0, y1) <= y <= max(y0, y1):
-            x = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if x0 <= x <= x1:
-                sols.add(x)
+    sols = _solutions(f, Fraction(y))
     if not sols:
         raise PreconditionError("value outside the range of the map")
     return tuple(sorted(sols))
@@ -110,13 +110,7 @@ def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact composition x -> f(g(x)) as a PLMap."""
-    cuts = {x for x, _ in g.vertices}
-    for bx, _ in f.vertices:
-        for (x0, y0), (x1, y1) in g.segments():
-            if min(y0, y1) <= bx <= max(y0, y1):
-                x = x0 + (bx - y0) * (x1 - x0) / (y1 - y0)
-                if x0 <= x <= x1:
-                    cuts.add(x)
+    cuts = {x for x, _ in g.vertices}.union(*(_solutions(g, bx) for bx, _ in f.vertices))
     xs = sorted(cuts)
     verts = []
     for x in xs:
@@ -138,7 +132,6 @@ def iterate_map(f: PLMap, power: int) -> PLMap:
     return acc
 
 
-@functools.lru_cache(maxsize=64)
 def _cycles_upto(f: PLMap, max_period: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact periodic cycles with period <= max_period, via fixed points of f^p."""
     cycles: list[tuple[Fraction, ...]] = []

@@ -6,13 +6,17 @@ module is launchable on its own.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import effdim
-from effdim.cli import run
+from effdim.cli import _build_parser, run
+
+# the subcommand names as the top-level usage line lists them
+SUBCOMMANDS = tuple(re.search(r"\{(.*?)\}", _build_parser().format_usage()).group(1).split(","))
 
 COVER1 = {
     "carrier": {"kind": "interval", "depth": 2},
@@ -71,6 +75,15 @@ class TestDispatch:
     def test_missing_file_maps_to_three(self, capsys):
         code, _, err = invoke(capsys, "kappa", "--in", "/nonexistent.json", "--x", "1/2")
         assert code == 3
+
+    def test_sixteen_subcommands(self):
+        assert len(SUBCOMMANDS) == 16
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_help(self, capsys, name):
+        code, out, _ = invoke(capsys, name, "--help")
+        assert code == 0
+        assert f"usage: effdim {name}" in out
 
     def test_subprocess_entry(self):
         # the child finds effdim where this process found it, however that was
@@ -175,7 +188,7 @@ class TestEstimatorCommands:
         assert len(data["rows"]) == 6
 
     def test_step_budget_env_is_not_read(self, capsys, monkeypatch):
-        # only refine reads EFFDIM_STEP_BUDGET, so a malformed value cannot fail boxdim
+        # no subcommand reads EFFDIM_STEP_BUDGET, so a malformed value cannot fail boxdim
         monkeypatch.setenv("EFFDIM_STEP_BUDGET", "lots")
         code, out, err = invoke(capsys, "boxdim", "--set", "cantor", "--depths", "1..2")
         assert code == 0, err
@@ -227,6 +240,19 @@ class TestAlgorithmicCommands:
         assert [v["C"] for v in data["values"]] == [15, 23]
         assert data["values"][0]["~ratio"] == "3.75"
         assert "~dim_lower" in data and "~dim_upper" in data
+
+    def test_kdim_keeps_precision_order_and_repeats(self, capsys):
+        # identity compressor: C_r = 2r + 7
+        data = invoke_json(
+            capsys, "kdim", "--x", "1/3", "--r", "8,4,8", "--compressor", "identity"
+        )
+        assert [(v["r"], v["C"], v["~ratio"]) for v in data["values"]] == [
+            (8, 23, "2.875"),
+            (4, 15, "3.75"),
+            (8, 23, "2.875"),
+        ]
+        assert data["~dim_lower"] == "2.875"
+        assert data["~dim_upper"] == "3.75"
 
     @pytest.mark.parametrize("r", ["0", "16,-4"])
     def test_kdim_rejects_nonpositive_precisions(self, capsys, r):
@@ -416,21 +442,14 @@ class TestCoverCommands:
         assert len(data["members"]) == 27
         assert len(data["parents"]) == 27
 
-    def test_budget_env_limits_refine(self, capsys, cover_file, monkeypatch):
-        monkeypatch.setenv("EFFDIM_STEP_BUDGET", "1")
-        code, _, err = invoke(
-            capsys, "refine", "--in", cover_file, "--target-mult", "2", "--mesh", "1/2"
-        )
-        assert code == 2
-        assert "search exhausted" in err
-
-    def test_budget_env_must_be_integer(self, capsys, cover_file, monkeypatch):
+    def test_refine_ignores_budget_env(self, capsys, cover_file, monkeypatch):
+        argv = ("refine", "--in", cover_file, "--target-mult", "2", "--mesh", "1/2")
+        monkeypatch.delenv("EFFDIM_STEP_BUDGET", raising=False)
+        unset = invoke(capsys, *argv)
         monkeypatch.setenv("EFFDIM_STEP_BUDGET", "lots")
-        code, _, err = invoke(
-            capsys, "refine", "--in", cover_file, "--target-mult", "2", "--mesh", "1/2"
-        )
-        assert code == 3
-        assert "EFFDIM_STEP_BUDGET" in err
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, err
+        assert (code, out, err) == unset
 
 
 class TestCondensationCommands:

@@ -28,6 +28,23 @@ F = Fraction
 TENT = InverseSystem.constant(tent_map())
 
 
+@st.composite
+def pl_maps(draw, max_vertices=6):
+    """Random PL self-maps of [0,1]: x on a 1/24 grid, y on a 1/12 grid."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    inner = draw(st.lists(st.integers(1, 23), min_size=n - 2, max_size=n - 2, unique=True))
+    xs = [F(0)] + sorted(F(v, 24) for v in inner) + [F(1)]
+    ys = draw(
+        st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(
+            lambda v: all(a != b for a, b in zip(v, v[1:]))
+        )
+    )
+    return PLMap(tuple(zip(xs, (F(v, 12) for v in ys))))
+
+
+unit_points = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
 class TestPLMap:
     def test_tent_values(self):
         f = tent_map()
@@ -57,6 +74,20 @@ class TestPLMap:
         with pytest.raises(PreconditionError, match="outside"):
             tent_map()(F(3, 2))
 
+    @given(f=pl_maps())
+    def test_extrema_match_slope_signs(self, f):
+        verts = f.vertices
+        ex = []
+        vals = set()
+        for i in range(1, len(verts) - 1):
+            (xa, ya), (xb, yb), (xc, yc) = verts[i - 1 : i + 2]
+            left = (yb - ya) / (xb - xa)
+            right = (yc - yb) / (xc - xb)
+            if left * right < 0:
+                ex.append(xb)
+                vals.add(yb)
+        assert extrema_of(f) == (tuple(ex), tuple(sorted(vals)))
+
     def test_extrema(self):
         ex, ex_vals = extrema_of(tent_map())
         assert ex == (F(1, 2),)
@@ -82,6 +113,29 @@ class TestPreimages:
         assert pre, "a surjective map must have preimages"
         for p in pre:
             assert f(p) == y
+
+    def test_value_above_the_range(self):
+        f = PLMap(((F(0), F(0)), (F(1), F(1, 2))))
+        assert preimages(f, F(1, 2)) == (F(1),)
+        with pytest.raises(PreconditionError, match="value outside the range of the map"):
+            preimages(f, F(3, 4))
+
+    @given(f=pl_maps(), y=unit_points)
+    def test_preimages_of_random_maps(self, f, y):
+        ys = [v for _, v in f.vertices]
+        if not min(ys) <= y <= max(ys):
+            with pytest.raises(PreconditionError, match="value outside the range of the map"):
+                preimages(f, y)
+            return
+        pre = preimages(f, y)
+        assert pre == tuple(sorted(set(pre)))
+        assert pre and all(f(p) == y for p in pre)
+
+    @given(f=pl_maps(), g=pl_maps(), xs=st.lists(unit_points, max_size=8))
+    def test_compose_agrees_pointwise(self, f, g, xs):
+        fg = compose(f, g)
+        for x in [x for x, _ in g.vertices] + xs:
+            assert fg(x) == f(g(x))
 
     def test_compose_and_iterate(self):
         f = tent_map()
