@@ -10,14 +10,21 @@ ONE = Fraction(1)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction.
+
+    Raises ValueError for a zero denominator and for every other type,
+    bools and floats included.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"not a rational: {value!r}")
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
+    raise ValueError(f"not a rational: {value!r}")
 
 
 def fmt(value: Fraction) -> str:

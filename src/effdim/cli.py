@@ -67,47 +67,68 @@ def _zspec(text: str) -> fs.BoundSeq:
     return fs.BoundSeq.constant(int(text))
 
 
-def _zspec_json(rule: dict) -> fs.BoundSeq:
+def _expect(value, kind: type, what: str):
+    """The value when it has the JSON type kind, else ValueError."""
+    if not isinstance(value, kind):
+        name = {dict: "object", list: "array", str: "string"}[kind]
+        raise ValueError(f"{what} must be a JSON {name}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer or integer string as int, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be an integer")
+    return int(value)
+
+
+def _zspec_json(rule) -> fs.BoundSeq:
+    rule = _expect(rule, dict, "base_rule")
     kind = rule.get("kind", "constant")
     if kind == "constant":
-        return fs.BoundSeq.constant(int(rule["z"]))
+        return fs.BoundSeq.constant(_int(rule["z"], "z"))
     if kind == "affine":
-        return fs.BoundSeq.affine(int(rule["offset"]))
+        return fs.BoundSeq.affine(_int(rule["offset"], "offset"))
     if kind == "table":
-        return fs.BoundSeq.from_table([int(v) for v in rule["values"]], int(rule.get("tail", 3)))
+        values = [_int(v, "a table value") for v in _expect(rule["values"], list, "values")]
+        return fs.BoundSeq.from_table(values, _int(rule.get("tail", 3), "tail"))
     raise ValueError(f"unknown base rule kind: {kind}")
 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _expect(json.load(fh), dict, "the top level")
 
 
 def _read_stream(path: str) -> tuple[fs.DigitMatrix, fs.BoundSeq]:
     data = _load_json(path)
     z = _zspec_json(data.get("base_rule", {"kind": "constant", "z": 3}))
     rows = []
-    for row in data["rows"]:
-        if isinstance(row, str):
-            rows.append(tuple(int(ch) for ch in row))
-        else:
-            rows.append(tuple(int(v) for v in row))
+    for row in _expect(data["rows"], list, "rows"):
+        digits = row if isinstance(row, str) else _expect(row, list, "a row")
+        rows.append(tuple(_int(d, "a digit") for d in digits))
     depth = data.get("depth")
-    if depth is not None and any(len(r) != int(depth) for r in rows):
+    if depth is not None and any(len(r) != _int(depth, "depth") for r in rows):
         raise ValueError("row lengths disagree with the declared depth")
     return fs.DigitMatrix(tuple(rows), z), z
+
+
+def _json_cloud(data: dict, meta: str = "") -> dim.PointCloud:
+    rows = _expect(data["points"], list, "points")
+    points = tuple(tuple(rat(v) for v in _expect(row, list, "a point")) for row in rows)
+    return dim.PointCloud(_int(data["dim"], "dim"), points, meta)
 
 
 def _read_cloud(path: str) -> dim.PointCloud:
     if path.endswith(".csv"):
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            _require(header is not None, "the CSV file has no header row")
             points = [tuple(rat(v) for v in row) for row in reader if row]
         return dim.PointCloud(len(header), tuple(points))
     data = _load_json(path)
-    points = tuple(tuple(rat(v) for v in row) for row in data["points"])
-    return dim.PointCloud(int(data["dim"]), points, data.get("meta", ""))
+    return _json_cloud(data, _expect(data.get("meta", ""), str, "meta"))
 
 
 def _cloud_json(cloud: dim.PointCloud) -> dict:
@@ -127,19 +148,19 @@ _NAMED_DESCRIPTORS = {
 }
 
 
-def _read_carrier(data: dict):
+def _read_carrier(data):
+    data = _expect(data, dict, "carrier")
     kind = data["kind"]
     if kind == "cloud":
-        points = tuple(tuple(rat(v) for v in row) for row in data["points"])
-        return dim.PointCloud(int(data["dim"]), points)
-    depth = int(data.get("depth", 0))
+        return _json_cloud(data)
+    depth = _int(data.get("depth", 0), "depth")
     if kind == "interval":
         return cov.interval_carrier(depth)
     if kind == "cantor":
         return cov.cantor_carrier(depth)
     if kind == "menger":
         z = _zspec_json(data.get("base_rule", {"kind": "constant", "z": 3}))
-        desc = dim.MengerDescriptor(int(data["m"]), int(data["n"]), z)
+        desc = dim.MengerDescriptor(_int(data["m"], "m"), _int(data["n"], "n"), z)
         return cov.SymbolicCarrier(desc, depth)
     raise ValueError(f"unknown carrier kind: {kind}")
 
@@ -148,15 +169,12 @@ def _read_cover(path: str) -> cov.FiniteCover:
     data = _load_json(path)
     carrier = _read_carrier(data["carrier"])
     members = []
-    for balls in data["members"]:
-        members.append(
-            cov.OpenSet(
-                tuple(
-                    cov.ball([rat(c) for c in b["center"]], rat(b["radius"]))
-                    for b in balls
-                )
-            )
-        )
+    for balls in _expect(data["members"], list, "members"):
+        member = []
+        for b in _expect(balls, list, "a member"):
+            b = _expect(b, dict, "a ball")
+            member.append(cov.ball(_expect(b["center"], list, "center"), b["radius"]))
+        members.append(cov.OpenSet(tuple(member)))
     return cov.FiniteCover(tuple(members), carrier)
 
 
@@ -177,9 +195,11 @@ def _cover_json(U: cov.FiniteCover) -> dict:
 
 def _read_map(args) -> il.PLMap:
     if getattr(args, "map_file", None):
-        data = _load_json(args.map_file)
-        verts = tuple((rat(x), rat(y)) for x, y in data["vertices"])
-        return il.PLMap(verts)
+        verts = []
+        for v in _expect(_load_json(args.map_file)["vertices"], list, "vertices"):
+            _require(isinstance(v, list) and len(v) == 2, "a vertex must be a list [x, y]")
+            verts.append((rat(v[0]), rat(v[1])))
+        return il.PLMap(tuple(verts))
     name = args.map
     if name == "tent":
         return il.tent_map()
@@ -301,8 +321,7 @@ def _cmd_kdim(args) -> None:
 
 def _read_bits(args) -> str:
     if args.infile:
-        data = _load_json(args.infile)
-        return data["bits"]
+        return _expect(_load_json(args.infile)["bits"], str, "bits")
     return args.prefix
 
 

@@ -20,6 +20,13 @@ symbolic carrier is the depth-d approximant of a digit-defined
 compactum, a finite union of closed grid cells.  A point cloud is the
 degenerate case: each point p is the zero-width box [p, p], whose one
 cell is p itself.
+
+A cover's one derived datum is its mask set: the distinct sets of
+members holding some carrier cell.  Coverage (no empty mask),
+multiplicity (the largest mask) and the nerve (the masks' subsets) all
+read it, so ``FiniteCover`` scans its carrier at most once.  Refinement
+asks the same questions of each candidate family's mask set, and finds
+every parent from one joint mask set of the family and the cover.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from ._lp import affine_gap
@@ -289,21 +296,9 @@ def _carrier_cells(
     return (cell for box in _carrier_boxes(carrier) for cell in _scan(box, groups, closed))
 
 
-def _carrier_masks(members: Sequence[OpenSet], carrier: Carrier) -> set[frozenset[int]]:
+def _carrier_masks(members: Sequence[OpenSet], carrier: Carrier) -> frozenset[frozenset[int]]:
     """Distinct membership patterns realized somewhere on the carrier."""
-    return {mask for _, _, mask in _carrier_cells(carrier, [m.cubes() for m in members])}
-
-
-def _mult_exceeds(members: Sequence[OpenSet], carrier: Carrier, limit: int) -> bool:
-    """Early-exit test for some carrier point inside more than limit members."""
-    cells = _carrier_cells(carrier, [m.cubes() for m in members])
-    return any(len(mask) > limit for _, _, mask in cells)
-
-
-def _first_uncovered(members: Sequence[OpenSet], carrier: Carrier):
-    """A carrier point no member contains, or None when covered."""
-    cells = _carrier_cells(carrier, [m.cubes() for m in members])
-    return next((rep for rep, _, mask in cells if not mask), None)
+    return frozenset(mask for _, _, mask in _carrier_cells(carrier, [m.cubes() for m in members]))
 
 
 @dataclass(frozen=True)
@@ -326,14 +321,16 @@ class FiniteCover:
         dims = {m.dim for m in self.members} | {self.carrier.dim}
         if len(dims) != 1:
             raise PreconditionError("cover members and carrier disagree on dimension")
-        if self.validate:
-            bad = _first_uncovered(self.members, self.carrier)
-            if bad is not None:
-                raise PreconditionError("carrier point not covered by any member")
+        if self.validate and frozenset() in self._masks:
+            raise PreconditionError("carrier point not covered by any member")
 
     @property
     def dim(self) -> int:
         return self.carrier.dim
+
+    @cached_property
+    def _masks(self) -> frozenset[frozenset[int]]:
+        return _carrier_masks(self.members, self.carrier)
 
 
 # --- diameters and complements ---------------------------------------------
@@ -422,14 +419,13 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet, box: Box | None 
 
 def cover_multiplicity(U: FiniteCover) -> int:
     """Largest number of members sharing a carrier point."""
-    return max(len(mask) for mask in _carrier_masks(U.members, U.carrier))
+    return max(len(mask) for mask in U._masks)
 
 
 def nerve_of(U: FiniteCover, geometry: Sequence[RationalPoint] | None = None) -> "Nerve":
     """Faces are exactly the subfamilies meeting in a carrier point."""
-    masks = _carrier_masks(U.members, U.carrier)
     faces: set[frozenset[int]] = set()
-    for mask in masks:
+    for mask in U._masks:
         for r in range(1, len(mask) + 1):
             faces.update(frozenset(c) for c in itertools.combinations(sorted(mask), r))
     return Nerve(len(U.members), frozenset(faces), tuple(geometry) if geometry else None)
@@ -553,8 +549,9 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
                 break
             closed.append(boxes)
             open_.append(v)
-        if ok and _closed_family_covers(closed, U.carrier) and _first_uncovered(open_, U.carrier) is None:
-            return tuple(closed), tuple(open_)
+        if ok and _closed_family_covers(closed, U.carrier):
+            if frozenset() not in _carrier_masks(open_, U.carrier):
+                return tuple(closed), tuple(open_)
         lam /= 2
     raise PreconditionError("no positive margin")
 
@@ -562,9 +559,18 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
 # --- refinement search -----------------------------------------------------
 
 
-def _subset_within(inner: OpenSet, outer: OpenSet, carrier: Carrier) -> bool:
-    cells = _carrier_cells(carrier, [inner.cubes(), outer.cubes()])
-    return not any(0 in mask and 1 not in mask for _, _, mask in cells)
+def _parents(members: Sequence[OpenSet], U: FiniteCover) -> tuple[int | None, ...]:
+    """Per member, the first member of U holding it on the carrier, else None.
+
+    Member j lies inside U's member i exactly when every mask of the
+    joint family (members, then U's members) holding j holds n + i.
+    """
+    n = len(members)
+    masks = _carrier_masks(tuple(members) + U.members, U.carrier)
+    return tuple(
+        next((i for i in range(len(U.members)) if all(n + i in m for m in masks if j in m)), None)
+        for j in range(n)
+    )
 
 
 def _grid_cells_for_cloud(cloud: PointCloud, w: Fraction) -> list[tuple[Fraction, ...]]:
@@ -639,28 +645,15 @@ def refine_cover(
             tried += 1
             if tried > budget:
                 raise PreconditionError("search exhausted")
-            if _first_uncovered(members, U.carrier) is not None:
-                continue
-            if _mult_exceeds(members, U.carrier, target_mult):
+            masks = _carrier_masks(members, U.carrier)
+            if frozenset() in masks or any(len(m) > target_mult for m in masks):
                 continue
             if any(_diam_within(s, U.carrier) > mesh for s in members):
                 continue
-            parents = []
-            for s in members:
-                parent = next(
-                    (
-                        i
-                        for i, big in enumerate(U.members)
-                        if _subset_within(s, big, U.carrier)
-                    ),
-                    None,
-                )
-                if parent is None:
-                    break
-                parents.append(parent)
-            if len(parents) != len(members):
+            parents = _parents(members, U)
+            if None in parents:
                 continue
-            return FiniteCover(members, U.carrier, parents=tuple(parents))
+            return FiniteCover(members, U.carrier, parents=parents)
         k += 1
         if tried >= budget:
             raise PreconditionError("search exhausted")
@@ -877,7 +870,7 @@ def embed_step(
     centers = [mbr.balls[0].center for mbr in U.members]
     wiggle = min((target - mesh) / 2, Fraction(1, 2 ** (j + 2)))
     vertices = general_position(centers, wiggle, avoid)
-    faces = [mask for mask in _carrier_masks(U.members, U.carrier) if mask]
+    faces = [mask for mask in U._masks if mask]
     min_gap = None
     for a in range(len(faces)):
         for b in range(a + 1, len(faces)):

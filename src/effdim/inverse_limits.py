@@ -123,11 +123,25 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
     return PLMap(tuple(verts))
 
 
+# Largest segment count iterate_map may build.  compose(f, g) has at most
+# (segments of f) x (segments of g) segments; f^p of an l-lap map has about
+# l^p, and building 2^14 segments of the tent map takes seconds.  The
+# five-segment map needs 5 x 2917 = 14585 for f^8.
+_SEGMENT_CAP = 2**14
+
+
 def iterate_map(f: PLMap, power: int) -> PLMap:
+    """f composed with itself power times.
+
+    Raises PreconditionError before any composition whose segment bound
+    exceeds _SEGMENT_CAP.
+    """
     if power < 1:
         raise PreconditionError("power must be at least 1")
     acc = f
     for _ in range(power - 1):
+        if (len(f.vertices) - 1) * (len(acc.vertices) - 1) > _SEGMENT_CAP:
+            raise PreconditionError(f"f^{power} may exceed {_SEGMENT_CAP} segments")
         acc = compose(f, acc)
     return acc
 
@@ -137,12 +151,8 @@ def _cycles_upto(f: PLMap, max_period: int) -> tuple[tuple[Fraction, ...], ...]:
     cycles: list[tuple[Fraction, ...]] = []
     known: set[Fraction] = set()
     for p in range(1, max_period + 1):
-        try:
-            fp = iterate_map(f, p)
-        except PreconditionError:
-            break
         fixed = set()
-        for (x0, y0), (x1, y1) in fp.segments():
+        for (x0, y0), (x1, y1) in iterate_map(f, p).segments():
             slope = (y1 - y0) / (x1 - x0)
             if slope == 1:
                 if y0 == x0:

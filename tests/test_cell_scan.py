@@ -312,23 +312,20 @@ def test_scan_cells_are_homogeneous_and_inside_the_box(case):
 
 @given(covers())
 def test_first_uncovered_agrees(case):
+    # coverage is read off the cover's mask set: no empty mask
     members, carrier = case
-    new = cn._first_uncovered(members, carrier)
-    old = _first_uncovered(members, carrier)
-    assert (new is None) == (old is None)
-    if new is not None:
-        assert not any(_in_cube(new, c) for m in members for c in m.cubes())
-        if isinstance(carrier, PointCloud):
-            assert new in carrier.points
-        else:
-            assert any(box.contains(new) for box in carrier.boxes())
+    masks = cn.FiniteCover(members, carrier, validate=False)._masks
+    assert (frozenset() not in masks) == (_first_uncovered(members, carrier) is None)
 
 
 @given(covers())
 def test_mult_exceeds_agrees_at_every_limit(case):
+    # multiplicity is read off the cover's mask set: its largest mask
     members, carrier = case
+    masks = cn.FiniteCover(members, carrier, validate=False)._masks
     for limit in range(len(members) + 2):
-        assert cn._mult_exceeds(members, carrier, limit) == _mult_exceeds(members, carrier, limit)
+        exceeds = any(len(m) > limit for m in masks)
+        assert exceeds == _mult_exceeds(members, carrier, limit)
 
 
 @given(st.data())
@@ -343,10 +340,26 @@ def test_complement_distance_agrees(data):
 
 @given(covers(), st.data())
 def test_subset_within_agrees(case, data):
+    # containment is read off the joint mask set of inner and outer
     members, carrier = case
     inner = data.draw(st.sampled_from(members))
     outer = data.draw(st.sampled_from(members) | open_sets(carrier.dim, 2))
-    assert cn._subset_within(inner, outer, carrier) == _subset_within(inner, outer, carrier)
+    U = cn.FiniteCover((outer,), carrier, validate=False)
+    expected = (0,) if _subset_within(inner, outer, carrier) else (None,)
+    assert cn._parents((inner,), U) == expected
+
+
+@given(covers(), st.data())
+def test_parents_are_first_containing_members(case, data):
+    members, carrier = case
+    family = data.draw(
+        st.lists(st.sampled_from(members) | open_sets(carrier.dim, 2), min_size=1, max_size=3)
+    )
+    expected = tuple(
+        next((i for i, big in enumerate(members) if _subset_within(s, big, carrier)), None)
+        for s in family
+    )
+    assert cn._parents(family, cn.FiniteCover(members, carrier, validate=False)) == expected
 
 
 @given(covers(), st.data())

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import effdim
+import effdim.inverse_limits as il
 from effdim.cli import _build_parser, run
 
 # the subcommand names as the top-level usage line lists them
@@ -390,6 +391,65 @@ class TestInverseLimitCommands:
         code, _, err = invoke(capsys, "orbit", "--map", "saw", "--x0", "1/2")
         assert code == 3
         assert "unknown map name" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kdim", "--x", "1/0", "--r", "4"),
+            ("orbit", "--x0", "1/0"),
+            ("assouad", "--set", "cantor", "--R", "1", "--r", "1/0"),
+            ("cocompress", "--prefix", "0101", "--g", "1,2,3", "--k-max", "0", "--s", "1/0"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_denominator_flag(self, capsys, argv):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 3
+        assert err == "effdim: zero denominator: '1/0'\n"
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("kappa", dict(COVER1, members=[[{"center": ["1/2"], "radius": "1/0"}]])),
+            ("kappa", dict(COVER1, members=[[{"center": ["1/2"], "radius": 0.75}]])),
+            ("boxdim", {"dim": 1, "points": [[0.5]]}),
+        ],
+        ids=["radius-1/0", "radius-float", "cloud-float"],
+    )
+    def test_non_rational_in_file(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        extra = ("--x", "1/2") if command == "kappa" else ("--scales", "1/2")
+        code, _, err = invoke(capsys, command, "--in", str(path), *extra)
+        assert code == 3
+        assert err.startswith("effdim: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (("boxdim", "--scales", "1/2", "--in"), "", "no header row"),
+            (("boxdim", "--scales", "1/2", "--in"), "[1]", "top level must be a JSON object"),
+            (("kappa", "--x", "1/2", "--in"), "[1]", "top level must be a JSON object"),
+            (("orbit", "--x0", "1/2", "--map-file"), "[1]", "top level must be a JSON object"),
+            (("kdim", "--r", "4", "--in"), '{"rows": [5]}', "a row must be a JSON array"),
+            (("boxdim", "--scales", "1/2", "--in"), '{"dim": 1, "points": 5}', "points must be"),
+        ],
+        ids=["empty-csv", "boxdim-list", "kappa-list", "orbit-list", "rows-int", "points-int"],
+    )
+    def test_malformed_file_shape(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / ("in.csv" if text == "" else "in.json")
+        path.write_text(text)
+        code, _, err = invoke(capsys, *argv, str(path))
+        assert code == 3
+        assert err.startswith("effdim: ") and message in err and err.count("\n") == 1
+
+    def test_orbit_segment_cap_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(il, "_SEGMENT_CAP", 64)
+        code, _, err = invoke(capsys, "orbit", "--map", "tent", "--x0", "1/3", "--max-period", "12")
+        assert code == 2
+        assert err == "effdim: f^7 may exceed 64 segments\n"
 
 
 class TestCoverCommands:

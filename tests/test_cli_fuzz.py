@@ -1,0 +1,128 @@
+"""Fuzz of the CLI's file readers: malformed input exits 2 or 3, never crashes.
+
+Hypothesis draws JSON documents of random shape (lists, objects, floats,
+zero denominators, bools, nulls) and valid documents with one value
+replaced by such a shape or one key removed, for every subcommand that
+reads ``--in`` or ``--map-file``, plus random CSV text for ``boxdim``.
+Every run must exit 0, 2 or 3, and any error must be one ``effdim:``
+line.  Documents nest at most two levels below a replaced value, and
+integers stay in [-1, 2], so depths and dimensions stay at most 2 and
+each run stays cheap.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from effdim.cli import run
+
+KEYS = (
+    "bits", "base_rule", "carrier", "center", "depth", "dim", "kind", "m", "members", "meta",
+    "n", "offset", "points", "radius", "rows", "tail", "values", "vertices", "z",
+)
+STRINGS = (
+    "", "0", "1", "-1", "1/2", "1/0", "abc", "0101", "constant", "affine", "table",
+    "cloud", "interval", "cantor", "menger",
+)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 2)
+    | st.floats(-2, 2)
+    | st.sampled_from(STRINGS)
+)
+
+
+def _nest(children):
+    return (
+        scalars
+        | st.lists(children, max_size=3)
+        | st.dictionaries(st.sampled_from(KEYS), children, max_size=3)
+    )
+
+
+values = _nest(_nest(scalars))
+
+STREAM = {"base_rule": {"kind": "constant", "z": 3}, "depth": 2, "rows": ["01", "20"]}
+CLOUD = {"dim": 1, "points": [["0"], ["1/2"], ["1"]]}
+BITS = {"bits": "0101"}
+MAP = {"vertices": [["0", "0"], ["1/2", "1"], ["1", "0"]]}
+COVER = {
+    "carrier": {"kind": "interval", "depth": 1},
+    "members": [
+        [{"center": ["1/4"], "radius": "5/16"}],
+        [{"center": ["3/4"], "radius": "5/16"}],
+    ],
+}
+# the flags before the file path, and a valid document for that path
+COMMANDS = {
+    "menger-check": (("--n", "1", "--in"), STREAM),
+    "kdim": (("--r", "2,4", "--in"), STREAM),
+    "boxdim": (("--scales", "1/2,1/4", "--in"), CLOUD),
+    "cocompress": (("--g", "2,4,8", "--k-max", "1", "--s", "1/2", "--in"), BITS),
+    "orbit": (("--x0", "1/3", "--budget", "50", "--max-period", "2", "--map-file"), MAP),
+    "il-encode": (("--trajectory", "1/2,1/4", "--map-file"), MAP),
+    "il-decode": (("--x0", "1/2", "--word", "0,1", "--map-file"), MAP),
+    "il-tree": (("--x0", "1/2", "--depth", "2", "--map-file"), MAP),
+    "kappa": (("--x", "1/2", "--in"), COVER),
+    "refine": (("--target-mult", "1", "--mesh", "1/2", "--in"), COVER),
+}
+
+
+def _paths(doc, prefix=()):
+    """Every key path into the document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def documents(draw, template):
+    if draw(st.booleans()):
+        return draw(values)
+    doc = copy.deepcopy(template)
+    *head, last = draw(st.sampled_from(list(_paths(template))[1:]))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = draw(values)
+    return doc
+
+
+def _check(capsys, argv):
+    code = run(list(argv))
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("effdim: ") and err.count("\n") == 1, err
+
+
+FUZZ = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@FUZZ
+@given(data=st.data())
+def test_json_input_exits_cleanly(capsys, tmp_path, name, data):
+    flags, template = COMMANDS[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data.draw(documents(template))))
+    _check(capsys, (name, *flags, str(path)))
+
+
+@FUZZ
+@given(rows=st.lists(st.lists(st.sampled_from(STRINGS + ("0.5", " ")), max_size=3), max_size=3))
+def test_csv_cloud_exits_cleanly(capsys, tmp_path, rows):
+    path = tmp_path / "cloud.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    _check(capsys, ("boxdim", "--scales", "1/2,1/4", "--in", str(path)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import effdim.covers_nerve as cn
 from effdim import (
     BoundSeq,
     Box,
@@ -151,6 +152,20 @@ class TestFiniteCover:
             (open_set(ball((0,), F(1, 4))),), interval_carrier(1), validate=False
         )
         assert len(U.members) == 1
+
+    def test_carrier_is_scanned_once(self, monkeypatch):
+        calls = []
+        scan = cn._carrier_cells
+        monkeypatch.setattr(cn, "_carrier_cells", lambda *a, **k: calls.append(a) or scan(*a, **k))
+        members = (open_set(ball((0,), F(3, 5))), open_set(ball((1,), F(3, 5))))
+        lazy = FiniteCover(members, interval_carrier(2), validate=False)
+        assert calls == []
+        assert nerve_of(lazy).dimension() == 1 and cover_multiplicity(lazy) == 2
+        assert len(calls) == 1
+        validated = two_sided_cover()
+        assert len(calls) == 2
+        assert nerve_of(validated).dimension() == 1 and cover_multiplicity(validated) == 2
+        assert len(calls) == 2
 
     def test_cloud_carrier(self):
         cloud = PointCloud(1, ((F(0),), (F(1, 2),), (F(1),)))
@@ -370,6 +385,19 @@ class TestShrinkCover:
             [((F(1, 4), F(1, 4)), F(57, 224)), ((F(1, 4), F(3, 4)), F(57, 224))],
             [((F(3, 4), F(1, 2)), F(57, 224))],
         ]
+
+    def test_open_family_gap_halves_the_margin(self):
+        # the closed boxes cover at the first two margins, but the open balls
+        # leave a gap there, so the margin is halved twice
+        members = (open_set(ball((F(1, 24),), F(1, 2))), open_set(ball((F(7, 12),), F(1, 2))))
+        U = FiniteCover(members, interval_carrier(0))
+        F_fam, V_fam = shrink_cover(U)
+        FiniteCover(V_fam, U.carrier)  # raises unless V covers the carrier
+        assert [tuple(b.bounds for b in part) for part in F_fam] == [
+            (((F(0), F(197, 384)),),),
+            (((F(43, 384), F(1)),),),
+        ]
+        assert [b.radius for v in V_fam for b in v.balls] == [F(117, 256), F(117, 256)]
 
     def test_no_margin_without_coverage(self):
         U = FiniteCover(

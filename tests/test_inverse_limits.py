@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import effdim.inverse_limits as il
 from effdim import (
     BranchCode,
     InverseSystem,
@@ -142,6 +143,16 @@ class TestPreimages:
         ff = compose(f, f)
         assert ff(F(1, 4)) == f(F(1, 2)) == 1
         assert iterate_map(f, 3)(F(1, 8)) == 1
+
+    def test_iterate_map_segment_cap(self, monkeypatch):
+        # f^p of the tent map has 2^p segments; building f^7 from f^6 is
+        # bounded by 2 * 64 = 128 segments
+        monkeypatch.setattr(il, "_SEGMENT_CAP", 64)
+        assert len(iterate_map(tent_map(), 6).vertices) == 65
+        with pytest.raises(PreconditionError, match="64 segments"):
+            iterate_map(tent_map(), 7)
+        with pytest.raises(PreconditionError, match="64 segments"):
+            orbit_analyze(tent_map(), F(1, 3), max_cycle_period=12)
 
 
 class TestOrbitAnalyze:
