@@ -148,6 +148,12 @@ _NAMED_DESCRIPTORS = {
 }
 
 
+# Most grid cells a cover file's symbolic carrier may hold: 4096 is the
+# carpet at depth 4 (8^4), the interval has 2187 at depth 7.  Cover
+# operations scan every cell, and the count grows geometrically with depth.
+_CARRIER_CELL_CAP = 4096
+
+
 def _read_carrier(data):
     data = _expect(data, dict, "carrier")
     kind = data["kind"]
@@ -155,14 +161,23 @@ def _read_carrier(data):
         return _json_cloud(data)
     depth = _int(data.get("depth", 0), "depth")
     if kind == "interval":
-        return cov.interval_carrier(depth)
-    if kind == "cantor":
-        return cov.cantor_carrier(depth)
-    if kind == "menger":
+        carrier = cov.interval_carrier(depth)
+    elif kind == "cantor":
+        carrier = cov.cantor_carrier(depth)
+    elif kind == "menger":
         z = _zspec_json(data.get("base_rule", {"kind": "constant", "z": 3}))
         desc = dim.MengerDescriptor(_int(data["m"], "m"), _int(data["n"], "n"), z)
-        return cov.SymbolicCarrier(desc, depth)
-    raise ValueError(f"unknown carrier kind: {kind}")
+        carrier = cov.SymbolicCarrier(desc, depth)
+    else:
+        raise ValueError(f"unknown carrier kind: {kind}")
+    # every level has at least 2 admissible columns, so this stops within
+    # log2 of the cap levels however deep the file says the carrier is
+    cells = 1
+    for j in range(depth):
+        cells *= carrier.descriptor.level_cell_count(j)
+        if cells > _CARRIER_CELL_CAP:
+            raise PreconditionError(f"carrier has more than {_CARRIER_CELL_CAP} cells")
+    return carrier
 
 
 def _read_cover(path: str) -> cov.FiniteCover:

@@ -21,12 +21,17 @@ compactum, a finite union of closed grid cells.  A point cloud is the
 degenerate case: each point p is the zero-width box [p, p], whose one
 cell is p itself.
 
-A cover's one derived datum is its mask set: the distinct sets of
-members holding some carrier cell.  Coverage (no empty mask),
-multiplicity (the largest mask) and the nerve (the masks' subsets) all
-read it, so ``FiniteCover`` scans its carrier at most once.  Refinement
-asks the same questions of each candidate family's mask set, and finds
-every parent from one joint mask set of the family and the cover.
+A cover's derived datum is its mask set: the distinct sets of members
+holding some carrier cell.  Coverage (no empty mask), multiplicity (the
+largest mask) and the nerve (the masks' subsets) all read it, so
+``FiniteCover`` scans its carrier at most once.  Refinement asks the
+same questions of each candidate family's mask set, and finds every
+parent from one joint mask set of the family and the cover.
+
+An open set's derived datum is its complement: the closures of the
+maximal unit-box cells that none of its cubes holds.  Kappa weights and
+shrinking margins are distances to it, so each set scans its unit-box
+arrangement at most once, however many points are weighed.
 """
 
 from __future__ import annotations
@@ -112,6 +117,10 @@ class OpenSet:
             all(lo < c < hi for (lo, hi), c in zip(cube, coords))
             for cube in self.cubes()
         )
+
+    @cached_property
+    def _complement(self) -> tuple[Bounds, ...]:
+        return _uncovered_closures(self, Box(_unit_bounds(self.dim)))
 
 
 def open_set(*balls_: FormalBall) -> OpenSet:
@@ -381,17 +390,43 @@ def _dist_to_bounds(coords: Sequence[Fraction], bounds: Bounds) -> Fraction:
     return d
 
 
+def _uncovered_closures(s: OpenSet, box: Box) -> tuple[Bounds, ...]:
+    """Closures of the maximal cells of the box that no cube of s holds.
+
+    The uncovered part of the box is closed, so each facet of an
+    uncovered cell (one positive-width axis pinned to an end) is
+    uncovered too and lies in that cell's closure.  Dropping every such
+    facet keeps the union: what is left are the cells with no uncovered
+    immediate coface, and each other uncovered closure lies in one of
+    theirs.  Cells are keyed by representative, half the Fractions of a
+    closure to hash: on a zero-width axis the representative is the
+    axis value, so a facet's is the cell's with that axis set to the end.
+    """
+    uncovered = [(rep, closure) for rep, closure, mask in _scan(box, [s.cubes()]) if not mask]
+    facets = set()
+    for rep, closure in uncovered:
+        for a, (lo, hi) in enumerate(closure):
+            if lo != hi:
+                facets.add(rep[:a] + (lo,) + rep[a + 1 :])
+                facets.add(rep[:a] + (hi,) + rep[a + 1 :])
+    return tuple(closure for rep, closure in uncovered if rep not in facets)
+
+
 def complement_distance(coords: Sequence[Fraction], s: OpenSet, box: Box | None = None):
     """Exact distance from a point to box minus the set; None if empty.
 
     The complement of a cube union in a box is the union of the closures
     of the arrangement cells missed by every cube, so the minimum of the
-    exact point-to-cell distances is the exact distance.
+    exact point-to-cell distances is the exact distance.  Only maximal
+    closures are kept: a cell with an uncovered immediate coface (one
+    zero-width axis widened to an adjacent interval) lies in that
+    coface's closure, which is at least as near.  For the unit box they
+    are the set's cached ``_complement``; another box is scanned on each
+    call.  A single cube needs no scan: its complement is the box's slabs
+    beyond its faces.
     """
     if len(coords) != s.dim:
         raise PreconditionError("point dimension differs from the set's")
-    if box is None:
-        box = Box(_unit_bounds(s.dim))
     cubes = s.cubes()
     if len(cubes) == 1:
         # single cube: the complement is a union of axis slabs, one per
@@ -399,8 +434,9 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet, box: Box | None 
         cube = cubes[0]
         if not all(lo < c < hi for (lo, hi), c in zip(cube, coords)):
             return ZERO
+        bounds = _unit_bounds(s.dim) if box is None else box.bounds
         best = None
-        for a, ((clo, chi), (blo, bhi)) in enumerate(zip(cube, box.bounds)):
+        for a, ((clo, chi), (blo, bhi)) in enumerate(zip(cube, bounds)):
             if clo >= blo:
                 d = coords[a] - clo
                 best = d if best is None else min(best, d)
@@ -408,10 +444,8 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet, box: Box | None 
                 d = chi - coords[a]
                 best = d if best is None else min(best, d)
         return best
-    return min(
-        (_dist_to_bounds(coords, closure) for _, closure, mask in _scan(box, [cubes]) if not mask),
-        default=None,
-    )
+    closures = s._complement if box is None else _uncovered_closures(s, box)
+    return min((_dist_to_bounds(coords, c) for c in closures), default=None)
 
 
 # --- cover operations ------------------------------------------------------
@@ -458,10 +492,13 @@ def kappa_map(x, U: FiniteCover, vertices: Sequence[RationalPoint]) -> RationalP
     The weight of member i is the exact distance from x to the part of
     the unit box outside that member, so the support is exactly the set
     of members containing x and the weights sum to 1 after normalizing.
+    Members are read inside the unit box, so x must lie in it.
     """
     coords = x.coords if isinstance(x, RationalPoint) else tuple(rat(c) for c in x)
     if len(coords) != U.dim:
         raise PreconditionError("point dimension differs from the cover's")
+    if not all(ZERO <= c <= ONE for c in coords):
+        raise PreconditionError("point lies outside the unit box")
     if len(vertices) != len(U.members):
         raise PreconditionError("one vertex per cover member is required")
     if len({v.dim for v in vertices}) != 1:

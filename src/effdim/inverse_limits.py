@@ -140,19 +140,30 @@ def iterate_map(f: PLMap, power: int) -> PLMap:
         raise PreconditionError("power must be at least 1")
     acc = f
     for _ in range(power - 1):
-        if (len(f.vertices) - 1) * (len(acc.vertices) - 1) > _SEGMENT_CAP:
-            raise PreconditionError(f"f^{power} may exceed {_SEGMENT_CAP} segments")
-        acc = compose(f, acc)
+        acc = _compose_capped(f, acc, power)
     return acc
 
 
+def _compose_capped(f: PLMap, acc: PLMap, power: int) -> PLMap:
+    """compose(f, acc) on the way to f^power, refused past _SEGMENT_CAP."""
+    if (len(f.vertices) - 1) * (len(acc.vertices) - 1) > _SEGMENT_CAP:
+        raise PreconditionError(f"f^{power} may exceed {_SEGMENT_CAP} segments")
+    return compose(f, acc)
+
+
 def _cycles_upto(f: PLMap, max_period: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact periodic cycles with period <= max_period, via fixed points of f^p."""
+    """Exact periodic cycles with period <= max_period, via fixed points of f^p.
+
+    Each f^p is composed from f^(p-1), under iterate_map's cap.
+    """
     cycles: list[tuple[Fraction, ...]] = []
     known: set[Fraction] = set()
+    fp = f
     for p in range(1, max_period + 1):
+        if p > 1:
+            fp = _compose_capped(f, fp, p)
         fixed = set()
-        for (x0, y0), (x1, y1) in iterate_map(f, p).segments():
+        for (x0, y0), (x1, y1) in fp.segments():
             slope = (y1 - y0) / (x1 - x0)
             if slope == 1:
                 if y0 == x0:

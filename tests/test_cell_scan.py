@@ -338,6 +338,29 @@ def test_complement_distance_agrees(data):
         assert cn.complement_distance(x, s, box) == complement_distance(x, s, box)
 
 
+@given(st.data())
+def test_cached_complement_is_the_maximal_uncovered_closures(data):
+    dim = data.draw(st.integers(1, 3))
+    s = data.draw(open_sets(dim, SIZES[dim][0]))
+    cubes = s.cubes()
+    unit = Box(_unit_bounds(dim))
+    uncovered = [
+        closure
+        for rep, closure in _iter_cells(unit, cubes)
+        if not any(_in_cube(rep, cube) for cube in cubes)
+    ]
+    for closure in s._complement:
+        assert closure in uncovered
+        assert not any(
+            other != closure and all(olo <= lo and hi <= ohi for (lo, hi), (olo, ohi) in zip(closure, other))
+            for other in uncovered
+        )
+    for _ in range(3):
+        x = tuple(data.draw(grid(0, GRID)) for _ in range(dim))
+        cached = min((_dist_to_bounds(x, c) for c in s._complement), default=None)
+        assert cached == complement_distance(x, s)
+
+
 @given(covers(), st.data())
 def test_subset_within_agrees(case, data):
     # containment is read off the joint mask set of inner and outer

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import effdim
+import effdim.cli as cli
 import effdim.inverse_limits as il
 from effdim.cli import _build_parser, run
 
@@ -492,6 +493,50 @@ class TestCoverCommands:
         assert out == ""
         assert "vertices disagree on dimension" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("x", ["3/2", "-1/8"])
+    def test_kappa_point_outside_unit_box(self, capsys, tmp_path, x):
+        # members are read inside [0,1], so such a point lies in no member
+        path = tmp_path / "cover.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "carrier": {"kind": "interval", "depth": 2},
+                    "members": [
+                        [{"center": ["3/8"], "radius": "1/2"}],
+                        [{"center": ["3/4"], "radius": "1/8"}, {"center": ["1"], "radius": "3/16"}],
+                    ],
+                }
+            )
+        )
+        assert invoke_json(capsys, "kappa", "--in", str(path), "--x", "1") == {"image": ["3/4"]}
+        code, out, err = invoke(capsys, "kappa", "--in", str(path), f"--x={x}")
+        assert (code, out) == (2, "")
+        assert err == "effdim: point lies outside the unit box\n"
+
+    @pytest.mark.parametrize(
+        "carrier, cells",
+        [
+            ({"kind": "interval", "depth": 3}, 27),
+            ({"kind": "cantor", "depth": 4}, 16),
+            ({"kind": "menger", "m": 2, "n": 1, "depth": 2}, 64),
+        ],
+        ids=["interval", "cantor", "carpet"],
+    )
+    def test_carrier_cell_cap_exits_two(self, capsys, tmp_path, monkeypatch, carrier, cells):
+        dim = carrier.get("m", 1)
+        path = tmp_path / "cover.json"
+        path.write_text(
+            json.dumps({"carrier": carrier, "members": [[{"center": ["1/2"] * dim, "radius": "1"}]]})
+        )
+        refine = ("refine", "--in", str(path), "--target-mult", "1", "--mesh", "1")
+        monkeypatch.setattr(cli, "_CARRIER_CELL_CAP", cells)
+        assert invoke(capsys, *refine)[0] == 0
+        monkeypatch.setattr(cli, "_CARRIER_CELL_CAP", cells - 1)
+        for argv in (refine, ("kappa", "--in", str(path), "--x", ",".join(["1/2"] * dim))):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"effdim: carrier has more than {cells - 1} cells\n"
 
     def test_refine(self, capsys, cover_file):
         data = invoke_json(

@@ -3,15 +3,17 @@
 Hypothesis draws JSON documents of random shape (lists, objects, floats,
 zero denominators, bools, nulls) and valid documents with one value
 replaced by such a shape or one key removed, for every subcommand that
-reads ``--in`` or ``--map-file``, plus random CSV text for ``boxdim``.
-Every run must exit 0, 2 or 3, and any error must be one ``effdim:``
-line.  Documents nest at most two levels below a replaced value, and
-integers stay in [-1, 2], so depths and dimensions stay at most 2 and
-each run stays cheap.
+reads ``--in`` or ``--map-file``, plus random CSV text for ``boxdim``
+and random ``kappa --x`` strings.  Every run must exit 0, 2 or 3, and
+any error must be one ``effdim:`` line; ``kappa`` exits 0 exactly for a
+point of the unit box with the cover's dimension.  Documents nest at
+most two levels below a replaced value, and integers stay in [-1, 2],
+so depths and dimensions stay at most 2 and each run stays cheap.
 """
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -103,6 +105,7 @@ def _check(capsys, argv):
     assert "Traceback" not in err
     if code:
         assert err.startswith("effdim: ") and err.count("\n") == 1, err
+    return code
 
 
 FUZZ = settings(
@@ -126,3 +129,44 @@ def test_csv_cloud_exits_cleanly(capsys, tmp_path, rows):
     path = tmp_path / "cloud.csv"
     path.write_text("".join(",".join(row) + "\n" for row in rows))
     _check(capsys, ("boxdim", "--scales", "1/2,1/4", "--in", str(path)))
+
+
+# covers of the whole unit box in one and two dimensions, each member
+# leaving some of it uncovered, so every point of the box has an image
+BOX_COVERS = {
+    1: COVER,
+    2: {
+        "carrier": {"kind": "cloud", "dim": 2, "points": [["1/2", "1/2"]]},
+        "members": [
+            [{"center": [x, y], "radius": "5/16"} for x, y in pair]
+            for pair in ((("1/4", "1/4"), ("3/4", "3/4")), (("1/4", "3/4"),), (("3/4", "1/4"),))
+        ],
+    },
+}
+coordinates = (
+    st.fractions(0, 1, max_denominator=16).map(str)
+    | st.fractions(-2, 2, max_denominator=16).map(str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.sampled_from(("", " ", "1/0", "-1/0", "abc", "1//2", "0x1", " 1/3 "))
+)
+
+
+def _unit_point(text: str, dim: int) -> bool:
+    """Does text name a point of [0,1]^dim, empty fields skipped?"""
+    fields = [f for f in text.split(",") if f != ""]
+    try:
+        point = [Fraction(f.strip()) for f in fields]
+    except (ValueError, ZeroDivisionError):
+        return False
+    return len(point) == dim and all(0 <= c <= 1 for c in point)
+
+
+@pytest.mark.parametrize("dim", sorted(BOX_COVERS))
+@FUZZ
+@given(fields=st.lists(coordinates, max_size=4))
+def test_kappa_point_exits_cleanly(capsys, tmp_path, dim, fields):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(BOX_COVERS[dim]))
+    text = ",".join(fields)
+    code = _check(capsys, ("kappa", "--in", str(path), f"--x={text}"))
+    assert (code == 0) == _unit_point(text, dim), text

@@ -320,6 +320,33 @@ class TestKappaMap:
         with pytest.raises(PreconditionError, match="uncovered point"):
             kappa_map((F(3, 4),), partial, (RationalPoint((F(0),)),))
 
+    def test_point_must_lie_in_the_unit_box(self):
+        U = two_sided_cover()
+        verts = (RationalPoint((F(0),)), RationalPoint((F(1),)))
+        assert kappa_map((F(1),), U, verts).coords == (F(1),)
+        for x in (F(3, 2), F(-1, 8)):
+            with pytest.raises(PreconditionError, match="outside the unit box"):
+                kappa_map((x,), U, verts)
+
+    def test_each_member_complement_is_scanned_once(self, monkeypatch):
+        cloud = PointCloud(2, ((F(1, 4), F(1, 4)), (F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))))
+        members = (
+            open_set(ball((F(1, 4), F(1, 4)), F(1, 4)), ball((F(1, 2), F(1, 2)), F(1, 8))),
+            open_set(ball((F(3, 4), F(3, 4)), F(1, 4)), ball((F(1, 2), F(1, 2)), F(1, 8))),
+            open_set(ball((F(1, 2), F(1, 2)), F(1, 4))),
+        )
+        U = FiniteCover(members, cloud)
+        calls = []
+        scan = cn._scan
+        monkeypatch.setattr(cn, "_scan", lambda *a, **k: calls.append(a) or scan(*a, **k))
+        verts = tuple(m.balls[0].center for m in members)
+        for p in cloud.points:
+            kappa_map(p, U, verts)
+        # the two multi-ball members once each; the single cube needs no scan
+        assert len(calls) == 2
+        assert complement_distance(cloud.points[1], members[0]) == F(1, 8)
+        assert len(calls) == 2
+
     def test_vertices_must_share_a_dimension(self):
         U = two_sided_cover()
         for verts in (

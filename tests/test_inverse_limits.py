@@ -155,6 +155,53 @@ class TestPreimages:
             orbit_analyze(tent_map(), F(1, 3), max_cycle_period=12)
 
 
+def _cycles_by_power(f, max_period):
+    """The cycle table as it was built before the chain: each f^p afresh."""
+    cycles = []
+    known = set()
+    for p in range(1, max_period + 1):
+        fixed = set()
+        for (x0, y0), (x1, y1) in iterate_map(f, p).segments():
+            slope = (y1 - y0) / (x1 - x0)
+            if slope == 1:
+                if y0 == x0:
+                    fixed.add(x0)
+                    fixed.add(x1)
+                continue
+            x = (x0 * slope - y0) / (slope - 1)
+            if x0 <= x <= x1:
+                fixed.add(x)
+        for x in sorted(fixed):
+            if x in known:
+                continue
+            orbit = [x]
+            cur = f(x)
+            while cur != x:
+                orbit.append(cur)
+                cur = f(cur)
+            if len(orbit) == p:
+                cycles.append(tuple(orbit))
+                known.update(orbit)
+    return tuple(cycles)
+
+
+class TestCycleTable:
+    @given(f=pl_maps(), max_period=st.integers(1, 4))
+    def test_chain_equals_per_power_table(self, f, max_period):
+        assert il._cycles_upto(f, max_period) == _cycles_by_power(f, max_period)
+
+    @pytest.mark.parametrize("f", [tent_map(), five_segment_map()], ids=["tent", "five"])
+    def test_chain_equals_per_power_table_on_named_maps(self, f):
+        assert il._cycles_upto(f, 6) == _cycles_by_power(f, 6)
+
+    def test_one_composition_per_period(self, monkeypatch):
+        calls = []
+        real = il.compose
+        monkeypatch.setattr(il, "compose", lambda f, g: calls.append(1) or real(f, g))
+        il._cycles_upto(tent_map(), 6)
+        assert len(calls) == 5
+
+
 class TestOrbitAnalyze:
     def test_periodic_orbit(self):
         r = orbit_analyze(tent_map(), F(2, 7))
