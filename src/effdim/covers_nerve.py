@@ -656,6 +656,31 @@ def _candidate_families(U: FiniteCover, k: int) -> Iterator[tuple[OpenSet, ...]]
             yield tuple(members)
 
 
+def _point_balls(cloud: PointCloud) -> tuple[OpenSet, ...]:
+    """One ball per distinct cloud point, all of one radius.
+
+    The radius is half the smallest pairwise max-distance, or 1 for a
+    single point, so the open cubes are pairwise disjoint and each holds
+    its own point alone: multiplicity 1 and diameter 0 on the cloud.
+    """
+    points = list(dict.fromkeys(cloud.points))
+    gap = min((max_dist(p, q) for p, q in itertools.combinations(points, 2)), default=Fraction(2))
+    return tuple(open_set(ball(p, gap / 2)) for p in points)
+
+
+def _refinement_families(U: FiniteCover, budget: int) -> Iterator[tuple[OpenSet, ...]]:
+    """The width ladder's first budget families, then a cloud's point balls."""
+    carrier = U.carrier
+    if isinstance(carrier, SymbolicCarrier):
+        widths: Iterable[int] = range(carrier.depth + 3)
+    else:
+        widths = itertools.count()
+    ladder = itertools.chain.from_iterable(_candidate_families(U, k) for k in widths)
+    yield from itertools.islice(ladder, max(budget, 0))
+    if isinstance(carrier, PointCloud):
+        yield _point_balls(carrier)
+
+
 def refine_cover(
     U: FiniteCover,
     target_mult: int,
@@ -667,33 +692,28 @@ def refine_cover(
     Every candidate family is checked exactly: coverage, mesh inside the
     carrier, multiplicity, and a parent member containing each new set.
     The width ladder bottoms out two subdivision levels past the carrier
-    resolution (symbolic) or when the family budget runs out.
+    resolution (symbolic) or when the family budget runs out.  On a point
+    cloud one more family follows the ladder, a ball around each point,
+    which meets every multiplicity target and every nonnegative mesh.
     """
     mesh = rat(mesh)
     if target_mult < 1:
         raise PreconditionError("target multiplicity must be at least 1")
-    tried = 0
-    k = 0
-    while True:
-        if isinstance(U.carrier, SymbolicCarrier):
-            if k > U.carrier.depth + 2:
-                raise PreconditionError("search exhausted")
-        for members in _candidate_families(U, k):
-            tried += 1
-            if tried > budget:
-                raise PreconditionError("search exhausted")
-            masks = _carrier_masks(members, U.carrier)
-            if frozenset() in masks or any(len(m) > target_mult for m in masks):
-                continue
-            if any(_diam_within(s, U.carrier) > mesh for s in members):
-                continue
-            parents = _parents(members, U)
-            if None in parents:
-                continue
-            return FiniteCover(members, U.carrier, parents=parents)
-        k += 1
-        if tried >= budget:
-            raise PreconditionError("search exhausted")
+    carrier = U.carrier
+    if isinstance(carrier, PointCloud) and not carrier.points:
+        # no family of the ladder meets an empty cloud, so it would never end
+        raise PreconditionError("cloud carrier has no points")
+    for members in _refinement_families(U, budget):
+        masks = _carrier_masks(members, carrier)
+        if frozenset() in masks or any(len(m) > target_mult for m in masks):
+            continue
+        if any(_diam_within(s, carrier) > mesh for s in members):
+            continue
+        parents = _parents(members, U)
+        if None in parents:
+            continue
+        return FiniteCover(members, carrier, parents=parents)
+    raise PreconditionError("search exhausted")
 
 
 # --- general position ------------------------------------------------------

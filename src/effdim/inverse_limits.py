@@ -1,16 +1,22 @@
 """Exact coding of points in inverse limits of piecewise-linear interval maps.
 
 Maps are given by rational vertex lists with no constant segment, so
-evaluation, preimage enumeration and composition all stay inside
-Fraction arithmetic.  A point of the inverse limit is a backward
-trajectory; its branch code records the starting value, the rank of
-each backward choice among the sorted preimages, and the levels at
-which the trajectory passes through a critical value.
+evaluation, preimage enumeration and composition all stay exact.  A
+map's affine pieces are its derived data, computed on first use and
+kept on the map: the forward pieces y = s*x + c as Fractions, and the
+inverse pieces x = a*y + b with their y-ranges as plain integers, so
+preimages cost a few integer products per segment.  A point of the
+inverse limit is a backward trajectory; its branch code records the
+starting value, the rank of each backward choice among the sorted
+preimages, and the levels at which the trajectory passes through a
+critical value.  Orbit classification looks cycle points up in a table
+keyed by floor(v / tol), so each orbit step reads three buckets.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,15 +57,45 @@ class PLMap:
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise PreconditionError("argument outside [0,1]")
-        verts = self.vertices
         # Compositions evaluate maps with thousands of segments, so the
         # segment lookup must not scan linearly.
-        i = min(bisect_right(self._xs, x), len(verts) - 1) - 1
-        (x0, y0), (x1, y1) = verts[i], verts[i + 1]
-        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+        s, c = self._forward[min(bisect_right(self._xs, x), len(self._xs) - 1) - 1]
+        return s * x + c
 
     def segments(self):
         return tuple(zip(self.vertices, self.vertices[1:]))
+
+    @functools.cached_property
+    def _forward(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Per segment, (slope, intercept) of y = slope * x + intercept.
+
+        These stay Fractions: orbit values reach hundreds of bits, and
+        Fraction arithmetic against a small slope keeps its gcds cheap.
+        """
+        out = []
+        for (x0, y0), (x1, y1) in self.segments():
+            slope = (y1 - y0) / (x1 - x0)
+            out.append((slope, y0 - slope * x0))
+        return tuple(out)
+
+    @functools.cached_property
+    def _inverse(self) -> tuple[tuple[int, ...], ...]:
+        """Per segment, its y-range and inverse piece x = a * y + b as ints.
+
+        Each entry is (lo.num, lo.den, hi.num, hi.den, an, bn, d) with
+        [lo, hi] the segment's y-range and a = an / d, b = bn / d.
+        """
+        out = []
+        for (x0, y0), (x1, y1) in self.segments():
+            lo, hi = min(y0, y1), max(y0, y1)
+            a = (x1 - x0) / (y1 - y0)
+            b = x0 - a * y0
+            out.append((
+                lo.numerator, lo.denominator, hi.numerator, hi.denominator,
+                a.numerator * b.denominator, b.numerator * a.denominator,
+                a.denominator * b.denominator,
+            ))
+        return tuple(out)
 
     @functools.cached_property
     def _extrema(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -91,13 +127,21 @@ def extrema_of(f: PLMap) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     return f._extrema
 
 
-def _solutions(f: PLMap, y: Fraction) -> set[Fraction]:
-    """Solutions of f(x) = y, one per segment whose y-range holds y."""
-    return {
-        x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        for (x0, y0), (x1, y1) in f.segments()
-        if min(y0, y1) <= y <= max(y0, y1)
-    }
+def _solutions(f: PLMap, y: Fraction) -> list[Fraction]:
+    """Solutions of f(x) = y in ascending order, without repeats.
+
+    Segment i contributes its solution, which lies in [x_i, x_(i+1)], when
+    its y-range holds y; so the list comes out sorted, and a repeat can
+    only be the vertex shared with the previous segment.
+    """
+    p, q = y.numerator, y.denominator
+    sols: list[Fraction] = []
+    for lo_n, lo_d, hi_n, hi_d, an, bn, d in f._inverse:
+        if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q:
+            x = Fraction(an * p + bn * q, d * q)
+            if not sols or sols[-1] != x:
+                sols.append(x)
+    return sols
 
 
 def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
@@ -105,7 +149,7 @@ def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
     sols = _solutions(f, Fraction(y))
     if not sols:
         raise PreconditionError("value outside the range of the map")
-    return tuple(sorted(sols))
+    return tuple(sols)
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
@@ -125,7 +169,8 @@ def compose(f: PLMap, g: PLMap) -> PLMap:
 
 # Largest segment count iterate_map may build.  compose(f, g) has at most
 # (segments of f) x (segments of g) segments; f^p of an l-lap map has about
-# l^p, and building 2^14 segments of the tent map takes seconds.  The
+# l^p, and building the tent map's 2^14 segments takes about 2 s on a
+# 2-vCPU VM, most of it in Fraction comparisons.  The
 # five-segment map needs 5 x 2917 = 14585 for f^8.
 _SEGMENT_CAP = 2**14
 
@@ -219,14 +264,26 @@ _DENOM_BIT_CAP = 20000
 
 
 @functools.lru_cache(maxsize=64)
-def _cycle_point_index(f: PLMap, max_period: int):
+def _cycle_point_index(f: PLMap, max_period: int, tol: Fraction):
+    """The cycles of period <= max_period, and their indices by floor(v / tol).
+
+    buckets maps k to the ascending indices of the cycles with a point v
+    of floor(v / tol) = k; it is empty for a nonpositive tol.
+    """
     cycles = _cycles_upto(f, max_period)
-    entries = sorted(
-        (pt, idx) for idx, cycle in enumerate(cycles) for pt in cycle
-    )
-    values = [pt for pt, _ in entries]
-    owners = [idx for _, idx in entries]
-    return cycles, values, owners
+    buckets: dict[int, list[int]] = {}
+    if tol > 0:
+        for idx, cycle in enumerate(cycles):
+            for pt in cycle:
+                owners = buckets.setdefault(_tol_bucket(pt, tol), [])
+                if not owners or owners[-1] != idx:
+                    owners.append(idx)
+    return cycles, buckets
+
+
+def _tol_bucket(x: Fraction, tol: Fraction) -> int:
+    """floor(x / tol) for a positive tol, in integer arithmetic."""
+    return x.numerator * tol.denominator // (x.denominator * tol.numerator)
 
 
 def orbit_analyze(
@@ -242,6 +299,7 @@ def orbit_analyze(
     is compared against the exactly-detected cycles of period up to
     max_cycle_period: once within tol of a cycle and not receding, the orbit
     is certified AsymptoticallyPeriodic.  Otherwise Unknown after the budget.
+    A nonpositive tol puts no cycle within reach.
     """
     x0 = Fraction(x0)
     if not 0 <= x0 <= 1:
@@ -249,7 +307,7 @@ def orbit_analyze(
     if budget < 1:
         raise PreconditionError("budget must be positive")
     tol = Fraction(tol)
-    cycles, cyc_values, cyc_owners = _cycle_point_index(f, max_cycle_period)
+    cycles, buckets = _cycle_point_index(f, max_cycle_period, tol)
     seen: dict[Fraction, int] = {}
     x = x0
     for step in range(budget + 1):
@@ -257,11 +315,16 @@ def orbit_analyze(
             tail = seen[x]
             return OrbitReport("Preperiodic", tail=tail, period=step - tail, steps=step)
         seen[x] = step
-        # The tolerance window is tiny, so candidate cycles come from a
-        # bisect window over all cycle points instead of a full scan.
-        lo = bisect_right(cyc_values, x - tol)
-        hi = bisect_right(cyc_values, x + tol)
-        for ci in sorted({cyc_owners[i] for i in range(lo, hi)}):
+        # A cycle point v within tol of x has floor(v / tol) within one of
+        # floor(x / tol), so three buckets hold every candidate cycle; the
+        # extra cycles they may hold are all at least tol away.  The table
+        # is empty for a nonpositive tol, whose quotient is never taken.
+        near: set[int] = set()
+        if buckets:
+            k = _tol_bucket(x, tol)
+            for key in (k - 1, k, k + 1):
+                near.update(buckets.get(key, ()))
+        for ci in sorted(near):
             cycle = cycles[ci]
             d = min(abs(x - pt) for pt in cycle)
             if 0 < d < tol:
@@ -372,9 +435,15 @@ class BranchNode:
     children: tuple["BranchNode", ...] = ()
 
     def leaf_count(self) -> int:
-        if not self.children:
-            return 1
-        return sum(c.leaf_count() for c in self.children)
+        leaves = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(node.children)
+            else:
+                leaves += 1
+        return leaves
 
     def arity_profile(self) -> dict[int, int]:
         """How many internal nodes have each arity."""
@@ -388,20 +457,50 @@ class BranchNode:
         return profile
 
     def is_full_binary(self) -> bool:
-        if not self.children:
-            return True
-        return len(self.children) == 2 and all(c.is_full_binary() for c in self.children)
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                if len(node.children) != 2:
+                    return False
+                stack.extend(node.children)
+        return True
+
+
+# Most nodes branching_tree may build.  The tent map doubles each level, so
+# depth 16 (131,071 nodes) still builds, in about a second, and depth 30
+# would need 2^31 nodes.
+_TREE_NODE_CAP = 2**17
 
 
 def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNode:
-    """Backward preimage tree from x0: node arity is the exact preimage count."""
+    """Backward preimage tree from x0: node arity is the exact preimage count.
+
+    Built level by level without recursion.  Raises PreconditionError once
+    the tree would pass _TREE_NODE_CAP nodes.
+    """
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
-
-    def build(value: Fraction, level: int) -> BranchNode:
-        if level == depth:
-            return BranchNode(value)
-        pre = preimages(system.at(level), value)
-        return BranchNode(value, tuple(build(p, level + 1) for p in pre))
-
-    return build(Fraction(x0), 0)
+    levels = [[Fraction(x0)]]
+    arities: list[list[int]] = []
+    total = 1
+    for level in range(depth):
+        f = system.at(level)
+        values: list[Fraction] = []
+        counts = []
+        for value in levels[-1]:
+            pre = preimages(f, value)
+            counts.append(len(pre))
+            values.extend(pre)
+            if total + len(values) > _TREE_NODE_CAP:
+                raise PreconditionError(f"branching tree exceeds {_TREE_NODE_CAP} nodes")
+        total += len(values)
+        levels.append(values)
+        arities.append(counts)
+    nodes = [BranchNode(v) for v in levels[-1]]
+    for values, counts in zip(reversed(levels[:-1]), reversed(arities)):
+        children = iter(nodes)
+        nodes = [
+            BranchNode(v, tuple(itertools.islice(children, n))) for v, n in zip(values, counts)
+        ]
+    return nodes[0]

@@ -452,6 +452,20 @@ class TestMalformedInput:
         assert code == 2
         assert err == "effdim: f^7 may exceed 64 segments\n"
 
+    def test_il_tree_node_cap_exits_two(self, capsys, monkeypatch):
+        # the depth-3 tent tree from 1/2 has 15 nodes
+        monkeypatch.setattr(il, "_TREE_NODE_CAP", 15)
+        assert invoke_json(capsys, "il-tree", "--x0", "1/2", "--depth", "3")["leaf_count"] == 8
+        code, _, err = invoke(capsys, "il-tree", "--x0", "1/2", "--depth", "4")
+        assert code == 2
+        assert err == "effdim: branching tree exceeds 15 nodes\n"
+
+    def test_deep_il_tree_exits_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"vertices": [["0", "0"], ["1", "1"]]}))
+        data = invoke_json(capsys, "il-tree", "--map-file", str(path), "--x0", "1/2", "--depth", "2000")
+        assert data == {"leaf_count": 1, "full_binary": False, "arity_profile": {"1": 2000}}
+
 
 class TestCoverCommands:
     def test_kappa_default_vertices(self, capsys, cover_file):

@@ -3,10 +3,12 @@
 Hypothesis draws JSON documents of random shape (lists, objects, floats,
 zero denominators, bools, nulls) and valid documents with one value
 replaced by such a shape or one key removed, for every subcommand that
-reads ``--in`` or ``--map-file``, plus random CSV text for ``boxdim``
-and random ``kappa --x`` strings.  Every run must exit 0, 2 or 3, and
-any error must be one ``effdim:`` line; ``kappa`` exits 0 exactly for a
-point of the unit box with the cover's dimension.  Documents nest at
+reads ``--in`` or ``--map-file``, plus random CSV text for ``boxdim``,
+random ``kappa --x`` strings, and random ``orbit --x0``/``--tol``
+strings.  Every run must exit 0, 2 or 3, and any error must be one
+``effdim:`` line; ``kappa`` exits 0 exactly for a point of the unit box
+with the cover's dimension, and ``orbit`` exactly for a start point in
+[0, 1] and any rational tolerance.  Documents nest at
 most two levels below a replaced value, and integers stay in [-1, 2],
 so depths and dimensions stay at most 2 and each run stays cheap.
 """
@@ -151,14 +153,17 @@ coordinates = (
 )
 
 
+def _rational(text: str) -> Fraction | None:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def _unit_point(text: str, dim: int) -> bool:
     """Does text name a point of [0,1]^dim, empty fields skipped?"""
-    fields = [f for f in text.split(",") if f != ""]
-    try:
-        point = [Fraction(f.strip()) for f in fields]
-    except (ValueError, ZeroDivisionError):
-        return False
-    return len(point) == dim and all(0 <= c <= 1 for c in point)
+    point = [_rational(f) for f in text.split(",") if f != ""]
+    return len(point) == dim and all(c is not None and 0 <= c <= 1 for c in point)
 
 
 @pytest.mark.parametrize("dim", sorted(BOX_COVERS))
@@ -170,3 +175,25 @@ def test_kappa_point_exits_cleanly(capsys, tmp_path, dim, fields):
     text = ",".join(fields)
     code = _check(capsys, ("kappa", "--in", str(path), f"--x={text}"))
     assert (code == 0) == _unit_point(text, dim), text
+
+
+numbers = (
+    st.fractions(-2, 2, max_denominator=64).map(str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.sampled_from(("0", "-0", "-1/3", "1/0", "0/0", "", " ", "abc", "1//2", "2**-40", " 1/7 "))
+)
+
+
+@pytest.mark.parametrize("name", ["tent", "five"])
+@FUZZ
+@given(x0=numbers, tol=numbers)
+def test_orbit_arguments_exit_cleanly(capsys, name, x0, tol):
+    argv = ("orbit", "--map", name, f"--x0={x0}", f"--tol={tol}", "--budget", "50", "--max-period", "3")
+    code = _check(capsys, argv)
+    start = _rational(x0)
+    assert (code == 0) == (start is not None and 0 <= start <= 1 and _rational(tol) is not None)
+
+
+def test_orbit_zero_tol_is_unknown(capsys):
+    assert run(["orbit", "--map", "five", "--x0", "1/3", "--tol", "0", "--budget", "50"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "Unknown", "steps": 50}

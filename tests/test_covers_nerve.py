@@ -488,6 +488,50 @@ class TestRefineCover:
         with pytest.raises(PreconditionError, match="at least 1"):
             refine_cover(two_sided_cover(), 0, F(1, 2))
 
+    @pytest.mark.parametrize("target, mesh", [(1, F(1, 4)), (2, F(1, 8))])
+    def test_cloud_on_grid_lines_falls_back_to_point_balls(self, target, mesh):
+        # every dyadic grid cell touching one of these points has another
+        # point on its boundary, so the width ladder runs out
+        pts = ((F(1, 4), F(1, 4)), (F(3, 4), F(3, 4)), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 2)))
+        members = (open_set(ball((F(1, 2), F(1, 2)), F(1, 2))), open_set(ball((F(3, 4), F(3, 4)), F(1, 8))))
+        refined = refine_cover(FiniteCover(members, PointCloud(2, pts)), target, mesh)
+        assert [[(b.center.coords, b.radius) for b in m.balls] for m in refined.members] == [
+            [(p, F(1, 8))] for p in pts
+        ]
+        assert refined.parents == (0, 0, 0, 0)
+        assert cover_multiplicity(refined) == 1
+        assert cover_mesh(refined) == 0
+
+    def test_single_point_ball_has_radius_one(self):
+        U = FiniteCover((open_set(ball((F(1, 2),), F(1, 4))),), PointCloud(1, ((F(1, 2),), (F(1, 2),))))
+        assert cn._point_balls(U.carrier) == (open_set(ball((F(1, 2),), 1)),)
+
+    def test_cloud_checks_still_apply(self):
+        cloud = PointCloud(1, ((F(1, 3),),))
+        with pytest.raises(PreconditionError, match="search exhausted"):
+            refine_cover(FiniteCover((open_set(ball((F(1, 3),), F(1, 4))),), cloud), 1, F(-1))
+        empty = FiniteCover((open_set(ball((F(1, 3),), F(1, 4))),), PointCloud(1, ()))
+        with pytest.raises(PreconditionError, match="no points"):
+            refine_cover(empty, 1, F(1, 2))
+
+    @given(data=st.data(), dim=st.integers(1, 2), target=st.integers(1, 3))
+    def test_every_cloud_cover_refines(self, data, dim, target):
+        coords = st.fractions(0, 1, max_denominator=8)
+        points = data.draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=6))
+        radii = st.fractions(F(1, 16), 1, max_denominator=16)
+        balls = st.builds(ball, st.tuples(*[coords] * dim), radii)
+        members = [open_set(*bs) for bs in data.draw(st.lists(st.lists(balls, min_size=1, max_size=2), max_size=3))]
+        missed = [p for p in points if not any(m.contains(p) for m in members)]
+        if missed:
+            members.append(open_set(*(ball(p, data.draw(radii)) for p in missed)))
+        U = FiniteCover(tuple(members), PointCloud(dim, tuple(points)))
+        mesh = data.draw(st.fractions(F(1, 2**20), 2, max_denominator=2**20))
+        refined = refine_cover(U, target, mesh)
+        assert cover_multiplicity(refined) <= target
+        assert cover_mesh(refined) <= mesh
+        for member, parent in zip(refined.members, refined.parents):
+            assert all(U.members[parent].contains(p) for p in points if member.contains(p))
+
 
 class TestGeneralPosition:
     def test_separated_points_pass_through(self):

@@ -1,6 +1,8 @@
 """Tests for interval maps, orbit certificates and inverse-limit coding."""
 
+import functools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -185,6 +187,168 @@ def _cycles_by_power(f, max_period):
     return tuple(cycles)
 
 
+# --- verbatim copies of the Fraction kernels the affine pieces replaced -----
+
+
+def _old_call(f, x):
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise PreconditionError("argument outside [0,1]")
+    verts = f.vertices
+    i = min(bisect_right([x for x, _ in verts], x), len(verts) - 1) - 1
+    (x0, y0), (x1, y1) = verts[i], verts[i + 1]
+    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
+def _old_solutions(f, y):
+    return {
+        x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+        for (x0, y0), (x1, y1) in f.segments()
+        if min(y0, y1) <= y <= max(y0, y1)
+    }
+
+
+def _old_preimages(f, y):
+    sols = _old_solutions(f, Fraction(y))
+    if not sols:
+        raise PreconditionError("value outside the range of the map")
+    return tuple(sorted(sols))
+
+
+def _old_compose(f, g):
+    cuts = {x for x, _ in g.vertices}.union(*(_old_solutions(g, bx) for bx, _ in f.vertices))
+    xs = sorted(cuts)
+    verts = []
+    for x in xs:
+        y = _old_call(f, _old_call(g, x))
+        if verts and verts[-1][1] == y:
+            raise PreconditionError("composition has a constant segment")
+        verts.append((x, y))
+    return PLMap(tuple(verts))
+
+
+@functools.lru_cache(maxsize=None)
+def _old_cycle_point_index(f, max_period):
+    cycles = il._cycles_upto(f, max_period)
+    entries = sorted(
+        (pt, idx) for idx, cycle in enumerate(cycles) for pt in cycle
+    )
+    values = [pt for pt, _ in entries]
+    owners = [idx for _, idx in entries]
+    return cycles, values, owners
+
+
+def _old_orbit_analyze(f, x0, budget, tol, max_cycle_period):
+    """orbit_analyze with the sorted cycle points and its bisect window."""
+    x0 = Fraction(x0)
+    tol = Fraction(tol)
+    cycles, cyc_values, cyc_owners = _old_cycle_point_index(f, max_cycle_period)
+    seen = {}
+    x = x0
+    for step in range(budget + 1):
+        if x in seen:
+            tail = seen[x]
+            return il.OrbitReport("Preperiodic", tail=tail, period=step - tail, steps=step)
+        seen[x] = step
+        lo = bisect_right(cyc_values, x - tol)
+        hi = bisect_right(cyc_values, x + tol)
+        for ci in sorted({cyc_owners[i] for i in range(lo, hi)}):
+            cycle = cycles[ci]
+            d = min(abs(x - pt) for pt in cycle)
+            if 0 < d < tol:
+                nxt = _old_call(f, x)
+                d_next = min(abs(nxt - pt) for pt in cycle)
+                if d_next <= d:
+                    return il.OrbitReport(
+                        "AsymptoticallyPeriodic",
+                        cycle=cycle,
+                        steps=step,
+                        final_distance=d,
+                    )
+        if x.denominator.bit_length() > il._DENOM_BIT_CAP:
+            return il.OrbitReport("Unknown", steps=step)
+        if step < budget:
+            x = _old_call(f, x)
+    return il.OrbitReport("Unknown", steps=budget)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (PreconditionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def map_and_values(draw):
+    """A random map and values to solve for: its vertex values, 0 and 1,
+    values outside [0,1] and the map's range, and large denominators."""
+    f = draw(pl_maps())
+    special = st.sampled_from(sorted({y for _, y in f.vertices} | {F(0), F(1)}))
+    wide = st.fractions(min_value=-1, max_value=2, max_denominator=10**6)
+    huge = st.integers(1, 2**200).flatmap(lambda q: st.integers(-q, 2 * q).map(lambda p: F(p, q)))
+    return f, draw(st.lists(special | wide | huge, min_size=1, max_size=12))
+
+
+TOLS = (F(1, 2**40), F(1, 7), F(2), F(0), F(-1, 3))
+
+
+class TestAffinePieces:
+    @given(case=map_and_values())
+    def test_preimages_and_evaluation_match_the_fraction_kernel(self, case):
+        f, ys = case
+        for y in ys:
+            assert _outcome(preimages, f, y) == _outcome(_old_preimages, f, y)
+            assert _outcome(f, y) == _outcome(_old_call, f, y)
+
+    @given(f=pl_maps(), g=pl_maps())
+    def test_compose_matches_the_fraction_kernel(self, f, g):
+        new = _outcome(compose, f, g)
+        old = _outcome(_old_compose, f, g)
+        assert (new.vertices if isinstance(new, PLMap) else new) == (
+            old.vertices if isinstance(old, PLMap) else old
+        )
+
+    def test_shared_vertex_is_listed_once(self):
+        assert preimages(five_segment_map(), F(4, 5)) == _old_preimages(five_segment_map(), F(4, 5))
+        assert preimages(tent_map(), F(1)) == (F(1, 2),)
+
+    def test_inverse_pieces_built_once_per_tree(self, monkeypatch):
+        calls = []
+        build = il.PLMap.__dict__["_inverse"].func
+        counted = functools.cached_property(lambda self: calls.append(1) or build(self))
+        counted.__set_name__(il.PLMap, "_inverse")
+        monkeypatch.setattr(il.PLMap, "_inverse", counted)
+        f = PLMap(((F(0), F(0)), (F(1, 3), F(1)), (F(2, 3), F(1, 4)), (F(1), F(3, 4))))
+        tree = branching_tree(InverseSystem.constant(f), F(1, 2), 5)
+        assert tree.leaf_count() > 5
+        assert len(calls) == 1
+
+
+class TestOrbitWindow:
+    @pytest.mark.parametrize("tol", TOLS, ids=str)
+    @given(x0=unit_points, max_period=st.integers(1, 4), name=st.sampled_from(["tent", "five"]))
+    def test_named_maps_match_the_bisect_window(self, tol, x0, max_period, name):
+        f = tent_map() if name == "tent" else five_segment_map()
+        new = orbit_analyze(f, x0, budget=300, tol=tol, max_cycle_period=max_period)
+        assert new == _old_orbit_analyze(f, x0, 300, tol, max_period)
+
+    @pytest.mark.parametrize("tol", TOLS, ids=str)
+    @given(f=pl_maps(), x0=unit_points, max_period=st.integers(1, 4))
+    def test_random_maps_match_the_bisect_window(self, tol, f, x0, max_period):
+        new = _outcome(orbit_analyze, f, x0, 200, tol, max_period)
+        assert new == _outcome(_old_orbit_analyze, f, x0, 200, tol, max_period)
+
+    def test_nonpositive_tol_never_certifies(self):
+        f = five_segment_map()
+        r = orbit_analyze(f, F(2, 5), budget=200, max_cycle_period=1)
+        assert (r.kind, r.cycle) == ("AsymptoticallyPeriodic", (F(1),))
+        for tol in (F(0), F(-1, 3)):
+            r = orbit_analyze(f, F(2, 5), budget=200, tol=tol, max_cycle_period=1)
+            assert (r.kind, r.steps) == ("Unknown", 200)
+
+
 class TestCycleTable:
     @given(f=pl_maps(), max_period=st.integers(1, 4))
     def test_chain_equals_per_power_table(self, f, max_period):
@@ -328,3 +492,28 @@ class TestBranchingTree:
         tree = branching_tree(TENT, F(1, 2), 0)
         assert tree.leaf_count() == 1
         assert tree.children == ()
+
+    def test_deep_chain_builds_without_recursion(self):
+        identity = InverseSystem.constant(PLMap(((F(0), F(0)), (F(1), F(1)))))
+        tree = branching_tree(identity, F(1, 2), 2000)
+        assert tree.leaf_count() == 1
+        assert not tree.is_full_binary()
+        assert tree.arity_profile() == {1: 2000}
+
+    def test_node_cap(self, monkeypatch):
+        # the depth-3 tent tree from a generic point has 1 + 2 + 4 + 8 nodes
+        monkeypatch.setattr(il, "_TREE_NODE_CAP", 15)
+        assert branching_tree(TENT, F(3, 16), 3).leaf_count() == 8
+        with pytest.raises(PreconditionError, match="exceeds 15 nodes"):
+            branching_tree(TENT, F(3, 16), 4)
+
+    @given(x0=unit_points, depth=st.integers(0, 6))
+    def test_matches_the_recursive_build(self, x0, depth):
+        f = five_segment_map()
+
+        def build(value, level):
+            if level == depth:
+                return il.BranchNode(value)
+            return il.BranchNode(value, tuple(build(p, level + 1) for p in _old_preimages(f, value)))
+
+        assert branching_tree(InverseSystem.constant(f), x0, depth) == build(x0, 0)
