@@ -100,7 +100,7 @@ def _load_json(path: str) -> dict:
         return _expect(json.load(fh), dict, "the top level")
 
 
-def _read_stream(path: str) -> tuple[fs.DigitMatrix, fs.BoundSeq]:
+def _read_stream(path: str) -> fs.DigitMatrix:
     data = _load_json(path)
     z = _zspec_json(data.get("base_rule", {"kind": "constant", "z": 3}))
     rows = []
@@ -110,7 +110,7 @@ def _read_stream(path: str) -> tuple[fs.DigitMatrix, fs.BoundSeq]:
     depth = data.get("depth")
     if depth is not None and any(len(r) != _int(depth, "depth") for r in rows):
         raise ValueError("row lengths disagree with the declared depth")
-    return fs.DigitMatrix(tuple(rows), z), z
+    return fs.DigitMatrix(tuple(rows), z)
 
 
 def _json_cloud(data: dict, meta: str = "") -> dim.PointCloud:
@@ -246,8 +246,7 @@ def _cmd_menger_check(args) -> None:
     n = args.n
     _require(bool(args.infile) or bool(args.x), "provide --x or --in")
     if args.infile:
-        matrix, z = _read_stream(args.infile)
-        _emit(_verdict_json(fs.menger_membership(matrix, n)))
+        _emit(_verdict_json(fs.menger_membership(_read_stream(args.infile), n)))
         return
     z = _zspec(args.z)
     coords = tuple(_fractions(args.x))
@@ -326,7 +325,7 @@ def _cmd_assouad(args) -> None:
 def _cmd_kdim(args) -> None:
     _require(bool(args.infile) or bool(args.x), "provide --x or --in")
     M = _compressor(args.compressor)
-    x = _read_stream(args.infile)[0] if args.infile else tuple(_fractions(args.x))
+    x = _read_stream(args.infile) if args.infile else tuple(_fractions(args.x))
     rs = _ints(args.r)
     cs = alg.precision_complexities(x, M, rs)
     ratios = [cs[r] / r for r in rs]

@@ -120,7 +120,7 @@ class OpenSet:
 
     @cached_property
     def _complement(self) -> tuple[Bounds, ...]:
-        return _uncovered_closures(self, Box(_unit_bounds(self.dim)))
+        return _uncovered_closures(self)
 
 
 def open_set(*balls_: FormalBall) -> OpenSet:
@@ -390,10 +390,10 @@ def _dist_to_bounds(coords: Sequence[Fraction], bounds: Bounds) -> Fraction:
     return d
 
 
-def _uncovered_closures(s: OpenSet, box: Box) -> tuple[Bounds, ...]:
-    """Closures of the maximal cells of the box that no cube of s holds.
+def _uncovered_closures(s: OpenSet) -> tuple[Bounds, ...]:
+    """Closures of the maximal unit-box cells that no cube of s holds.
 
-    The uncovered part of the box is closed, so each facet of an
+    The uncovered part of the unit box is closed, so each facet of an
     uncovered cell (one positive-width axis pinned to an end) is
     uncovered too and lies in that cell's closure.  Dropping every such
     facet keeps the union: what is left are the cells with no uncovered
@@ -402,6 +402,7 @@ def _uncovered_closures(s: OpenSet, box: Box) -> tuple[Bounds, ...]:
     closure to hash: on a zero-width axis the representative is the
     axis value, so a facet's is the cell's with that axis set to the end.
     """
+    box = Box(_unit_bounds(s.dim))
     uncovered = [(rep, closure) for rep, closure, mask in _scan(box, [s.cubes()]) if not mask]
     facets = set()
     for rep, closure in uncovered:
@@ -412,31 +413,29 @@ def _uncovered_closures(s: OpenSet, box: Box) -> tuple[Bounds, ...]:
     return tuple(closure for rep, closure in uncovered if rep not in facets)
 
 
-def complement_distance(coords: Sequence[Fraction], s: OpenSet, box: Box | None = None):
-    """Exact distance from a point to box minus the set; None if empty.
+def complement_distance(coords: Sequence[Fraction], s: OpenSet):
+    """Exact distance from a point to the unit box minus the set; None if empty.
 
-    The complement of a cube union in a box is the union of the closures
-    of the arrangement cells missed by every cube, so the minimum of the
-    exact point-to-cell distances is the exact distance.  Only maximal
-    closures are kept: a cell with an uncovered immediate coface (one
-    zero-width axis widened to an adjacent interval) lies in that
-    coface's closure, which is at least as near.  For the unit box they
-    are the set's cached ``_complement``; another box is scanned on each
-    call.  A single cube needs no scan: its complement is the box's slabs
-    beyond its faces.
+    The complement of a cube union in the unit box is the union of the
+    closures of the arrangement cells missed by every cube, so the
+    minimum of the exact point-to-cell distances is the exact distance.
+    Only maximal closures are kept, as the set's cached ``_complement``:
+    a cell with an uncovered immediate coface (one zero-width axis
+    widened to an adjacent interval) lies in that coface's closure,
+    which is at least as near.  A single cube needs no scan: its
+    complement is the unit box's slabs beyond its faces.
     """
     if len(coords) != s.dim:
         raise PreconditionError("point dimension differs from the set's")
     cubes = s.cubes()
     if len(cubes) == 1:
         # single cube: the complement is a union of axis slabs, one per
-        # cube face that has not left the box
+        # cube face that has not left the unit box
         cube = cubes[0]
         if not all(lo < c < hi for (lo, hi), c in zip(cube, coords)):
             return ZERO
-        bounds = _unit_bounds(s.dim) if box is None else box.bounds
         best = None
-        for a, ((clo, chi), (blo, bhi)) in enumerate(zip(cube, bounds)):
+        for a, ((clo, chi), (blo, bhi)) in enumerate(zip(cube, _unit_bounds(s.dim))):
             if clo >= blo:
                 d = coords[a] - clo
                 best = d if best is None else min(best, d)
@@ -444,8 +443,7 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet, box: Box | None 
                 d = chi - coords[a]
                 best = d if best is None else min(best, d)
         return best
-    closures = s._complement if box is None else _uncovered_closures(s, box)
-    return min((_dist_to_bounds(coords, c) for c in closures), default=None)
+    return min((_dist_to_bounds(coords, c) for c in s._complement), default=None)
 
 
 # --- cover operations ------------------------------------------------------
@@ -456,20 +454,19 @@ def cover_multiplicity(U: FiniteCover) -> int:
     return max(len(mask) for mask in U._masks)
 
 
-def nerve_of(U: FiniteCover, geometry: Sequence[RationalPoint] | None = None) -> "Nerve":
+def nerve_of(U: FiniteCover) -> "Nerve":
     """Faces are exactly the subfamilies meeting in a carrier point."""
     faces: set[frozenset[int]] = set()
     for mask in U._masks:
         for r in range(1, len(mask) + 1):
             faces.update(frozenset(c) for c in itertools.combinations(sorted(mask), r))
-    return Nerve(len(U.members), frozenset(faces), tuple(geometry) if geometry else None)
+    return Nerve(len(U.members), frozenset(faces))
 
 
 @dataclass(frozen=True)
 class Nerve:
     vertex_count: int
     faces: frozenset[frozenset[int]]
-    geometry: tuple[RationalPoint, ...] | None = None
 
     def validate(self) -> None:
         for f in self.faces:

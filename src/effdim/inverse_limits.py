@@ -1,29 +1,32 @@
 """Exact coding of points in inverse limits of piecewise-linear interval maps.
 
 Maps are given by rational vertex lists with no constant segment, so
-evaluation, preimage enumeration and composition all stay exact.  A
-map's affine pieces are its derived data, computed on first use and
-kept on the map: the forward pieces y = s*x + c as Fractions, and the
-inverse pieces x = a*y + b with their y-ranges as plain integers, so
-preimages cost a few integer products per segment.  A point of the
-inverse limit is a backward trajectory; its branch code records the
-starting value, the rank of each backward choice among the sorted
-preimages, and the levels at which the trajectory passes through a
-critical value.  Orbit classification looks cycle points up in a table
-keyed by floor(v / tol), so each orbit step reads three buckets.
+evaluation, preimage enumeration and composition all stay exact.  Each
+map keeps its affine pieces, computed on first use: the forward pieces
+(x0, x1, s, c), y = s*x + c on [x0, x1], as Fractions, and the inverse
+pieces x = a*y + b with their y-ranges as integers.  Composition cuts
+g's pieces where g crosses a vertex of f, so powers of f are built as
+pieces, and the cycle table reads each fixed point c / (1 - s) off them
+and files cycle points by floor(v * 2^64), one table for every tol.  A
+point of the inverse limit is a backward trajectory; its branch code
+records the starting value, the rank of each backward choice among the
+sorted preimages, and the levels where it meets a critical value.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._rat import fmt
 from .ball_calculus import PreconditionError
+
+
+Piece = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -57,25 +60,26 @@ class PLMap:
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise PreconditionError("argument outside [0,1]")
-        # Compositions evaluate maps with thousands of segments, so the
-        # segment lookup must not scan linearly.
-        s, c = self._forward[min(bisect_right(self._xs, x), len(self._xs) - 1) - 1]
+        # Powers of a map reach thousands of segments, so the segment
+        # lookup must not scan linearly.
+        _, _, s, c = self._forward[min(bisect_right(self._xs, x), len(self._xs) - 1) - 1]
         return s * x + c
 
     def segments(self):
         return tuple(zip(self.vertices, self.vertices[1:]))
 
     @functools.cached_property
-    def _forward(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Per segment, (slope, intercept) of y = slope * x + intercept.
+    def _forward(self) -> tuple[Piece, ...]:
+        """Per segment, its affine piece (x0, x1, slope, intercept).
 
-        These stay Fractions: orbit values reach hundreds of bits, and
-        Fraction arithmetic against a small slope keeps its gcds cheap.
+        y = slope * x + intercept on [x0, x1].  These stay Fractions:
+        orbit values reach hundreds of bits, and Fraction arithmetic
+        against a small slope keeps its gcds cheap.
         """
         out = []
         for (x0, y0), (x1, y1) in self.segments():
             slope = (y1 - y0) / (x1 - x0)
-            out.append((slope, y0 - slope * x0))
+            out.append((x0, x1, slope, y0 - slope * x0))
         return tuple(out)
 
     @functools.cached_property
@@ -152,84 +156,66 @@ def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
     return tuple(sols)
 
 
+def _refine(f: PLMap, pieces: Sequence[Piece]) -> list[Piece]:
+    """The affine pieces of f∘g from those of g.
+
+    Each piece of g is cut where g crosses a vertex of f.  Between two
+    cuts g stays inside one segment of f, so the slope of f∘g there is a
+    product of two nonzero slopes: no constant piece can arise.
+    """
+    xs, forward = f._xs, f._forward
+    out = []
+    slopes = {}  # a power of f has few distinct slopes: keep one object each
+    for x0, x1, s, c in pieces:
+        up = s > 0
+        lo, hi = (s * x0 + c, s * x1 + c) if up else (s * x1 + c, s * x0 + c)
+        # the segments of f that g passes through on [x0, x1], in order;
+        # g leaves segment j through its right vertex going up, else its left
+        segs = range(bisect_right(xs, lo) - 1, bisect_left(xs, hi))
+        segs = segs if up else segs[::-1]
+        ends = [(xs[j + up] - c) / s for j in segs[:-1]] + [x1]
+        for a, b, j in zip([x0] + ends, ends, segs):
+            _, _, fs, fc = forward[j]
+            slope = slopes.get((j, s))
+            if slope is None:
+                slope = slopes[j, s] = fs * s
+            out.append((a, b, slope, fs * c + fc))
+    return out
+
+
+def _vertices(pieces: Sequence[Piece]) -> tuple[tuple[Fraction, Fraction], ...]:
+    x0, _, s, c = pieces[0]
+    return ((x0, s * x0 + c),) + tuple((x1, s * x1 + c) for _, x1, s, c in pieces)
+
+
 def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact composition x -> f(g(x)) as a PLMap."""
-    cuts = {x for x, _ in g.vertices}.union(*(_solutions(g, bx) for bx, _ in f.vertices))
-    xs = sorted(cuts)
-    verts = []
-    for x in xs:
-        y = f(g(x))
-        if verts and verts[-1][1] == y:
-            # merging would create a constant segment; keep maps honest by
-            # nudging is not an option, so reject degenerate compositions
-            raise PreconditionError("composition has a constant segment")
-        verts.append((x, y))
-    return PLMap(tuple(verts))
+    return PLMap(_vertices(_refine(f, g._forward)))
 
 
-# Largest segment count iterate_map may build.  compose(f, g) has at most
+# Largest segment count a power of f may reach.  f∘g has at most
 # (segments of f) x (segments of g) segments; f^p of an l-lap map has about
-# l^p, and building the tent map's 2^14 segments takes about 2 s on a
-# 2-vCPU VM, most of it in Fraction comparisons.  The
+# l^p, and building the tent map's 2^14 segments takes about 0.7 s on a
+# 2-vCPU VM, most of it in Fraction arithmetic.  The
 # five-segment map needs 5 x 2917 = 14585 for f^8.
 _SEGMENT_CAP = 2**14
 
 
-def iterate_map(f: PLMap, power: int) -> PLMap:
-    """f composed with itself power times.
+def _powers(f: PLMap) -> Iterator[Sequence[Piece]]:
+    """The affine pieces of f, f^2, f^3, ..., refused past _SEGMENT_CAP."""
+    pieces = f._forward
+    for p in itertools.count(2):
+        yield pieces
+        if len(f._forward) * len(pieces) > _SEGMENT_CAP:
+            raise PreconditionError(f"f^{p} may exceed {_SEGMENT_CAP} segments")
+        pieces = _refine(f, pieces)
 
-    Raises PreconditionError before any composition whose segment bound
-    exceeds _SEGMENT_CAP.
-    """
+
+def iterate_map(f: PLMap, power: int) -> PLMap:
+    """f composed with itself power times, refused past _SEGMENT_CAP."""
     if power < 1:
         raise PreconditionError("power must be at least 1")
-    acc = f
-    for _ in range(power - 1):
-        acc = _compose_capped(f, acc, power)
-    return acc
-
-
-def _compose_capped(f: PLMap, acc: PLMap, power: int) -> PLMap:
-    """compose(f, acc) on the way to f^power, refused past _SEGMENT_CAP."""
-    if (len(f.vertices) - 1) * (len(acc.vertices) - 1) > _SEGMENT_CAP:
-        raise PreconditionError(f"f^{power} may exceed {_SEGMENT_CAP} segments")
-    return compose(f, acc)
-
-
-def _cycles_upto(f: PLMap, max_period: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact periodic cycles with period <= max_period, via fixed points of f^p.
-
-    Each f^p is composed from f^(p-1), under iterate_map's cap.
-    """
-    cycles: list[tuple[Fraction, ...]] = []
-    known: set[Fraction] = set()
-    fp = f
-    for p in range(1, max_period + 1):
-        if p > 1:
-            fp = _compose_capped(f, fp, p)
-        fixed = set()
-        for (x0, y0), (x1, y1) in fp.segments():
-            slope = (y1 - y0) / (x1 - x0)
-            if slope == 1:
-                if y0 == x0:
-                    fixed.add(x0)
-                    fixed.add(x1)
-                continue
-            x = (x0 * slope - y0) / (slope - 1)
-            if x0 <= x <= x1:
-                fixed.add(x)
-        for x in sorted(fixed):
-            if x in known:
-                continue
-            orbit = [x]
-            cur = f(x)
-            while cur != x:
-                orbit.append(cur)
-                cur = f(cur)
-            if len(orbit) == p:
-                cycles.append(tuple(orbit))
-                known.update(orbit)
-    return tuple(cycles)
+    return PLMap(_vertices(next(itertools.islice(_powers(f), power - 1, None))))
 
 
 @dataclass(frozen=True)
@@ -263,27 +249,43 @@ class OrbitReport:
 _DENOM_BIT_CAP = 20000
 
 
+def _key(v: Fraction) -> int:
+    """floor(v * 2^64), the cycle table's integer key for v."""
+    return (v.numerator << 64) // v.denominator
+
+
 @functools.lru_cache(maxsize=64)
-def _cycle_point_index(f: PLMap, max_period: int, tol: Fraction):
-    """The cycles of period <= max_period, and their indices by floor(v / tol).
+def _cycle_table(f: PLMap, max_period: int):
+    """The exact cycles of period <= max_period, and their points by key.
 
-    buckets maps k to the ascending indices of the cycles with a point v
-    of floor(v / tol) = k; it is empty for a nonpositive tol.
+    A period-p point is a fixed point c / (1 - s) of a piece of f^p.
+    Cycles come lowest period first, each from its smallest point; keys
+    lists _key(v) of every cycle point v in ascending order, and
+    owners[i] the index of the cycle behind keys[i].
     """
-    cycles = _cycles_upto(f, max_period)
-    buckets: dict[int, list[int]] = {}
-    if tol > 0:
-        for idx, cycle in enumerate(cycles):
-            for pt in cycle:
-                owners = buckets.setdefault(_tol_bucket(pt, tol), [])
-                if not owners or owners[-1] != idx:
-                    owners.append(idx)
-    return cycles, buckets
-
-
-def _tol_bucket(x: Fraction, tol: Fraction) -> int:
-    """floor(x / tol) for a positive tol, in integer arithmetic."""
-    return x.numerator * tol.denominator // (x.denominator * tol.numerator)
+    cycles: list[tuple[Fraction, ...]] = []
+    known: set[Fraction] = set()
+    for p, pieces in zip(range(1, max_period + 1), _powers(f)):
+        # the pieces ascend in x, so their fixed points come in ascending order
+        for x0, x1, s, c in pieces:
+            if s == 1:
+                fixed = (x0, x1) if c == 0 else ()
+            else:
+                x = c / (1 - s)
+                fixed = (x,) if x0 <= x <= x1 else ()
+            for x in fixed:
+                if x in known:
+                    continue
+                orbit = [x]
+                cur = f(x)
+                while cur != x:
+                    orbit.append(cur)
+                    cur = f(cur)
+                if len(orbit) == p:
+                    cycles.append(tuple(orbit))
+                    known.update(orbit)
+    entries = sorted((_key(pt), idx) for idx, cycle in enumerate(cycles) for pt in cycle)
+    return tuple(cycles), [k for k, _ in entries], [idx for _, idx in entries]
 
 
 def orbit_analyze(
@@ -307,7 +309,11 @@ def orbit_analyze(
     if budget < 1:
         raise PreconditionError("budget must be positive")
     tol = Fraction(tol)
-    cycles, buckets = _cycle_point_index(f, max_cycle_period, tol)
+    cycles, keys, owners = _cycle_table(f, max_cycle_period)
+    # A cycle point v within tol of x has |_key(v) - _key(x)| <= reach, so
+    # that key window names every candidate cycle; any others it names are
+    # at least tol away.  A negative reach names none.
+    reach = -(-(tol.numerator << 64) // tol.denominator)
     seen: dict[Fraction, int] = {}
     x = x0
     for step in range(budget + 1):
@@ -315,16 +321,10 @@ def orbit_analyze(
             tail = seen[x]
             return OrbitReport("Preperiodic", tail=tail, period=step - tail, steps=step)
         seen[x] = step
-        # A cycle point v within tol of x has floor(v / tol) within one of
-        # floor(x / tol), so three buckets hold every candidate cycle; the
-        # extra cycles they may hold are all at least tol away.  The table
-        # is empty for a nonpositive tol, whose quotient is never taken.
-        near: set[int] = set()
-        if buckets:
-            k = _tol_bucket(x, tol)
-            for key in (k - 1, k, k + 1):
-                near.update(buckets.get(key, ()))
-        for ci in sorted(near):
+        k = _key(x)
+        lo = bisect_left(keys, k - reach)
+        hi = bisect_right(keys, k + reach)
+        for ci in sorted(set(owners[lo:hi])) if lo < hi else ():
             cycle = cycles[ci]
             d = min(abs(x - pt) for pt in cycle)
             if 0 < d < tol:

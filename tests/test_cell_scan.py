@@ -115,9 +115,8 @@ def _first_uncovered(members, carrier):
     return None
 
 
-def complement_distance(coords, s: OpenSet, box: Box | None = None):
-    if box is None:
-        box = Box(_unit_bounds(s.dim))
+def complement_distance(coords, s: OpenSet):
+    box = Box(_unit_bounds(s.dim))
     cubes = s.cubes()
     if len(cubes) == 1:
         cube = cubes[0]
@@ -332,10 +331,9 @@ def test_mult_exceeds_agrees_at_every_limit(case):
 def test_complement_distance_agrees(data):
     dim = data.draw(st.integers(1, 3))
     s = data.draw(open_sets(dim, SIZES[dim][0]))
-    box = data.draw(st.none() | boxes_in_unit(dim))
     for _ in range(3):
         x = tuple(data.draw(grid(0, GRID)) for _ in range(dim))
-        assert cn.complement_distance(x, s, box) == complement_distance(x, s, box)
+        assert cn.complement_distance(x, s) == complement_distance(x, s)
 
 
 @given(st.data())

@@ -447,10 +447,12 @@ class TestMalformedInput:
         assert err.startswith("effdim: ") and message in err and err.count("\n") == 1
 
     def test_orbit_segment_cap_exits_two(self, capsys, monkeypatch):
+        # one cycle table serves every tol, and a refused table is not kept
         monkeypatch.setattr(il, "_SEGMENT_CAP", 64)
-        code, _, err = invoke(capsys, "orbit", "--map", "tent", "--x0", "1/3", "--max-period", "12")
-        assert code == 2
-        assert err == "effdim: f^7 may exceed 64 segments\n"
+        il._cycle_table.cache_clear()
+        for tol in ((), ("--tol", "1/7"), ("--tol", "0"), ("--tol", "2")):
+            argv = ("orbit", "--map", "tent", "--x0", "1/3", "--max-period", "12", *tol)
+            assert invoke(capsys, *argv) == (2, "", "effdim: f^7 may exceed 64 segments\n")
 
     def test_il_tree_node_cap_exits_two(self, capsys, monkeypatch):
         # the depth-3 tent tree from 1/2 has 15 nodes

@@ -150,41 +150,12 @@ class TestPreimages:
         # f^p of the tent map has 2^p segments; building f^7 from f^6 is
         # bounded by 2 * 64 = 128 segments
         monkeypatch.setattr(il, "_SEGMENT_CAP", 64)
+        il._cycle_table.cache_clear()
         assert len(iterate_map(tent_map(), 6).vertices) == 65
         with pytest.raises(PreconditionError, match="64 segments"):
             iterate_map(tent_map(), 7)
         with pytest.raises(PreconditionError, match="64 segments"):
             orbit_analyze(tent_map(), F(1, 3), max_cycle_period=12)
-
-
-def _cycles_by_power(f, max_period):
-    """The cycle table as it was built before the chain: each f^p afresh."""
-    cycles = []
-    known = set()
-    for p in range(1, max_period + 1):
-        fixed = set()
-        for (x0, y0), (x1, y1) in iterate_map(f, p).segments():
-            slope = (y1 - y0) / (x1 - x0)
-            if slope == 1:
-                if y0 == x0:
-                    fixed.add(x0)
-                    fixed.add(x1)
-                continue
-            x = (x0 * slope - y0) / (slope - 1)
-            if x0 <= x <= x1:
-                fixed.add(x)
-        for x in sorted(fixed):
-            if x in known:
-                continue
-            orbit = [x]
-            cur = f(x)
-            while cur != x:
-                orbit.append(cur)
-                cur = f(cur)
-            if len(orbit) == p:
-                cycles.append(tuple(orbit))
-                known.update(orbit)
-    return tuple(cycles)
 
 
 # --- verbatim copies of the Fraction kernels the affine pieces replaced -----
@@ -227,9 +198,43 @@ def _old_compose(f, g):
     return PLMap(tuple(verts))
 
 
+def _cycles_by_power(f, max_period):
+    """The cycle table from powers of f chained through _old_compose: the
+    fixed points of each f^p read off its segments' vertices."""
+    cycles = []
+    known = set()
+    fp = f
+    for p in range(1, max_period + 1):
+        if p > 1:
+            fp = _old_compose(f, fp)
+        fixed = set()
+        for (x0, y0), (x1, y1) in fp.segments():
+            slope = (y1 - y0) / (x1 - x0)
+            if slope == 1:
+                if y0 == x0:
+                    fixed.add(x0)
+                    fixed.add(x1)
+                continue
+            x = (x0 * slope - y0) / (slope - 1)
+            if x0 <= x <= x1:
+                fixed.add(x)
+        for x in sorted(fixed):
+            if x in known:
+                continue
+            orbit = [x]
+            cur = _old_call(f, x)
+            while cur != x:
+                orbit.append(cur)
+                cur = _old_call(f, cur)
+            if len(orbit) == p:
+                cycles.append(tuple(orbit))
+                known.update(orbit)
+    return tuple(cycles)
+
+
 @functools.lru_cache(maxsize=None)
 def _old_cycle_point_index(f, max_period):
-    cycles = il._cycles_upto(f, max_period)
+    cycles = _cycles_by_power(f, max_period)
     entries = sorted(
         (pt, idx) for idx, cycle in enumerate(cycles) for pt in cycle
     )
@@ -340,6 +345,21 @@ class TestOrbitWindow:
         new = _outcome(orbit_analyze, f, x0, 200, tol, max_period)
         assert new == _outcome(_old_orbit_analyze, f, x0, 200, tol, max_period)
 
+    def test_window_reaches_the_key_distance_of_tol(self):
+        # 1 - d, with d just below tol = 2^-40, has a key tol * 2^64 = 2^24
+        # below that of the fixed point 1, which attracts at slope 5/6
+        d = F(1, 2**40) - F(1, 2**70)
+        r = orbit_analyze(five_segment_map(), 1 - d, budget=5, max_cycle_period=1)
+        assert (r.kind, r.cycle, r.steps) == ("AsymptoticallyPeriodic", (F(1),), 0)
+        assert r.final_distance == d
+        # 2/3 * 2^64 has fractional part 2/3, so 2/3 + d, with d * 2^64 =
+        # 2^24 - 1/4, has a key 2^24 above that of 2/3, fixed at slope 1/2
+        d = F(1, 2**40) - F(1, 2**66)
+        g = PLMap(((F(0), F(1, 3)), (F(1), F(5, 6))))
+        r = orbit_analyze(g, F(2, 3) + d, budget=5, max_cycle_period=1)
+        assert (r.kind, r.cycle, r.steps) == ("AsymptoticallyPeriodic", (F(2, 3),), 0)
+        assert r.final_distance == d
+
     def test_nonpositive_tol_never_certifies(self):
         f = five_segment_map()
         r = orbit_analyze(f, F(2, 5), budget=200, max_cycle_period=1)
@@ -352,18 +372,43 @@ class TestOrbitWindow:
 class TestCycleTable:
     @given(f=pl_maps(), max_period=st.integers(1, 4))
     def test_chain_equals_per_power_table(self, f, max_period):
-        assert il._cycles_upto(f, max_period) == _cycles_by_power(f, max_period)
+        assert il._cycle_table(f, max_period)[0] == _cycles_by_power(f, max_period)
 
     @pytest.mark.parametrize("f", [tent_map(), five_segment_map()], ids=["tent", "five"])
     def test_chain_equals_per_power_table_on_named_maps(self, f):
-        assert il._cycles_upto(f, 6) == _cycles_by_power(f, 6)
+        assert il._cycle_table(f, 6)[0] == _cycles_by_power(f, 6)
 
     def test_one_composition_per_period(self, monkeypatch):
         calls = []
-        real = il.compose
-        monkeypatch.setattr(il, "compose", lambda f, g: calls.append(1) or real(f, g))
-        il._cycles_upto(tent_map(), 6)
+        real = il._refine
+        monkeypatch.setattr(il, "_refine", lambda f, pieces: calls.append(1) or real(f, pieces))
+        il._cycle_table.cache_clear()
+        il._cycle_table(tent_map(), 6)
         assert len(calls) == 5
+
+    def test_one_table_serves_every_tol(self):
+        il._cycle_table.cache_clear()
+        f = five_segment_map()
+        for tol in TOLS:
+            for x0 in (F(1, 3), F(2, 5), F(7, 9)):
+                orbit_analyze(f, x0, budget=100, tol=tol, max_cycle_period=4)
+        assert il._cycle_table.cache_info().misses == 1
+
+    def test_table_builds_no_plmap(self, monkeypatch):
+        f = five_segment_map()
+        built = []
+        check = il.PLMap.__post_init__
+        monkeypatch.setattr(il.PLMap, "__post_init__", lambda self: built.append(1) or check(self))
+        il._cycle_table.cache_clear()
+        assert len(il._cycle_table(f, 6)[0]) > 1
+        assert built == []
+
+    @given(f=pl_maps(), power=st.integers(1, 4))
+    def test_iterate_map_matches_the_old_compose_chain(self, f, power):
+        fp = f
+        for _ in range(power - 1):
+            fp = _old_compose(f, fp)
+        assert iterate_map(f, power).vertices == fp.vertices
 
 
 class TestOrbitAnalyze:
