@@ -15,6 +15,13 @@ cell carries an int bitset of the cubes holding it, and the cube set of
 a cell is the AND of its per-axis bitsets: membership costs one AND per
 axis, not one Fraction comparison per (cell, cube, axis).
 
+The scan compares ints, not Fractions.  Every coordinate it sees is some
+k/D, so ``_grid`` puts the boxes and cubes of one query on the common
+grid g = 2·lcm(all D), once per query: a carrier scan, an open set's
+complement, a family's mesh.  Fractions come back only where a caller
+reads them: complement closures, diameters, and the representatives
+whose depths set a shrinking's margin.
+
 Carriers come in two kinds, and the scan reads both as closed boxes.  A
 symbolic carrier is the depth-d approximant of a digit-defined
 compactum, a finite union of closed grid cells.  A point cloud is the
@@ -51,6 +58,7 @@ from .dimension_estimators import MengerDescriptor, PointCloud
 from .fractal_spaces import BoundSeq
 
 Bounds = tuple[tuple[Fraction, Fraction], ...]
+IntBounds = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -208,25 +216,48 @@ Carrier = PointCloud | SymbolicCarrier
 # --- cell decompositions ---------------------------------------------------
 
 
-def _axis_cells(lo: Fraction, hi: Fraction, cuts: Iterable[Fraction]):
+def _grid(
+    boxes: Sequence[Bounds], groups: Sequence[Sequence[Bounds]]
+) -> tuple[int, list[IntBounds], list[list[IntBounds]]]:
+    """The boxes and the groups' cubes as ints on their common grid g.
+
+    Every coordinate is some k/D, so on g = 2·lcm(all D) it is the even
+    int k·g/D, and the midpoint of two such is an int too.  Order and
+    membership are those of the Fractions; dividing by g gives them back.
+    """
+    dens = {v.denominator for b in itertools.chain(boxes, *groups) for pair in b for v in pair}
+    g = 2 * math.lcm(*dens)
+    mult = {d: g // d for d in dens}
+
+    def scale(b: Bounds) -> IntBounds:
+        return tuple(
+            (lo.numerator * mult[lo.denominator], hi.numerator * mult[hi.denominator]) for lo, hi in b
+        )
+
+    return g, [scale(b) for b in boxes], [[scale(c) for c in cubes] for cubes in groups]
+
+
+def _axis_cells(lo: int, hi: int, cuts: Iterable[int]):
     vals = sorted({lo, hi} | {c for c in cuts if lo < c < hi})
     out = []
     for t, v in enumerate(vals):
         out.append((v, v, v))
         if t + 1 < len(vals):
             nxt = vals[t + 1]
-            out.append(((v + nxt) / 2, v, nxt))
+            out.append(((v + nxt) >> 1, v, nxt))
     return out
 
 
-def _iter_cells(box: Box, cubes: Sequence[Bounds]) -> Iterator[tuple[tuple[Fraction, ...], Bounds]]:
+def _iter_cells(
+    box: IntBounds, cubes: Sequence[IntBounds]
+) -> Iterator[tuple[tuple[int, ...], IntBounds]]:
     """Cells of the facet arrangement of the cubes inside the box.
 
     Yields (representative, closure bounds); cube membership is constant
     on each cell, so the representative decides it for the whole cell.
     """
     per_axis = []
-    for a, (lo, hi) in enumerate(box.bounds):
+    for a, (lo, hi) in enumerate(box):
         cuts = [c[a][0] for c in cubes] + [c[a][1] for c in cubes]
         per_axis.append(_axis_cells(lo, hi, cuts))
     for combo in itertools.product(*per_axis):
@@ -235,27 +266,30 @@ def _iter_cells(box: Box, cubes: Sequence[Bounds]) -> Iterator[tuple[tuple[Fract
         yield rep, closure
 
 
+def _meets(box: IntBounds, cube: IntBounds, closed: bool = False) -> bool:
+    """Does the cube, read as open or as closed, share a point with the closed box?"""
+    for (blo, bhi), (clo, chi) in zip(box, cube):
+        if (clo > bhi or chi < blo) if closed else (clo >= bhi or chi <= blo):
+            return False
+    return True
+
+
 def _scan(
-    box: Box, groups: Sequence[Sequence[Bounds]], closed: bool = False
-) -> Iterator[tuple[tuple[Fraction, ...], Bounds, frozenset[int]]]:
+    box: IntBounds, groups: Sequence[Sequence[IntBounds]], closed: bool = False
+) -> Iterator[tuple[tuple[int, ...], IntBounds, frozenset[int]]]:
     """Cells of the box cut by the cubes meeting it, with their group masks.
 
-    Yields (representative, closure bounds, mask) per cell, where mask
-    holds the indices of the groups with a cube containing the cell:
-    as an open cube, or as a closed box when closed is set.  A cube
-    meeting no point of the box neither cuts it nor enters a mask.
+    Box and cubes are on one grid (``_grid``).  Yields (representative,
+    closure bounds, mask) per cell, where mask holds the indices of the
+    groups with a cube containing the cell: as an open cube, or as a
+    closed box when closed is set.  A cube meeting no point of the box
+    neither cuts it nor enters a mask.
     """
     local = [
-        (g, cube)
-        for g, cubes in enumerate(groups)
-        for cube in cubes
-        if all(
-            (clo <= bhi and chi >= blo) if closed else (clo < bhi and chi > blo)
-            for (blo, bhi), (clo, chi) in zip(box.bounds, cube)
-        )
+        (g, cube) for g, cubes in enumerate(groups) for cube in cubes if _meets(box, cube, closed)
     ]
     per_axis = []
-    for a, (lo, hi) in enumerate(box.bounds):
+    for a, (lo, hi) in enumerate(box):
         cells = _axis_cells(lo, hi, [c[a][0] for _, c in local] + [c[a][1] for _, c in local])
         reps = [rep for rep, _, _ in cells]
         # the cells holding cube j on this axis are the run reps[s:e];
@@ -277,32 +311,34 @@ def _scan(
         per_axis.append(axis)
     masks: dict[int, frozenset[int]] = {}
     for combo in itertools.product(*per_axis):
-        bits = combo[0][2]
-        for c in combo[1:]:
-            bits &= c[2]
+        rep, closure, bitsets = zip(*combo)
+        bits = bitsets[0]
+        for b in bitsets[1:]:
+            bits &= b
         mask = masks.get(bits)
         if mask is None:
             mask = masks[bits] = frozenset(g for j, (g, _) in enumerate(local) if bits >> j & 1)
-        yield tuple(c[0] for c in combo), tuple(c[1] for c in combo), mask
+        yield rep, closure, mask
 
 
-def _carrier_boxes(carrier: Carrier) -> tuple[Box, ...]:
-    """The carrier as closed boxes; a cloud point p is the box [p, p].
+def _carrier_boxes(carrier: Carrier) -> tuple[Bounds, ...]:
+    """The carrier as closed boxes' bounds; a cloud point p is [p, p].
 
     Cloud points lie in the unit box, so a member contains p exactly
-    when one of its open cubes passes _scan's open filter for [p, p],
-    a box whose single cell is p itself.
+    when one of its open cubes meets [p, p] (``_meets``), a box whose
+    single cell is p itself.
     """
     if isinstance(carrier, PointCloud):
-        return tuple(Box(tuple((c, c) for c in p)) for p in carrier.points)
-    return carrier.boxes()
+        return tuple(tuple((c, c) for c in p) for p in carrier.points)
+    return tuple(b.bounds for b in carrier.boxes())
 
 
 def _carrier_cells(
     carrier: Carrier, groups: Sequence[Sequence[Bounds]], closed: bool = False
-) -> Iterator[tuple[tuple[Fraction, ...], Bounds, frozenset[int]]]:
-    """_scan's cells over every box of the carrier, box by box."""
-    return (cell for box in _carrier_boxes(carrier) for cell in _scan(box, groups, closed))
+) -> Iterator[tuple[tuple[int, ...], IntBounds, frozenset[int]]]:
+    """_scan's cells over every box of the carrier, box by box, on one grid."""
+    _, boxes, groups = _grid(_carrier_boxes(carrier), groups)
+    return (cell for box in boxes for cell in _scan(box, groups, closed))
 
 
 def _carrier_masks(members: Sequence[OpenSet], carrier: Carrier) -> frozenset[frozenset[int]]:
@@ -345,39 +381,45 @@ class FiniteCover:
 # --- diameters and complements ---------------------------------------------
 
 
-def _pieces_within(s: OpenSet, region: Sequence[Box]) -> list[Bounds]:
-    """Closures of the nonempty (cube ∩ region-box) fragments.
+def _pieces_within(cubes: Sequence[IntBounds], region: Sequence[IntBounds]) -> list[IntBounds]:
+    """Closures of the nonempty (cube ∩ region-box) fragments, on one grid.
 
-    An open cube meets a closed box where _scan's open filter keeps it;
-    its bounds are only built then.  Radii are positive, so the fragment
+    A fragment's bounds are only built where the open cube meets the
+    closed box (``_meets``).  Radii are positive, so the fragment
     spans a positive length on each axis of positive width, and is the
     axis value itself on a zero-width axis.
     """
     return [
-        tuple((max(blo, clo), min(bhi, chi)) for (blo, bhi), (clo, chi) in zip(box.bounds, cube))
+        tuple((max(blo, clo), min(bhi, chi)) for (blo, bhi), (clo, chi) in zip(box, cube))
         for box in region
-        for cube in s.cubes()
-        if all(clo < bhi and chi > blo for (blo, bhi), (clo, chi) in zip(box.bounds, cube))
+        for cube in cubes
+        if _meets(box, cube)
     ]
 
 
-def _diam_within(s: OpenSet, carrier: Carrier) -> Fraction:
-    """Max-metric diameter of the set inside the carrier; 0 when they miss.
+def _diam_within(cubes: Sequence[IntBounds], region: Sequence[IntBounds]) -> int:
+    """Max-metric diameter of the cubes' union inside the region; 0 when they miss.
 
     The largest pairwise distance under the max metric is the largest
     per-axis span: highest upper bound minus lowest lower bound.
     """
-    pieces = _pieces_within(s, _carrier_boxes(carrier))
+    pieces = _pieces_within(cubes, region)
     if not pieces:
-        return ZERO
+        return 0
     return max(
         max(hi for _, hi in axis) - min(lo for lo, _ in axis) for axis in zip(*pieces)
     )
 
 
+def _mesh(members: Sequence[OpenSet], carrier: Carrier) -> Fraction:
+    """Largest member diameter inside the carrier, all on the family's grid."""
+    g, region, groups = _grid(_carrier_boxes(carrier), [m.cubes() for m in members])
+    return Fraction(max(_diam_within(cubes, region) for cubes in groups), g)
+
+
 def cover_mesh(U: FiniteCover) -> Fraction:
     """Largest member diameter measured inside the carrier region."""
-    return max(_diam_within(m, U.carrier) for m in U.members)
+    return _mesh(U.members, U.carrier)
 
 
 def _dist_to_bounds(coords: Sequence[Fraction], bounds: Bounds) -> Fraction:
@@ -398,19 +440,24 @@ def _uncovered_closures(s: OpenSet) -> tuple[Bounds, ...]:
     uncovered too and lies in that cell's closure.  Dropping every such
     facet keeps the union: what is left are the cells with no uncovered
     immediate coface, and each other uncovered closure lies in one of
-    theirs.  Cells are keyed by representative, half the Fractions of a
-    closure to hash: on a zero-width axis the representative is the
-    axis value, so a facet's is the cell's with that axis set to the end.
+    theirs.  Cells are keyed by their int representative on the grid:
+    on a zero-width axis it is the axis value, so a facet's is the
+    cell's with that axis set to the end.  Only the kept closures are
+    turned back into Fractions.
     """
-    box = Box(_unit_bounds(s.dim))
-    uncovered = [(rep, closure) for rep, closure, mask in _scan(box, [s.cubes()]) if not mask]
+    g, (box,), groups = _grid([_unit_bounds(s.dim)], [s.cubes()])
+    uncovered = [(rep, closure) for rep, closure, mask in _scan(box, groups) if not mask]
     facets = set()
     for rep, closure in uncovered:
         for a, (lo, hi) in enumerate(closure):
             if lo != hi:
                 facets.add(rep[:a] + (lo,) + rep[a + 1 :])
                 facets.add(rep[:a] + (hi,) + rep[a + 1 :])
-    return tuple(closure for rep, closure in uncovered if rep not in facets)
+    return tuple(
+        tuple((Fraction(lo, g), Fraction(hi, g)) for lo, hi in closure)
+        for rep, closure in uncovered
+        if rep not in facets
+    )
 
 
 def complement_distance(coords: Sequence[Fraction], s: OpenSet):
@@ -556,7 +603,10 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
     # is a minimum over these representatives, and coarser cells could
     # drop the ones that set it
     all_cubes = [cube for m in U.members for cube in m.cubes()]
-    units = [rep for box in _carrier_boxes(U.carrier) for rep, _ in _iter_cells(box, all_cubes)]
+    g, boxes, (cubes,) = _grid(_carrier_boxes(U.carrier), [all_cubes])
+    units = [
+        tuple(Fraction(r, g) for r in rep) for box in boxes for rep, _ in _iter_cells(box, cubes)
+    ]
     lam = None
     for u in units:
         depth = ZERO
@@ -642,15 +692,16 @@ def _candidate_families(U: FiniteCover, k: int) -> Iterator[tuple[OpenSet, ...]]
             tuple(c + w / 2 for c in corner)
             for corner in _grid_cells_for_cloud(carrier, w)
         ]
-    region = _carrier_boxes(carrier)
+    boxes = _carrier_boxes(carrier)
     for radius in (w / 2, w):
-        members = []
-        for c in centers:
-            s = open_set(ball(c, radius))
-            if _pieces_within(s, region):
-                members.append(s)
+        sets = [open_set(ball(c, radius)) for c in centers]
+        # keep the balls meeting the carrier, read on the family's grid
+        _, region, groups = _grid(boxes, [s.cubes() for s in sets])
+        members = tuple(
+            s for s, (cube,) in zip(sets, groups) if any(_meets(box, cube) for box in region)
+        )
         if members:
-            yield tuple(members)
+            yield members
 
 
 def _point_balls(cloud: PointCloud) -> tuple[OpenSet, ...]:
@@ -704,7 +755,7 @@ def refine_cover(
         masks = _carrier_masks(members, carrier)
         if frozenset() in masks or any(len(m) > target_mult for m in masks):
             continue
-        if any(_diam_within(s, carrier) > mesh for s in members):
+        if _mesh(members, carrier) > mesh:
             continue
         parents = _parents(members, U)
         if None in parents:

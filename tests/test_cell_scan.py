@@ -6,7 +6,8 @@ by every cube of the whole cover, and membership tested per (cell, cube)
 through ``_in_cube``.  Random covers in one to three dimensions, with
 cubes poking past the unit box, explicit zero-width carrier boxes and
 point clouds, must get the same answers from the scan's consumers as
-from these copies.
+from these copies.  The scan reads ints on a common grid, so half the
+random covers mix coprime denominators.
 """
 
 import itertools
@@ -29,11 +30,13 @@ from effdim import (
     interval_carrier,
     sponge_descriptor,
 )
-from effdim._rat import ZERO, max_dist
-from effdim.covers_nerve import Bounds, _dist_to_bounds, _pieces_within, _unit_bounds
+from effdim._rat import ONE, ZERO, max_dist
+from effdim.covers_nerve import Bounds, _dist_to_bounds, _unit_bounds
 
 F = Fraction
 GRID = 24  # every drawn coordinate is a multiple of 1/GRID, so cuts coincide often
+# ...except in the mixed covers, whose coordinates are multiples of one of these
+MIXED = (24, 35, 7, 2**40)
 
 
 # --- reference: the global loops, verbatim ---------------------------------
@@ -166,6 +169,15 @@ def _subset_within(inner: OpenSet, outer: OpenSet, carrier) -> bool:
     return True
 
 
+def _pieces_within(s: OpenSet, region: Sequence[Box]) -> list[Bounds]:
+    return [
+        tuple((max(blo, clo), min(bhi, chi)) for (blo, bhi), (clo, chi) in zip(box.bounds, cube))
+        for box in region
+        for cube in s.cubes()
+        if all(clo < bhi and chi > blo for (blo, bhi), (clo, chi) in zip(box.bounds, cube))
+    ]
+
+
 def _diam_within(s: OpenSet, carrier) -> Fraction:
     if isinstance(carrier, PointCloud):
         inside = [p for p in carrier.points if s.contains(p)]
@@ -204,23 +216,33 @@ def grid(lo: int, hi: int):
     return st.integers(lo, hi).map(lambda k: F(k, GRID))
 
 
+def mixed(lo: int, hi: int):
+    """Values in [lo/GRID, hi/GRID] that are multiples of 1/d for a d in MIXED."""
+    return st.sampled_from(MIXED).flatmap(
+        lambda d: st.integers(-(-lo * d // GRID), hi * d // GRID).map(lambda k: F(k, d))
+    )
+
+
+COORDS = st.sampled_from((grid, mixed))
+
+
 @st.composite
-def boxes_in_unit(draw, dim: int) -> Box:
+def boxes_in_unit(draw, dim: int, coord=grid) -> Box:
     bounds = []
     for _ in range(dim):
-        lo = draw(st.integers(0, GRID))
+        lo = draw(coord(0, GRID))
         width = draw(st.sampled_from((0, 0, 1, 2, 3, 6, 8, 12, 24)))
-        bounds.append((F(lo, GRID), F(min(lo + width, GRID), GRID)))
+        bounds.append((lo, min(lo + F(width, GRID), ONE)))
     return Box(tuple(bounds))
 
 
 @st.composite
-def open_sets(draw, dim: int, max_balls: int) -> OpenSet:
+def open_sets(draw, dim: int, max_balls: int, coord=grid) -> OpenSet:
     # radii up to 1/2 let cubes centred near a face poke past the unit box
     n = draw(st.integers(1, max_balls))
     return OpenSet(
         tuple(
-            ball(tuple(draw(grid(0, GRID)) for _ in range(dim)), draw(grid(1, 12)))
+            ball(tuple(draw(coord(0, GRID)) for _ in range(dim)), draw(coord(1, 12)))
             for _ in range(n)
         )
     )
@@ -236,25 +258,30 @@ SIZES = {1: (4, 3), 2: (4, 2), 3: (3, 1)}
 
 
 @st.composite
-def carriers(draw, dim: int):
+def carriers(draw, dim: int, coord=grid):
     kind = draw(st.sampled_from(("boxes", "symbolic", "cloud")))
     if kind == "boxes":
         n = draw(st.integers(1, 3))
-        return BoxCarrier(dim, tuple(draw(boxes_in_unit(dim)) for _ in range(n)))
+        return BoxCarrier(dim, tuple(draw(boxes_in_unit(dim, coord)) for _ in range(n)))
     if kind == "symbolic":
         return draw(st.sampled_from(SYMBOLIC[dim](draw(st.integers(0, 2)))))
     n = draw(st.integers(1, 6))
-    return PointCloud(dim, tuple(tuple(draw(grid(0, GRID)) for _ in range(dim)) for _ in range(n)))
+    return PointCloud(dim, tuple(tuple(draw(coord(0, GRID)) for _ in range(dim)) for _ in range(n)))
 
 
 @st.composite
 def covers(draw):
-    """(members, carrier) in one dimension; members need not cover."""
+    """(members, carrier) in one dimension; members need not cover.
+
+    Half the covers mix coprime denominators, so that a wrong common grid
+    would show; the others share the one denominator GRID.
+    """
+    coord = draw(COORDS)
     dim = draw(st.integers(1, 3))
     max_members, max_balls = SIZES[dim]
     n = draw(st.integers(1, max_members))
-    members = tuple(draw(open_sets(dim, max_balls)) for _ in range(n))
-    return members, draw(carriers(dim))
+    members = tuple(draw(open_sets(dim, max_balls, coord)) for _ in range(n))
+    return members, draw(carriers(dim, coord))
 
 
 # --- the scan and its consumers against the reference ----------------------
@@ -268,14 +295,16 @@ def test_scan_masks_equal_global_masks_per_box(case):
     boxes = carrier.boxes() if not isinstance(carrier, PointCloud) else (
         Box(_unit_bounds(carrier.dim)),
     )
-    for box in boxes:
-        local = {mask for _, _, mask in cn._scan(box, groups)}
+    # _scan reads the boxes and cubes as ints on their common grid
+    _, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], groups)
+    for box, int_box in zip(boxes, int_boxes):
+        local = {mask for _, _, mask in cn._scan(int_box, int_groups)}
         whole = {
             frozenset(i for i, g in enumerate(groups) if any(_in_cube(rep, c) for c in g))
             for rep, _ in _iter_cells(box, all_cubes)
         }
         assert local == whole
-        closed_local = {mask for _, _, mask in cn._scan(box, groups, closed=True)}
+        closed_local = {mask for _, _, mask in cn._scan(int_box, int_groups, closed=True)}
         closed_whole = {
             frozenset(i for i, g in enumerate(groups) if any(Box(c).contains(rep) for c in g))
             for rep, _ in _iter_cells(box, all_cubes)
@@ -289,17 +318,25 @@ def test_scan_cells_are_homogeneous_and_inside_the_box(case):
     members, carrier = case
     groups = [m.cubes() for m in members]
     if isinstance(carrier, PointCloud):
-        # a cloud point p is read as the zero-width box [p, p]: its one cell
-        # is p, and the mask holds the members containing p
         boxes = tuple(Box(tuple((c, c) for c in p)) for p in carrier.points)
-        for p, box in zip(carrier.points, boxes):
-            assert [(rep, mask) for rep, _, mask in cn._scan(box, groups)] == [
-                (p, frozenset(i for i, m in enumerate(members) if m.contains(p)))
-            ]
     else:
         boxes = carrier.boxes()
-    for box in boxes:
-        for rep, closure, mask in cn._scan(box, groups):
+    g, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], groups)
+
+    def cells(int_box):
+        """_scan's cells of a box, read back off the grid as Fractions."""
+        for rep, closure, mask in cn._scan(int_box, int_groups):
+            yield tuple(F(r, g) for r in rep), tuple((F(lo, g), F(hi, g)) for lo, hi in closure), mask
+
+    if isinstance(carrier, PointCloud):
+        # a cloud point p is read as the zero-width box [p, p]: its one cell
+        # is p, and the mask holds the members containing p
+        for p, int_box in zip(carrier.points, int_boxes):
+            assert [(rep, mask) for rep, _, mask in cells(int_box)] == [
+                (p, frozenset(i for i, m in enumerate(members) if m.contains(p)))
+            ]
+    for box, int_box in zip(boxes, int_boxes):
+        for rep, closure, mask in cells(int_box):
             assert box.contains(rep)
             assert Box(closure).contains(rep)
             assert all(blo <= lo and hi <= bhi for (lo, hi), (blo, bhi) in zip(closure, box.bounds))
@@ -330,9 +367,10 @@ def test_mult_exceeds_agrees_at_every_limit(case):
 @given(st.data())
 def test_complement_distance_agrees(data):
     dim = data.draw(st.integers(1, 3))
-    s = data.draw(open_sets(dim, SIZES[dim][0]))
+    coord = data.draw(COORDS)
+    s = data.draw(open_sets(dim, SIZES[dim][0], coord))
     for _ in range(3):
-        x = tuple(data.draw(grid(0, GRID)) for _ in range(dim))
+        x = tuple(data.draw(coord(0, GRID)) for _ in range(dim))
         assert cn.complement_distance(x, s) == complement_distance(x, s)
 
 
@@ -405,5 +443,10 @@ def test_closed_family_covers_agrees(case, data):
 @given(covers())
 def test_diam_within_equals_pairwise_maximum(case):
     members, carrier = case
-    for s in members:
-        assert cn._diam_within(s, carrier) == _diam_within(s, carrier)
+    # every member is measured on the one grid of the whole family
+    g, region, groups = cn._grid(cn._carrier_boxes(carrier), [m.cubes() for m in members])
+    for s, cubes in zip(members, groups):
+        assert F(cn._diam_within(cubes, region), g) == _diam_within(s, carrier)
+    U = cn.FiniteCover(members, carrier, validate=False)
+    assert cn.cover_mesh(U) == max(_diam_within(s, carrier) for s in members)
+
