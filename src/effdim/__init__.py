@@ -11,7 +11,6 @@ no floats enter any decision.
 from .algorithmic_dim import (
     BUILTIN_COMPRESSORS,
     Compressor,
-    PrecisionQuery,
     PrefixFreeMachine,
     bplus,
     co_compressible_check,

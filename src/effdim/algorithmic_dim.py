@@ -12,7 +12,7 @@ canonical encodings of nearby dyadic grid points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -387,18 +387,6 @@ def precision_complexity(x, r: int, M: Compressor) -> int:
     return min(
         compress_len(M, grid_point_encoding(ks, r)) for ks in precision_candidates(x, r)
     )
-
-
-@dataclass(frozen=True)
-class PrecisionQuery:
-    """A point (exact tuple or digit stream), a precision and a compressor."""
-
-    x: object
-    r: int
-    M: Compressor = field(default_factory=identity_compressor)
-
-    def value(self) -> int:
-        return precision_complexity(self.x, self.r, self.M)
 
 
 def precision_complexities(x, M: Compressor, r_range: Sequence[int]) -> dict[int, int]:

@@ -4,6 +4,9 @@ All exact values print as "p/q" strings; floating summaries are marked
 with a ~ prefix and 12 significant digits.  Output is deterministic for
 fixed inputs.  Exit codes: 0 success, 1 unknown subcommand, 2 violated
 precondition, 3 malformed input.
+
+Each subcommand is one ``_COMMANDS`` entry, and ``run()`` builds only the
+called one's parser.  (This paragraph stays out of ``--help``.)
 """
 
 from __future__ import annotations
@@ -209,7 +212,7 @@ def _cover_json(U: cov.FiniteCover) -> dict:
 
 
 def _read_map(args) -> il.PLMap:
-    if getattr(args, "map_file", None):
+    if args.map_file:
         verts = []
         for v in _expect(_load_json(args.map_file)["vertices"], list, "vertices"):
             _require(isinstance(v, list) and len(v) == 2, "a vertex must be a list [x, y]")
@@ -348,7 +351,8 @@ def _cmd_cocompress(args) -> None:
     g = lambda k: marks[k]
     if args.k_max > len(marks) - 2:
         raise ValueError("need g values up to k_max + 1")
-    grid = _fractions(args.s_grid) if args.s_grid else [rat(args.s)]
+    grid = _fractions(args.s_grid) if args.s_grid is not None else [rat(args.s)]
+    _require(bool(grid), "--s-grid names no value")
     results = []
     for s in grid:
         flags = alg.co_compressible_check(bits, M, g, s, args.k_max)
@@ -452,144 +456,136 @@ def _cmd_chain_spec(args) -> None:
     _emit(spec.to_json())
 
 
-# --- parser wiring ---------------------------------------------------------
+# --- subcommand table ------------------------------------------------------
+
+_COMPRESSORS = sorted(alg.BUILTIN_COMPRESSORS)
+_IL_MAP = (("--map", dict(default="tent")), ("--map-file", dict(dest="map_file")))
+
+# name -> (help, handler, add_argument calls as (flag, keywords) pairs)
+_COMMANDS = {
+    "menger-check": ("digit-stream or rational-point membership", _cmd_menger_check, (
+        ("--x", dict(help="comma-separated rational coordinates")),
+        ("--in", dict(dest="infile", help="digit-stream JSON file")),
+        ("--n", dict(type=int, required=True)),
+        ("--z", dict(default="3", help="base rule: Z | affine:K | table:a,b[:tail]")),
+    )),
+    "noebeling-check": ("rationality-pattern membership", _cmd_noebeling_check, (
+        ("--coords", dict(required=True, help="tokens: p/q, irr, unk")),
+        ("--n", dict(type=int, required=True)),
+    )),
+    "generic-point": ("digit stream driven by an extrema-block word", _cmd_generic_point, (
+        ("--n", dict(type=int, required=True)),
+        ("--word", dict(help="comma-separated block indices")),
+        ("--len", dict(dest="length", type=int)),
+        ("--seed", dict(type=int, default=0)),
+    )),
+    "boxdim": ("box-counting estimate", _cmd_boxdim, (
+        ("--set", dict(dest="set_name", choices=sorted(_NAMED_DESCRIPTORS))),
+        ("--depths", dict(default="1..6", help="range a..b or comma list")),
+        ("--in", dict(dest="infile", help="cloud JSON/CSV file")),
+        ("--scales", dict(help="comma-separated rational scales (cloud input)")),
+    )),
+    "assouad": ("grid search for the Assouad exponent", _cmd_assouad, (
+        ("--set", dict(dest="set_name", choices=sorted(_NAMED_DESCRIPTORS))),
+        ("--m", dict(type=int)),
+        ("--n", dict(type=int)),
+        ("--z", dict(default="3")),
+        ("--R", dict(dest="big", required=True, help="comma-separated outer scales")),
+        ("--r", dict(dest="small", required=True, help="comma-separated inner scales")),
+        ("--c-max", dict(default="4")),
+        ("--step", dict(default="1/64")),
+    )),
+    "kdim": ("precision complexity and Schnorr bounds", _cmd_kdim, (
+        ("--x", dict(help="comma-separated rational coordinates")),
+        ("--in", dict(dest="infile", help="digit-stream JSON file")),
+        ("--r", dict(required=True, help="comma-separated precisions")),
+        ("--compressor", dict(default="dictionary", choices=_COMPRESSORS)),
+    )),
+    "cocompress": ("computably-often compressibility windows", _cmd_cocompress, (
+        ("--prefix", dict(help="bit string")),
+        ("--in", dict(dest="infile", help='JSON file {"bits": "..."}')),
+        ("--compressor", dict(default="runlength", choices=_COMPRESSORS)),
+        ("--g", dict(required=True, help="comma-separated window marks g(0..k_max+1)")),
+        ("--k-max", dict(dest="k_max", type=int, required=True)),
+        ("--s", dict()),
+        ("--s-grid", dict(dest="s_grid")),
+    )),
+    "pf-transform": ("self-delimiting code of a compressed input", _cmd_pf_transform, (
+        ("--compressor", dict(default="identity", choices=_COMPRESSORS)),
+        ("--input", dict(required=True, help="bit string")),
+        ("--kraft-bound", dict(dest="kraft_bound", type=int)),
+    )),
+    "orbit": ("orbit classification for an interval map", _cmd_orbit, (
+        ("--map", dict(default="tent", help="tent or five")),
+        ("--map-file", dict(dest="map_file", help="JSON vertex list")),
+        ("--x0", dict(required=True)),
+        ("--budget", dict(type=int, default=10_000)),
+        ("--tol", dict(default=Fraction(1, 2**40))),
+        ("--max-period", dict(dest="max_period", type=int, default=8)),
+    )),
+    "il-encode": ("inverse-limit coding", _cmd_il_encode, _IL_MAP + (
+        ("--trajectory", dict(required=True, help="comma-separated rationals")),
+    )),
+    "il-decode": ("inverse-limit coding", _cmd_il_decode, _IL_MAP + (
+        ("--x0", dict(required=True)),
+        ("--word", dict(required=True, help="comma-separated branch indices")),
+    )),
+    "il-tree": ("inverse-limit coding", _cmd_il_tree, _IL_MAP + (
+        ("--x0", dict(required=True)),
+        ("--depth", dict(type=int, required=True)),
+    )),
+    "kappa": ("Kuratowski map of a point through a cover", _cmd_kappa, (
+        ("--in", dict(dest="infile", required=True, help="cover JSON file")),
+        ("--x", dict(required=True)),
+        ("--vertices", dict(help="semicolon-separated points")),
+    )),
+    "refine": ("low-multiplicity refinement search", _cmd_refine, (
+        ("--in", dict(dest="infile", required=True, help="cover JSON file")),
+        ("--target-mult", dict(dest="target_mult", type=int, required=True)),
+        ("--mesh", dict(required=True)),
+    )),
+    "condense-sample": ("singular-graph point clouds", _cmd_condense_sample, (
+        ("--lo", dict(default="0")),
+        ("--hi", dict(default="1")),
+        ("--t", dict()),
+        ("--xs", dict(required=True, help="comma-separated samples")),
+        ("--anchors", dict(type=int, default=16)),
+        ("--fiber", dict(type=int, default=0)),
+        ("--stages", dict(type=int)),
+        ("--q", dict(help="comma-separated queue points")),
+    )),
+    "chain-spec": ("chain-of-links combinatorial descriptor", _cmd_chain_spec, (
+        ("--g", dict(required=True, help="comma-separated link sizes")),
+        ("--kappa", dict(help="comma-separated link counts")),
+        ("--stages", dict(type=int, required=True)),
+    )),
+}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="effdim", description=__doc__)
+def _build_parser(*names: str) -> _Parser:
+    """The effdim parser with the named subcommands, or with all of them."""
+    parser = _Parser(prog="effdim", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("menger-check", help="digit-stream or rational-point membership")
-    p.add_argument("--x", help="comma-separated rational coordinates")
-    p.add_argument("--in", dest="infile", help="digit-stream JSON file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--z", default="3", help="base rule: Z | affine:K | table:a,b[:tail]")
-    p.set_defaults(func=_cmd_menger_check)
-
-    p = sub.add_parser("noebeling-check", help="rationality-pattern membership")
-    p.add_argument("--coords", required=True, help="tokens: p/q, irr, unk")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_noebeling_check)
-
-    p = sub.add_parser("generic-point", help="digit stream driven by an extrema-block word")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--word", help="comma-separated block indices")
-    p.add_argument("--len", dest="length", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_generic_point)
-
-    p = sub.add_parser("boxdim", help="box-counting estimate")
-    p.add_argument("--set", dest="set_name", choices=sorted(_NAMED_DESCRIPTORS))
-    p.add_argument("--depths", default="1..6", help="range a..b or comma list")
-    p.add_argument("--in", dest="infile", help="cloud JSON/CSV file")
-    p.add_argument("--scales", help="comma-separated rational scales (cloud input)")
-    p.set_defaults(func=_cmd_boxdim)
-
-    p = sub.add_parser("assouad", help="grid search for the Assouad exponent")
-    p.add_argument("--set", dest="set_name", choices=sorted(_NAMED_DESCRIPTORS))
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--z", default="3")
-    p.add_argument("--R", dest="big", required=True, help="comma-separated outer scales")
-    p.add_argument("--r", dest="small", required=True, help="comma-separated inner scales")
-    p.add_argument("--c-max", default="4")
-    p.add_argument("--step", default="1/64")
-    p.set_defaults(func=_cmd_assouad)
-
-    p = sub.add_parser("kdim", help="precision complexity and Schnorr bounds")
-    p.add_argument("--x", help="comma-separated rational coordinates")
-    p.add_argument("--in", dest="infile", help="digit-stream JSON file")
-    p.add_argument("--r", required=True, help="comma-separated precisions")
-    p.add_argument("--compressor", default="dictionary", choices=sorted(alg.BUILTIN_COMPRESSORS))
-    p.set_defaults(func=_cmd_kdim)
-
-    p = sub.add_parser("cocompress", help="computably-often compressibility windows")
-    p.add_argument("--prefix", help="bit string")
-    p.add_argument("--in", dest="infile", help='JSON file {"bits": "..."}')
-    p.add_argument("--compressor", default="runlength", choices=sorted(alg.BUILTIN_COMPRESSORS))
-    p.add_argument("--g", required=True, help="comma-separated window marks g(0..k_max+1)")
-    p.add_argument("--k-max", dest="k_max", type=int, required=True)
-    p.add_argument("--s")
-    p.add_argument("--s-grid", dest="s_grid")
-    p.set_defaults(func=_cmd_cocompress)
-
-    p = sub.add_parser("pf-transform", help="self-delimiting code of a compressed input")
-    p.add_argument("--compressor", default="identity", choices=sorted(alg.BUILTIN_COMPRESSORS))
-    p.add_argument("--input", required=True, help="bit string")
-    p.add_argument("--kraft-bound", dest="kraft_bound", type=int)
-    p.set_defaults(func=_cmd_pf_transform)
-
-    p = sub.add_parser("orbit", help="orbit classification for an interval map")
-    p.add_argument("--map", default="tent", help="tent or five")
-    p.add_argument("--map-file", dest="map_file", help="JSON vertex list")
-    p.add_argument("--x0", required=True)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--tol", default=Fraction(1, 2**40))
-    p.add_argument("--max-period", dest="max_period", type=int, default=8)
-    p.set_defaults(func=_cmd_orbit)
-
-    for name, fn in (
-        ("il-encode", _cmd_il_encode),
-        ("il-decode", _cmd_il_decode),
-        ("il-tree", _cmd_il_tree),
-    ):
-        p = sub.add_parser(name, help="inverse-limit coding")
-        p.add_argument("--map", default="tent")
-        p.add_argument("--map-file", dest="map_file")
-        if name == "il-encode":
-            p.add_argument("--trajectory", required=True, help="comma-separated rationals")
-        else:
-            p.add_argument("--x0", required=True)
-        if name == "il-decode":
-            p.add_argument("--word", required=True, help="comma-separated branch indices")
-        if name == "il-tree":
-            p.add_argument("--depth", type=int, required=True)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("kappa", help="Kuratowski map of a point through a cover")
-    p.add_argument("--in", dest="infile", required=True, help="cover JSON file")
-    p.add_argument("--x", required=True)
-    p.add_argument("--vertices", help="semicolon-separated points")
-    p.set_defaults(func=_cmd_kappa)
-
-    p = sub.add_parser("refine", help="low-multiplicity refinement search")
-    p.add_argument("--in", dest="infile", required=True, help="cover JSON file")
-    p.add_argument("--target-mult", dest="target_mult", type=int, required=True)
-    p.add_argument("--mesh", required=True)
-    p.set_defaults(func=_cmd_refine)
-
-    p = sub.add_parser("condense-sample", help="singular-graph point clouds")
-    p.add_argument("--lo", default="0")
-    p.add_argument("--hi", default="1")
-    p.add_argument("--t")
-    p.add_argument("--xs", required=True, help="comma-separated samples")
-    p.add_argument("--anchors", type=int, default=16)
-    p.add_argument("--fiber", type=int, default=0)
-    p.add_argument("--stages", type=int)
-    p.add_argument("--q", help="comma-separated queue points")
-    p.set_defaults(func=_cmd_condense_sample)
-
-    p = sub.add_parser("chain-spec", help="chain-of-links combinatorial descriptor")
-    p.add_argument("--g", required=True, help="comma-separated link sizes")
-    p.add_argument("--kappa", help="comma-separated link counts")
-    p.add_argument("--stages", type=int, required=True)
-    p.set_defaults(func=_cmd_chain_spec)
-
-    parser.commands = tuple(sub.choices)
+    for name in names or _COMMANDS:
+        help_text, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    if argv and argv[0] in ("-h", "--help"):
-        parser.print_help()
-        return 0
-    if not argv or argv[0] not in parser.commands:
+    if not argv or argv[0] not in _COMMANDS:
+        parser = _build_parser()
+        if argv and argv[0] in ("-h", "--help"):
+            parser.print_help()
+            return 0
         parser.print_usage(sys.stderr)
         return 1
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv[0]).parse_args(argv)
     except _ParseFailure as exc:
         print(f"effdim: {exc}", file=sys.stderr)
         return 3

@@ -219,8 +219,9 @@ def box_dimension(counts: ScaleCounts) -> DimEstimate:
         raise PreconditionError("need at least two scales")
     if any(c == 0 for _, c in rows):
         raise PreconditionError("counts must be positive for a log fit")
-    xs = [math.log(1.0 / float(r)) for r, _ in rows]
-    ys = [math.log(float(c)) for _, c in rows]
+    # logs of the exact ints: a deep scale or a huge count has no float form
+    xs = [math.log(r.denominator) - math.log(r.numerator) for r, _ in rows]
+    ys = [math.log(c) for _, c in rows]
     slopes = []
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):

@@ -11,7 +11,6 @@ from effdim import (
     DigitMatrix,
     BoundSeq,
     PreconditionError,
-    PrecisionQuery,
     bplus,
     co_compressible_check,
     compress_len,
@@ -205,9 +204,8 @@ class TestPrecisionComplexity:
         for r in (1, 2, 5):
             assert precision_complexity(x, r, identity_compressor()) == 2 * r + 7
 
-    def test_query_wrapper(self):
-        q = PrecisionQuery((Fraction(1, 2),), 2)
-        assert q.value() == 11
+    def test_half_at_precision_two(self):
+        assert precision_complexity((Fraction(1, 2),), 2, identity_compressor()) == 11
 
     @given(
         v=st.fractions(min_value=0, max_value=1, max_denominator=64),

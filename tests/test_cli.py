@@ -189,6 +189,17 @@ class TestEstimatorCommands:
         assert data["rows"][0] == {"r": "1/3", "count": 8}
         assert len(data["rows"]) == 6
 
+    @pytest.mark.parametrize(
+        "name, depth, slope", [("carpet", 400, "1.89278926071"), ("cantor", 700, "0.630929753571")]
+    )
+    def test_box_dimension_past_float_range(self, capsys, name, depth, slope):
+        # the depth-400 carpet count overflows a float, the depth-700 Cantor scale underflows one
+        code, out, err = invoke(capsys, "boxdim", "--set", name, "--depths", f"1,{depth}")
+        assert code == 0, err
+        assert "Traceback" not in err
+        data = json.loads(out)
+        assert data["~slope_lower"] == data["~slope_upper"] == data["~slope_lsq"] == slope
+
     def test_step_budget_env_is_not_read(self, capsys, monkeypatch):
         # no subcommand reads EFFDIM_STEP_BUDGET, so a malformed value cannot fail boxdim
         monkeypatch.setenv("EFFDIM_STEP_BUDGET", "lots")
@@ -296,6 +307,15 @@ class TestAlgorithmicCommands:
         )
         assert [r["s"] for r in data["results"]] == ["0/1", "1/2"]
         assert data["results"][0]["flags"] == [False, False]
+
+    @pytest.mark.parametrize("grid", ["", ","])
+    def test_cocompress_empty_grid(self, capsys, grid):
+        # an empty grid is an error even with --s given
+        code, out, err = invoke(
+            capsys, "cocompress", "--prefix", "0101", "--g", "2,4,8", "--k-max", "1",
+            "--s", "1/2", f"--s-grid={grid}",
+        )
+        assert (code, out, err) == (3, "", "effdim: --s-grid names no value\n")
 
     def test_cocompress_needs_enough_marks(self, capsys):
         code, _, err = invoke(

@@ -10,7 +10,10 @@ strings.  Every run must exit 0, 2 or 3, and any error must be one
 with the cover's dimension, and ``orbit`` exactly for a start point in
 [0, 1] and any rational tolerance.  Documents nest at
 most two levels below a replaced value, and integers stay in [-1, 2],
-so depths and dimensions stay at most 2 and each run stays cheap.
+so depths and dimensions stay at most 2 and each run stays cheap.  The
+list and bit-string flags of ten subcommands (``--depths``, ``--r``,
+``--g``, ``--xs``, ``--word``, ``--prefix``, ``--input``) get random
+token strings under the same checks.
 """
 
 import copy
@@ -197,3 +200,49 @@ def test_orbit_arguments_exit_cleanly(capsys, name, x0, tol):
 def test_orbit_zero_tol_is_unknown(capsys):
     assert run(["orbit", "--map", "five", "--x0", "1/3", "--tol", "0", "--budget", "50"]) == 0
     assert json.loads(capsys.readouterr().out) == {"kind": "Unknown", "steps": 50}
+
+
+# Argument strings: up to four tokens, each an int in [-2, 12] or a
+# malformed token, joined by any of the CLI's separators.  Ints stop at 12
+# because depths, precisions and link sizes past that grow the work
+# without a cap (``boxdim --depths 9999`` and ``chain-spec --g 20`` run
+# for seconds to minutes).
+tokens = st.integers(-2, 12).map(str) | st.sampled_from(("", "a", "1/2", "1/0", "-"))
+separators = st.sampled_from((",", "..", ":", ";"))
+
+
+@st.composite
+def token_lists(draw):
+    first, *rest = draw(st.lists(tokens, min_size=1, max_size=4))
+    return first + "".join(draw(separators) + t for t in rest)
+
+
+bit_strings = st.text(alphabet="01x", max_size=12)
+# each argv with {} where the fuzzed string goes, and its strategy
+ARGUMENTS = {
+    "boxdim --depths": (("boxdim", "--set", "carpet", "--depths={}"), token_lists()),
+    "kdim --r": (("kdim", "--x", "1/3", "--r={}"), token_lists()),
+    "assouad --r": (("assouad", "--set", "cantor", "--R", "1/3", "--r={}"), token_lists()),
+    "cocompress --g": (
+        ("cocompress", "--prefix", "0101", "--g={}", "--k-max", "1", "--s", "1/2"),
+        token_lists(),
+    ),
+    "cocompress --prefix": (
+        ("cocompress", "--prefix={}", "--g", "2,4,8", "--k-max", "1", "--s", "1/2"),
+        bit_strings,
+    ),
+    "chain-spec --g": (("chain-spec", "--g={}", "--stages", "2"), token_lists()),
+    "condense-sample --xs": (("condense-sample", "--t", "1/2", "--xs={}"), token_lists()),
+    "generic-point --word": (("generic-point", "--n", "1", "--word={}"), token_lists()),
+    "il-decode --word": (("il-decode", "--x0", "1/2", "--word={}"), token_lists()),
+    "pf-transform --input": (("pf-transform", "--input={}"), bit_strings),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENTS))
+@FUZZ
+@given(data=st.data())
+def test_argument_strings_exit_cleanly(capsys, name, data):
+    template, values = ARGUMENTS[name]
+    text = data.draw(values)
+    _check(capsys, [arg.format(text) for arg in template])

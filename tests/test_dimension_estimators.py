@@ -158,6 +158,14 @@ class TestBoxDimension:
         est = box_dimension(ScaleCounts(rows))
         assert est.lower <= est.lsq <= est.upper
 
+    def test_scales_and_counts_past_float_range(self):
+        # 3^-400 underflows a float to 0 and 8^400 overflows one
+        rows = ((Fraction(1, 3), 8), (Fraction(1, 3**400), 8**400))
+        est = box_dimension(ScaleCounts(rows))
+        slope = math.log(8) / math.log(3)
+        for value in (est.lower, est.upper, est.lsq):
+            assert abs(value - slope) < 1e-9
+
     def test_too_few_scales_rejected(self):
         with pytest.raises(PreconditionError, match="at least two scales"):
             box_dimension(ScaleCounts(((Fraction(1, 2), 3),)))
