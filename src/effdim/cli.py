@@ -52,11 +52,24 @@ def _fractions(text: str) -> list[Fraction]:
     return [rat(v) for v in text.split(",") if v != ""]
 
 
+# Deepest depth `boxdim --depths` takes.  Depth k costs k-term running
+# products (about 4k bits of int per term on the sponge), and 1..1024 on
+# the sponge runs in about 0.2 s.
+_DEPTH_CAP = 1024
+
+
 def _depth_range(text: str) -> list[int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return _ints(text)
+    """A range a..b or a comma list of depths, each in [0, _DEPTH_CAP].
+
+    A range is checked at its two ends, before it is built.
+    """
+    ranged = ".." in text
+    ends = [int(v) for v in text.split("..", 1)] if ranged else _ints(text)
+    for k in ends:
+        _require(k >= 0, f"depth {k} is negative")
+        if k > _DEPTH_CAP:
+            raise PreconditionError(f"depth {k} is past the cap of {_DEPTH_CAP}")
+    return list(range(ends[0], ends[1] + 1)) if ranged else ends
 
 
 def _zspec(text: str) -> fs.BoundSeq:
@@ -173,13 +186,10 @@ def _read_carrier(data):
         carrier = cov.SymbolicCarrier(desc, depth)
     else:
         raise ValueError(f"unknown carrier kind: {kind}")
-    # every level has at least 2 admissible columns, so this stops within
-    # log2 of the cap levels however deep the file says the carrier is
-    cells = 1
-    for j in range(depth):
-        cells *= carrier.descriptor.level_cell_count(j)
-        if cells > _CARRIER_CELL_CAP:
-            raise PreconditionError(f"carrier has more than {_CARRIER_CELL_CAP} cells")
+    # each level has 2 or more columns: bit_length(cap) levels pass the cap
+    shallow = min(depth, _CARRIER_CELL_CAP.bit_length())
+    if carrier.descriptor.cells_at_depth(shallow) > _CARRIER_CELL_CAP:
+        raise PreconditionError(f"carrier has more than {_CARRIER_CELL_CAP} cells")
     return carrier
 
 

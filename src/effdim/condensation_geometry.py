@@ -190,6 +190,11 @@ class ChainSpec:
         }
 
 
+# Most links a chain spec may hold: one glue entry per link is built and
+# printed, and the default link count 2^g doubles with each unit of g.
+_LINK_CAP = 2**14
+
+
 def chain_descriptor(
     g: Sequence[int],
     kappa_growth: Sequence[int] | None,
@@ -199,7 +204,8 @@ def chain_descriptor(
 
     Links of one stage are glued in a row, and the last link of each
     stage attaches to the first link of the next.  kappa defaults to
-    m -> 2^m applied to the link sizes.
+    m -> 2^m applied to the link sizes.  More than _LINK_CAP links in all
+    is refused before any glue is built.
     """
     if stages < 0:
         raise PreconditionError("stage count must be nonnegative")
@@ -209,13 +215,17 @@ def chain_descriptor(
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise PreconditionError("g must be strictly increasing")
     if kappa_growth is None:
-        counts = [2**s for s in sizes]
+        # a size past bit_length(cap) alone exceeds the cap, so 2^size is
+        # never built for it
+        counts = [2 ** min(s, _LINK_CAP.bit_length()) for s in sizes]
     else:
         if len(kappa_growth) < stages:
             raise PreconditionError("not enough kappa values for the requested stages")
         counts = [int(v) for v in kappa_growth[:stages]]
     if any(c < 1 for c in counts):
         raise PreconditionError("link counts must be positive")
+    if sum(counts) > _LINK_CAP:
+        raise PreconditionError(f"the chain has more than {_LINK_CAP} links")
     glue = []
     for s, count in enumerate(counts):
         for i in range(count - 1):

@@ -55,7 +55,7 @@ from ._lp import affine_gap
 from ._rat import ZERO, ONE, max_dist, rat
 from .ball_calculus import FormalBall, PreconditionError, RationalPoint
 from .dimension_estimators import MengerDescriptor, PointCloud
-from .fractal_spaces import BoundSeq
+from .fractal_spaces import BoundSeq, z_value
 
 Bounds = tuple[tuple[Fraction, Fraction], ...]
 IntBounds = tuple[tuple[int, int], ...]
@@ -192,11 +192,7 @@ def _symbolic_cells(desc: MengerDescriptor, depth: int) -> tuple[Box, ...]:
     width = desc.scale(depth)
     out = []
     for combo in itertools.product(*per_level):
-        lows = [ZERO] * m
-        for j, col in enumerate(combo):
-            s = desc.scale(j + 1)
-            for i in range(m):
-                lows[i] += col[i] * s
+        lows = [z_value([col[i] for col in combo], desc.z) for i in range(m)]
         out.append(Box(tuple((lo, lo + width) for lo in lows)))
     return tuple(out)
 

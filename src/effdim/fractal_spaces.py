@@ -15,7 +15,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .ball_calculus import PreconditionError
 
@@ -66,12 +67,22 @@ class BoundSeq:
     def is_constant(self) -> bool:
         return self.kind == "constant" or (self.kind == "table" and not self.table)
 
+    @cached_property
+    def _products(self) -> list[int]:
+        return [1]  # z_0 * ... * z_{k-1} at k, grown by _running_product
+
     def scale(self, depth: int) -> Fraction:
         """Width of a depth-k cell: 1 / (z_0 * ... * z_{k-1})."""
-        w = Fraction(1)
-        for j in range(depth):
-            w /= self(j)
-        return w
+        return Fraction(1, _running_product(self._products, self, depth))
+
+
+def _running_product(products: list[int], factor: Callable[[int], int], depth: int) -> int:
+    """factor(0) * ... * factor(depth - 1): products[k] holds the first k, grown once each."""
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
+    for j in range(len(products) - 1, depth):
+        products.append(products[j] * factor(j))
+    return products[depth]
 
 
 @dataclass(frozen=True)
@@ -124,15 +135,13 @@ class MembershipVerdict:
 
 def z_value(digits: Sequence[int], z: BoundSeq) -> Fraction:
     """Value of a digit string: sum of digit_j / (z_0 * ... * z_j)."""
-    total = Fraction(0)
-    denom = 1
+    num = 0
     for j, d in enumerate(digits):
         zj = z(j)
         if not 0 <= d < zj:
             raise ValueError(f"digit {d} out of range at level {j}")
-        denom *= zj
-        total += Fraction(d, denom)
-    return total
+        num = num * zj + d
+    return Fraction(num, _running_product(z._products, z, len(digits)))
 
 
 def _interior(d: int, zj: int) -> bool:

@@ -9,11 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import effdim
 import effdim.cli as cli
+import effdim.condensation_geometry as cond
+import effdim.dimension_estimators as dim
 import effdim.inverse_limits as il
 from effdim.cli import _build_parser, run
 
@@ -199,6 +202,38 @@ class TestEstimatorCommands:
         assert "Traceback" not in err
         data = json.loads(out)
         assert data["~slope_lower"] == data["~slope_upper"] == data["~slope_lsq"] == slope
+
+    @pytest.mark.parametrize("depths", ["-2,3", "-2..12", "3..-2", "1,-1"])
+    def test_negative_depth_exits_three(self, capsys, depths):
+        code, out, err = invoke(capsys, "boxdim", "--set", "carpet", f"--depths={depths}")
+        negative = min(int(v) for v in depths.replace("..", ",").split(","))
+        assert (code, out, err) == (3, "", f"effdim: depth {negative} is negative\n")
+
+    def test_depth_cap_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_DEPTH_CAP", 5)
+        assert len(invoke_json(capsys, "boxdim", "--set", "sponge", "--depths", "0..5")["rows"]) == 6
+        # a range is refused at its end, before it is built
+        for depths in ("1..6", "6,1", "1..10000000000000", "7..3"):
+            code, out, err = invoke(capsys, "boxdim", "--set", "sponge", "--depths", depths)
+            past = max(int(v) for v in depths.replace("..", ",").split(","))
+            assert (code, out, err) == (2, "", f"effdim: depth {past} is past the cap of 5\n")
+
+    def test_depth_1_to_300_is_fast(self, capsys):
+        # each new depth multiplies each running product once, so the range
+        # costs time linear in its length
+        start = time.perf_counter()
+        data = invoke_json(capsys, "boxdim", "--set", "carpet", "--depths", "1..300")
+        assert time.perf_counter() - start < 0.5
+        assert data["rows"][-1]["count"] == 8**300
+
+    def test_assouad_grid_cap_exits_two(self, capsys, monkeypatch):
+        # the Cantor grid at step 1/8 holds 0, 1/8, ..., 9/8: ten values
+        argv = ("assouad", "--set", "cantor", "--R", "1", "--r", "1/27", "--step", "1/8", "--c-max", "1")
+        monkeypatch.setattr(dim, "_GRID_CAP", 10)
+        assert invoke_json(capsys, *argv)["exponent"] == "3/4"
+        monkeypatch.setattr(dim, "_GRID_CAP", 9)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", "effdim: the exponent grid has more than 9 values\n")
 
     def test_step_budget_env_is_not_read(self, capsys, monkeypatch):
         # no subcommand reads EFFDIM_STEP_BUDGET, so a malformed value cannot fail boxdim
@@ -641,6 +676,14 @@ class TestCondensationCommands:
             {"link_size": 1, "link_count": 2},
             {"link_size": 2, "link_count": 4},
         ]
+
+    def test_chain_spec_link_cap_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cond, "_LINK_CAP", 6)
+        assert invoke_json(capsys, "chain-spec", "--g", "1,2", "--stages", "2")["total_links"] == 6
+        for argv in (("--g", "1,2,3"), ("--g", "1,2", "--kappa", "3,4"), ("--g", "1000000000")):
+            stages = str(len(argv[1].split(",")))
+            code, out, err = invoke(capsys, "chain-spec", *argv, "--stages", stages)
+            assert (code, out, err) == (2, "", "effdim: the chain has more than 6 links\n")
 
     def test_chain_spec_monotonicity_gate(self, capsys):
         code, _, err = invoke(capsys, "chain-spec", "--g", "2,2", "--stages", "2")

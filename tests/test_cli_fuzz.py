@@ -13,7 +13,8 @@ most two levels below a replaced value, and integers stay in [-1, 2],
 so depths and dimensions stay at most 2 and each run stays cheap.  The
 list and bit-string flags of ten subcommands (``--depths``, ``--r``,
 ``--g``, ``--xs``, ``--word``, ``--prefix``, ``--input``) get random
-token strings under the same checks.
+token strings under the same checks, with ints past the lowered depth
+and link caps, which must exit 2.
 """
 
 import copy
@@ -24,6 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import effdim.cli as cli
+import effdim.condensation_geometry as cond
 from effdim.cli import run
 
 KEYS = (
@@ -202,12 +205,15 @@ def test_orbit_zero_tol_is_unknown(capsys):
     assert json.loads(capsys.readouterr().out) == {"kind": "Unknown", "steps": 50}
 
 
-# Argument strings: up to four tokens, each an int in [-2, 12] or a
-# malformed token, joined by any of the CLI's separators.  Ints stop at 12
-# because depths, precisions and link sizes past that grow the work
-# without a cap (``boxdim --depths 9999`` and ``chain-spec --g 20`` run
-# for seconds to minutes).
-tokens = st.integers(-2, 12).map(str) | st.sampled_from(("", "a", "1/2", "1/0", "-"))
+# Argument strings: up to four tokens, each an int in [-2, 40] or a
+# malformed token, joined by any of the CLI's separators, and for the
+# capped flags also well-formed int lists and ranges, which reach the caps
+# far more often.  The depth and link caps are lowered to 12 depths and
+# 2^8 links, so the ints run past them and those runs must exit 2 at once;
+# under the caps each run stays cheap.
+DEPTH_CAP, LINK_CAP = 12, 2**8
+ints = st.integers(-2, 40)
+tokens = ints.map(str) | st.sampled_from(("", "a", "1/2", "1/0", "-"))
 separators = st.sampled_from((",", "..", ":", ";"))
 
 
@@ -217,10 +223,12 @@ def token_lists(draw):
     return first + "".join(draw(separators) + t for t in rest)
 
 
+int_lists = st.lists(ints, min_size=1, max_size=4).map(lambda v: ",".join(map(str, v)))
+int_ranges = st.tuples(ints, ints).map(lambda ab: f"{ab[0]}..{ab[1]}")
 bit_strings = st.text(alphabet="01x", max_size=12)
 # each argv with {} where the fuzzed string goes, and its strategy
 ARGUMENTS = {
-    "boxdim --depths": (("boxdim", "--set", "carpet", "--depths={}"), token_lists()),
+    "boxdim --depths": (("boxdim", "--set", "carpet", "--depths={}"), token_lists() | int_lists | int_ranges),
     "kdim --r": (("kdim", "--x", "1/3", "--r={}"), token_lists()),
     "assouad --r": (("assouad", "--set", "cantor", "--R", "1/3", "--r={}"), token_lists()),
     "cocompress --g": (
@@ -231,7 +239,7 @@ ARGUMENTS = {
         ("cocompress", "--prefix={}", "--g", "2,4,8", "--k-max", "1", "--s", "1/2"),
         bit_strings,
     ),
-    "chain-spec --g": (("chain-spec", "--g={}", "--stages", "2"), token_lists()),
+    "chain-spec --g": (("chain-spec", "--g={}", "--stages", "2"), token_lists() | int_lists | int_ranges),
     "condense-sample --xs": (("condense-sample", "--t", "1/2", "--xs={}"), token_lists()),
     "generic-point --word": (("generic-point", "--n", "1", "--word={}"), token_lists()),
     "il-decode --word": (("il-decode", "--x0", "1/2", "--word={}"), token_lists()),
@@ -239,10 +247,35 @@ ARGUMENTS = {
 }
 
 
+def _int_list(parts) -> list[int] | None:
+    try:
+        return [int(v) for v in parts]
+    except ValueError:
+        return None
+
+
+def _past_cap(name: str, text: str) -> bool:
+    """Does the fuzzed string pass a cap while meeting every earlier check?"""
+    if name == "boxdim --depths":
+        # both ends of a range are checked, or every depth of a list
+        ends = _int_list(text.split("..", 1) if ".." in text else [v for v in text.split(",") if v])
+        return bool(ends) and min(ends) >= 0 and max(ends) > DEPTH_CAP
+    if name == "chain-spec --g":
+        sizes = _int_list([v for v in text.split(",") if v])
+        return sizes is not None and len(sizes) >= 2 and 0 <= sizes[0] < sizes[1] and (
+            2 ** sizes[0] + 2 ** sizes[1] > LINK_CAP
+        )
+    return False
+
+
 @pytest.mark.parametrize("name", sorted(ARGUMENTS))
 @FUZZ
 @given(data=st.data())
-def test_argument_strings_exit_cleanly(capsys, name, data):
+def test_argument_strings_exit_cleanly(capsys, monkeypatch, name, data):
+    monkeypatch.setattr(cli, "_DEPTH_CAP", DEPTH_CAP)
+    monkeypatch.setattr(cond, "_LINK_CAP", LINK_CAP)
     template, values = ARGUMENTS[name]
     text = data.draw(values)
-    _check(capsys, [arg.format(text) for arg in template])
+    code = _check(capsys, [arg.format(text) for arg in template])
+    if _past_cap(name, text):
+        assert code == 2, text
