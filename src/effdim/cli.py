@@ -370,7 +370,18 @@ def _cmd_cocompress(args) -> None:
     _emit({"results": results})
 
 
+# Longest payload `pf-transform --kraft-bound` takes.  The partial Kraft
+# sum runs the image test on all 2^(n+1) - 1 bit strings up to length n,
+# so each unit doubles the work; 16 takes 0.2-0.7 s, by compressor.
+_KRAFT_CAP = 16
+
+
 def _cmd_pf_transform(args) -> None:
+    bound = args.kraft_bound
+    if bound is not None:
+        _require(bound >= 0, f"--kraft-bound {bound} is negative")
+        if bound > _KRAFT_CAP:
+            raise PreconditionError(f"--kraft-bound {bound} is past the cap of {_KRAFT_CAP}")
     machine = alg.prefixfree_transform(_compressor(args.compressor))
     code = machine.code_for_input(args.input)
     out = {
@@ -379,8 +390,8 @@ def _cmd_pf_transform(args) -> None:
         "length": len(code),
         "decodes_to": machine.decode(code),
     }
-    if args.kraft_bound is not None:
-        out["kraft_partial"] = fmt(machine.kraft_sum(args.kraft_bound))
+    if bound is not None:
+        out["kraft_partial"] = fmt(machine.kraft_sum(bound))
     _emit(out)
 
 

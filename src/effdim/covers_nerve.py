@@ -19,8 +19,7 @@ The scan compares ints, not Fractions.  Every coordinate it sees is some
 k/D, so ``_grid`` puts the boxes and cubes of one query on the common
 grid g = 2·lcm(all D), once per query: a carrier scan, an open set's
 complement, a family's mesh.  Fractions come back only where a caller
-reads them: complement closures, diameters, and the representatives
-whose depths set a shrinking's margin.
+reads them: distances, diameters and margins.
 
 Carriers come in two kinds, and the scan reads both as closed boxes.  A
 symbolic carrier is the depth-d approximant of a digit-defined
@@ -36,9 +35,13 @@ same questions of each candidate family's mask set, and finds every
 parent from one joint mask set of the family and the cover.
 
 An open set's derived datum is its complement: the closures of the
-maximal unit-box cells that none of its cubes holds.  Kappa weights and
-shrinking margins are distances to it, so each set scans its unit-box
-arrangement at most once, however many points are weighed.
+maximal unit-box cells that none of its cubes holds, as ints on the
+set's grid.  Kappa weights and shrinking margins are distances to it, so
+each set scans its unit-box arrangement at most once, however many
+points are weighed.  A distance is measured in ints too: the point goes
+on its own denominator q, and a gap to a bound on grid g is compared on
+q·g.  Affine ranks, for general position, are taken by fraction-free
+elimination over ints.
 """
 
 from __future__ import annotations
@@ -127,7 +130,13 @@ class OpenSet:
         )
 
     @cached_property
-    def _complement(self) -> tuple[Bounds, ...]:
+    def _on_grid(self) -> tuple[int, list[IntBounds]]:
+        """The grid g of the unit box and the cubes, and the cubes on it."""
+        g, _, (cubes,) = _grid([_unit_bounds(self.dim)], [self._cubes])
+        return g, cubes
+
+    @cached_property
+    def _complement(self) -> tuple[int, tuple[IntBounds, ...]]:
         return _uncovered_closures(self)
 
 
@@ -418,18 +427,9 @@ def cover_mesh(U: FiniteCover) -> Fraction:
     return _mesh(U.members, U.carrier)
 
 
-def _dist_to_bounds(coords: Sequence[Fraction], bounds: Bounds) -> Fraction:
-    d = ZERO
-    for c, (lo, hi) in zip(coords, bounds):
-        if c < lo:
-            d = max(d, lo - c)
-        elif c > hi:
-            d = max(d, c - hi)
-    return d
-
-
-def _uncovered_closures(s: OpenSet) -> tuple[Bounds, ...]:
-    """Closures of the maximal unit-box cells that no cube of s holds.
+def _uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
+    """The set's grid g, and on it the closures of the maximal unit-box
+    cells that no cube of s holds.
 
     The uncovered part of the unit box is closed, so each facet of an
     uncovered cell (one positive-width axis pinned to an end) is
@@ -438,21 +438,48 @@ def _uncovered_closures(s: OpenSet) -> tuple[Bounds, ...]:
     immediate coface, and each other uncovered closure lies in one of
     theirs.  Cells are keyed by their int representative on the grid:
     on a zero-width axis it is the axis value, so a facet's is the
-    cell's with that axis set to the end.  Only the kept closures are
-    turned back into Fractions.
+    cell's with that axis set to the end.
     """
-    g, (box,), groups = _grid([_unit_bounds(s.dim)], [s.cubes()])
-    uncovered = [(rep, closure) for rep, closure, mask in _scan(box, groups) if not mask]
+    g, cubes = s._on_grid
+    box = tuple((0, g) for _ in range(s.dim))
+    uncovered = [(rep, closure) for rep, closure, mask in _scan(box, [cubes]) if not mask]
     facets = set()
     for rep, closure in uncovered:
         for a, (lo, hi) in enumerate(closure):
             if lo != hi:
                 facets.add(rep[:a] + (lo,) + rep[a + 1 :])
                 facets.add(rep[:a] + (hi,) + rep[a + 1 :])
-    return tuple(
-        tuple((Fraction(lo, g), Fraction(hi, g)) for lo, hi in closure)
-        for rep, closure in uncovered
-        if rep not in facets
+    return g, tuple(closure for rep, closure in uncovered if rep not in facets)
+
+
+def _depth(xs: Sequence[int], q: int, s: OpenSet) -> int | None:
+    """complement_distance of the point xs/q, as its numerator over q·g.
+
+    g is the set's grid (``OpenSet._on_grid``), so the point is x·g and
+    a bound v is v·q on the grid q·g, and every comparison is of ints.
+    """
+    g, cubes = s._on_grid
+    ys = [x * g for x in xs]
+    if len(cubes) == 1:
+        # single cube: the complement is a union of axis slabs, one per
+        # cube face that has not left the unit box
+        cube = cubes[0]
+        if not all(lo * q < y < hi * q for (lo, hi), y in zip(cube, ys)):
+            return 0
+        best = None
+        for (lo, hi), y in zip(cube, ys):
+            if lo >= 0:
+                d = y - lo * q
+                best = d if best is None else min(best, d)
+            if hi <= g:
+                d = hi * q - y
+                best = d if best is None else min(best, d)
+        return best
+    # the max-metric gap to a closure is its largest per-axis gap
+    _, closures = s._complement
+    return min(
+        (max(max(lo * q - y, y - hi * q, 0) for (lo, hi), y in zip(c, ys)) for c in closures),
+        default=None,
     )
 
 
@@ -466,27 +493,15 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet):
     a cell with an uncovered immediate coface (one zero-width axis
     widened to an adjacent interval) lies in that coface's closure,
     which is at least as near.  A single cube needs no scan: its
-    complement is the unit box's slabs beyond its faces.
+    complement is the unit box's slabs beyond its faces.  The point is
+    put on q = lcm of its denominators and measured in ints
+    (``_depth``); one Fraction is built, for the result.
     """
     if len(coords) != s.dim:
         raise PreconditionError("point dimension differs from the set's")
-    cubes = s.cubes()
-    if len(cubes) == 1:
-        # single cube: the complement is a union of axis slabs, one per
-        # cube face that has not left the unit box
-        cube = cubes[0]
-        if not all(lo < c < hi for (lo, hi), c in zip(cube, coords)):
-            return ZERO
-        best = None
-        for a, ((clo, chi), (blo, bhi)) in enumerate(zip(cube, _unit_bounds(s.dim))):
-            if clo >= blo:
-                d = coords[a] - clo
-                best = d if best is None else min(best, d)
-            if chi <= bhi:
-                d = chi - coords[a]
-                best = d if best is None else min(best, d)
-        return best
-    return min((_dist_to_bounds(coords, c) for c in s._complement), default=None)
+    q = math.lcm(*(c.denominator for c in coords))
+    d = _depth([c.numerator * (q // c.denominator) for c in coords], q, s)
+    return None if d is None else Fraction(d, q * s._on_grid[0])
 
 
 # --- cover operations ------------------------------------------------------
@@ -600,21 +615,23 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
     # drop the ones that set it
     all_cubes = [cube for m in U.members for cube in m.cubes()]
     g, boxes, (cubes,) = _grid(_carrier_boxes(U.carrier), [all_cubes])
-    units = [
-        tuple(Fraction(r, g) for r in rep) for box in boxes for rep, _ in _iter_cells(box, cubes)
-    ]
     lam = None
-    for u in units:
-        depth = ZERO
-        for m in U.members:
-            d = complement_distance(u, m)
-            d = ONE if d is None else min(d, ONE)
-            depth = max(depth, d)
-        if depth == 0:
-            raise PreconditionError("no positive margin")
-        lam = depth if lam is None else min(lam, depth)
+    for box in boxes:
+        for rep, _ in _iter_cells(box, cubes):
+            # a member's depth is on g times its own grid, which divides g
+            # (g counts every cube's denominator), so the quotient is the
+            # depth on g; a member with no complement counts as depth 1,
+            # which no depth of a unit-box point exceeds
+            depth = 0
+            for m in U.members:
+                d = _depth(rep, g, m)
+                depth = max(depth, g if d is None else d // m._on_grid[0])
+            if depth == 0:
+                raise PreconditionError("no positive margin")
+            lam = depth if lam is None else min(lam, depth)
     if lam is None:
         raise PreconditionError("no positive margin")
+    lam = Fraction(lam, g)
     for _ in range(64):
         closed = []
         open_ = []
@@ -764,20 +781,32 @@ def refine_cover(
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
+    """Rank of the rows, by fraction-free elimination over ints.
+
+    Each row is scaled by the lcm of its denominators, which keeps its
+    span.  Bareiss's elimination ("Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 1968) keeps
+    every entry a minor of those int rows: after a pivot p, row r becomes
+    (p·r − r[col]·pivot row) / previous pivot, and the division is exact.
+    """
+    mat = []
+    for row in rows:
+        q = math.lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (q // v.denominator) for v in row])
     rank = 0
+    prev = 1
     cols = len(mat[0]) if mat else 0
     for col in range(cols):
         piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [v / inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            mat[r] = [(p * a - f * b) // prev for a, b in zip(mat[r], top)]
+        prev = p
         rank += 1
     return rank
 

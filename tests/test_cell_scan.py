@@ -8,6 +8,10 @@ cubes poking past the unit box, explicit zero-width carrier boxes and
 point clouds, must get the same answers from the scan's consumers as
 from these copies.  The scan reads ints on a common grid, so half the
 random covers mix coprime denominators.
+
+The int kernels past the scan, complement distances, shrink margins and
+``_rank``, are checked the same way against verbatim copies of the
+Fraction code they replaced.
 """
 
 import itertools
@@ -31,7 +35,8 @@ from effdim import (
     sponge_descriptor,
 )
 from effdim._rat import ONE, ZERO, max_dist
-from effdim.covers_nerve import Bounds, _dist_to_bounds, _unit_bounds
+from effdim.ball_calculus import PreconditionError
+from effdim.covers_nerve import Bounds, _unit_bounds
 
 F = Fraction
 GRID = 24  # every drawn coordinate is a multiple of 1/GRID, so cuts coincide often
@@ -66,6 +71,16 @@ def _iter_cells(box: Box, cubes: Sequence[Bounds]) -> Iterator[tuple[tuple[Fract
 
 def _in_cube(coords: Sequence[Fraction], cube: Bounds) -> bool:
     return all(lo < c < hi for (lo, hi), c in zip(cube, coords))
+
+
+def _dist_to_bounds(coords: Sequence[Fraction], bounds: Bounds) -> Fraction:
+    d = ZERO
+    for c, (lo, hi) in zip(coords, bounds):
+        if c < lo:
+            d = max(d, lo - c)
+        elif c > hi:
+            d = max(d, c - hi)
+    return d
 
 
 def _carrier_masks(members, carrier) -> set[frozenset[int]]:
@@ -196,6 +211,90 @@ def _diam_within(s: OpenSet, carrier) -> Fraction:
             )
             best = max(best, gap)
     return best
+
+
+# --- reference: the Fraction kernels the int kernels replaced, verbatim -----
+
+
+def _slab_distance(coords, s: OpenSet):
+    """complement_distance's single-cube branch on Fractions."""
+    cubes = s.cubes()
+    cube = cubes[0]
+    if not all(lo < c < hi for (lo, hi), c in zip(cube, coords)):
+        return ZERO
+    best = None
+    for a, ((clo, chi), (blo, bhi)) in enumerate(zip(cube, _unit_bounds(s.dim))):
+        if clo >= blo:
+            d = coords[a] - clo
+            best = d if best is None else min(best, d)
+        if chi <= bhi:
+            d = chi - coords[a]
+            best = d if best is None else min(best, d)
+    return best
+
+
+def _fraction_rank(rows: list[list[Fraction]]) -> int:
+    mat = [row[:] for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for col in range(cols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][col]
+        mat[rank] = [v / inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _shrink_cover(U):
+    """shrink_cover with its margin over Fraction representatives.
+
+    The representatives come from the global cell loop above; the rest
+    is verbatim.
+    """
+    all_cubes = [cube for m in U.members for cube in m.cubes()]
+    if isinstance(U.carrier, PointCloud):
+        boxes = [Box(tuple((c, c) for c in p)) for p in U.carrier.points]
+    else:
+        boxes = U.carrier.boxes()
+    units = [rep for box in boxes for rep, _ in _iter_cells(box, all_cubes)]
+    lam = None
+    for u in units:
+        depth = ZERO
+        for m in U.members:
+            d = complement_distance(u, m)
+            d = ONE if d is None else min(d, ONE)
+            depth = max(depth, d)
+        if depth == 0:
+            raise PreconditionError("no positive margin")
+        lam = depth if lam is None else min(lam, depth)
+    if lam is None:
+        raise PreconditionError("no positive margin")
+    for _ in range(64):
+        closed = []
+        open_ = []
+        ok = True
+        for m in U.members:
+            boxes = tuple(
+                b for b in (cn._shrunk_box(cube, lam / 2) for cube in m.cubes()) if b
+            )
+            v = cn._shrunk_set(m, lam * 3 / 4)
+            if not boxes or v is None:
+                ok = False
+                break
+            closed.append(boxes)
+            open_.append(v)
+        if ok and cn._closed_family_covers(closed, U.carrier):
+            if frozenset() not in cn._carrier_masks(open_, U.carrier):
+                return tuple(closed), tuple(open_)
+        lam /= 2
+    raise PreconditionError("no positive margin")
 
 
 # --- random covers ---------------------------------------------------------
@@ -385,7 +484,10 @@ def test_cached_complement_is_the_maximal_uncovered_closures(data):
         for rep, closure in _iter_cells(unit, cubes)
         if not any(_in_cube(rep, cube) for cube in cubes)
     ]
-    for closure in s._complement:
+    # the cache holds the closures as ints on the set's grid g
+    g, int_closures = s._complement
+    closures = [tuple((F(lo, g), F(hi, g)) for lo, hi in c) for c in int_closures]
+    for closure in closures:
         assert closure in uncovered
         assert not any(
             other != closure and all(olo <= lo and hi <= ohi for (lo, hi), (olo, ohi) in zip(closure, other))
@@ -393,8 +495,124 @@ def test_cached_complement_is_the_maximal_uncovered_closures(data):
         )
     for _ in range(3):
         x = tuple(data.draw(grid(0, GRID)) for _ in range(dim))
-        cached = min((_dist_to_bounds(x, c) for c in s._complement), default=None)
+        cached = min((_dist_to_bounds(x, c) for c in closures), default=None)
         assert cached == complement_distance(x, s)
+
+
+@st.composite
+def touching_sets(draw, dim: int, max_balls: int) -> OpenSet:
+    """Balls with mixed denominators whose faces often sit on 0 or 1; half
+    the sets are one ball, which takes the single-cube branch."""
+    balls = []
+    for _ in range(1 if draw(st.booleans()) else draw(st.integers(2, max_balls))):
+        r = draw(mixed(1, 12))
+        balls.append(ball(tuple(draw(mixed(0, GRID) | st.sampled_from((r, 1 - r))) for _ in range(dim)), r))
+    return OpenSet(tuple(balls))
+
+
+@given(st.data())
+def test_int_distance_agrees_with_the_fraction_kernels(data):
+    # the set and each point coordinate draw their denominators apart, so
+    # the point's q and the set's grid are coprime as often as not; the
+    # point may leave the unit box, where gaps change sign, or sit on a
+    # cube face, where strict and weak comparisons part
+    dim = data.draw(st.integers(1, 3))
+    s = data.draw(touching_sets(dim, SIZES[dim][0]))
+    g, int_closures = s._complement
+    closures = [tuple((F(lo, g), F(hi, g)) for lo, hi in c) for c in int_closures]
+    # every face value, and the thirds between them, nearer one face than
+    # the other; they lie inside cubes more often than not
+    faces = sorted({v for cube in s.cubes() for pair in cube for v in pair})
+    values = faces + [a + (b - a) * t for a, b in zip(faces, faces[1:]) for t in (F(1, 3), F(2, 3))]
+    for _ in range(6):
+        x = tuple(data.draw(mixed(-12, 36) | st.sampled_from(values)) for _ in range(dim))
+        if len(s.cubes()) == 1:
+            expected = _slab_distance(x, s)
+        else:
+            expected = min((_dist_to_bounds(x, c) for c in closures), default=None)
+        assert cn.complement_distance(x, s) == expected
+
+
+def test_single_cube_faces_on_the_box_bound_slabs():
+    # a face on 0 or 1 bounds a slab, the box's own facet; a face past the
+    # box bounds none
+    cases = [
+        ((F(3, 4),), F(1, 4), (F(7, 8),), F(1, 8)),
+        ((F(1, 4),), F(1, 4), (F(1, 8),), F(1, 8)),
+        ((F(1, 2), F(3, 4)), F(1, 4), (F(1, 2), F(7, 8)), F(1, 8)),
+        ((F(1, 2),), F(3, 4), (F(1, 3),), None),
+    ]
+    for centre, radius, x, expected in cases:
+        s = OpenSet((ball(centre, radius),))
+        assert cn.complement_distance(x, s) == _slab_distance(x, s) == expected
+
+
+SCALARS = st.sampled_from(MIXED).flatmap(
+    lambda d: st.integers(-2 * d, 2 * d).filter(bool).map(lambda k: F(k, d))
+)
+ENTRIES = st.just(ZERO) | SCALARS
+
+
+@st.composite
+def matrices(draw):
+    """Wide, square and tall rows with zero rows, copies, multiples and
+    combinations mixed in; a multiple or combination carries denominators
+    of its own, so a row is rank-deficient only if its scaling is exact."""
+    cols = draw(st.integers(0, 5))
+    row = st.lists(ENTRIES, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, max_size=4))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("zero", "copy", "multiple", "combination")))
+        if kind == "zero" or not rows:
+            rows.append([ZERO] * cols)
+        elif kind == "copy":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "multiple":
+            s = draw(SCALARS)
+            rows.append([s * v for v in draw(st.sampled_from(rows))])
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(SCALARS), draw(SCALARS)
+            rows.append([s * u + t * v for u, v in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+@given(matrices())
+def test_rank_agrees_with_fraction_elimination(rows):
+    assert cn._rank(rows) == _fraction_rank(rows)
+
+
+@st.composite
+def shrinkable_covers(draw):
+    """covers(), two thirds of them padded to a cover of the unit box.
+
+    One padding is 2^dim single-ball members centred at 1/4 or 3/4 per
+    axis with radius 5/12, so that the margin is positive and the shrink
+    is built, not only refused.  The other is one member holding the
+    whole box, which has no complement and so depth 1 everywhere.
+    """
+    members, carrier = draw(covers())
+    padding = draw(st.sampled_from(("none", "corners", "whole")))
+    if padding == "corners":
+        corners = itertools.product((F(1, 4), F(3, 4)), repeat=carrier.dim)
+        members += tuple(OpenSet((ball(c, F(5, 12)),)) for c in corners)
+    elif padding == "whole":
+        members += (OpenSet((ball((F(1, 2),) * carrier.dim, F(3, 4)),)),)
+    return members, carrier
+
+
+@given(shrinkable_covers())
+def test_shrink_cover_agrees(case):
+    members, carrier = case
+    U = cn.FiniteCover(members, carrier, validate=False)
+
+    def outcome(shrink):
+        try:
+            return shrink(U)
+        except PreconditionError as exc:
+            return str(exc)
+
+    assert outcome(cn.shrink_cover) == outcome(_shrink_cover)
 
 
 @given(covers(), st.data())

@@ -390,6 +390,21 @@ class TestAlgorithmicCommands:
         )
         assert "kraft_partial" in data
 
+    def test_kraft_bound_cap_exits_two(self, capsys, monkeypatch):
+        # the partial Kraft sum doubles its work with each unit of the bound
+        monkeypatch.setattr(cli, "_KRAFT_CAP", 3)
+        argv = ("pf-transform", "--input", "0", "--kraft-bound")
+        # identity payloads of length 0..3 carry headers of 2, 4, 6 and 6 bits
+        assert invoke_json(capsys, *argv, "3")["kraft_partial"] == "11/32"
+        for bound in ("4", "100000"):
+            code, out, err = invoke(capsys, *argv, bound)
+            assert (code, out, err) == (2, "", f"effdim: --kraft-bound {bound} is past the cap of 3\n")
+
+    @pytest.mark.parametrize("bound", ["-1", "-40"])
+    def test_negative_kraft_bound_exits_three(self, capsys, bound):
+        code, out, err = invoke(capsys, "pf-transform", "--input", "0", f"--kraft-bound={bound}")
+        assert (code, out, err) == (3, "", f"effdim: --kraft-bound {bound} is negative\n")
+
 
 class TestInverseLimitCommands:
     def test_orbit_fixed_point(self, capsys):

@@ -11,10 +11,11 @@ with the cover's dimension, and ``orbit`` exactly for a start point in
 [0, 1] and any rational tolerance.  Documents nest at
 most two levels below a replaced value, and integers stay in [-1, 2],
 so depths and dimensions stay at most 2 and each run stays cheap.  The
-list and bit-string flags of ten subcommands (``--depths``, ``--r``,
-``--g``, ``--xs``, ``--word``, ``--prefix``, ``--input``) get random
-token strings under the same checks, with ints past the lowered depth
-and link caps, which must exit 2.
+list, bit-string and size flags of ten subcommands (``--depths``,
+``--r``, ``--g``, ``--xs``, ``--word``, ``--prefix``, ``--input``,
+``--kraft-bound``) get random token strings under the same checks, with
+ints past the lowered depth, link and Kraft caps, which must exit 2; a
+negative ``--kraft-bound`` exits 3.
 """
 
 import copy
@@ -208,10 +209,10 @@ def test_orbit_zero_tol_is_unknown(capsys):
 # Argument strings: up to four tokens, each an int in [-2, 40] or a
 # malformed token, joined by any of the CLI's separators, and for the
 # capped flags also well-formed int lists and ranges, which reach the caps
-# far more often.  The depth and link caps are lowered to 12 depths and
-# 2^8 links, so the ints run past them and those runs must exit 2 at once;
-# under the caps each run stays cheap.
-DEPTH_CAP, LINK_CAP = 12, 2**8
+# far more often.  The depth, link and Kraft caps are lowered to 12
+# depths, 2^8 links and a bound of 8, so the ints run past them and those
+# runs must exit 2 at once; under the caps each run stays cheap.
+DEPTH_CAP, LINK_CAP, KRAFT_CAP = 12, 2**8, 8
 ints = st.integers(-2, 40)
 tokens = ints.map(str) | st.sampled_from(("", "a", "1/2", "1/0", "-"))
 separators = st.sampled_from((",", "..", ":", ";"))
@@ -244,6 +245,7 @@ ARGUMENTS = {
     "generic-point --word": (("generic-point", "--n", "1", "--word={}"), token_lists()),
     "il-decode --word": (("il-decode", "--x0", "1/2", "--word={}"), token_lists()),
     "pf-transform --input": (("pf-transform", "--input={}"), bit_strings),
+    "pf-transform --kraft-bound": (("pf-transform", "--input", "0110", "--kraft-bound={}"), tokens),
 }
 
 
@@ -265,6 +267,9 @@ def _past_cap(name: str, text: str) -> bool:
         return sizes is not None and len(sizes) >= 2 and 0 <= sizes[0] < sizes[1] and (
             2 ** sizes[0] + 2 ** sizes[1] > LINK_CAP
         )
+    if name == "pf-transform --kraft-bound":
+        bound = _int_list([text])
+        return bound is not None and bound[0] > KRAFT_CAP
     return False
 
 
@@ -274,8 +279,12 @@ def _past_cap(name: str, text: str) -> bool:
 def test_argument_strings_exit_cleanly(capsys, monkeypatch, name, data):
     monkeypatch.setattr(cli, "_DEPTH_CAP", DEPTH_CAP)
     monkeypatch.setattr(cond, "_LINK_CAP", LINK_CAP)
+    monkeypatch.setattr(cli, "_KRAFT_CAP", KRAFT_CAP)
     template, values = ARGUMENTS[name]
     text = data.draw(values)
     code = _check(capsys, [arg.format(text) for arg in template])
     if _past_cap(name, text):
         assert code == 2, text
+    if name == "pf-transform --kraft-bound" and text.startswith("-"):
+        # a negative bound, or a token that is no int at all
+        assert code == 3, text
