@@ -11,7 +11,6 @@ canonical encodings of nearby dyadic grid points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -251,8 +250,8 @@ def _header(payload_len: int) -> str:
 
 
 def header_overhead(payload_len: int) -> int:
-    """Exact header cost: 2*ceil(log2(payload_len+1)) + 2."""
-    return 2 * math.ceil(math.log2(payload_len + 1)) + 2 if payload_len else 2
+    """Exact header cost: twice the bit length of payload_len, plus 2."""
+    return 2 * payload_len.bit_length() + 2
 
 
 @dataclass(frozen=True)
@@ -273,7 +272,8 @@ class PrefixFreeMachine:
         return _header(len(payload)) + payload
 
     def code_for_input(self, s: str) -> str:
-        return _header(len(self.base.encode(s))) + self.base.encode(s)
+        payload = self.base.encode(s)
+        return _header(len(payload)) + payload
 
     def code_length(self, s: str) -> int:
         c = compress_len(self.base, s)

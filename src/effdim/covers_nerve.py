@@ -37,11 +37,11 @@ parent from one joint mask set of the family and the cover.
 An open set's derived datum is its complement: the closures of the
 maximal unit-box cells that none of its cubes holds, as ints on the
 set's grid.  Kappa weights and shrinking margins are distances to it, so
-each set scans its unit-box arrangement at most once, however many
-points are weighed.  A distance is measured in ints too: the point goes
-on its own denominator q, and a gap to a bound on grid g is compared on
-q·g.  Affine ranks, for general position, are taken by fraction-free
-elimination over ints.
+each set, a single ball too, scans its unit-box arrangement at most
+once, however many points are weighed.  A distance is measured in ints
+too: the point goes on its own denominator q, and a gap to a bound on
+grid g is compared on q·g.  Affine ranks, for general position, are
+taken by fraction-free elimination over ints.
 """
 
 from __future__ import annotations
@@ -128,12 +128,6 @@ class OpenSet:
             all(lo < c < hi for (lo, hi), c in zip(cube, coords))
             for cube in self.cubes()
         )
-
-    @cached_property
-    def _on_grid(self) -> tuple[int, list[IntBounds]]:
-        """The grid g of the unit box and the cubes, and the cubes on it."""
-        g, _, (cubes,) = _grid([_unit_bounds(self.dim)], [self._cubes])
-        return g, cubes
 
     @cached_property
     def _complement(self) -> tuple[int, tuple[IntBounds, ...]]:
@@ -440,7 +434,7 @@ def _uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
     on a zero-width axis it is the axis value, so a facet's is the
     cell's with that axis set to the end.
     """
-    g, cubes = s._on_grid
+    g, _, (cubes,) = _grid([_unit_bounds(s.dim)], [s.cubes()])
     box = tuple((0, g) for _ in range(s.dim))
     uncovered = [(rep, closure) for rep, closure, mask in _scan(box, [cubes]) if not mask]
     facets = set()
@@ -455,32 +449,28 @@ def _uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
 def _depth(xs: Sequence[int], q: int, s: OpenSet) -> int | None:
     """complement_distance of the point xs/q, as its numerator over q·g.
 
-    g is the set's grid (``OpenSet._on_grid``), so the point is x·g and
-    a bound v is v·q on the grid q·g, and every comparison is of ints.
+    g is the grid of the set's cached ``_complement``, so the point is
+    x·g and a bound v is v·q on the grid q·g, and every comparison is of
+    ints.  The max-metric gap to a closure is its largest per-axis gap.
     """
-    g, cubes = s._on_grid
+    g, closures = s._complement
     ys = [x * g for x in xs]
-    if len(cubes) == 1:
-        # single cube: the complement is a union of axis slabs, one per
-        # cube face that has not left the unit box
-        cube = cubes[0]
-        if not all(lo * q < y < hi * q for (lo, hi), y in zip(cube, ys)):
-            return 0
-        best = None
-        for (lo, hi), y in zip(cube, ys):
-            if lo >= 0:
-                d = y - lo * q
-                best = d if best is None else min(best, d)
-            if hi <= g:
-                d = hi * q - y
-                best = d if best is None else min(best, d)
-        return best
-    # the max-metric gap to a closure is its largest per-axis gap
-    _, closures = s._complement
-    return min(
-        (max(max(lo * q - y, y - hi * q, 0) for (lo, hi), y in zip(c, ys)) for c in closures),
-        default=None,
-    )
+    best = None
+    for c in closures:
+        gap = 0
+        for (lo, hi), y in zip(c, ys):
+            # gap = max(gap, lo·q − y, y − hi·q); lo <= hi, so at most
+            # one of the two is positive
+            d = lo * q - y
+            if d > gap:
+                gap = d
+            else:
+                d = y - hi * q
+                if d > gap:
+                    gap = d
+        if best is None or gap < best:
+            best = gap
+    return best
 
 
 def complement_distance(coords: Sequence[Fraction], s: OpenSet):
@@ -492,16 +482,17 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet):
     Only maximal closures are kept, as the set's cached ``_complement``:
     a cell with an uncovered immediate coface (one zero-width axis
     widened to an adjacent interval) lies in that coface's closure,
-    which is at least as near.  A single cube needs no scan: its
-    complement is the unit box's slabs beyond its faces.  The point is
-    put on q = lcm of its denominators and measured in ints
-    (``_depth``); one Fraction is built, for the result.
+    which is at least as near.  Every set, one ball or many, is measured
+    this way, so a point outside the unit box gets the same distance
+    however the set's balls are listed.  The point is put on q = lcm of
+    its denominators and measured in ints (``_depth``); one Fraction is
+    built, for the result.
     """
     if len(coords) != s.dim:
         raise PreconditionError("point dimension differs from the set's")
     q = math.lcm(*(c.denominator for c in coords))
     d = _depth([c.numerator * (q // c.denominator) for c in coords], q, s)
-    return None if d is None else Fraction(d, q * s._on_grid[0])
+    return None if d is None else Fraction(d, q * s._complement[0])
 
 
 # --- cover operations ------------------------------------------------------
@@ -625,7 +616,7 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
             depth = 0
             for m in U.members:
                 d = _depth(rep, g, m)
-                depth = max(depth, g if d is None else d // m._on_grid[0])
+                depth = max(depth, g if d is None else d // m._complement[0])
             if depth == 0:
                 raise PreconditionError("no positive margin")
             lam = depth if lam is None else min(lam, depth)
@@ -811,22 +802,23 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def _directions(points: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """The rows p − points[0] of the other points, spanning the hull's directions."""
+    base = points[0]
+    return [[c - b for c, b in zip(p, base)] for p in points[1:]]
+
+
 def _affinely_independent(points: Sequence[Sequence[Fraction]]) -> bool:
     if len(points) <= 1:
         return True
-    base = points[0]
-    dirs = [[c - b for c, b in zip(p, base)] for p in points[1:]]
+    dirs = _directions(points)
     return _rank(dirs) == len(dirs)
 
 
 def _span_meets(points: Sequence[Sequence[Fraction]], sub: Sequence[Sequence[Fraction]]) -> bool:
     """Does the affine hull of the points meet the affine hull of sub?"""
-    base = points[0]
-    dirs = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    sbase = sub[0]
-    sdirs = [[c - b for c, b in zip(p, sbase)] for p in sub[1:]]
-    combined = dirs + sdirs
-    diff = [s - b for s, b in zip(sbase, base)]
+    combined = _directions(points) + _directions(sub)
+    diff = [s - b for s, b in zip(sub[0], points[0])]
     if not combined:
         return diff == [ZERO] * len(diff)
     return _rank(combined) == _rank(combined + [diff])
@@ -857,11 +849,7 @@ def general_position(
         return ()
     m = len(pts[0])
     avoid_flats = [[[rat(c) for c in p] for p in flat] for flat in avoid]
-    avoid_dims = []
-    for flat in avoid_flats:
-        base = flat[0]
-        dirs = [[c - b for c, b in zip(p, base)] for p in flat[1:]]
-        avoid_dims.append(_rank(dirs) if dirs else 0)
+    avoid_dims = [_rank(_directions(flat)) for flat in avoid_flats]
 
     placed: list[list[Fraction]] = []
 

@@ -24,6 +24,7 @@ from effdim import (
     runlength_compressor,
     schnorr_dims,
 )
+from effdim.algorithmic_dim import _header
 
 bits = st.text(alphabet="01", max_size=120)
 
@@ -107,6 +108,9 @@ class TestPrefixFreeTransform:
         assert header_overhead(1) == 4
         assert header_overhead(2) == header_overhead(3) == 6
         assert all(header_overhead(n) == 8 for n in range(4, 8))
+        # past 2^53 a float log2 rounds n + 1 down to a power of two
+        for n in (2**53 - 1, 2**53, 2**53 + 1, 2**60 - 1, 2**60):
+            assert header_overhead(n) == len(_header(n)) == 2 * n.bit_length() + 2
 
     def test_identity_code_frozen(self):
         PM = prefixfree_transform(identity_compressor())

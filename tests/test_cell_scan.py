@@ -217,7 +217,11 @@ def _diam_within(s: OpenSet, carrier) -> Fraction:
 
 
 def _slab_distance(coords, s: OpenSet):
-    """complement_distance's single-cube branch on Fractions."""
+    """A single cube's complement distance as unit-box slabs, on Fractions.
+
+    complement_distance's former single-cube branch; it agrees with the
+    closures only at points of the unit box.
+    """
     cubes = s.cubes()
     cube = cubes[0]
     if not all(lo < c < hi for (lo, hi), c in zip(cube, coords)):
@@ -502,7 +506,8 @@ def test_cached_complement_is_the_maximal_uncovered_closures(data):
 @st.composite
 def touching_sets(draw, dim: int, max_balls: int) -> OpenSet:
     """Balls with mixed denominators whose faces often sit on 0 or 1; half
-    the sets are one ball, which takes the single-cube branch."""
+    the sets are one ball, whose complement is the unit box's slabs
+    beyond its faces."""
     balls = []
     for _ in range(1 if draw(st.booleans()) else draw(st.integers(2, max_balls))):
         r = draw(mixed(1, 12))
@@ -526,11 +531,24 @@ def test_int_distance_agrees_with_the_fraction_kernels(data):
     values = faces + [a + (b - a) * t for a, b in zip(faces, faces[1:]) for t in (F(1, 3), F(2, 3))]
     for _ in range(6):
         x = tuple(data.draw(mixed(-12, 36) | st.sampled_from(values)) for _ in range(dim))
-        if len(s.cubes()) == 1:
-            expected = _slab_distance(x, s)
-        else:
-            expected = min((_dist_to_bounds(x, c) for c in closures), default=None)
+        expected = min((_dist_to_bounds(x, c) for c in closures), default=None)
         assert cn.complement_distance(x, s) == expected
+        if len(s.cubes()) == 1 and all(ZERO <= c <= ONE for c in x):
+            # in the unit box, a single cube's closures are its slabs
+            assert expected == _slab_distance(x, s)
+
+
+def test_one_ball_and_its_nested_copy_agree_outside_the_box():
+    # the set (1/4, 3/4) is 1 from x = 2, however its balls are listed;
+    # (-1/24, 1/24) read in [0, 1] leaves [1/24, 1], 1/12 from x = -1/24
+    cases = [
+        ([((F(1, 2),), F(1, 4))], [((F(1, 2),), F(1, 8))], (F(2),), ONE),
+        ([((ZERO,), F(1, 24))], [((ZERO,), F(1, 48))], (F(-1, 24),), F(1, 12)),
+    ]
+    for outer, inner, x, expected in cases:
+        one = OpenSet(tuple(ball(c, r) for c, r in outer))
+        nested = OpenSet(tuple(ball(c, r) for c, r in outer + inner))
+        assert cn.complement_distance(x, one) == cn.complement_distance(x, nested) == expected
 
 
 def test_single_cube_faces_on_the_box_bound_slabs():

@@ -342,10 +342,11 @@ class TestKappaMap:
         verts = tuple(m.balls[0].center for m in members)
         for p in cloud.points:
             kappa_map(p, U, verts)
-        # the two multi-ball members once each; the single cube needs no scan
-        assert len(calls) == 2
+        # each member once, the single ball too; a later query rescans nothing
+        assert len(calls) == 3
         assert complement_distance(cloud.points[1], members[0]) == F(1, 8)
-        assert len(calls) == 2
+        assert complement_distance(cloud.points[1], members[2]) == F(1, 4)
+        assert len(calls) == 3
 
     def test_vertices_must_share_a_dimension(self):
         U = two_sided_cover()
