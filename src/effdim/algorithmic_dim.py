@@ -6,11 +6,15 @@ of the output.  The prefix-free transform repackages a compressor's
 image behind self-delimiting headers, giving Kraft-summable codes whose
 lengths exceed the compressed lengths by an explicit logarithmic term.
 Precision complexity measures a point of the unit cube by compressing
-canonical encodings of nearby dyadic grid points.
+canonical encodings of nearby dyadic grid points.  Complexities count
+the dictionary compressor's code lengths without building the codes,
+resuming each input from the prefix it shares with the input before.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -160,39 +164,101 @@ def _gamma_read(code: str, pos: int) -> tuple[int, int] | None:
     return int(code[pos + z : pos + 2 * z + 1], 2), pos + 2 * z + 1
 
 
+class _DictScan:
+    """The greedy dictionary encoder's token scan, resumable across inputs.
+
+    Token i starts at starts[i] and copies offs[i] back (0 for a literal);
+    totals[i + 1] is the code length of tokens 0..i.  reaches[i] is the
+    largest input index any of tokens 0..i read to decide itself: the last
+    index of its 3-gram, the stopping compare of each match scan, or n
+    where a scan or the gram ran into the end of the input.  A token whose
+    reach lies below the common prefix of two inputs decides the same way
+    on both, so `length` keeps those tokens and rescans only the rest.
+    """
+
+    def __init__(self, s: str = "") -> None:
+        self.s = s
+        self.index: dict[str, list[int]] = {}
+        self.starts: list[int] = []
+        self.offs: list[int] = []
+        self.totals = [0]
+        self.reaches: list[int] = []
+
+    def run(self, pos: int) -> None:
+        """Tokenize self.s from pos on; index holds the 3-grams before pos."""
+        s = self.s
+        n = len(s)
+        index = self.index
+        starts, offs, totals, reaches = self.starts, self.offs, self.totals, self.reaches
+        total = totals[-1]
+        reach = reaches[-1] if reaches else -1
+        while pos < n:
+            best_len = 0
+            best_off = 0
+            if pos + _DICT_MINLEN > n:
+                reach = n
+            else:
+                reach = max(reach, pos + _DICT_MINLEN - 1)
+                gram = s[pos : pos + _DICT_MINLEN]
+                for start in reversed(index.get(gram, ())[-_DICT_CHAIN:]):
+                    length = _DICT_MINLEN
+                    while pos + length < n and s[start + length] == s[pos + length]:
+                        length += 1
+                    # the compare that stopped the scan, or n at the end
+                    if pos + length > reach:
+                        reach = pos + length
+                    if length > best_len:
+                        best_len = length
+                        best_off = pos - start
+            step, off, cost = 1, 0, 2
+            if best_len >= _DICT_MINLEN:
+                # 1 + |gamma(off)| + |gamma(len - 2)|, |gamma(k)| = 2 * bits(k) - 1
+                bits = best_off.bit_length() + (best_len - _DICT_MINLEN + 1).bit_length()
+                match_cost = 2 * bits - 1
+                if match_cost < 2 * best_len:
+                    step, off, cost = best_len, best_off, match_cost
+            for p in range(pos, min(pos + step, n - _DICT_MINLEN + 1)):
+                index.setdefault(s[p : p + _DICT_MINLEN], []).append(p)
+            starts.append(pos)
+            offs.append(off)
+            total += cost
+            totals.append(total)
+            reaches.append(reach)
+            pos += step
+
+    def length(self, s: str) -> int:
+        """Code length of s, rescanning only past the prefix shared with the last input."""
+        prev = self.s
+        # d = the length of the common prefix of prev and s, by bisection
+        d, hi = 0, min(len(prev), len(s))
+        while d < hi:
+            mid = (d + hi + 1) // 2
+            if prev[:mid] == s[:mid]:
+                d = mid
+            else:
+                hi = mid - 1
+        keep = bisect_left(self.reaches, d)
+        pos = self.starts[keep] if keep < len(self.starts) else len(prev)
+        del self.starts[keep:], self.offs[keep:], self.reaches[keep:], self.totals[keep + 1 :]
+        # grams below min(pos, d - 2) lie inside the shared prefix; re-read the rest
+        lo = min(pos, max(d - _DICT_MINLEN + 1, 0))
+        for grams in self.index.values():
+            del grams[bisect_left(grams, lo) :]
+        for p in range(lo, min(pos, len(s) - _DICT_MINLEN + 1)):
+            self.index.setdefault(s[p : p + _DICT_MINLEN], []).append(p)
+        self.s = s
+        self.run(pos)
+        return self.totals[-1]
+
+
 def _dict_encode(s: str) -> str:
-    out = []
-    index: dict[str, list[int]] = {}
-    n = len(s)
-    pos = 0
-    while pos < n:
-        best_len = 0
-        best_off = 0
-        gram = s[pos : pos + _DICT_MINLEN]
-        if len(gram) == _DICT_MINLEN:
-            for start in reversed(index.get(gram, ())[-_DICT_CHAIN:]):
-                length = _DICT_MINLEN
-                while pos + length < n and s[start + length] == s[pos + length]:
-                    length += 1
-                if length > best_len:
-                    best_len = length
-                    best_off = pos - start
-        take_match = False
-        if best_len >= _DICT_MINLEN:
-            cost = 1 + len(_gamma(best_off)) + len(_gamma(best_len - _DICT_MINLEN + 1))
-            take_match = cost < 2 * best_len
-        if take_match:
-            out.append("1" + _gamma(best_off) + _gamma(best_len - _DICT_MINLEN + 1))
-            step = best_len
-        else:
-            out.append("0" + s[pos])
-            step = 1
-        for p in range(pos, pos + step):
-            g = s[p : p + _DICT_MINLEN]
-            if len(g) == _DICT_MINLEN:
-                index.setdefault(g, []).append(p)
-        pos += step
-    return "".join(out)
+    scan = _DictScan(s)
+    scan.run(0)
+    ends = scan.starts[1:] + [len(s)]
+    return "".join(
+        "1" + _gamma(off) + _gamma(end - start - _DICT_MINLEN + 1) if off else "0" + s[start]
+        for start, end, off in zip(scan.starts, ends, scan.offs)
+    )
 
 
 def _dict_decode(code: str) -> str | None:
@@ -226,6 +292,18 @@ def _dict_decode(code: str) -> str | None:
 
 def dictionary_compressor() -> Compressor:
     return Compressor("dictionary", _dict_encode, _dict_decode, lambda n: 0 if n == 0 else 2)
+
+
+def _length_fn(M: Compressor) -> Callable[[str], int]:
+    """A function giving len(M.encode(s)); for the dictionary, without building codes.
+
+    The dictionary lengths resume from the prefix each input shares with
+    the one before, so inputs in sorted order are cheap.
+    """
+    if M.encode_fn is _dict_encode:
+        scan = _DictScan()
+        return lambda s: scan.length(_check_bits(s))
+    return lambda s: len(M.encode(s))
 
 
 BUILTIN_COMPRESSORS = {
@@ -323,6 +401,12 @@ def prefixfree_transform(M: Compressor) -> PrefixFreeMachine:
 # --- precision complexity --------------------------------------------------
 
 
+# Most grid candidates `precision_candidates` builds.  An exact coordinate
+# away from the grid has a window of 4 numerators, so 6 such coordinates
+# (4^6 = 4096 candidates) pass and 7 exit 2.
+_CANDIDATE_CAP = 2**12
+
+
 def _strict_int_range(lo: Fraction, hi: Fraction) -> range:
     """Integers k with lo < k < hi."""
     first = lo.numerator // lo.denominator + 1
@@ -364,6 +448,8 @@ def precision_candidates(x, r: int) -> list[tuple[int, ...]]:
 
     For stream input only candidates certified against the whole value
     interval are returned; if none survives the stream is too short.
+    The tuples come in lexicographic order, and more than _CANDIDATE_CAP
+    of them raise before any is built.
     """
     if r < 0:
         raise PreconditionError("precision must be nonnegative")
@@ -376,6 +462,9 @@ def precision_candidates(x, r: int) -> list[tuple[int, ...]]:
         if not ks:
             raise PreconditionError("stream too short to decide candidate membership")
         per_coord.append(ks)
+    count = math.prod(len(ks) for ks in per_coord)
+    if count > _CANDIDATE_CAP:
+        raise PreconditionError(f"{count} grid candidates exceed the cap of {_CANDIDATE_CAP}")
     out: list[tuple[int, ...]] = [()]
     for ks in per_coord:
         out = [prev + (k,) for prev in out for k in ks]
@@ -384,9 +473,8 @@ def precision_candidates(x, r: int) -> list[tuple[int, ...]]:
 
 def precision_complexity(x, r: int, M: Compressor) -> int:
     """Min compressed length over canonical encodings of certified candidates."""
-    return min(
-        compress_len(M, grid_point_encoding(ks, r)) for ks in precision_candidates(x, r)
-    )
+    length = _length_fn(M)
+    return min(length(grid_point_encoding(ks, r)) for ks in precision_candidates(x, r))
 
 
 def precision_complexities(x, M: Compressor, r_range: Sequence[int]) -> dict[int, int]:
@@ -399,8 +487,8 @@ def precision_complexities(x, M: Compressor, r_range: Sequence[int]) -> dict[int
 
 def schnorr_dims(x, M: Compressor, r_range: Sequence[int]) -> tuple[float, float]:
     """Min and max of C_{M,r}(x)/r over the given precision range."""
-    ratios = [c / r for r, c in precision_complexities(x, M, r_range).items()]
-    return min(ratios), max(ratios)
+    ratios = [Fraction(c, r) for r, c in precision_complexities(x, M, r_range).items()]
+    return float(min(ratios)), float(max(ratios))
 
 
 # --- computably-often compressibility --------------------------------------
@@ -427,6 +515,7 @@ def co_compressible_check(
         raise PreconditionError("g must be strictly increasing and positive")
     if len(prefix) < marks[-1]:
         raise PreconditionError("prefix shorter than g(k_max + 1)")
+    length = _length_fn(M)
     out = []
     for k in range(k_max + 1):
         hit = False
@@ -435,7 +524,7 @@ def co_compressible_check(
             bound = s * n - k
             if bound <= M.code_length_floor(n):
                 continue
-            if compress_len(M, prefix[:n]) < bound:
+            if length(prefix[:n]) < bound:
                 hit = True
                 break
         out.append(hit)

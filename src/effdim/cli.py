@@ -341,9 +341,10 @@ def _cmd_kdim(args) -> None:
     x = _read_stream(args.infile) if args.infile else tuple(_fractions(args.x))
     rs = _ints(args.r)
     cs = alg.precision_complexities(x, M, rs)
-    ratios = [cs[r] / r for r in rs]
-    values = [{"r": r, "C": cs[r], "~ratio": float12(q)} for r, q in zip(rs, ratios)]
-    _emit({"values": values, "~dim_lower": float12(min(ratios)), "~dim_upper": float12(max(ratios))})
+    ratios = [Fraction(cs[r], r) for r in rs]
+    values = [{"r": r, "C": cs[r], "~ratio": float12(float(q))} for r, q in zip(rs, ratios)]
+    lo, hi = float(min(ratios)), float(max(ratios))
+    _emit({"values": values, "~dim_lower": float12(lo), "~dim_upper": float12(hi)})
 
 
 def _read_bits(args) -> str:

@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from effdim import (
     BUILTIN_COMPRESSORS,
-    DigitMatrix,
     BoundSeq,
+    Compressor,
+    DigitMatrix,
     PreconditionError,
     bplus,
     co_compressible_check,
@@ -24,7 +25,15 @@ from effdim import (
     runlength_compressor,
     schnorr_dims,
 )
-from effdim.algorithmic_dim import _header
+from effdim.algorithmic_dim import (
+    _CANDIDATE_CAP,
+    _DICT_CHAIN,
+    _DICT_MINLEN,
+    _dict_encode,
+    _gamma,
+    _header,
+    _length_fn,
+)
 
 bits = st.text(alphabet="01", max_size=120)
 
@@ -92,6 +101,117 @@ class TestCompressors:
         for factory in BUILTIN_COMPRESSORS.values():
             M = factory()
             assert compress_len(M, s) >= M.code_length_floor(len(s))
+
+
+def _dict_encode_reference(s: str) -> str:
+    """Verbatim copy of the greedy dictionary encoder before it counted lengths."""
+    out = []
+    index: dict[str, list[int]] = {}
+    n = len(s)
+    pos = 0
+    while pos < n:
+        best_len = 0
+        best_off = 0
+        gram = s[pos : pos + _DICT_MINLEN]
+        if len(gram) == _DICT_MINLEN:
+            for start in reversed(index.get(gram, ())[-_DICT_CHAIN:]):
+                length = _DICT_MINLEN
+                while pos + length < n and s[start + length] == s[pos + length]:
+                    length += 1
+                if length > best_len:
+                    best_len = length
+                    best_off = pos - start
+        take_match = False
+        if best_len >= _DICT_MINLEN:
+            cost = 1 + len(_gamma(best_off)) + len(_gamma(best_len - _DICT_MINLEN + 1))
+            take_match = cost < 2 * best_len
+        if take_match:
+            out.append("1" + _gamma(best_off) + _gamma(best_len - _DICT_MINLEN + 1))
+            step = best_len
+        else:
+            out.append("0" + s[pos])
+            step = 1
+        for p in range(pos, pos + step):
+            g = s[p : p + _DICT_MINLEN]
+            if len(g) == _DICT_MINLEN:
+                index.setdefault(g, []).append(p)
+        pos += step
+    return "".join(out)
+
+
+@st.composite
+def related_bit_lists(draw):
+    """Bit strings each cut from the one before at a random point and regrown."""
+    out = [draw(bits)]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        prev = out[-1]
+        cut = draw(st.integers(min_value=0, max_value=len(prev)))
+        tail = draw(st.text(alphabet=draw(st.sampled_from(["01", "0", "1"])), max_size=40))
+        out.append(prev[:cut] + tail)
+    return out
+
+
+@st.composite
+def sorted_candidate_encodings(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    x = tuple(
+        draw(st.fractions(min_value=0, max_value=1, max_denominator=100)) for _ in range(dim)
+    )
+    r = draw(st.integers(min_value=1, max_value=24))
+    return [grid_point_encoding(ks, r) for ks in precision_candidates(x, r)]
+
+
+class TestResumableLengths:
+    """The length-only encoders against the codes they count."""
+
+    @given(st.lists(bits, max_size=8))
+    @example([""])
+    @example(["", "0110100"])
+    @example(["0110100", "", "0110100"])
+    @example(["0", "01", "1", "10", "11"])
+    @example(["0110110", "0110110", "0110110"])
+    @example(["01101101", "0110"])
+    @example(["0110", "01101101"])
+    @example(["0000000000", "1000000000"])
+    @example(["0110110110", "0110110111"])
+    @example(["1111111110", "1111111111", "111111111"])
+    # the match at 3 stops on the mismatch at 6, so the second input resumes
+    # at 6 and must re-read the gram at 5, its only offset-1 candidate; in
+    # the second list that gram is the last of the middle input, which the
+    # third input keeps
+    @example(["0010011", "001001111"])
+    @example(["0010011", "00100111", "001001111"])
+    def test_dictionary_lengths_on_arbitrary_lists(self, strings):
+        length = _length_fn(dictionary_compressor())
+        got = [length(s) for s in strings]
+        assert got == [len(_dict_encode_reference(s)) for s in strings]
+
+    @given(related_bit_lists())
+    def test_dictionary_lengths_on_shared_prefixes(self, strings):
+        length = _length_fn(dictionary_compressor())
+        got = [length(s) for s in strings]
+        assert got == [len(_dict_encode_reference(s)) for s in strings]
+
+    @given(sorted_candidate_encodings())
+    def test_dictionary_lengths_on_sorted_candidates(self, strings):
+        assert strings == sorted(strings)
+        length = _length_fn(dictionary_compressor())
+        got = [length(s) for s in strings]
+        assert got == [len(_dict_encode_reference(s)) for s in strings]
+
+    @given(bits)
+    @example("")
+    @example("01")
+    @example("0" * 200)
+    def test_dictionary_codes_match_the_reference(self, s):
+        assert _dict_encode(s) == _dict_encode_reference(s)
+
+    def test_every_string_is_checked(self):
+        for factory in BUILTIN_COMPRESSORS.values():
+            length = _length_fn(factory())
+            assert length("0110") == len(factory().encode("0110"))
+            with pytest.raises(ValueError, match="only '0' and '1'"):
+                length("0112")
 
 
 class TestPrefixFreeTransform:
@@ -224,6 +344,13 @@ class TestPrecisionComplexity:
             if abs(Fraction(k, top) - v) < Fraction(1, 2 ** (r + 1)):
                 assert (k,) in precision_candidates((v,), r)
 
+    def test_candidate_cap(self):
+        # 1/3 lies off every dyadic grid: a window of 4 numerators per axis
+        assert _CANDIDATE_CAP == 4**6
+        assert len(precision_candidates((Fraction(1, 3),) * 6, 2)) == 4**6
+        with pytest.raises(PreconditionError, match="16384 grid candidates exceed the cap of 4096"):
+            precision_candidates((Fraction(1, 3),) * 7, 2)
+
     def test_schnorr_dims_identity_envelope(self):
         lo, hi = schnorr_dims((Fraction(1, 2),), identity_compressor(), range(1, 11))
         assert hi == 9.0  # (2*1+7)/1
@@ -280,6 +407,15 @@ class TestCoCompressible:
                 )
             )
         assert co_compressible_check(prefix, M, g, s, 3) == want
+
+    def test_a_hit_ends_its_window(self):
+        # a compressor outside the built-ins is measured through its encoder,
+        # once per prefix the scan reaches
+        calls = []
+        M = Compressor("counted", lambda s: calls.append(len(s)) or s, lambda c: c)
+        flags = co_compressible_check("0" * 16, M, lambda k: 4 * (k + 1), Fraction(2), 2)
+        assert flags == [True, True, True]
+        assert calls == [4, 8, 12]
 
     def test_input_validation(self):
         M = runlength_compressor()

@@ -302,6 +302,24 @@ class TestAlgorithmicCommands:
         assert data["~dim_lower"] == "2.875"
         assert data["~dim_upper"] == "3.75"
 
+    def test_kdim_ratios_are_exact_until_printed(self, capsys):
+        # identity compressor: C_r = 2r + 7, so the ratios are 13/3, 19/6, 3
+        data = invoke_json(
+            capsys, "kdim", "--x", "1/3", "--r", "3,6,7", "--compressor", "identity"
+        )
+        assert [v["~ratio"] for v in data["values"]] == ["4.33333333333", "3.16666666667", "3"]
+        assert data["~dim_lower"] == "3"
+        assert data["~dim_upper"] == "4.33333333333"
+
+    def test_kdim_candidate_cap(self, capsys):
+        # each coordinate 1/3 has 4 grid candidates: 4^6 pass the cap, 4^7 do not
+        data = invoke_json(capsys, "kdim", "--x", ",".join(["1/3"] * 6), "--r", "2")
+        assert [v["r"] for v in data["values"]] == [2]
+        code, out, err = invoke(capsys, "kdim", "--x", ",".join(["1/3"] * 7), "--r", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "effdim: 16384 grid candidates exceed the cap of 4096\n"
+
     @pytest.mark.parametrize("r", ["0", "16,-4"])
     def test_kdim_rejects_nonpositive_precisions(self, capsys, r):
         code, out, err = invoke(capsys, "kdim", "--x", "1/3", "--r", r)
