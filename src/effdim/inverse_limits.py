@@ -11,15 +11,24 @@ and files cycle points by floor(v * 2^64), one table for every tol.  A
 point of the inverse limit is a backward trajectory; its branch code
 records the starting value, the rank of each backward choice among the
 sorted preimages, and the levels where it meets a critical value.
+
+The loops that run once per value key and compare each exact value as
+its reduced (numerator, denominator) int pair, the same equality as the
+Fraction's without its hash: the levels of a branching tree, which get
+one Fraction per node only when the nodes are built (with the cyclic
+collector paused, since a tree holds no cycles), the repeats of an orbit
+and the cycle table's known points.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator, Sequence
 
 from ._rat import fmt
@@ -131,29 +140,32 @@ def extrema_of(f: PLMap) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     return f._extrema
 
 
-def _solutions(f: PLMap, y: Fraction) -> list[Fraction]:
-    """Solutions of f(x) = y in ascending order, without repeats.
+def _preimage_pairs(f: PLMap, p: int, q: int) -> list[tuple[int, int]]:
+    """Solutions x of f(x) = p / q, q > 0, as reduced pairs (x.numerator, x.denominator).
 
-    Segment i contributes its solution, which lies in [x_i, x_(i+1)], when
-    its y-range holds y; so the list comes out sorted, and a repeat can
-    only be the vertex shared with the previous segment.
+    The one preimage kernel, behind preimages and branching_tree.  Segment
+    i contributes its solution, which lies in [x_i, x_(i+1)], when its
+    y-range holds y; so the list comes out ascending, and a repeat can only
+    be the vertex shared with the previous segment.  Raises
+    PreconditionError when no segment's y-range holds y.
     """
-    p, q = y.numerator, y.denominator
-    sols: list[Fraction] = []
+    sols: list[tuple[int, int]] = []
     for lo_n, lo_d, hi_n, hi_d, an, bn, d in f._inverse:
         if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q:
-            x = Fraction(an * p + bn * q, d * q)
+            n, m = an * p + bn * q, d * q
+            g = gcd(n, m)
+            x = (n // g, m // g)
             if not sols or sols[-1] != x:
                 sols.append(x)
+    if not sols:
+        raise PreconditionError("value outside the range of the map")
     return sols
 
 
 def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
     """All exact solutions of f(x) = y, sorted ascending."""
-    sols = _solutions(f, Fraction(y))
-    if not sols:
-        raise PreconditionError("value outside the range of the map")
-    return tuple(sols)
+    y = Fraction(y)
+    return tuple(Fraction(n, m) for n, m in _preimage_pairs(f, y.numerator, y.denominator))
 
 
 def _refine(f: PLMap, pieces: Sequence[Piece]) -> list[Piece]:
@@ -264,7 +276,7 @@ def _cycle_table(f: PLMap, max_period: int):
     owners[i] the index of the cycle behind keys[i].
     """
     cycles: list[tuple[Fraction, ...]] = []
-    known: set[Fraction] = set()
+    known: set[tuple[int, int]] = set()  # (numerator, denominator) of each cycle point
     for p, pieces in zip(range(1, max_period + 1), _powers(f)):
         # the pieces ascend in x, so their fixed points come in ascending order
         for x0, x1, s, c in pieces:
@@ -274,7 +286,7 @@ def _cycle_table(f: PLMap, max_period: int):
                 x = c / (1 - s)
                 fixed = (x,) if x0 <= x <= x1 else ()
             for x in fixed:
-                if x in known:
+                if (x.numerator, x.denominator) in known:
                     continue
                 orbit = [x]
                 cur = f(x)
@@ -283,7 +295,7 @@ def _cycle_table(f: PLMap, max_period: int):
                     cur = f(cur)
                 if len(orbit) == p:
                     cycles.append(tuple(orbit))
-                    known.update(orbit)
+                    known.update((v.numerator, v.denominator) for v in orbit)
     entries = sorted((_key(pt), idx) for idx, cycle in enumerate(cycles) for pt in cycle)
     return tuple(cycles), [k for k, _ in entries], [idx for _, idx in entries]
 
@@ -314,13 +326,16 @@ def orbit_analyze(
     # that key window names every candidate cycle; any others it names are
     # at least tol away.  A negative reach names none.
     reach = -(-(tol.numerator << 64) // tol.denominator)
-    seen: dict[Fraction, int] = {}
+    # keyed by (numerator, denominator): the same equality as the Fraction,
+    # without Fraction.__hash__'s modular inverse of the denominator
+    seen: dict[tuple[int, int], int] = {}
     x = x0
     for step in range(budget + 1):
-        if x in seen:
-            tail = seen[x]
+        pair = (x.numerator, x.denominator)
+        if pair in seen:
+            tail = seen[pair]
             return OrbitReport("Preperiodic", tail=tail, period=step - tail, steps=step)
-        seen[x] = step
+        seen[pair] = step
         k = _key(x)
         lo = bisect_left(keys, k - reach)
         hi = bisect_right(keys, k + reach)
@@ -476,31 +491,45 @@ _TREE_NODE_CAP = 2**17
 def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNode:
     """Backward preimage tree from x0: node arity is the exact preimage count.
 
-    Built level by level without recursion.  Raises PreconditionError once
-    the tree would pass _TREE_NODE_CAP nodes.
+    Built level by level without recursion, each level a list of reduced
+    (numerator, denominator) pairs; the nodes, and their Fractions, are
+    built last, bottom level first, with the cyclic collector paused since
+    a tree holds no cycles.  Raises PreconditionError once the tree would
+    pass _TREE_NODE_CAP nodes.
     """
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
-    levels = [[Fraction(x0)]]
+    x0 = Fraction(x0)
+    levels = [[(x0.numerator, x0.denominator)]]
     arities: list[list[int]] = []
     total = 1
     for level in range(depth):
         f = system.at(level)
-        values: list[Fraction] = []
+        pairs: list[tuple[int, int]] = []
         counts = []
-        for value in levels[-1]:
-            pre = preimages(f, value)
+        for p, q in levels[-1]:
+            pre = _preimage_pairs(f, p, q)
             counts.append(len(pre))
-            values.extend(pre)
-            if total + len(values) > _TREE_NODE_CAP:
+            pairs += pre
+            if total + len(pairs) > _TREE_NODE_CAP:
                 raise PreconditionError(f"branching tree exceeds {_TREE_NODE_CAP} nodes")
-        total += len(values)
-        levels.append(values)
+        total += len(pairs)
+        levels.append(pairs)
         arities.append(counts)
-    nodes = [BranchNode(v) for v in levels[-1]]
-    for values, counts in zip(reversed(levels[:-1]), reversed(arities)):
-        children = iter(nodes)
-        nodes = [
-            BranchNode(v, tuple(itertools.islice(children, n))) for v, n in zip(values, counts)
-        ]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # each level's list trades its pairs for their nodes in place, so
+        # a pair is freed as soon as its node exists
+        nodes = levels.pop()
+        for i, (p, q) in enumerate(nodes):
+            nodes[i] = BranchNode(Fraction(p, q))
+        while levels:
+            children = iter(nodes)
+            nodes = levels.pop()
+            for i, ((p, q), n) in enumerate(zip(nodes, arities.pop())):
+                nodes[i] = BranchNode(Fraction(p, q), tuple(itertools.islice(children, n)))
+    finally:
+        if collecting:
+            gc.enable()
     return nodes[0]

@@ -1,9 +1,12 @@
 """Tests for interval maps, orbit certificates and inverse-limit coding."""
 
 import functools
+import gc
+import itertools
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -277,6 +280,35 @@ def _old_orbit_analyze(f, x0, budget, tol, max_cycle_period):
     return il.OrbitReport("Unknown", steps=budget)
 
 
+def _old_branching_tree(system, x0, depth):
+    """branching_tree with Fraction levels, built on _old_preimages."""
+    if depth < 0:
+        raise PreconditionError("depth must be nonnegative")
+    levels = [[Fraction(x0)]]
+    arities = []
+    total = 1
+    for level in range(depth):
+        f = system.at(level)
+        values = []
+        counts = []
+        for value in levels[-1]:
+            pre = _old_preimages(f, value)
+            counts.append(len(pre))
+            values.extend(pre)
+            if total + len(values) > il._TREE_NODE_CAP:
+                raise PreconditionError(f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
+        total += len(values)
+        levels.append(values)
+        arities.append(counts)
+    nodes = [il.BranchNode(v) for v in levels[-1]]
+    for values, counts in zip(reversed(levels[:-1]), reversed(arities)):
+        children = iter(nodes)
+        nodes = [
+            il.BranchNode(v, tuple(itertools.islice(children, n))) for v, n in zip(values, counts)
+        ]
+    return nodes[0]
+
+
 def _outcome(fn, *args):
     """fn's value, or the type and message of the error it raised."""
     try:
@@ -345,6 +377,23 @@ class TestOrbitWindow:
         new = _outcome(orbit_analyze, f, x0, 200, tol, max_period)
         assert new == _outcome(_old_orbit_analyze, f, x0, 200, tol, max_period)
 
+    @given(q=st.integers(50, 500).map(lambda v: 2 * v + 1), k=st.integers(0, 2**20), shift=st.integers(0, 4))
+    def test_tent_repeats_match_the_bisect_window(self, q, k, shift):
+        # k / (q * 2^shift), q odd, lands on the grid j / q within shift
+        # steps and then cycles on it, so the orbit repeats exactly within
+        # q + shift + 1 steps, mostly after hundreds of distinct values
+        f = tent_map()
+        x0 = F(k % (q << shift), q << shift)
+        new = orbit_analyze(f, x0, budget=1200)
+        assert new == _old_orbit_analyze(f, x0, 1200, F(1, 2**40), 8)
+        assert new.kind == "Preperiodic"
+        assert new.tail + new.period == new.steps
+        path = [x0]
+        for _ in range(new.steps):
+            path.append(_old_call(f, path[-1]))
+        assert path[new.tail] == path[-1]
+        assert len(set(path[:-1])) == new.steps
+
     def test_window_reaches_the_key_distance_of_tol(self):
         # 1 - d, with d just below tol = 2^-40, has a key tol * 2^64 = 2^24
         # below that of the fixed point 1, which attracts at slope 5/6
@@ -377,6 +426,9 @@ class TestCycleTable:
     @pytest.mark.parametrize("f", [tent_map(), five_segment_map()], ids=["tent", "five"])
     def test_chain_equals_per_power_table_on_named_maps(self, f):
         assert il._cycle_table(f, 6)[0] == _cycles_by_power(f, 6)
+
+    def test_five_segment_table_at_period_eight(self):
+        assert il._cycle_table(five_segment_map(), 8)[0] == _cycles_by_power(five_segment_map(), 8)
 
     def test_one_composition_per_period(self, monkeypatch):
         calls = []
@@ -562,3 +614,86 @@ class TestBranchingTree:
             return il.BranchNode(value, tuple(build(p, level + 1) for p in _old_preimages(f, value)))
 
         assert branching_tree(InverseSystem.constant(f), x0, depth) == build(x0, 0)
+
+
+def _preorder(tree):
+    """Each node's value type, value and arity, in preorder."""
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append((type(node.value), node.value, len(node.children)))
+        stack.extend(reversed(node.children))
+    return out
+
+
+@st.composite
+def tree_cases(draw):
+    """A random map, a start value (a vertex value, a unit point, or one
+    outside the map's range or [0,1]), a depth and a node cap."""
+    f = draw(pl_maps())
+    vertex = st.sampled_from(sorted({y for _, y in f.vertices}))
+    wide = st.fractions(min_value=-1, max_value=2, max_denominator=48)
+    x0 = draw(vertex | unit_points | wide)
+    return f, x0, draw(st.integers(0, 6)), draw(st.sampled_from([1, 7, 40, il._TREE_NODE_CAP]))
+
+
+class TestBranchingTreeDifferential:
+    @given(case=tree_cases())
+    def test_matches_the_fraction_levels(self, case):
+        f, x0, depth, cap = case
+        system = InverseSystem.constant(f)
+        with mock.patch.object(il, "_TREE_NODE_CAP", cap):
+            new = _outcome(branching_tree, system, x0, depth)
+            old = _outcome(_old_branching_tree, system, x0, depth)
+        if isinstance(old, il.BranchNode):
+            assert isinstance(new, il.BranchNode)
+            assert _preorder(new) == _preorder(old)
+            assert all(kind is Fraction for kind, _, _ in _preorder(new))
+        else:
+            assert new == old
+
+    def test_off_range_start_and_cap_errors(self):
+        half = InverseSystem.constant(PLMap(((F(0), F(0)), (F(1), F(1, 2)))))
+        for system, x0, depth, cap in ((half, F(3, 4), 1, 10), (half, F(1, 2), 3, 10), (TENT, F(1, 3), 4, 20)):
+            with mock.patch.object(il, "_TREE_NODE_CAP", cap):
+                new = _outcome(branching_tree, system, x0, depth)
+                assert new == _outcome(_old_branching_tree, system, x0, depth)
+                assert isinstance(new, tuple) and new[0] is PreconditionError
+
+
+class TestBranchingTreeCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("depth", [5, 6], ids=["builds", "past-cap"])
+    def test_collector_state_is_restored(self, enabled, depth, monkeypatch):
+        # the depth-5 tent tree from a generic point has 63 nodes
+        monkeypatch.setattr(il, "_TREE_NODE_CAP", 63)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if depth == 5:
+                assert branching_tree(TENT, F(3, 16), depth).leaf_count() == 32
+            else:
+                with pytest.raises(PreconditionError, match="exceeds 63 nodes"):
+                    branching_tree(TENT, F(3, 16), depth)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_collector_is_paused_for_the_node_build(self, monkeypatch):
+        states = []
+        node = il.BranchNode
+
+        def tracked(*args):
+            states.append(gc.isenabled())
+            return node(*args)
+
+        monkeypatch.setattr(il, "BranchNode", tracked)
+        was = gc.isenabled()
+        try:
+            gc.enable()
+            branching_tree(TENT, F(3, 16), 3)
+            assert gc.isenabled()
+        finally:
+            gc.enable() if was else gc.disable()
+        assert len(states) == 15 and not any(states)
