@@ -2,22 +2,25 @@
 
 Maps are given by rational vertex lists with no constant segment, so
 evaluation, preimage enumeration and composition all stay exact.  Each
-map keeps its affine pieces, computed on first use: the forward pieces
-(x0, x1, s, c), y = s*x + c on [x0, x1], as Fractions, and the inverse
-pieces x = a*y + b with their y-ranges as integers.  Composition cuts
-g's pieces where g crosses a vertex of f, so powers of f are built as
-pieces, and the cycle table reads each fixed point c / (1 - s) off them
-and files cycle points by floor(v * 2^64), one table for every tol.  A
-point of the inverse limit is a backward trajectory; its branch code
-records the starting value, the rank of each backward choice among the
-sorted preimages, and the levels where it meets a critical value.
+map keeps its affine pieces, computed on first use, in three forms:
+int pieces y = (a*x + b) / e with one denominator each, for composition;
+the same pieces as Fraction (slope, intercept) pairs, for evaluation;
+and the inverse pieces x = a*y + b with their y-ranges as ints, for
+preimages.  Composition cuts g's int pieces where g crosses a vertex of
+f, so the powers of f are built as int pieces, and the cycle table
+reads each fixed point b / (e - a) off them, traces its cycle on int
+pairs and files cycle points by floor(v * 2^64), one table for every
+tol.  A point of the inverse limit is a backward trajectory; its branch
+code records the starting value, the rank of each backward choice among
+the sorted preimages, and the levels where it meets a critical value.
 
 The loops that run once per value key and compare each exact value as
 its reduced (numerator, denominator) int pair, the same equality as the
 Fraction's without its hash: the levels of a branching tree, which get
 one Fraction per node only when the nodes are built (with the cyclic
-collector paused, since a tree holds no cycles), the repeats of an orbit
-and the cycle table's known points.
+collector paused, since a tree holds no cycles), the levels of a branch
+code's decoding and encoding, the repeats of an orbit and the cycle
+table's points.
 """
 
 from __future__ import annotations
@@ -28,14 +31,19 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
 from ._rat import fmt
 from .ball_calculus import PreconditionError
 
 
-Piece = tuple[Fraction, Fraction, Fraction, Fraction]
+# A piece (xn, xd, a, b, e) of a map or of one of its powers is
+# y = (a * x + b) / e on [x_prev, xn / xd], all ints, with xn / xd reduced,
+# e > 0 and gcd(a, b, e) = 1.  A map's pieces ascend in x and cover [0,1],
+# so each piece's left end x_prev is the right end of the one before it,
+# and 0 for the first.
+Piece = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -71,25 +79,41 @@ class PLMap:
             raise PreconditionError("argument outside [0,1]")
         # Powers of a map reach thousands of segments, so the segment
         # lookup must not scan linearly.
-        _, _, s, c = self._forward[min(bisect_right(self._xs, x), len(self._xs) - 1) - 1]
+        s, c = self._forward[min(bisect_right(self._xs, x), len(self._xs) - 1) - 1]
         return s * x + c
 
     def segments(self):
         return tuple(zip(self.vertices, self.vertices[1:]))
 
     @functools.cached_property
-    def _forward(self) -> tuple[Piece, ...]:
-        """Per segment, its affine piece (x0, x1, slope, intercept).
-
-        y = slope * x + intercept on [x0, x1].  These stay Fractions:
-        orbit values reach hundreds of bits, and Fraction arithmetic
-        against a small slope keeps its gcds cheap.
-        """
+    def _pieces(self) -> tuple[Piece, ...]:
+        """Per segment, its right end and affine piece as ints; see Piece."""
         out = []
         for (x0, y0), (x1, y1) in self.segments():
-            slope = (y1 - y0) / (x1 - x0)
-            out.append((x0, x1, slope, y0 - slope * x0))
+            s = (y1 - y0) / (x1 - x0)
+            c = y0 - s * x0
+            e = lcm(s.denominator, c.denominator)
+            out.append((
+                x1.numerator, x1.denominator,
+                s.numerator * (e // s.denominator), c.numerator * (e // c.denominator), e,
+            ))
         return tuple(out)
+
+    @functools.cached_property
+    def _forward(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Per segment, (slope, intercept) as Fractions, for evaluation.
+
+        Orbit values reach thousands of bits, and a Fraction multiply-add
+        against a small slope keeps its gcds small, where an int piece's
+        a * x.numerator + b * x.denominator needs a gcd of the full size.
+        """
+        return tuple((Fraction(a, e), Fraction(b, e)) for _, _, a, b, e in self._pieces)
+
+    @functools.cached_property
+    def _grid(self) -> tuple[int, list[int]]:
+        """The common denominator den of the vertex x values, and each x * den."""
+        den = lcm(*(x.denominator for x in self._xs))
+        return den, [x.numerator * (den // x.denominator) for x in self._xs]
 
     @functools.cached_property
     def _inverse(self) -> tuple[tuple[int, ...], ...]:
@@ -169,56 +193,74 @@ def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
 
 
 def _refine(f: PLMap, pieces: Sequence[Piece]) -> list[Piece]:
-    """The affine pieces of f∘g from those of g.
+    """The pieces of f∘g from those of g, on ints.
 
     Each piece of g is cut where g crosses a vertex of f.  Between two
     cuts g stays inside one segment of f, so the slope of f∘g there is a
-    product of two nonzero slopes: no constant piece can arise.
+    product of two nonzero slopes: no constant piece can arise.  The
+    segments g passes through are found by bisecting f's vertex x values
+    scaled to their common denominator, and g's value at each piece's
+    right end is carried in as the next piece's left-end value.
     """
-    xs, forward = f._xs, f._forward
+    den, grid = f._grid
+    fpieces = f._pieces
     out = []
-    slopes = {}  # a power of f has few distinct slopes: keep one object each
-    for x0, x1, s, c in pieces:
-        up = s > 0
-        lo, hi = (s * x0 + c, s * x1 + c) if up else (s * x1 + c, s * x0 + c)
-        # the segments of f that g passes through on [x0, x1], in order;
-        # g leaves segment j through its right vertex going up, else its left
-        segs = range(bisect_right(xs, lo) - 1, bisect_left(xs, hi))
+    _, _, _, yn, yd = pieces[0]  # g's value yn / yd at the piece's left end
+    for xn, xd, a, b, e in pieces:
+        zn, zd = a * xn + b * xd, e * xd  # and at its right end
+        up = a > 0
+        (ln, ld), (hn, hd) = ((yn, yd), (zn, zd)) if up else ((zn, zd), (yn, yd))
+        # the segments of f that g passes through, in order: those whose
+        # scaled vertices bracket floor(lo * den) and ceil(hi * den)
+        segs = range(bisect_right(grid, ln * den // ld) - 1, bisect_left(grid, -(-hn * den // hd)))
         segs = segs if up else segs[::-1]
-        ends = [(xs[j + up] - c) / s for j in segs[:-1]] + [x1]
-        for a, b, j in zip([x0] + ends, ends, segs):
-            _, _, fs, fc = forward[j]
-            slope = slopes.get((j, s))
-            if slope is None:
-                slope = slopes[j, s] = fs * s
-            out.append((a, b, slope, fs * c + fc))
+        # g leaves segment j through its right vertex going up, else its left;
+        # it meets vertex v at x = (v * e - b * den) / (a * den)
+        bd, ad = b * den, a * den
+        for j in segs:
+            if j == segs[-1]:
+                cn, cd = xn, xd
+            else:
+                cn, cd = grid[j + up] * e - bd, ad
+                if cd < 0:
+                    cn, cd = -cn, -cd
+                g = gcd(cn, cd)
+                cn, cd = cn // g, cd // g
+            _, _, fa, fb, fe = fpieces[j]
+            na, nb, ne = fa * a, fa * b + fb * e, fe * e
+            g = gcd(na, nb, ne)
+            out.append((cn, cd, na // g, nb // g, ne // g))
+        yn, yd = zn, zd
     return out
 
 
 def _vertices(pieces: Sequence[Piece]) -> tuple[tuple[Fraction, Fraction], ...]:
-    x0, _, s, c = pieces[0]
-    return ((x0, s * x0 + c),) + tuple((x1, s * x1 + c) for _, x1, s, c in pieces)
+    _, _, _, b, e = pieces[0]
+    return ((Fraction(0), Fraction(b, e)),) + tuple(
+        (Fraction(xn, xd), Fraction(a * xn + b * xd, e * xd)) for xn, xd, a, b, e in pieces
+    )
 
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact composition x -> f(g(x)) as a PLMap."""
-    return PLMap(_vertices(_refine(f, g._forward)))
+    return PLMap(_vertices(_refine(f, g._pieces)))
 
 
 # Largest segment count a power of f may reach.  f∘g has at most
 # (segments of f) x (segments of g) segments; f^p of an l-lap map has about
-# l^p, and building the tent map's 2^14 segments takes about 0.7 s on a
-# 2-vCPU VM, most of it in Fraction arithmetic.  The
-# five-segment map needs 5 x 2917 = 14585 for f^8.
+# l^p.  On a 2-vCPU VM, the int pieces of the tent map's powers up to its
+# 2^14 segments build in about 0.05 s, and iterate_map's PLMap of them,
+# with its Fraction vertices, in about 0.2 s.  The five-segment map needs
+# 5 x 2917 = 14585 for f^8.
 _SEGMENT_CAP = 2**14
 
 
 def _powers(f: PLMap) -> Iterator[Sequence[Piece]]:
-    """The affine pieces of f, f^2, f^3, ..., refused past _SEGMENT_CAP."""
-    pieces = f._forward
+    """The pieces of f, f^2, f^3, ..., refused past _SEGMENT_CAP."""
+    pieces = f._pieces
     for p in itertools.count(2):
         yield pieces
-        if len(f._forward) * len(pieces) > _SEGMENT_CAP:
+        if len(f._pieces) * len(pieces) > _SEGMENT_CAP:
             raise PreconditionError(f"f^{p} may exceed {_SEGMENT_CAP} segments")
         pieces = _refine(f, pieces)
 
@@ -261,43 +303,74 @@ class OrbitReport:
 _DENOM_BIT_CAP = 20000
 
 
-def _key(v: Fraction) -> int:
-    """floor(v * 2^64), the cycle table's integer key for v."""
-    return (v.numerator << 64) // v.denominator
+def _key(n: int, d: int) -> int:
+    """floor(n / d * 2^64), the cycle table's integer key for n / d, d > 0."""
+    return (n << 64) // d
+
+
+def _cycle_points(f: PLMap, max_period: int) -> list[list[tuple[int, int]]]:
+    """The exact cycles of period <= max_period, as reduced (numerator, denominator) pairs.
+
+    A period-p point is a fixed point b / (e - a) of a piece of f^p.
+    Cycles come lowest period first, each from its smallest point.
+    """
+    den, grid = f._grid
+    fpieces = f._pieces
+    last = len(grid) - 1
+
+    def step(n: int, d: int) -> tuple[int, int]:
+        """f(n / d) as a reduced pair."""
+        _, _, a, b, e = fpieces[min(bisect_right(grid, n * den // d), last) - 1]
+        n, d = a * n + b * d, e * d
+        g = gcd(n, d)
+        return n // g, d // g
+
+    cycles: list[list[tuple[int, int]]] = []
+    known: set[tuple[int, int]] = set()
+    for p, pieces in zip(range(1, max_period + 1), _powers(f)):
+        # the pieces ascend in x, so their fixed points come in ascending order
+        ln, ld = 0, 1
+        for xn, xd, a, b, e in pieces:
+            if a == e:
+                fixed = ((ln, ld), (xn, xd)) if b == 0 else ()
+            else:
+                n, d = (b, e - a) if e > a else (-b, a - e)
+                fixed = ()
+                if ln * d <= n * ld and n * xd <= xn * d:
+                    g = gcd(n, d)
+                    fixed = ((n // g, d // g),)
+            ln, ld = xn, xd
+            for x in fixed:
+                if x in known:
+                    continue
+                # x is fixed by f^p, so it returns within p steps
+                orbit = [x]
+                cur = step(*x)
+                while cur != x and len(orbit) < p:
+                    orbit.append(cur)
+                    cur = step(*cur)
+                if cur == x and len(orbit) == p:
+                    cycles.append(orbit)
+                    known.update(orbit)
+    return cycles
 
 
 @functools.lru_cache(maxsize=64)
 def _cycle_table(f: PLMap, max_period: int):
     """The exact cycles of period <= max_period, and their points by key.
 
-    A period-p point is a fixed point c / (1 - s) of a piece of f^p.
-    Cycles come lowest period first, each from its smallest point; keys
-    lists _key(v) of every cycle point v in ascending order, and
-    owners[i] the index of the cycle behind keys[i].
+    Cycles are _cycle_points', as Fraction tuples; keys lists _key of
+    every cycle point in ascending order, and owners[i] the index of the
+    cycle behind keys[i].  The powers of f and the known points are
+    freed before any Fraction is built.
     """
-    cycles: list[tuple[Fraction, ...]] = []
-    known: set[tuple[int, int]] = set()  # (numerator, denominator) of each cycle point
-    for p, pieces in zip(range(1, max_period + 1), _powers(f)):
-        # the pieces ascend in x, so their fixed points come in ascending order
-        for x0, x1, s, c in pieces:
-            if s == 1:
-                fixed = (x0, x1) if c == 0 else ()
-            else:
-                x = c / (1 - s)
-                fixed = (x,) if x0 <= x <= x1 else ()
-            for x in fixed:
-                if (x.numerator, x.denominator) in known:
-                    continue
-                orbit = [x]
-                cur = f(x)
-                while cur != x:
-                    orbit.append(cur)
-                    cur = f(cur)
-                if len(orbit) == p:
-                    cycles.append(tuple(orbit))
-                    known.update((v.numerator, v.denominator) for v in orbit)
-    entries = sorted((_key(pt), idx) for idx, cycle in enumerate(cycles) for pt in cycle)
-    return tuple(cycles), [k for k, _ in entries], [idx for _, idx in entries]
+    cycles = _cycle_points(f, max_period)
+    entries = sorted((_key(*pt), idx) for idx, cycle in enumerate(cycles) for pt in cycle)
+    return (
+        tuple(tuple(Fraction(n, d) for n, d in cycle) for cycle in cycles),
+        [k for k, _ in entries],
+        [idx for _, idx in entries],
+    )
 
 
 def orbit_analyze(
@@ -336,7 +409,7 @@ def orbit_analyze(
             tail = seen[pair]
             return OrbitReport("Preperiodic", tail=tail, period=step - tail, steps=step)
         seen[pair] = step
-        k = _key(x)
+        k = _key(*pair)
         lo = bisect_left(keys, k - reach)
         hi = bisect_right(keys, k + reach)
         for ci in sorted(set(owners[lo:hi])) if lo < hi else ():
@@ -398,18 +471,21 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
     """Backward trajectory selected by a branch word.
 
     Level n step picks the word[n]-th preimage (ascending order) of the
-    current value under the level-n map.
+    current value under the level-n map; the levels run on reduced
+    (numerator, denominator) pairs, one Fraction built per level.
     """
     depth = len(code.word) if depth is None else depth
     if depth > len(code.word):
         raise PreconditionError("word shorter than requested depth")
     traj = [Fraction(code.x0)]
+    p, q = traj[0].numerator, traj[0].denominator
     for n in range(depth):
-        pre = preimages(system.at(n), traj[-1])
+        pre = _preimage_pairs(system.at(n), p, q)
         k = code.word[n]
         if not 0 <= k < len(pre):
             raise PreconditionError(f"branch index {k} out of range at level {n}")
-        traj.append(pre[k])
+        p, q = pre[k]
+        traj.append(Fraction(p, q))
     return tuple(traj)
 
 
@@ -429,8 +505,8 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
         f = system.at(n)
         if f(traj[n + 1]) != traj[n]:
             raise PreconditionError(f"not a backward trajectory at level {n}")
-        pre = preimages(f, traj[n])
-        word.append(pre.index(traj[n + 1]))
+        pre = _preimage_pairs(f, traj[n].numerator, traj[n].denominator)
+        word.append(pre.index((traj[n + 1].numerator, traj[n + 1].denominator)))
     for n in range(len(traj)):
         try:
             f = system.at(n)

@@ -4,8 +4,9 @@ import functools
 import gc
 import itertools
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -461,6 +462,278 @@ class TestCycleTable:
         for _ in range(power - 1):
             fp = _old_compose(f, fp)
         assert iterate_map(f, power).vertices == fp.vertices
+
+
+# --- verbatim copies of the Fraction pieces the int pieces replaced ---------
+# Each reads _old_forward(f) where it read the PLMap's Fraction _forward.
+
+
+@functools.lru_cache(maxsize=None)
+def _old_forward(f):
+    """Per segment, its affine piece (x0, x1, slope, intercept)."""
+    out = []
+    for (x0, y0), (x1, y1) in f.segments():
+        slope = (y1 - y0) / (x1 - x0)
+        out.append((x0, x1, slope, y0 - slope * x0))
+    return tuple(out)
+
+
+def _old_refine(f, pieces):
+    xs, forward = f._xs, _old_forward(f)
+    out = []
+    slopes = {}  # a power of f has few distinct slopes: keep one object each
+    for x0, x1, s, c in pieces:
+        up = s > 0
+        lo, hi = (s * x0 + c, s * x1 + c) if up else (s * x1 + c, s * x0 + c)
+        # the segments of f that g passes through on [x0, x1], in order;
+        # g leaves segment j through its right vertex going up, else its left
+        segs = range(bisect_right(xs, lo) - 1, bisect_left(xs, hi))
+        segs = segs if up else segs[::-1]
+        ends = [(xs[j + up] - c) / s for j in segs[:-1]] + [x1]
+        for a, b, j in zip([x0] + ends, ends, segs):
+            _, _, fs, fc = forward[j]
+            slope = slopes.get((j, s))
+            if slope is None:
+                slope = slopes[j, s] = fs * s
+            out.append((a, b, slope, fs * c + fc))
+    return out
+
+
+def _old_vertices(pieces):
+    x0, _, s, c = pieces[0]
+    return ((x0, s * x0 + c),) + tuple((x1, s * x1 + c) for _, x1, s, c in pieces)
+
+
+def _old_powers(f):
+    pieces = _old_forward(f)
+    for p in itertools.count(2):
+        yield pieces
+        if len(_old_forward(f)) * len(pieces) > il._SEGMENT_CAP:
+            raise PreconditionError(f"f^{p} may exceed {il._SEGMENT_CAP} segments")
+        pieces = _old_refine(f, pieces)
+
+
+def _old_iterate_map(f, power):
+    if power < 1:
+        raise PreconditionError("power must be at least 1")
+    return PLMap(_old_vertices(next(itertools.islice(_old_powers(f), power - 1, None))))
+
+
+def _old_key(v):
+    return (v.numerator << 64) // v.denominator
+
+
+@functools.lru_cache(maxsize=None)
+def _old_cycle_table(f, max_period):
+    cycles = []
+    known = set()  # (numerator, denominator) of each cycle point
+    for p, pieces in zip(range(1, max_period + 1), _old_powers(f)):
+        # the pieces ascend in x, so their fixed points come in ascending order
+        for x0, x1, s, c in pieces:
+            if s == 1:
+                fixed = (x0, x1) if c == 0 else ()
+            else:
+                x = c / (1 - s)
+                fixed = (x,) if x0 <= x <= x1 else ()
+            for x in fixed:
+                if (x.numerator, x.denominator) in known:
+                    continue
+                orbit = [x]
+                cur = f(x)
+                while cur != x:
+                    orbit.append(cur)
+                    cur = f(cur)
+                if len(orbit) == p:
+                    cycles.append(tuple(orbit))
+                    known.update((v.numerator, v.denominator) for v in orbit)
+    entries = sorted((_old_key(pt), idx) for idx, cycle in enumerate(cycles) for pt in cycle)
+    return tuple(cycles), [k for k, _ in entries], [idx for _, idx in entries]
+
+
+@st.composite
+def collinear_maps(draw):
+    """Random maps with extra vertices on the lines of their segments, so
+    their pieces, and those of their powers, carry redundant cuts."""
+    f = draw(pl_maps(max_vertices=3))
+    verts = [f.vertices[0]]
+    for (x0, y0), (x1, y1) in f.segments():
+        for t in sorted(set(draw(st.lists(st.integers(1, 3), max_size=2)))):
+            verts.append((x0 + (x1 - x0) * t / 4, y0 + (y1 - y0) * t / 4))
+        verts.append((x1, y1))
+    return PLMap(tuple(verts))
+
+
+any_maps = pl_maps() | collinear_maps()
+
+
+def _piece_values(pieces):
+    """Each int piece as (x0, x1, slope, intercept) Fractions, checking that
+    its right end is reduced over a positive denominator and that
+    gcd(a, b, e) = 1 with e > 0."""
+    out = []
+    x0 = F(0)
+    for xn, xd, a, b, e in pieces:
+        assert xd > 0 and gcd(xn, xd) == 1
+        assert e > 0 and gcd(a, b, e) == 1
+        out.append((x0, F(xn, xd), F(a, e), F(b, e)))
+        x0 = F(xn, xd)
+    return out
+
+
+class TestIntPieces:
+    @given(f=any_maps, g=any_maps)
+    def test_refine_matches_the_fraction_pieces(self, f, g):
+        assert _piece_values(il._refine(f, g._pieces)) == _old_refine(f, _old_forward(g))
+
+    @given(f=any_maps, power=st.integers(1, 4))
+    def test_powers_match_the_fraction_pieces(self, f, power):
+        new = list(itertools.islice(il._powers(f), power))
+        old = list(itertools.islice(_old_powers(f), power))
+        assert [_piece_values(p) for p in new] == [list(p) for p in old]
+
+    @given(f=any_maps, g=any_maps)
+    def test_compose_matches_the_fraction_chain(self, f, g):
+        assert compose(f, g).vertices == _old_vertices(_old_refine(f, _old_forward(g)))
+
+    @given(f=any_maps, power=st.integers(0, 5))
+    def test_iterate_map_matches_the_fraction_chain(self, f, power):
+        new = _outcome(iterate_map, f, power)
+        old = _outcome(_old_iterate_map, f, power)
+        assert (new.vertices if isinstance(new, PLMap) else new) == (
+            old.vertices if isinstance(old, PLMap) else old
+        )
+
+    @given(f=any_maps, max_period=st.integers(1, 5))
+    def test_cycle_table_matches_the_fraction_table(self, f, max_period):
+        new = _outcome(il._cycle_table, f, max_period)
+        assert new == _outcome(_old_cycle_table, f, max_period)
+        if not isinstance(new[0], type):
+            assert all(type(v) is Fraction for cycle in new[0] for v in cycle)
+
+    @pytest.mark.parametrize("f", [tent_map(), five_segment_map()], ids=["tent", "five"])
+    def test_named_tables_at_period_eight(self, f):
+        il._cycle_table.cache_clear()
+        assert il._cycle_table(f, 8) == _old_cycle_table(f, 8)
+
+    def test_identity_pieces_and_redundant_cuts(self):
+        # the identity, with redundant vertices, fixes every point: each
+        # piece of each power is slope-1 through 0, so its fixed points
+        # are its two ends
+        f = PLMap(((F(0), F(0)), (F(1, 3), F(1, 3)), (F(1, 2), F(1, 2)), (F(1), F(1))))
+        new = il._cycle_table(f, 3)
+        assert new == _old_cycle_table(f, 3)
+        assert new[0] == ((F(0),), (F(1, 3),), (F(1, 2),), (F(1),))
+        # a slope-1 piece off the diagonal fixes nothing
+        g = PLMap(((F(0), F(1, 4)), (F(3, 4), F(1)), (F(1), F(0))))
+        assert il._cycle_table(g, 4) == _old_cycle_table(g, 4)
+
+
+# --- verbatim copies of the Fraction decode and encode ----------------------
+
+
+def _old_decode_point(system, code, depth=None):
+    depth = len(code.word) if depth is None else depth
+    if depth > len(code.word):
+        raise PreconditionError("word shorter than requested depth")
+    traj = [Fraction(code.x0)]
+    for n in range(depth):
+        pre = preimages(system.at(n), traj[-1])
+        k = code.word[n]
+        if not 0 <= k < len(pre):
+            raise PreconditionError(f"branch index {k} out of range at level {n}")
+        traj.append(pre[k])
+    return tuple(traj)
+
+
+def _old_encode_point(system, trajectory):
+    traj = [Fraction(x) for x in trajectory]
+    if not traj:
+        raise PreconditionError("empty trajectory")
+    word = []
+    ex_time = set()
+    for n in range(len(traj) - 1):
+        f = system.at(n)
+        if f(traj[n + 1]) != traj[n]:
+            raise PreconditionError(f"not a backward trajectory at level {n}")
+        pre = preimages(f, traj[n])
+        word.append(pre.index(traj[n + 1]))
+    for n in range(len(traj)):
+        try:
+            f = system.at(n)
+        except ValueError:
+            break
+        _, ex_vals = extrema_of(f)
+        if traj[n] in ex_vals:
+            ex_time.add(n)
+    return BranchCode(traj[0], tuple(word), frozenset(ex_time))
+
+
+def _start_values(f):
+    """A map's vertex values, unit points, and values outside its range or [0,1]."""
+    vertex = st.sampled_from(sorted({y for _, y in f.vertices}))
+    wide = st.fractions(min_value=-1, max_value=2, max_denominator=48)
+    return vertex | unit_points | wide
+
+
+@st.composite
+def decode_cases(draw):
+    """A random map, a code whose word holds out-of-range indices, and a
+    depth that may pass the word's length."""
+    f = draw(pl_maps())
+    word = draw(st.lists(st.integers(-1, 3), max_size=8))
+    depth = draw(st.none() | st.integers(0, len(word) + 1))
+    return f, BranchCode(draw(_start_values(f)), tuple(word)), depth
+
+
+@st.composite
+def encode_cases(draw):
+    """A random map and a backward trajectory of it, cut short (maybe to
+    nothing), and maybe with one value swapped for an arbitrary one."""
+    f = draw(pl_maps())
+    traj = [draw(_start_values(f))]
+    for _ in range(draw(st.integers(0, 8))):
+        if not min(y for _, y in f.vertices) <= traj[-1] <= max(y for _, y in f.vertices):
+            break
+        traj.append(draw(st.sampled_from(_old_preimages(f, traj[-1]))))
+    traj = traj[: draw(st.integers(0, len(traj)))]
+    if traj and draw(st.booleans()):
+        traj[draw(st.integers(0, len(traj) - 1))] = draw(_start_values(f))
+    return f, traj
+
+
+class TestBranchCodeDifferential:
+    @given(case=decode_cases())
+    def test_decode_matches_the_fraction_levels(self, case):
+        f, code, depth = case
+        system = InverseSystem.constant(f)
+        new = _outcome(decode_point, system, code, depth)
+        assert new == _outcome(_old_decode_point, system, code, depth)
+        if not isinstance(new[0], type):
+            assert all(type(v) is Fraction for v in new)
+
+    @given(case=encode_cases())
+    def test_encode_matches_the_fraction_ranks(self, case):
+        f, traj = case
+        system = InverseSystem.constant(f)
+        assert _outcome(encode_point, system, traj) == _outcome(_old_encode_point, system, traj)
+
+    def test_error_messages(self):
+        half = InverseSystem.constant(PLMap(((F(0), F(0)), (F(1), F(1, 2)))))
+        cases = [
+            (decode_point, _old_decode_point, (TENT, BranchCode(F(1), (1,)))),
+            (decode_point, _old_decode_point, (TENT, BranchCode(F(1, 3), (0, -1)))),
+            (decode_point, _old_decode_point, (TENT, BranchCode(F(1, 3), (0,)), 2)),
+            (decode_point, _old_decode_point, (half, BranchCode(F(3, 4), (0,)))),
+            (decode_point, _old_decode_point, (half, BranchCode(F(1, 2), (0, 0)))),
+            (encode_point, _old_encode_point, (TENT, ())),
+            (encode_point, _old_encode_point, (TENT, (F(1, 2), F(1, 4), F(1, 3)))),
+            (encode_point, _old_encode_point, (TENT, (F(1, 2), F(3, 2)))),
+            (encode_point, _old_encode_point, (half, (F(3, 4), F(1)))),
+        ]
+        for new, old, args in cases:
+            out = _outcome(new, *args)
+            assert out == _outcome(old, *args)
+            assert isinstance(out, tuple) and out[0] is PreconditionError
 
 
 class TestOrbitAnalyze:
