@@ -24,15 +24,23 @@ reads them: distances, diameters and margins.
 Carriers come in two kinds, and the scan reads both as closed boxes.  A
 symbolic carrier is the depth-d approximant of a digit-defined
 compactum, a finite union of closed grid cells.  A point cloud is the
-degenerate case: each point p is the zero-width box [p, p], whose one
-cell is p itself.
+degenerate case: each distinct point p is the zero-width box [p, p],
+whose one cell is p itself.
 
 A cover's derived datum is its mask set: the distinct sets of members
-holding some carrier cell.  Coverage (no empty mask), multiplicity (the
+holding some carrier point.  Coverage (no empty mask), multiplicity (the
 largest mask) and the nerve (the masks' subsets) all read it, so
 ``FiniteCover`` scans its carrier at most once.  Refinement asks the
 same questions of each candidate family's mask set, and finds every
 parent from one joint mask set of the family and the cover.
+
+The mask set depends on the carrier only as a point set, and so do
+diameters and which balls meet the carrier.  Those queries read the
+carrier's merged boxes (``_merged_cells``): face-adjacent cells united
+axis by axis, once per carrier, so the depth-4 interval is one box, not
+81.  Within a box a mask set needs no cells: ``_box_masks`` ANDs each
+axis's distinct bitsets over their product.  Only ``shrink_cover``,
+which reads cell representatives, still cuts every carrier cell.
 
 An open set's derived datum is its complement: the closures of the
 maximal unit-box cells that none of its cubes holds, as ints on the
@@ -200,6 +208,39 @@ def _symbolic_cells(desc: MengerDescriptor, depth: int) -> tuple[Box, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _merged_cells(desc: MengerDescriptor, depth: int) -> tuple[Bounds, ...]:
+    """The depth cells' union as closed boxes with disjoint interiors.
+
+    Two boxes that agree on every axis but one, and touch on it (one's hi
+    is the other's lo), unite into one box.  Merging such runs axis by
+    axis until none is left keeps the point set, so every question about
+    the carrier as a point set reads these boxes instead of the cells:
+    the depth-4 interval's 81 cells are one box.
+    """
+    boxes = [b.bounds for b in _symbolic_cells(desc, depth)]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(desc.m):
+            rows: dict[Bounds, list[tuple[Fraction, Fraction]]] = {}
+            for b in boxes:
+                rows.setdefault(b[:a] + b[a + 1 :], []).append(b[a])
+            merged = []
+            for rest, spans in rows.items():
+                spans.sort()
+                runs = [spans[0]]
+                for lo, hi in spans[1:]:
+                    if lo == runs[-1][1]:
+                        runs[-1] = (runs[-1][0], hi)
+                    else:
+                        runs.append((lo, hi))
+                merged.extend(rest[:a] + (run,) + rest[a:] for run in runs)
+            changed |= len(merged) < len(boxes)
+            boxes = merged
+    return tuple(boxes)
+
+
 def interval_carrier(depth: int) -> SymbolicCarrier:
     """The unit interval presented as a dyadic grid of the given depth."""
     return SymbolicCarrier(MengerDescriptor(1, 1, BoundSeq.constant(3)), depth)
@@ -247,6 +288,35 @@ def _axis_cells(lo: int, hi: int, cuts: Iterable[int]):
     return out
 
 
+def _axis_bits(
+    lo: int, hi: int, spans: Sequence[tuple[int, int]], closed: bool
+) -> list[tuple[int, tuple[int, int], int]]:
+    """The cells of the axis [lo, hi] cut by the spans, with their bitsets.
+
+    Returns (representative, closure, bits) per cell, where
+    bit j is set when span j holds the cell: as an open interval, or as
+    a closed one when closed is set.
+    """
+    cells = _axis_cells(lo, hi, [v for span in spans for v in span])
+    reps = [rep for rep, _, _ in cells]
+    # the cells holding span j are the run reps[s:e]; flipping bit j at
+    # both ends makes the running XOR the bitset
+    flips = [0] * (len(cells) + 1)
+    for j, (slo, shi) in enumerate(spans):
+        if closed:
+            s, e = bisect_left(reps, slo), bisect_right(reps, shi)
+        else:
+            s, e = bisect_right(reps, slo), bisect_left(reps, shi)
+        flips[s] ^= 1 << j
+        flips[e] ^= 1 << j
+    bits = 0
+    out = []
+    for (rep, clo, chi), flip in zip(cells, flips):
+        bits ^= flip
+        out.append((rep, (clo, chi), bits))
+    return out
+
+
 def _iter_cells(
     box: IntBounds, cubes: Sequence[IntBounds]
 ) -> Iterator[tuple[tuple[int, ...], IntBounds]]:
@@ -284,30 +354,10 @@ def _scan(
     closed box when closed is set.  A cube meeting no point of the box
     neither cuts it nor enters a mask.
     """
-    local = [
-        (g, cube) for g, cubes in enumerate(groups) for cube in cubes if _meets(box, cube, closed)
+    local = _local(box, groups, closed)
+    per_axis = [
+        _axis_bits(lo, hi, [c[a] for _, c in local], closed) for a, (lo, hi) in enumerate(box)
     ]
-    per_axis = []
-    for a, (lo, hi) in enumerate(box):
-        cells = _axis_cells(lo, hi, [c[a][0] for _, c in local] + [c[a][1] for _, c in local])
-        reps = [rep for rep, _, _ in cells]
-        # the cells holding cube j on this axis are the run reps[s:e];
-        # flipping bit j at both ends makes the running XOR the bitset
-        flips = [0] * (len(cells) + 1)
-        for j, (_, cube) in enumerate(local):
-            clo, chi = cube[a]
-            if closed:
-                s, e = bisect_left(reps, clo), bisect_right(reps, chi)
-            else:
-                s, e = bisect_right(reps, clo), bisect_left(reps, chi)
-            flips[s] ^= 1 << j
-            flips[e] ^= 1 << j
-        bits = 0
-        axis = []
-        for (rep, clo, chi), flip in zip(cells, flips):
-            bits ^= flip
-            axis.append((rep, (clo, chi), bits))
-        per_axis.append(axis)
     masks: dict[int, frozenset[int]] = {}
     for combo in itertools.product(*per_axis):
         rep, closure, bitsets = zip(*combo)
@@ -316,33 +366,76 @@ def _scan(
             bits &= b
         mask = masks.get(bits)
         if mask is None:
-            mask = masks[bits] = frozenset(g for j, (g, _) in enumerate(local) if bits >> j & 1)
+            mask = masks[bits] = _mask(bits, local)
         yield rep, closure, mask
 
 
-def _carrier_boxes(carrier: Carrier) -> tuple[Bounds, ...]:
-    """The carrier as closed boxes' bounds; a cloud point p is [p, p].
+def _local(
+    box: IntBounds, groups: Sequence[Sequence[IntBounds]], closed: bool
+) -> list[tuple[int, IntBounds]]:
+    """(group index, cube) per cube meeting the box, read as closed when closed is set."""
+    return [
+        (g, cube) for g, cubes in enumerate(groups) for cube in cubes if _meets(box, cube, closed)
+    ]
 
-    Cloud points lie in the unit box, so a member contains p exactly
-    when one of its open cubes meets [p, p] (``_meets``), a box whose
-    single cell is p itself.
+
+def _mask(bits: int, local: Sequence[tuple[int, IntBounds]]) -> frozenset[int]:
+    """The groups of the local cubes whose bits are set."""
+    return frozenset(g for j, (g, _) in enumerate(local) if bits >> j & 1)
+
+
+def _box_masks(
+    box: IntBounds, groups: Sequence[Sequence[IntBounds]], closed: bool = False
+) -> set[frozenset[int]]:
+    """The distinct masks of _scan's cells of the box, without the cells.
+
+    A cell's bitset is the AND of one axis cell's bitset per axis, and
+    every choice of axis cells is a cell, so the masks are the ANDs over
+    the product of each axis's distinct bitsets.  Folding axis by axis
+    keeps only the distinct partial ANDs.
+    """
+    local = _local(box, groups, closed)
+    acc = {-1}
+    for a, (lo, hi) in enumerate(box):
+        axis = {bits for _, _, bits in _axis_bits(lo, hi, [c[a] for _, c in local], closed)}
+        acc = {x & y for x in acc for y in axis}
+    return {_mask(bits, local) for bits in acc}
+
+
+def _carrier_boxes(carrier: Carrier) -> tuple[Bounds, ...]:
+    """The carrier as closed boxes' bounds, one per cell or distinct point.
+
+    A cloud point p is [p, p].  Cloud points lie in the unit box, so a
+    member contains p exactly when one of its open cubes meets [p, p]
+    (``_meets``), a box whose single cell is p itself.
     """
     if isinstance(carrier, PointCloud):
-        return tuple(tuple((c, c) for c in p) for p in carrier.points)
+        return tuple(dict.fromkeys(tuple((c, c) for c in p) for p in carrier.points))
     return tuple(b.bounds for b in carrier.boxes())
 
 
-def _carrier_cells(
+def _carrier_region(carrier: Carrier) -> tuple[Bounds, ...]:
+    """The carrier as a point set: its merged cells, or one box per distinct point.
+
+    For the queries that depend on the point set alone: mask sets,
+    diameters and which balls meet the carrier.
+    """
+    if isinstance(carrier, SymbolicCarrier):
+        return _merged_cells(carrier.descriptor, carrier.depth)
+    return _carrier_boxes(carrier)
+
+
+def _region_masks(
     carrier: Carrier, groups: Sequence[Sequence[Bounds]], closed: bool = False
-) -> Iterator[tuple[tuple[int, ...], IntBounds, frozenset[int]]]:
-    """_scan's cells over every box of the carrier, box by box, on one grid."""
-    _, boxes, groups = _grid(_carrier_boxes(carrier), groups)
-    return (cell for box in boxes for cell in _scan(box, groups, closed))
+) -> frozenset[frozenset[int]]:
+    """_box_masks over every box of the carrier region, on one grid."""
+    _, boxes, groups = _grid(_carrier_region(carrier), groups)
+    return frozenset(mask for box in boxes for mask in _box_masks(box, groups, closed))
 
 
 def _carrier_masks(members: Sequence[OpenSet], carrier: Carrier) -> frozenset[frozenset[int]]:
     """Distinct membership patterns realized somewhere on the carrier."""
-    return frozenset(mask for _, _, mask in _carrier_cells(carrier, [m.cubes() for m in members]))
+    return _region_masks(carrier, [m.cubes() for m in members])
 
 
 @dataclass(frozen=True)
@@ -411,8 +504,13 @@ def _diam_within(cubes: Sequence[IntBounds], region: Sequence[IntBounds]) -> int
 
 
 def _mesh(members: Sequence[OpenSet], carrier: Carrier) -> Fraction:
-    """Largest member diameter inside the carrier, all on the family's grid."""
-    g, region, groups = _grid(_carrier_boxes(carrier), [m.cubes() for m in members])
+    """Largest member diameter inside the carrier, all on the family's grid.
+
+    A piece is the closure of cube ∩ box, and the union of the pieces
+    over the boxes is the closure of cube ∩ carrier, so the merged boxes
+    give the cells' spans.
+    """
+    g, region, groups = _grid(_carrier_region(carrier), [m.cubes() for m in members])
     return Fraction(max(_diam_within(cubes, region) for cubes in groups), g)
 
 
@@ -588,7 +686,7 @@ def _shrunk_set(s: OpenSet, pull: Fraction) -> OpenSet | None:
 
 def _closed_family_covers(family: Sequence[tuple[Box, ...]], carrier: Carrier) -> bool:
     groups = [[b.bounds for b in boxes] for boxes in family]
-    return all(mask for _, _, mask in _carrier_cells(carrier, groups, closed=True))
+    return frozenset() not in _region_masks(carrier, groups, closed=True)
 
 
 def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[OpenSet, ...]]:
@@ -696,7 +794,7 @@ def _candidate_families(U: FiniteCover, k: int) -> Iterator[tuple[OpenSet, ...]]
             tuple(c + w / 2 for c in corner)
             for corner in _grid_cells_for_cloud(carrier, w)
         ]
-    boxes = _carrier_boxes(carrier)
+    boxes = _carrier_region(carrier)
     for radius in (w / 2, w):
         sets = [open_set(ball(c, radius)) for c in centers]
         # keep the balls meeting the carrier, read on the family's grid

@@ -78,8 +78,11 @@ class PLMap:
         if not 0 <= x <= 1:
             raise PreconditionError("argument outside [0,1]")
         # Powers of a map reach thousands of segments, so the segment
-        # lookup must not scan linearly.
-        s, c = self._forward[min(bisect_right(self._xs, x), len(self._xs) - 1) - 1]
+        # lookup must not scan linearly.  It bisects the int vertex grid:
+        # for an int g, g > x·den exactly when g > floor(x·den).
+        den, grid = self._grid
+        i = bisect_right(grid, x.numerator * den // x.denominator)
+        s, c = self._forward[min(i, len(grid) - 1) - 1]
         return s * x + c
 
     def segments(self):

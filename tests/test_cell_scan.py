@@ -12,6 +12,11 @@ random covers mix coprime denominators.
 The int kernels past the scan, complement distances, shrink margins and
 ``_rank``, are checked the same way against verbatim copies of the
 Fraction code they replaced.
+
+The queries that read the carrier as a point set, mask sets (open and
+closed), meshes and which cubes meet the carrier, scan merged carrier
+boxes without building cells.  They are checked against a verbatim copy
+of the per-cell scan they replaced: ``_scan`` over every carrier cell.
 """
 
 import itertools
@@ -686,3 +691,55 @@ def test_diam_within_equals_pairwise_maximum(case):
     U = cn.FiniteCover(members, carrier, validate=False)
     assert cn.cover_mesh(U) == max(_diam_within(s, carrier) for s in members)
 
+
+
+# --- reference: the per-cell carrier scan, verbatim -------------------------
+
+
+def _cell_boxes(carrier) -> tuple[Bounds, ...]:
+    if isinstance(carrier, PointCloud):
+        return tuple(tuple((c, c) for c in p) for p in carrier.points)
+    return tuple(b.bounds for b in carrier.boxes())
+
+
+def _carrier_cells(carrier, groups, closed: bool = False):
+    _, boxes, groups = cn._grid(_cell_boxes(carrier), groups)
+    return (cell for box in boxes for cell in cn._scan(box, groups, closed))
+
+
+def _scanned_masks(members, carrier) -> frozenset[frozenset[int]]:
+    return frozenset(mask for _, _, mask in _carrier_cells(carrier, [m.cubes() for m in members]))
+
+
+def _cell_mesh(members, carrier) -> Fraction:
+    g, region, groups = cn._grid(_cell_boxes(carrier), [m.cubes() for m in members])
+    return Fraction(max(cn._diam_within(cubes, region) for cubes in groups), g)
+
+
+# --- the merged-box, mask-only scan against the per-cell scan ---------------
+
+
+@given(covers())
+def test_region_masks_equal_the_cell_scan(case):
+    members, carrier = case
+    groups = [m.cubes() for m in members]
+    assert cn._carrier_masks(members, carrier) == _scanned_masks(members, carrier)
+    # closed mode, as _closed_family_covers reads it
+    assert cn._region_masks(carrier, groups, closed=True) == frozenset(
+        mask for _, _, mask in _carrier_cells(carrier, groups, closed=True)
+    )
+
+
+@given(covers())
+def test_region_mesh_and_meeting_equal_the_cells(case):
+    # the closure of cube ∩ carrier is a property of the point set, so the
+    # merged boxes give the same spans, and meet the same cubes, as the cells
+    members, carrier = case
+    assert cn._mesh(members, carrier) == _cell_mesh(members, carrier)
+    groups = [m.cubes() for m in members]
+    _, merged, int_groups = cn._grid(cn._carrier_region(carrier), groups)
+    _, cells, cell_groups = cn._grid(_cell_boxes(carrier), groups)
+    for cubes, cell_cubes in zip(int_groups, cell_groups):
+        for cube, cell_cube in zip(cubes, cell_cubes):
+            meets = any(cn._meets(b, cube) for b in merged)
+            assert meets == any(cn._meets(b, cell_cube) for b in cells)

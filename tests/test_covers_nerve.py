@@ -1,10 +1,12 @@
 """Tests for covers, nerves, kappa maps, shrinkings and embedding steps."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import effdim.covers_nerve as cn
@@ -13,6 +15,7 @@ from effdim import (
     Box,
     EpsEtaCertificate,
     FiniteCover,
+    MengerDescriptor,
     Nerve,
     OpenSet,
     PointCloud,
@@ -35,6 +38,7 @@ from effdim import (
     open_set,
     refine_cover,
     shrink_cover,
+    sponge_descriptor,
     verify_eps_eta,
 )
 from effdim._lp import affine_gap
@@ -123,6 +127,72 @@ class TestSymbolicCarrier:
             SymbolicCarrier(carpet_descriptor(), -1)
 
 
+NAMED_DESCRIPTORS = {
+    "interval": interval_carrier(0).descriptor,
+    "cantor": cantor_carrier(0).descriptor,
+    "carpet": carpet_descriptor(),
+    "sponge": sponge_descriptor(),
+}
+RULES = st.one_of(
+    st.integers(3, 6).map(BoundSeq.constant),
+    st.integers(3, 5).map(BoundSeq.affine),
+    st.builds(BoundSeq.from_table, st.lists(st.integers(3, 6), max_size=3), st.integers(3, 6)),
+)
+
+
+def _assert_merged_tiling(desc, depth):
+    """The merged boxes tile the depth cells: one box per cell, no more room."""
+    cells = [b.bounds for b in cn._symbolic_cells(desc, depth)]
+    merged = cn._merged_cells(desc, depth)
+    w = desc.scale(depth)
+    assert sum(math.prod(hi - lo for lo, hi in b) for b in merged) == len(cells) * w**desc.m
+    # every merged bound lies on the depth grid, so a box is a union of
+    # grid cells; count how many boxes hold each one
+    boxes = []
+    for box in merged:
+        steps = [(lo / w, hi / w) for lo, hi in box]
+        assert all(lo < hi and lo.denominator == hi.denominator == 1 for lo, hi in steps)
+        boxes.append(tuple((int(lo), int(hi)) for lo, hi in steps))
+    held = Counter(c for b in boxes for c in itertools.product(*(range(lo, hi) for lo, hi in b)))
+    corners = [tuple(int(lo / w) for lo, _ in cell) for cell in cells]
+    # each cell lies in exactly one merged box, and the boxes hold nothing else
+    assert held == Counter(corners) and max(held.values()) == 1
+    # interiors are pairwise disjoint: sorted by the first axis's lo, a box
+    # can share interior only with the boxes that start before it ends
+    boxes.sort()
+    for i, a in enumerate(boxes):
+        for b in boxes[i + 1 :]:
+            if b[0][0] >= a[0][1]:
+                break
+            assert any(ahi <= blo or bhi <= alo for (alo, ahi), (blo, bhi) in zip(a, b))
+
+
+class TestMergedCells:
+    @pytest.mark.parametrize("depth", range(4))
+    @pytest.mark.parametrize("name", NAMED_DESCRIPTORS)
+    def test_named_carriers_tile(self, name, depth):
+        _assert_merged_tiling(NAMED_DESCRIPTORS[name], depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(z=RULES, m=st.integers(1, 3), data=st.data())
+    def test_random_descriptors_tile(self, z, m, data):
+        desc = MengerDescriptor(m, data.draw(st.integers(0, m)), z)
+        depth = data.draw(st.integers(0, 3))
+        assume(desc.cells_at_depth(depth) <= 4000)
+        _assert_merged_tiling(desc, depth)
+
+    @pytest.mark.parametrize(
+        "name, depth, count",
+        [("interval", 4, 1), ("cantor", 5, 32), ("carpet", 2, 20), ("sponge", 1, 12)],
+    )
+    def test_counts(self, name, depth, count):
+        assert len(cn._merged_cells(NAMED_DESCRIPTORS[name], depth)) == count
+
+    def test_cloud_keeps_one_box_per_distinct_point(self):
+        cloud = PointCloud(1, ((F(1, 2),), (F(0),), (F(1, 2),)))
+        assert cn._carrier_region(cloud) == (((F(1, 2), F(1, 2)),), ((F(0), F(0)),))
+
+
 class TestFiniteCover:
     def test_valid_cover_and_multiplicity(self):
         U = two_sided_cover()
@@ -155,8 +225,8 @@ class TestFiniteCover:
 
     def test_carrier_is_scanned_once(self, monkeypatch):
         calls = []
-        scan = cn._carrier_cells
-        monkeypatch.setattr(cn, "_carrier_cells", lambda *a, **k: calls.append(a) or scan(*a, **k))
+        scan = cn._region_masks
+        monkeypatch.setattr(cn, "_region_masks", lambda *a, **k: calls.append(a) or scan(*a, **k))
         members = (open_set(ball((0,), F(3, 5))), open_set(ball((1,), F(3, 5))))
         lazy = FiniteCover(members, interval_carrier(2), validate=False)
         assert calls == []

@@ -580,7 +580,30 @@ def _piece_values(pieces):
     return out
 
 
+def _xs_call(f, x):
+    """PLMap.__call__ bisecting the Fraction vertex list, verbatim."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise PreconditionError("argument outside [0,1]")
+    s, c = f._forward[min(bisect_right(f._xs, x), len(f._xs) - 1) - 1]
+    return s * x + c
+
+
+HUGE_UNIT = st.integers(2**1999, 2**2000).flatmap(
+    lambda q: st.integers(0, q).map(lambda p: F(p, q))
+)
+
+
 class TestIntPieces:
+    @given(f=any_maps, xs=st.lists(HUGE_UNIT, min_size=1, max_size=4))
+    def test_call_matches_the_fraction_bisect(self, f, xs):
+        # at every vertex, 2^-60 to either side of it (past 0 and 1 too),
+        # and at ~2,000-bit points
+        eps = F(1, 2**60)
+        near = [x + d for x, _ in f.vertices for d in (-eps, 0, eps)]
+        for x in near + xs:
+            assert _outcome(f, x) == _outcome(_xs_call, f, x)
+
     @given(f=any_maps, g=any_maps)
     def test_refine_matches_the_fraction_pieces(self, f, g):
         assert _piece_values(il._refine(f, g._pieces)) == _old_refine(f, _old_forward(g))
