@@ -8,20 +8,19 @@ cube is constant on every cell, so coverage, multiplicity, intersection
 and complement-distance queries are all decided exactly by inspecting
 one representative per cell.
 
-One scan, ``_scan``, serves every such query.  It cuts a box only by the
-cubes that meet it, since the others hold none of its points.  On each
-axis a cube holds a contiguous run of the sorted axis cells, so each axis
-cell carries an int bitset of the cubes holding it, and the cube set of
-a cell is the AND of its per-axis bitsets: membership costs one AND per
-axis, not one Fraction comparison per (cell, cube, axis).
+One primitive, ``_axis_runs``, cuts a box, and only by the cubes that
+meet it, since the others hold none of its points.  On each axis a cube
+holds a contiguous run of the sorted axis cells, so membership is read
+off runs, on ints: as per-axis bitsets of the cubes holding each axis
+cell, ANDed across axes, or as one bitboard per cube over all cells.
 
-The scan compares ints, not Fractions.  Every coordinate it sees is some
-k/D, so ``_grid`` puts the boxes and cubes of one query on the common
-grid g = 2·lcm(all D), once per query: a carrier scan, an open set's
-complement, a family's mesh.  Fractions come back only where a caller
-reads them: distances, diameters and margins.
+Every coordinate is some k/D, so ``_grid`` puts the boxes and cubes of
+one query on the common grid g = 2·lcm(all D), once per query: a
+carrier's mask set, an open set's complement, a family's mesh.
+Fractions come back only where a caller reads them: distances,
+diameters and margins.
 
-Carriers come in two kinds, and the scan reads both as closed boxes.  A
+Carriers come in two kinds, and the queries read both as closed boxes.  A
 symbolic carrier is the depth-d approximant of a digit-defined
 compactum, a finite union of closed grid cells.  A point cloud is the
 degenerate case: each distinct point p is the zero-width box [p, p],
@@ -44,18 +43,21 @@ which reads cell representatives, still cuts every carrier cell.
 
 An open set's derived datum is its complement: the closures of the
 maximal unit-box cells that none of its cubes holds, as ints on the
-set's grid.  Kappa weights and shrinking margins are distances to it, so
-each set, a single ball too, scans its unit-box arrangement at most
-once, however many points are weighed.  A distance is measured in ints
-too: the point goes on its own denominator q, and a gap to a bound on
-grid g is compared on q·g.  Affine ranks, for general position, are
-taken by fraction-free elimination over ints.
+set's grid, built on one int bitboard with a bit per cell of the set's
+unit-box arrangement (``_uncovered_closures``), up to ``_CELL_CAP``
+cells.  Kappa weights and shrinking margins are distances to it, so
+each set, a single ball too, builds it at most once, however many
+points are weighed.  A distance is measured in ints too: the point goes
+on its own denominator q, and a gap to a bound on grid g is compared on
+q·g.  Affine ranks, for general position, are taken by fraction-free
+elimination over ints.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -288,33 +290,28 @@ def _axis_cells(lo: int, hi: int, cuts: Iterable[int]):
     return out
 
 
-def _axis_bits(
+def _axis_runs(
     lo: int, hi: int, spans: Sequence[tuple[int, int]], closed: bool
-) -> list[tuple[int, tuple[int, int], int]]:
-    """The cells of the axis [lo, hi] cut by the spans, with their bitsets.
-
-    Returns (representative, closure, bits) per cell, where
-    bit j is set when span j holds the cell: as an open interval, or as
-    a closed one when closed is set.
-    """
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """The cells of the axis [lo, hi] cut by the spans (``_axis_cells``), and
+    per span the index run [s, e) of the cells it holds: as an open
+    interval, or as a closed one when closed is set."""
     cells = _axis_cells(lo, hi, [v for span in spans for v in span])
     reps = [rep for rep, _, _ in cells]
-    # the cells holding span j are the run reps[s:e]; flipping bit j at
-    # both ends makes the running XOR the bitset
+    if closed:
+        return cells, [(bisect_left(reps, slo), bisect_right(reps, shi)) for slo, shi in spans]
+    return cells, [(bisect_right(reps, slo), bisect_left(reps, shi)) for slo, shi in spans]
+
+
+def _axis_bits(lo: int, hi: int, spans: Sequence[tuple[int, int]], closed: bool) -> set[int]:
+    """The distinct bitsets of the axis cells, bit j set when span j holds the cell."""
+    cells, runs = _axis_runs(lo, hi, spans, closed)
+    # flipping bit j at both ends of span j's run makes the running XOR the bitset
     flips = [0] * (len(cells) + 1)
-    for j, (slo, shi) in enumerate(spans):
-        if closed:
-            s, e = bisect_left(reps, slo), bisect_right(reps, shi)
-        else:
-            s, e = bisect_right(reps, slo), bisect_left(reps, shi)
+    for j, (s, e) in enumerate(runs):
         flips[s] ^= 1 << j
         flips[e] ^= 1 << j
-    bits = 0
-    out = []
-    for (rep, clo, chi), flip in zip(cells, flips):
-        bits ^= flip
-        out.append((rep, (clo, chi), bits))
-    return out
+    return set(itertools.accumulate(flips[:-1], operator.xor))
 
 
 def _iter_cells(
@@ -341,33 +338,6 @@ def _meets(box: IntBounds, cube: IntBounds, closed: bool = False) -> bool:
         if (clo > bhi or chi < blo) if closed else (clo >= bhi or chi <= blo):
             return False
     return True
-
-
-def _scan(
-    box: IntBounds, groups: Sequence[Sequence[IntBounds]], closed: bool = False
-) -> Iterator[tuple[tuple[int, ...], IntBounds, frozenset[int]]]:
-    """Cells of the box cut by the cubes meeting it, with their group masks.
-
-    Box and cubes are on one grid (``_grid``).  Yields (representative,
-    closure bounds, mask) per cell, where mask holds the indices of the
-    groups with a cube containing the cell: as an open cube, or as a
-    closed box when closed is set.  A cube meeting no point of the box
-    neither cuts it nor enters a mask.
-    """
-    local = _local(box, groups, closed)
-    per_axis = [
-        _axis_bits(lo, hi, [c[a] for _, c in local], closed) for a, (lo, hi) in enumerate(box)
-    ]
-    masks: dict[int, frozenset[int]] = {}
-    for combo in itertools.product(*per_axis):
-        rep, closure, bitsets = zip(*combo)
-        bits = bitsets[0]
-        for b in bitsets[1:]:
-            bits &= b
-        mask = masks.get(bits)
-        if mask is None:
-            mask = masks[bits] = _mask(bits, local)
-        yield rep, closure, mask
 
 
 def _local(
@@ -397,7 +367,7 @@ def _box_masks(
     local = _local(box, groups, closed)
     acc = {-1}
     for a, (lo, hi) in enumerate(box):
-        axis = {bits for _, _, bits in _axis_bits(lo, hi, [c[a] for _, c in local], closed)}
+        axis = _axis_bits(lo, hi, [c[a] for _, c in local], closed)
         acc = {x & y for x in acc for y in axis}
     return {_mask(bits, local) for bits in acc}
 
@@ -519,29 +489,63 @@ def cover_mesh(U: FiniteCover) -> Fraction:
     return _mesh(U.members, U.carrier)
 
 
+# Most cells an open set's complement is built over, a bit each (512 KB): with
+# all faces distinct and inside the box, 512 balls pass it in 2-D, 40 in 3-D, 3 in 6-D.
+_CELL_CAP = 2**22
+
+
+def _repunit(st: int, n: int) -> int:
+    """n one bits, st apart: times a board below bit st, n copies of it."""
+    return ((1 << st * n) - 1) // ((1 << st) - 1)
+
+
 def _uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
     """The set's grid g, and on it the closures of the maximal unit-box
     cells that no cube of s holds.
 
+    The cells of the unit box cut by the cubes meeting it are the bits of
+    one int, axis 0 fastest: axis cell i on axis a is bit i·st, where
+    the stride st is the product of the earlier axes' cell counts.  A
+    cube holds a run of each axis's cells, so its board is a product of
+    runs, one repunit per axis.
+
     The uncovered part of the unit box is closed, so each facet of an
-    uncovered cell (one positive-width axis pinned to an end) is
-    uncovered too and lies in that cell's closure.  Dropping every such
-    facet keeps the union: what is left are the cells with no uncovered
-    immediate coface, and each other uncovered closure lies in one of
-    theirs.  Cells are keyed by their int representative on the grid:
-    on a zero-width axis it is the axis value, so a facet's is the
-    cell's with that axis set to the end.
+    uncovered cell is uncovered too and lies in that cell's closure: a
+    facet pins an interval axis (odd index) to an end, the cell st to
+    either side.  Dropping every such facet keeps the union: what is
+    left are the cells with no uncovered immediate coface, and each
+    other uncovered closure lies in one of theirs.  Only their bits are
+    read back into closures.
     """
     g, _, (cubes,) = _grid([_unit_bounds(s.dim)], [s.cubes()])
-    box = tuple((0, g) for _ in range(s.dim))
-    uncovered = [(rep, closure) for rep, closure, mask in _scan(box, [cubes]) if not mask]
-    facets = set()
-    for rep, closure in uncovered:
-        for a, (lo, hi) in enumerate(closure):
-            if lo != hi:
-                facets.add(rep[:a] + (lo,) + rep[a + 1 :])
-                facets.add(rep[:a] + (hi,) + rep[a + 1 :])
-    return g, tuple(closure for rep, closure in uncovered if rep not in facets)
+    local = [cube for _, cube in _local(((0, g),) * s.dim, [cubes], False)]
+    axes = [_axis_runs(0, g, [c[a] for c in local], False) for a in range(s.dim)]
+    *strides, n = itertools.accumulate([len(c) for c, _ in axes], operator.mul, initial=1)
+    if n > _CELL_CAP:
+        raise PreconditionError(f"open set's arrangement has more than {_CELL_CAP} cells")
+    covered = 0
+    for cube_runs in zip(*(runs for _, runs in axes)):
+        board = 1
+        for (lo, hi), st in zip(cube_runs, strides):
+            board = board * _repunit(st, hi - lo) << lo * st
+        covered |= board
+    uncovered = covered ^ ((1 << n) - 1)
+    dominated = 0
+    for (cells, _), st in zip(axes, strides):
+        # the cells at an odd index on this axis: st bits at each odd multiple of st
+        period = st * len(cells)
+        odd = (((1 << st) - 1) << st) * _repunit(2 * st, len(cells) // 2)
+        inner = uncovered & odd * _repunit(period, n // period)
+        dominated |= inner << st | inner >> st
+    bits = bin(uncovered & ~dominated)[:1:-1]
+    closures = []
+    k = bits.find("1")
+    while k >= 0:
+        closures.append(
+            tuple(cells[k // st % len(cells)][1:] for (cells, _), st in zip(axes, strides))
+        )
+        k = bits.find("1", k + 1)
+    return g, tuple(closures)
 
 
 def _depth(xs: Sequence[int], q: int, s: OpenSet) -> int | None:
@@ -577,14 +581,16 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet):
     The complement of a cube union in the unit box is the union of the
     closures of the arrangement cells missed by every cube, so the
     minimum of the exact point-to-cell distances is the exact distance.
-    Only maximal closures are kept, as the set's cached ``_complement``:
-    a cell with an uncovered immediate coface (one zero-width axis
-    widened to an adjacent interval) lies in that coface's closure,
-    which is at least as near.  Every set, one ball or many, is measured
-    this way, so a point outside the unit box gets the same distance
-    however the set's balls are listed.  The point is put on q = lcm of
-    its denominators and measured in ints (``_depth``); one Fraction is
-    built, for the result.
+    Only maximal closures are kept, as the set's cached ``_complement``,
+    read off one bitboard of the arrangement once per set: a cell with
+    an uncovered immediate coface (one zero-width axis widened to an
+    adjacent interval) lies in that coface's closure, which is at least
+    as near.  Every set, one ball or many, is measured this way, so a
+    point outside the unit box gets the same distance however the set's
+    balls are listed.  The point is put on q = lcm of its denominators
+    and measured in ints (``_depth``); one Fraction is built, for the
+    result.  A set whose arrangement passes ``_CELL_CAP`` cells is
+    refused with PreconditionError.
     """
     if len(coords) != s.dim:
         raise PreconditionError("point dimension differs from the set's")
@@ -699,7 +705,7 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
     are verified to cover exactly, halving the margin when the
     representative-based estimate was too coarse.
     """
-    # the whole-cover arrangement, not _scan's box-local one: the margin
+    # the whole-cover arrangement, not a box-local one: the margin
     # is a minimum over these representatives, and coarser cells could
     # drop the ones that set it
     all_cubes = [cube for m in U.members for cube in m.cubes()]

@@ -495,8 +495,9 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
 def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> BranchCode:
     """Recover the branch code of an exact backward trajectory.
 
-    Verifies f_n(x_{n+1}) = x_n at every level and ranks each x_{n+1} among
-    the sorted preimages of x_n; ex_time collects the levels whose value is a
+    Ranks each x_{n+1} in [0,1] among the sorted preimages of x_n, which
+    also verifies f_n(x_{n+1}) = x_n: x_{n+1} is a preimage exactly when
+    it is among them.  ex_time collects the levels whose value is a
     critical value of that level's map.
     """
     traj = [Fraction(x) for x in trajectory]
@@ -506,10 +507,15 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     ex_time = set()
     for n in range(len(traj) - 1):
         f = system.at(n)
-        if f(traj[n + 1]) != traj[n]:
-            raise PreconditionError(f"not a backward trajectory at level {n}")
-        pre = _preimage_pairs(f, traj[n].numerator, traj[n].denominator)
-        word.append(pre.index((traj[n + 1].numerator, traj[n + 1].denominator)))
+        x, y = traj[n + 1], traj[n]
+        if not 0 <= x <= 1:
+            raise PreconditionError("argument outside [0,1]")
+        try:
+            # a value outside f's range, or a pair not among its solutions
+            pre = _preimage_pairs(f, y.numerator, y.denominator)
+            word.append(pre.index((x.numerator, x.denominator)))
+        except ValueError:
+            raise PreconditionError(f"not a backward trajectory at level {n}") from None
     for n in range(len(traj)):
         try:
             f = system.at(n)

@@ -1,29 +1,35 @@
 """Differential tests: the box-local bitset scan against the global cell loops.
 
 The reference functions below are verbatim copies of the loops that
-``covers_nerve`` ran before ``_scan`` replaced them: every carrier box cut
-by every cube of the whole cover, and membership tested per (cell, cube)
-through ``_in_cube``.  Random covers in one to three dimensions, with
-cubes poking past the unit box, explicit zero-width carrier boxes and
-point clouds, must get the same answers from the scan's consumers as
-from these copies.  The scan reads ints on a common grid, so half the
-random covers mix coprime denominators.
+``covers_nerve`` ran before its box-local bitset scan replaced them:
+every carrier box cut by every cube of the whole cover, and membership
+tested per (cell, cube) through ``_in_cube``.  Random covers in one to
+three dimensions, with cubes poking past the unit box, explicit
+zero-width carrier boxes and point clouds, must get the same answers
+from the scan's consumers as from these copies.  The scan reads ints on
+a common grid, so half the random covers mix coprime denominators.
 
 The int kernels past the scan, complement distances, shrink margins and
 ``_rank``, are checked the same way against verbatim copies of the
 Fraction code they replaced.
 
-The queries that read the carrier as a point set, mask sets (open and
-closed), meshes and which cubes meet the carrier, scan merged carrier
-boxes without building cells.  They are checked against a verbatim copy
-of the per-cell scan they replaced: ``_scan`` over every carrier cell.
+The scan itself is gone from ``covers_nerve``; ``_old_scan`` is a
+verbatim copy, checked against the global loops and kept as the oracle
+for what replaced it.  The queries that read the carrier as a point set,
+mask sets (open and closed), meshes and which cubes meet the carrier,
+scan merged carrier boxes without building cells; they are checked
+against ``_old_scan`` over every carrier cell.  An open set's complement
+is one int bitboard over its arrangement; it is checked against
+``_old_uncovered_closures``, a verbatim copy of the scan-based build.
 """
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -41,7 +47,7 @@ from effdim import (
 )
 from effdim._rat import ONE, ZERO, max_dist
 from effdim.ball_calculus import PreconditionError
-from effdim.covers_nerve import Bounds, _unit_bounds
+from effdim.covers_nerve import Bounds, IntBounds, _unit_bounds
 
 F = Fraction
 GRID = 24  # every drawn coordinate is a multiple of 1/GRID, so cuts coincide often
@@ -306,6 +312,65 @@ def _shrink_cover(U):
     raise PreconditionError("no positive margin")
 
 
+# --- reference: the cell scan and the complement it built, verbatim ---------
+# (module helpers that are still in use are read from ``cn``)
+
+
+def _old_axis_bits(
+    lo: int, hi: int, spans: Sequence[tuple[int, int]], closed: bool
+) -> list[tuple[int, tuple[int, int], int]]:
+    cells = cn._axis_cells(lo, hi, [v for span in spans for v in span])
+    reps = [rep for rep, _, _ in cells]
+    # the cells holding span j are the run reps[s:e]; flipping bit j at
+    # both ends makes the running XOR the bitset
+    flips = [0] * (len(cells) + 1)
+    for j, (slo, shi) in enumerate(spans):
+        if closed:
+            s, e = bisect_left(reps, slo), bisect_right(reps, shi)
+        else:
+            s, e = bisect_right(reps, slo), bisect_left(reps, shi)
+        flips[s] ^= 1 << j
+        flips[e] ^= 1 << j
+    bits = 0
+    out = []
+    for (rep, clo, chi), flip in zip(cells, flips):
+        bits ^= flip
+        out.append((rep, (clo, chi), bits))
+    return out
+
+
+def _old_scan(
+    box: IntBounds, groups: Sequence[Sequence[IntBounds]], closed: bool = False
+) -> Iterator[tuple[tuple[int, ...], IntBounds, frozenset[int]]]:
+    local = cn._local(box, groups, closed)
+    per_axis = [
+        _old_axis_bits(lo, hi, [c[a] for _, c in local], closed) for a, (lo, hi) in enumerate(box)
+    ]
+    masks: dict[int, frozenset[int]] = {}
+    for combo in itertools.product(*per_axis):
+        rep, closure, bitsets = zip(*combo)
+        bits = bitsets[0]
+        for b in bitsets[1:]:
+            bits &= b
+        mask = masks.get(bits)
+        if mask is None:
+            mask = masks[bits] = cn._mask(bits, local)
+        yield rep, closure, mask
+
+
+def _old_uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
+    g, _, (cubes,) = cn._grid([_unit_bounds(s.dim)], [s.cubes()])
+    box = tuple((0, g) for _ in range(s.dim))
+    uncovered = [(rep, closure) for rep, closure, mask in _old_scan(box, [cubes]) if not mask]
+    facets = set()
+    for rep, closure in uncovered:
+        for a, (lo, hi) in enumerate(closure):
+            if lo != hi:
+                facets.add(rep[:a] + (lo,) + rep[a + 1 :])
+                facets.add(rep[:a] + (hi,) + rep[a + 1 :])
+    return g, tuple(closure for rep, closure in uncovered if rep not in facets)
+
+
 # --- random covers ---------------------------------------------------------
 
 
@@ -403,16 +468,16 @@ def test_scan_masks_equal_global_masks_per_box(case):
     boxes = carrier.boxes() if not isinstance(carrier, PointCloud) else (
         Box(_unit_bounds(carrier.dim)),
     )
-    # _scan reads the boxes and cubes as ints on their common grid
+    # the scan reads the boxes and cubes as ints on their common grid
     _, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], groups)
     for box, int_box in zip(boxes, int_boxes):
-        local = {mask for _, _, mask in cn._scan(int_box, int_groups)}
+        local = {mask for _, _, mask in _old_scan(int_box, int_groups)}
         whole = {
             frozenset(i for i, g in enumerate(groups) if any(_in_cube(rep, c) for c in g))
             for rep, _ in _iter_cells(box, all_cubes)
         }
         assert local == whole
-        closed_local = {mask for _, _, mask in cn._scan(int_box, int_groups, closed=True)}
+        closed_local = {mask for _, _, mask in _old_scan(int_box, int_groups, closed=True)}
         closed_whole = {
             frozenset(i for i, g in enumerate(groups) if any(Box(c).contains(rep) for c in g))
             for rep, _ in _iter_cells(box, all_cubes)
@@ -432,8 +497,8 @@ def test_scan_cells_are_homogeneous_and_inside_the_box(case):
     g, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], groups)
 
     def cells(int_box):
-        """_scan's cells of a box, read back off the grid as Fractions."""
-        for rep, closure, mask in cn._scan(int_box, int_groups):
+        """The scan's cells of a box, read back off the grid as Fractions."""
+        for rep, closure, mask in _old_scan(int_box, int_groups):
             yield tuple(F(r, g) for r in rep), tuple((F(lo, g), F(hi, g)) for lo, hi in closure), mask
 
     if isinstance(carrier, PointCloud):
@@ -704,7 +769,7 @@ def _cell_boxes(carrier) -> tuple[Bounds, ...]:
 
 def _carrier_cells(carrier, groups, closed: bool = False):
     _, boxes, groups = cn._grid(_cell_boxes(carrier), groups)
-    return (cell for box in boxes for cell in cn._scan(box, groups, closed))
+    return (cell for box in boxes for cell in _old_scan(box, groups, closed))
 
 
 def _scanned_masks(members, carrier) -> frozenset[frozenset[int]]:
@@ -743,3 +808,48 @@ def test_region_mesh_and_meeting_equal_the_cells(case):
         for cube, cell_cube in zip(cubes, cell_cubes):
             meets = any(cn._meets(b, cube) for b in merged)
             assert meets == any(cn._meets(b, cell_cube) for b in cells)
+
+
+# --- the bitboard complement against the scan-based build -------------------
+
+
+@st.composite
+def complement_sets(draw) -> OpenSet:
+    """Sets in one to three dimensions as open_sets or touching_sets draw
+    them, at times with a nested copy of one ball, or with a ball around
+    the centre that holds the box's interior (radius 1/2, leaving its
+    boundary) or all of it (leaving an empty complement)."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        s = draw(touching_sets(dim, SIZES[dim][0]))
+    else:
+        s = draw(open_sets(dim, SIZES[dim][0], draw(COORDS)))
+    balls = list(s.balls)
+    extra = draw(st.sampled_from(("none", "nested", "centre")))
+    if extra == "nested":
+        b = draw(st.sampled_from(balls))
+        balls.append(ball(b.center.coords, b.radius * draw(st.sampled_from((F(1, 3), F(1, 2), ONE)))))
+    elif extra == "centre":
+        r = draw(st.sampled_from((F(1, 2), F(3, 4), ONE)))
+        balls.insert(draw(st.integers(0, len(balls))), ball((F(1, 2),) * dim, r))
+    return OpenSet(tuple(balls))
+
+
+@given(complement_sets())
+def test_bitboard_complement_equals_the_scan_based_build(s):
+    g, closures = cn._uncovered_closures(s)
+    old_g, old_closures = _old_uncovered_closures(s)
+    assert g == old_g
+    # the same closures, each once; only their order may differ
+    assert len(closures) == len(set(closures)) == len(old_closures)
+    assert set(closures) == set(old_closures)
+
+
+def test_arrangement_cap(monkeypatch):
+    # (1/4, 3/4) cuts [0, 1] into 7 cells: 0, (0, 1/4), 1/4, ..., 1
+    s = OpenSet((ball((F(1, 2),), F(1, 4)),))
+    monkeypatch.setattr(cn, "_CELL_CAP", 7)
+    assert set(cn._uncovered_closures(s)[1]) == {((0, 2),), ((6, 8),)}
+    monkeypatch.setattr(cn, "_CELL_CAP", 6)
+    with pytest.raises(PreconditionError, match="arrangement has more than 6 cells"):
+        cn._uncovered_closures(s)

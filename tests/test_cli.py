@@ -642,6 +642,29 @@ class TestCoverCommands:
             assert (code, out) == (2, "")
             assert err == f"effdim: carrier has more than {cells - 1} cells\n"
 
+    def test_member_arrangement_cap_exits_two(self, capsys, tmp_path):
+        # three balls with distinct faces cut each of six axes into 15
+        # cells: 15**6 = 11,390,625 cells, past the cap of 2**22
+        centre = ["1/2"] * 6
+        path = tmp_path / "cover.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "carrier": {"kind": "cloud", "dim": 6, "points": [centre]},
+                    "members": [
+                        [
+                            {"center": centre, "radius": "1/4"},
+                            {"center": ["1/3"] * 6, "radius": "1/5"},
+                            {"center": ["2/3"] * 6, "radius": "1/7"},
+                        ]
+                    ],
+                }
+            )
+        )
+        code, out, err = invoke(capsys, "kappa", "--in", str(path), "--x", ",".join(centre))
+        assert (code, out) == (2, "")
+        assert err == f"effdim: open set's arrangement has more than {2**22} cells\n"
+
     def test_refine(self, capsys, cover_file):
         data = invoke_json(
             capsys, "refine", "--in", cover_file, "--target-mult", "2", "--mesh", "1/2"

@@ -407,8 +407,8 @@ class TestKappaMap:
         )
         U = FiniteCover(members, cloud)
         calls = []
-        scan = cn._scan
-        monkeypatch.setattr(cn, "_scan", lambda *a, **k: calls.append(a) or scan(*a, **k))
+        build = cn._uncovered_closures
+        monkeypatch.setattr(cn, "_uncovered_closures", lambda s: calls.append(s) or build(s))
         verts = tuple(m.balls[0].center for m in members)
         for p in cloud.points:
             kappa_map(p, U, verts)
