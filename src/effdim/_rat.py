@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -46,10 +46,6 @@ def max_dist(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
     return max((abs(x - y) for x, y in zip(a, b)), default=ZERO)
-
-
-def in_unit_box(coords: Iterable[Fraction]) -> bool:
-    return all(ZERO <= c <= ONE for c in coords)
 
 
 def float12(x: float) -> str:

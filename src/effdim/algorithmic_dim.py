@@ -451,6 +451,14 @@ def precision_candidates(x, r: int) -> list[tuple[int, ...]]:
     The tuples come in lexicographic order, and more than _CANDIDATE_CAP
     of them raise before any is built.
     """
+    out: list[tuple[int, ...]] = [()]
+    for ks in _candidate_axes(x, r):
+        out = [prev + (k,) for prev in out for k in ks]
+    return out
+
+
+def _candidate_axes(x, r: int) -> list[list[int]]:
+    """Per coordinate, the certified grid numerators in ascending order."""
     if r < 0:
         raise PreconditionError("precision must be nonnegative")
     intervals = _coordinate_intervals(x, r)
@@ -465,16 +473,27 @@ def precision_candidates(x, r: int) -> list[tuple[int, ...]]:
     count = math.prod(len(ks) for ks in per_coord)
     if count > _CANDIDATE_CAP:
         raise PreconditionError(f"{count} grid candidates exceed the cap of {_CANDIDATE_CAP}")
-    out: list[tuple[int, ...]] = [()]
-    for ks in per_coord:
-        out = [prev + (k,) for prev in out for k in ks]
-    return out
+    return per_coord
+
+
+def _candidate_codes(x, r: int) -> list[str]:
+    """grid_point_encoding of each of precision_candidates(x, r), in order.
+
+    Every code shares one header, and each coordinate's blocks are
+    formatted once, so a code is a concatenation of ready strings.
+    """
+    axes = _candidate_axes(x, r)
+    # the first candidate's code validates the dimension and holds the header
+    codes = [grid_point_encoding([ks[0] for ks in axes], r)[: 5 + r]]
+    for ks in axes:
+        blocks = [format(k, f"0{r + 2}b") for k in ks]
+        codes = [code + block for code in codes for block in blocks]
+    return codes
 
 
 def precision_complexity(x, r: int, M: Compressor) -> int:
     """Min compressed length over canonical encodings of certified candidates."""
-    length = _length_fn(M)
-    return min(length(grid_point_encoding(ks, r)) for ks in precision_candidates(x, r))
+    return min(map(_length_fn(M), _candidate_codes(x, r)))
 
 
 def precision_complexities(x, M: Compressor, r_range: Sequence[int]) -> dict[int, int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._rat import ZERO, ONE, in_unit_box, max_dist
+from ._rat import max_dist
 
 
 class PreconditionError(ValueError):
@@ -28,10 +28,12 @@ class RationalPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-        if not self.coords:
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
+        object.__setattr__(self, "coords", coords)
+        if not coords:
             raise ValueError("point needs at least one coordinate")
-        if not in_unit_box(self.coords):
+        # a Fraction's denominator is positive, so 0 <= n/d <= 1 reads 0 <= n <= d
+        if not all(0 <= c.numerator <= c.denominator for c in coords):
             raise ValueError("coordinates must lie in [0,1]")
 
     @property

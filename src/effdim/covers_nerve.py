@@ -49,8 +49,8 @@ cells.  Kappa weights and shrinking margins are distances to it, so
 each set, a single ball too, builds it at most once, however many
 points are weighed.  A distance is measured in ints too: the point goes
 on its own denominator q, and a gap to a bound on grid g is compared on
-q·g.  Affine ranks, for general position, are taken by fraction-free
-elimination over ints.
+q·g.  General position tests affine ranks by fraction-free elimination
+over ints, on one grid per call.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 from ._lp import affine_gap
@@ -548,6 +548,12 @@ def _uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
     return g, tuple(closures)
 
 
+def _on_lcm(rows: Sequence[Sequence[Fraction]], q: int = 1) -> tuple[list[list[int]], int]:
+    """The rows as ints over the lcm of q and all their denominators, and that lcm."""
+    q = reduce(math.lcm, (c.denominator for row in rows for c in row), q)
+    return [[c.numerator * (q // c.denominator) for c in row] for row in rows], q
+
+
 def _depth(xs: Sequence[int], q: int, s: OpenSet) -> int | None:
     """complement_distance of the point xs/q, as its numerator over q·g.
 
@@ -594,8 +600,8 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet):
     """
     if len(coords) != s.dim:
         raise PreconditionError("point dimension differs from the set's")
-    q = math.lcm(*(c.denominator for c in coords))
-    d = _depth([c.numerator * (q // c.denominator) for c in coords], q, s)
+    (xs,), q = _on_lcm([coords])
+    d = _depth(xs, q, s)
     return None if d is None else Fraction(d, q * s._complement[0])
 
 
@@ -642,33 +648,37 @@ def kappa_map(x, U: FiniteCover, vertices: Sequence[RationalPoint]) -> RationalP
     The weight of member i is the exact distance from x to the part of
     the unit box outside that member, so the support is exactly the set
     of members containing x and the weights sum to 1 after normalizing.
-    Members are read inside the unit box, so x must lie in it.
+    Members are read inside the unit box, so x must lie in it.  Depths
+    and vertices go on common denominators: one int sum per axis.
     """
     coords = x.coords if isinstance(x, RationalPoint) else tuple(rat(c) for c in x)
     if len(coords) != U.dim:
         raise PreconditionError("point dimension differs from the cover's")
-    if not all(ZERO <= c <= ONE for c in coords):
+    if not all(0 <= c.numerator <= c.denominator for c in coords):
         raise PreconditionError("point lies outside the unit box")
     if len(vertices) != len(U.members):
         raise PreconditionError("one vertex per cover member is required")
     if len({v.dim for v in vertices}) != 1:
         raise PreconditionError("vertices disagree on dimension")
-    weights = []
+    (xs,), q = _on_lcm([coords])
+    depths = []
     for m in U.members:
-        d = complement_distance(coords, m)
+        d = _depth(xs, q, m)
         if d is None:
             raise PreconditionError("member complement is empty; kappa weight undefined")
-        weights.append(d)
+        depths.append((d, q * m._complement[0]))
+    scale = reduce(math.lcm, (qg for _, qg in depths), 1)
+    weights = [d * (scale // qg) for d, qg in depths]
     total = sum(weights)
     if total == 0:
         raise PreconditionError("uncovered point")
-    tdim = vertices[0].dim
-    out = [ZERO] * tdim
-    for w, p in zip(weights, vertices):
+    rows, den = _on_lcm([v.coords for v in vertices])
+    out = [0] * vertices[0].dim
+    for w, row in zip(weights, rows):
         if w:
-            for a in range(tdim):
-                out[a] += w * p.coords[a] / total
-    return RationalPoint(tuple(out))
+            for a, n in enumerate(row):
+                out[a] += w * n
+    return RationalPoint(tuple(Fraction(n, total * den) for n in out))
 
 
 # --- shrinkings ------------------------------------------------------------
@@ -874,20 +884,18 @@ def refine_cover(
 
 # --- general position ------------------------------------------------------
 
+_FINEST_LEVEL = 40  # general_position's finest candidate grid is 1/2^_FINEST_LEVEL
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank of the rows, by fraction-free elimination over ints.
 
-    Each row is scaled by the lcm of its denominators, which keeps its
-    span.  Bareiss's elimination ("Sylvester's identity and multistep
+def _rank(rows: list[list[int]]) -> int:
+    """Rank of int rows, by fraction-free elimination.
+
+    Bareiss's elimination ("Sylvester's identity and multistep
     integer-preserving Gaussian elimination", Math. Comp. 1968) keeps
-    every entry a minor of those int rows: after a pivot p, row r becomes
+    every entry a minor of the rows: after a pivot p, row r becomes
     (p·r − r[col]·pivot row) / previous pivot, and the division is exact.
     """
-    mat = []
-    for row in rows:
-        q = math.lcm(*(v.denominator for v in row))
-        mat.append([v.numerator * (q // v.denominator) for v in row])
+    mat = list(rows)
     rank = 0
     prev = 1
     cols = len(mat[0]) if mat else 0
@@ -906,25 +914,18 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def _directions(points: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+def _directions(points: Sequence[Sequence[int]]) -> list[list[int]]:
     """The rows p − points[0] of the other points, spanning the hull's directions."""
     base = points[0]
     return [[c - b for c, b in zip(p, base)] for p in points[1:]]
 
 
-def _affinely_independent(points: Sequence[Sequence[Fraction]]) -> bool:
-    if len(points) <= 1:
-        return True
-    dirs = _directions(points)
-    return _rank(dirs) == len(dirs)
-
-
-def _span_meets(points: Sequence[Sequence[Fraction]], sub: Sequence[Sequence[Fraction]]) -> bool:
+def _span_meets(points: Sequence[Sequence[int]], sub: Sequence[Sequence[int]]) -> bool:
     """Does the affine hull of the points meet the affine hull of sub?"""
     combined = _directions(points) + _directions(sub)
     diff = [s - b for s, b in zip(sub[0], points[0])]
     if not combined:
-        return diff == [ZERO] * len(diff)
+        return not any(diff)
     return _rank(combined) == _rank(combined + [diff])
 
 
@@ -940,37 +941,35 @@ def general_position(
     affinely independent, and the affine span of any at most m - dim(L)
     outputs misses each avoid flat L.  Candidates run over dyadic grids
     of increasing denominator in lexicographic order, so the result is
-    deterministic.
+    deterministic.  The points, flats and candidates are int vectors on
+    one grid per call, the lcm of their denominators and 2^_FINEST_LEVEL,
+    so the tests subtract and eliminate ints; only the outputs are Fractions.
     """
     eps = rat(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    pts = [
-        list(p.coords) if isinstance(p, RationalPoint) else [rat(c) for c in p]
-        for p in points
-    ]
+    pts = [p.coords if isinstance(p, RationalPoint) else [rat(c) for c in p] for p in points]
     if not pts:
         return ()
     m = len(pts[0])
     avoid_flats = [[[rat(c) for c in p] for p in flat] for flat in avoid]
+    _, grid = _on_lcm([*pts, *itertools.chain(*avoid_flats)], 2**_FINEST_LEVEL)
+    pts = _on_lcm(pts, grid)[0]
+    avoid_flats = [_on_lcm(flat, grid)[0] for flat in avoid_flats]
     avoid_dims = [_rank(_directions(flat)) for flat in avoid_flats]
 
-    placed: list[list[Fraction]] = []
+    placed: list[list[int]] = []
 
-    def admissible(candidate: list[Fraction]) -> bool:
-        chosen = placed + [candidate]
-        i = len(chosen) - 1
-        for size in range(1, min(m + 1, len(chosen)) + 1):
-            for combo in itertools.combinations(range(i), size - 1):
-                subset = [chosen[c] for c in combo] + [candidate]
-                if not _affinely_independent(subset):
+    def admissible(candidate: list[int]) -> bool:
+        # the candidate with k placed points: k directions of rank k
+        for k in range(1, min(m, len(placed)) + 1):
+            for combo in itertools.combinations(placed, k):
+                if _rank(_directions([*combo, candidate])) < k:
                     return False
         for flat, fdim in zip(avoid_flats, avoid_dims):
-            limit = m - fdim
-            for size in range(1, min(limit, len(chosen)) + 1):
-                for combo in itertools.combinations(range(i), size - 1):
-                    subset = [chosen[c] for c in combo] + [candidate]
-                    if _span_meets(subset, flat):
+            for k in range(min(m - fdim, len(placed) + 1)):
+                for combo in itertools.combinations(placed, k):
+                    if _span_meets([*combo, candidate], flat):
                         return False
         return True
 
@@ -984,6 +983,7 @@ def general_position(
         fresh = True
         while not found:
             denom = 2**level
+            step = grid // denom
             radius = math.floor(eps * denom) - 1
             if radius >= 1:
                 for offs in itertools.product(range(-radius, radius + 1), repeat=m):
@@ -994,8 +994,8 @@ def general_position(
                     steps += 1
                     if steps > budget:
                         raise PreconditionError("budget exceeded")
-                    cand = [c + Fraction(o, denom) for c, o in zip(p, offs)]
-                    if not all(ZERO <= c <= ONE for c in cand):
+                    cand = [c + o * step for c, o in zip(p, offs)]
+                    if not all(0 <= c <= grid for c in cand):
                         continue
                     if admissible(cand):
                         placed.append(cand)
@@ -1003,9 +1003,9 @@ def general_position(
                         break
                 fresh = False
             level += 1
-            if level > 40:
+            if level > _FINEST_LEVEL:
                 raise PreconditionError("budget exceeded")
-    return tuple(RationalPoint(tuple(p)) for p in placed)
+    return tuple(RationalPoint(tuple(Fraction(c, grid) for c in p)) for p in placed)
 
 
 # --- (eps; eta) certificates ----------------------------------------------

@@ -29,6 +29,7 @@ from effdim.algorithmic_dim import (
     _CANDIDATE_CAP,
     _DICT_CHAIN,
     _DICT_MINLEN,
+    _candidate_codes,
     _dict_encode,
     _gamma,
     _header,
@@ -330,6 +331,29 @@ class TestPrecisionComplexity:
 
     def test_half_at_precision_two(self):
         assert precision_complexity((Fraction(1, 2),), 2, identity_compressor()) == 11
+
+    @given(
+        x=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=100), min_size=1, max_size=3),
+        r=st.integers(min_value=0, max_value=12),
+    )
+    @example(x=[Fraction(0), Fraction(1)], r=0)
+    def test_candidate_codes_are_the_frozen_encodings(self, x, r):
+        expected = [grid_point_encoding(ks, r) for ks in precision_candidates(x, r)]
+        assert _candidate_codes(x, r) == expected
+
+    def test_candidate_codes_of_a_stream_and_their_errors(self):
+        M = DigitMatrix(((0, 2), (1, 1)), BoundSeq.constant(3))
+        assert _candidate_codes(M, 1) == [
+            grid_point_encoding(ks, 1) for ks in precision_candidates(M, 1)
+        ]
+        # the dimension is checked by grid_point_encoding, after the candidates
+        # (sixteen coordinates already pass the candidate cap)
+        with pytest.raises(PreconditionError, match="dimension must lie in 1..15"):
+            precision_complexity((), 1, identity_compressor())
+        with pytest.raises(PreconditionError, match="65536 grid candidates exceed"):
+            precision_complexity((Fraction(0),) * 16, 1, identity_compressor())
+        with pytest.raises(PreconditionError, match="precision must be nonnegative"):
+            precision_complexity((Fraction(1, 2),) * 16, -1, identity_compressor())
 
     @given(
         v=st.fractions(min_value=0, max_value=1, max_denominator=64),

@@ -1,5 +1,6 @@
 """Tests for the exact ball calculus on name prefixes."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,26 @@ class TestRationalPoint:
             RationalPoint(())
         with pytest.raises(ValueError):
             RationalPoint((Fraction(3, 2),))
+
+    def test_coordinate_inputs_become_plain_fractions(self):
+        # the coordinates every input type gave when each one went through Fraction()
+        class Half(Fraction):
+            pass
+
+        inputs = ("1/2", " 3/4 ", 0, 1, True, 0.5, 0.1, Decimal("0.25"), Half(1, 2), Fraction(0))
+        p = RationalPoint(inputs)
+        assert p.coords == tuple(Fraction(c) for c in inputs)
+        assert all(type(c) is Fraction for c in p.coords)
+        assert p.coords[6] == Fraction(3602879701896397, 36028797018963968)
+
+    def test_box_and_empty_errors_keep_their_texts(self):
+        for coords in ((Fraction(3, 2),), (Fraction(-1, 8),), ("1/2", 2), (1.5,), (Fraction(1, 2), -1e-9)):
+            with pytest.raises(ValueError, match=r"^coordinates must lie in \[0,1\]$"):
+                RationalPoint(coords)
+        with pytest.raises(ValueError, match="^point needs at least one coordinate$"):
+            RationalPoint(())
+        # the edges of the box belong to it
+        assert RationalPoint((0, 1, Fraction(0), Fraction(1))).coords == (0, 1, 0, 1)
 
     def test_dimension_mismatch_in_dist(self):
         a = RationalPoint((Fraction(0),))

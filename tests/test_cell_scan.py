@@ -10,8 +10,8 @@ from the scan's consumers as from these copies.  The scan reads ints on
 a common grid, so half the random covers mix coprime denominators.
 
 The int kernels past the scan, complement distances, shrink margins and
-``_rank``, are checked the same way against verbatim copies of the
-Fraction code they replaced.
+``_rank`` (fed int rows), are checked the same way against verbatim
+copies of the Fraction code they replaced.
 
 The scan itself is gone from ``covers_nerve``; ``_old_scan`` is a
 verbatim copy, checked against the global loops and kept as the oracle
@@ -24,6 +24,7 @@ is one int bitboard over its arrangement; it is checked against
 """
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -667,7 +668,12 @@ def matrices(draw):
 
 @given(matrices())
 def test_rank_agrees_with_fraction_elimination(rows):
-    assert cn._rank(rows) == _fraction_rank(rows)
+    # _rank reads int rows; scaling a row by the lcm of its denominators keeps its span
+    scaled = []
+    for row in rows:
+        q = math.lcm(*(v.denominator for v in row))
+        scaled.append([v.numerator * (q // v.denominator) for v in row])
+    assert cn._rank(scaled) == _fraction_rank(rows)
 
 
 @st.composite
