@@ -165,8 +165,9 @@ _NAMED_DESCRIPTORS = {
 
 
 # Most grid cells a cover file's symbolic carrier may hold: 4096 is the
-# carpet at depth 4 (8^4), the interval has 2187 at depth 7.  Cover
-# operations scan every cell, and the count grows geometrically with depth.
+# carpet at depth 4 (8^4), the interval has 2187 at depth 7.  Building the
+# cells (_symbolic_cells) and shrink_cover's margin still visit every one, and
+# the count grows geometrically with depth.
 _CARRIER_CELL_CAP = 4096
 
 

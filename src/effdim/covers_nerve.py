@@ -39,7 +39,8 @@ carrier's merged boxes (``_merged_cells``): face-adjacent cells united
 axis by axis, once per carrier, so the depth-4 interval is one box, not
 81.  Within a box a mask set needs no cells: ``_box_masks`` ANDs each
 axis's distinct bitsets over their product.  Only ``shrink_cover``,
-which reads cell representatives, still cuts every carrier cell.
+which reads cell representatives for its margin, still cuts every
+carrier cell; its coverage check is the open family's mask set alone.
 
 An open set's derived datum is its complement: the closures of the
 maximal unit-box cells that none of its cubes holds, as ints on the
@@ -291,21 +292,18 @@ def _axis_cells(lo: int, hi: int, cuts: Iterable[int]):
 
 
 def _axis_runs(
-    lo: int, hi: int, spans: Sequence[tuple[int, int]], closed: bool
+    lo: int, hi: int, spans: Sequence[tuple[int, int]]
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
     """The cells of the axis [lo, hi] cut by the spans (``_axis_cells``), and
-    per span the index run [s, e) of the cells it holds: as an open
-    interval, or as a closed one when closed is set."""
+    per span the index run [s, e) of the cells its open interval holds."""
     cells = _axis_cells(lo, hi, [v for span in spans for v in span])
     reps = [rep for rep, _, _ in cells]
-    if closed:
-        return cells, [(bisect_left(reps, slo), bisect_right(reps, shi)) for slo, shi in spans]
     return cells, [(bisect_right(reps, slo), bisect_left(reps, shi)) for slo, shi in spans]
 
 
-def _axis_bits(lo: int, hi: int, spans: Sequence[tuple[int, int]], closed: bool) -> set[int]:
+def _axis_bits(lo: int, hi: int, spans: Sequence[tuple[int, int]]) -> set[int]:
     """The distinct bitsets of the axis cells, bit j set when span j holds the cell."""
-    cells, runs = _axis_runs(lo, hi, spans, closed)
+    cells, runs = _axis_runs(lo, hi, spans)
     # flipping bit j at both ends of span j's run makes the running XOR the bitset
     flips = [0] * (len(cells) + 1)
     for j, (s, e) in enumerate(runs):
@@ -332,21 +330,17 @@ def _iter_cells(
         yield rep, closure
 
 
-def _meets(box: IntBounds, cube: IntBounds, closed: bool = False) -> bool:
-    """Does the cube, read as open or as closed, share a point with the closed box?"""
+def _meets(box: IntBounds, cube: IntBounds) -> bool:
+    """Does the open cube share a point with the closed box?"""
     for (blo, bhi), (clo, chi) in zip(box, cube):
-        if (clo > bhi or chi < blo) if closed else (clo >= bhi or chi <= blo):
+        if clo >= bhi or chi <= blo:
             return False
     return True
 
 
-def _local(
-    box: IntBounds, groups: Sequence[Sequence[IntBounds]], closed: bool
-) -> list[tuple[int, IntBounds]]:
-    """(group index, cube) per cube meeting the box, read as closed when closed is set."""
-    return [
-        (g, cube) for g, cubes in enumerate(groups) for cube in cubes if _meets(box, cube, closed)
-    ]
+def _local(box: IntBounds, groups: Sequence[Sequence[IntBounds]]) -> list[tuple[int, IntBounds]]:
+    """(group index, cube) per cube meeting the box."""
+    return [(g, cube) for g, cubes in enumerate(groups) for cube in cubes if _meets(box, cube)]
 
 
 def _mask(bits: int, local: Sequence[tuple[int, IntBounds]]) -> frozenset[int]:
@@ -354,20 +348,19 @@ def _mask(bits: int, local: Sequence[tuple[int, IntBounds]]) -> frozenset[int]:
     return frozenset(g for j, (g, _) in enumerate(local) if bits >> j & 1)
 
 
-def _box_masks(
-    box: IntBounds, groups: Sequence[Sequence[IntBounds]], closed: bool = False
-) -> set[frozenset[int]]:
-    """The distinct masks of _scan's cells of the box, without the cells.
+def _box_masks(box: IntBounds, groups: Sequence[Sequence[IntBounds]]) -> set[frozenset[int]]:
+    """The distinct masks of the box's cells, the groups whose cubes hold
+    each cell, without building the cells.
 
     A cell's bitset is the AND of one axis cell's bitset per axis, and
     every choice of axis cells is a cell, so the masks are the ANDs over
     the product of each axis's distinct bitsets.  Folding axis by axis
     keeps only the distinct partial ANDs.
     """
-    local = _local(box, groups, closed)
+    local = _local(box, groups)
     acc = {-1}
     for a, (lo, hi) in enumerate(box):
-        axis = _axis_bits(lo, hi, [c[a] for _, c in local], closed)
+        axis = _axis_bits(lo, hi, [c[a] for _, c in local])
         acc = {x & y for x in acc for y in axis}
     return {_mask(bits, local) for bits in acc}
 
@@ -395,17 +388,11 @@ def _carrier_region(carrier: Carrier) -> tuple[Bounds, ...]:
     return _carrier_boxes(carrier)
 
 
-def _region_masks(
-    carrier: Carrier, groups: Sequence[Sequence[Bounds]], closed: bool = False
-) -> frozenset[frozenset[int]]:
-    """_box_masks over every box of the carrier region, on one grid."""
-    _, boxes, groups = _grid(_carrier_region(carrier), groups)
-    return frozenset(mask for box in boxes for mask in _box_masks(box, groups, closed))
-
-
 def _carrier_masks(members: Sequence[OpenSet], carrier: Carrier) -> frozenset[frozenset[int]]:
-    """Distinct membership patterns realized somewhere on the carrier."""
-    return _region_masks(carrier, [m.cubes() for m in members])
+    """Distinct membership patterns realized somewhere on the carrier:
+    ``_box_masks`` over every box of the carrier region, on one grid."""
+    _, boxes, groups = _grid(_carrier_region(carrier), [m.cubes() for m in members])
+    return frozenset(mask for box in boxes for mask in _box_masks(box, groups))
 
 
 @dataclass(frozen=True)
@@ -518,8 +505,8 @@ def _uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
     read back into closures.
     """
     g, _, (cubes,) = _grid([_unit_bounds(s.dim)], [s.cubes()])
-    local = [cube for _, cube in _local(((0, g),) * s.dim, [cubes], False)]
-    axes = [_axis_runs(0, g, [c[a] for c in local], False) for a in range(s.dim)]
+    local = [cube for _, cube in _local(((0, g),) * s.dim, [cubes])]
+    axes = [_axis_runs(0, g, [c[a] for c in local]) for a in range(s.dim)]
     *strides, n = itertools.accumulate([len(c) for c, _ in axes], operator.mul, initial=1)
     if n > _CELL_CAP:
         raise PreconditionError(f"open set's arrangement has more than {_CELL_CAP} cells")
@@ -700,19 +687,16 @@ def _shrunk_set(s: OpenSet, pull: Fraction) -> OpenSet | None:
     return OpenSet(tuple(balls)) if balls else None
 
 
-def _closed_family_covers(family: Sequence[tuple[Box, ...]], carrier: Carrier) -> bool:
-    groups = [[b.bounds for b in boxes] for boxes in family]
-    return frozenset() not in _region_masks(carrier, groups, closed=True)
-
-
 def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[OpenSet, ...]]:
     """Closed boxes F and open sets V with V_k ⊆ F_k ⊆ U_k, V covering.
 
     The margin is the smallest over carrier representatives of the best
     depth inside a member.  F pulls each cube face in by half the margin
     except faces already outside the unit box, which stay put; V shrinks
-    every ball radius by three quarters of the margin.  Both families
-    are verified to cover exactly, halving the margin when the
+    every ball radius by three quarters of the margin.  On each axis a V
+    cube's interval (lo + 3λ/4, hi − 3λ/4), read inside [0, 1], lies in
+    its F box's, so V_k ∩ [0,1]^d ⊆ F_k and F covers wherever V does.
+    Only V is verified to cover exactly, halving the margin when the
     representative-based estimate was too coarse.
     """
     # the whole-cover arrangement, not a box-local one: the margin
@@ -751,9 +735,8 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
                 break
             closed.append(boxes)
             open_.append(v)
-        if ok and _closed_family_covers(closed, U.carrier):
-            if frozenset() not in _carrier_masks(open_, U.carrier):
-                return tuple(closed), tuple(open_)
+        if ok and frozenset() not in _carrier_masks(open_, U.carrier):
+            return tuple(closed), tuple(open_)
         lam /= 2
     raise PreconditionError("no positive margin")
 
@@ -944,6 +927,8 @@ def general_position(
     deterministic.  The points, flats and candidates are int vectors on
     one grid per call, the lcm of their denominators and 2^_FINEST_LEVEL,
     so the tests subtract and eliminate ints; only the outputs are Fractions.
+    Points of unequal dimension, an empty avoid flat and a flat of another
+    dimension than the points' are refused with PreconditionError.
     """
     eps = rat(eps)
     if eps <= 0:
@@ -952,7 +937,13 @@ def general_position(
     if not pts:
         return ()
     m = len(pts[0])
+    if any(len(p) != m for p in pts):
+        raise PreconditionError("points disagree on dimension")
     avoid_flats = [[[rat(c) for c in p] for p in flat] for flat in avoid]
+    if not all(avoid_flats):
+        raise PreconditionError("an avoid flat needs at least one point")
+    if any(len(p) != m for flat in avoid_flats for p in flat):
+        raise PreconditionError("avoid flat dimension differs from the points'")
     _, grid = _on_lcm([*pts, *itertools.chain(*avoid_flats)], 2**_FINEST_LEVEL)
     pts = _on_lcm(pts, grid)[0]
     avoid_flats = [_on_lcm(flat, grid)[0] for flat in avoid_flats]

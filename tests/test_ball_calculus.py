@@ -72,6 +72,20 @@ class TestRationalPoint:
             a.dist(b)
 
 
+class TestFormalBall:
+    def test_contains_is_the_open_max_metric_ball(self):
+        b = ball((Fraction(1, 2), Fraction(1, 4)), Fraction(1, 4))
+        assert b.dim == 2
+        assert b.contains(RationalPoint((Fraction(1, 2), Fraction(1, 4))))
+        assert b.contains(RationalPoint((Fraction(5, 8), Fraction(3, 8))))
+        # the max metric: a corner point of the cube is at distance 1/4, on the boundary
+        assert not b.contains(RationalPoint((Fraction(3, 4), Fraction(1, 2))))
+        assert not b.contains(RationalPoint((Fraction(1, 2), Fraction(0))))
+        assert b.contains(RationalPoint((Fraction(1, 2), Fraction(1, 64))))
+        with pytest.raises(ValueError):
+            b.contains(RationalPoint((Fraction(1, 2),)))
+
+
 class TestDenseEnumeration:
     def test_dim1_prefix_frozen(self):
         S = SpaceDescriptor(dim=1)

@@ -16,7 +16,7 @@ copies of the Fraction code they replaced.
 The scan itself is gone from ``covers_nerve``; ``_old_scan`` is a
 verbatim copy, checked against the global loops and kept as the oracle
 for what replaced it.  The queries that read the carrier as a point set,
-mask sets (open and closed), meshes and which cubes meet the carrier,
+mask sets, meshes and which cubes meet the carrier,
 scan merged carrier boxes without building cells; they are checked
 against ``_old_scan`` over every carrier cell.  An open set's complement
 is one int bitboard over its arrangement; it is checked against
@@ -170,15 +170,22 @@ def complement_distance(coords, s: OpenSet):
 
 
 def _closed_family_covers(family, carrier) -> bool:
+    """Does the family of closed boxes cover the carrier?  The check
+    ``shrink_cover`` made of its closed family before it checked only
+    its open one."""
     if isinstance(carrier, PointCloud):
         return all(
             any(b.contains(p) for boxes in family for b in boxes)
             for p in carrier.points
         )
-    cubes = [b.bounds for boxes in family for b in boxes]
+    closed = [b.bounds for boxes in family for b in boxes]
     for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, cubes):
-            if not any(b.contains(rep) for boxes in family for b in boxes):
+        # cut by the closed boxes meeting this one only: the others hold none of its cells
+        near = [
+            c for c in closed if all(clo <= bhi and blo <= chi for (blo, bhi), (clo, chi) in zip(box.bounds, c))
+        ]
+        for rep, _ in _iter_cells(box, near):
+            if not any(Box(c).contains(rep) for c in near):
                 return False
     return True
 
@@ -269,10 +276,11 @@ def _fraction_rank(rows: list[list[Fraction]]) -> int:
 
 
 def _shrink_cover(U):
-    """shrink_cover with its margin over Fraction representatives.
+    """shrink_cover with its margin over Fraction representatives, and
+    with the closed family's coverage checked before the open one's.
 
-    The representatives come from the global cell loop above; the rest
-    is verbatim.
+    The representatives come from the global cell loop above and the
+    closed check is ``_closed_family_covers`` above; the rest is verbatim.
     """
     all_cubes = [cube for m in U.members for cube in m.cubes()]
     if isinstance(U.carrier, PointCloud):
@@ -306,7 +314,7 @@ def _shrink_cover(U):
                 break
             closed.append(boxes)
             open_.append(v)
-        if ok and cn._closed_family_covers(closed, U.carrier):
+        if ok and _closed_family_covers(closed, U.carrier):
             if frozenset() not in cn._carrier_masks(open_, U.carrier):
                 return tuple(closed), tuple(open_)
         lam /= 2
@@ -318,7 +326,7 @@ def _shrink_cover(U):
 
 
 def _old_axis_bits(
-    lo: int, hi: int, spans: Sequence[tuple[int, int]], closed: bool
+    lo: int, hi: int, spans: Sequence[tuple[int, int]]
 ) -> list[tuple[int, tuple[int, int], int]]:
     cells = cn._axis_cells(lo, hi, [v for span in spans for v in span])
     reps = [rep for rep, _, _ in cells]
@@ -326,10 +334,7 @@ def _old_axis_bits(
     # both ends makes the running XOR the bitset
     flips = [0] * (len(cells) + 1)
     for j, (slo, shi) in enumerate(spans):
-        if closed:
-            s, e = bisect_left(reps, slo), bisect_right(reps, shi)
-        else:
-            s, e = bisect_right(reps, slo), bisect_left(reps, shi)
+        s, e = bisect_right(reps, slo), bisect_left(reps, shi)
         flips[s] ^= 1 << j
         flips[e] ^= 1 << j
     bits = 0
@@ -341,12 +346,10 @@ def _old_axis_bits(
 
 
 def _old_scan(
-    box: IntBounds, groups: Sequence[Sequence[IntBounds]], closed: bool = False
+    box: IntBounds, groups: Sequence[Sequence[IntBounds]]
 ) -> Iterator[tuple[tuple[int, ...], IntBounds, frozenset[int]]]:
-    local = cn._local(box, groups, closed)
-    per_axis = [
-        _old_axis_bits(lo, hi, [c[a] for _, c in local], closed) for a, (lo, hi) in enumerate(box)
-    ]
+    local = cn._local(box, groups)
+    per_axis = [_old_axis_bits(lo, hi, [c[a] for _, c in local]) for a, (lo, hi) in enumerate(box)]
     masks: dict[int, frozenset[int]] = {}
     for combo in itertools.product(*per_axis):
         rep, closure, bitsets = zip(*combo)
@@ -478,12 +481,6 @@ def test_scan_masks_equal_global_masks_per_box(case):
             for rep, _ in _iter_cells(box, all_cubes)
         }
         assert local == whole
-        closed_local = {mask for _, _, mask in _old_scan(int_box, int_groups, closed=True)}
-        closed_whole = {
-            frozenset(i for i, g in enumerate(groups) if any(Box(c).contains(rep) for c in g))
-            for rep, _ in _iter_cells(box, all_cubes)
-        }
-        assert closed_local == closed_whole
     assert cn._carrier_masks(members, carrier) == _carrier_masks(members, carrier)
 
 
@@ -733,25 +730,6 @@ def test_parents_are_first_containing_members(case, data):
     assert cn._parents(family, cn.FiniteCover(members, carrier, validate=False)) == expected
 
 
-@given(covers(), st.data())
-def test_closed_family_covers_agrees(case, data):
-    _, carrier = case
-    dim = carrier.dim
-
-    @st.composite
-    def closed_box(draw):
-        bounds = []
-        for _ in range(dim):
-            lo = draw(st.integers(-6, 30))
-            bounds.append((F(lo, GRID), F(lo + draw(st.integers(0, 16)), GRID)))
-        return Box(tuple(bounds))
-
-    family = data.draw(
-        st.lists(st.lists(closed_box(), min_size=1, max_size=2).map(tuple), min_size=1, max_size=3)
-    )
-    assert cn._closed_family_covers(family, carrier) == _closed_family_covers(family, carrier)
-
-
 @given(covers())
 def test_diam_within_equals_pairwise_maximum(case):
     members, carrier = case
@@ -773,9 +751,9 @@ def _cell_boxes(carrier) -> tuple[Bounds, ...]:
     return tuple(b.bounds for b in carrier.boxes())
 
 
-def _carrier_cells(carrier, groups, closed: bool = False):
+def _carrier_cells(carrier, groups):
     _, boxes, groups = cn._grid(_cell_boxes(carrier), groups)
-    return (cell for box in boxes for cell in _old_scan(box, groups, closed))
+    return (cell for box in boxes for cell in _old_scan(box, groups))
 
 
 def _scanned_masks(members, carrier) -> frozenset[frozenset[int]]:
@@ -793,12 +771,7 @@ def _cell_mesh(members, carrier) -> Fraction:
 @given(covers())
 def test_region_masks_equal_the_cell_scan(case):
     members, carrier = case
-    groups = [m.cubes() for m in members]
     assert cn._carrier_masks(members, carrier) == _scanned_masks(members, carrier)
-    # closed mode, as _closed_family_covers reads it
-    assert cn._region_masks(carrier, groups, closed=True) == frozenset(
-        mask for _, _, mask in _carrier_cells(carrier, groups, closed=True)
-    )
 
 
 @given(covers())

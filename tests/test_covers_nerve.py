@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import effdim.covers_nerve as cn
@@ -42,6 +42,7 @@ from effdim import (
     verify_eps_eta,
 )
 from effdim._lp import affine_gap
+from test_cell_scan import _iter_cells, shrinkable_covers
 
 F = Fraction
 
@@ -85,6 +86,11 @@ class TestOpenSet:
         assert s.contains((F(1, 2),))
         assert not s.contains((F(1, 4),))
         assert not s.contains((F(3, 4),))
+
+    def test_box_dim_counts_its_axes(self):
+        assert Box(((F(0), F(1, 3)),)).dim == 1
+        assert Box(((F(0), F(1)), (F(1, 2), F(1, 2)), (F(1), F(1)))).dim == 3
+        assert Box(()).dim == 0
 
     def test_box_contains_is_closed(self):
         b = Box(((F(0), F(1, 3)),))
@@ -225,8 +231,8 @@ class TestFiniteCover:
 
     def test_carrier_is_scanned_once(self, monkeypatch):
         calls = []
-        scan = cn._region_masks
-        monkeypatch.setattr(cn, "_region_masks", lambda *a, **k: calls.append(a) or scan(*a, **k))
+        scan = cn._carrier_masks
+        monkeypatch.setattr(cn, "_carrier_masks", lambda *a, **k: calls.append(a) or scan(*a, **k))
         members = (open_set(ball((0,), F(3, 5))), open_set(ball((1,), F(3, 5))))
         lazy = FiniteCover(members, interval_carrier(2), validate=False)
         assert calls == []
@@ -460,14 +466,23 @@ class TestShrinkCover:
             assert any(b.contains(rep) for part in F_fam for b in part)
             assert any(v.contains(rep) for v in V_fam)
 
-    def test_open_shrinking_sits_inside_the_closed_one(self):
-        F_fam, V_fam = shrink_cover(two_sided_cover())
+    @given(shrinkable_covers())
+    @example((two_sided_cover().members, interval_carrier(2)))
+    def test_open_shrinking_sits_inside_the_closed_one(self, case):
+        # V_k ∩ [0,1]^d ⊆ F_k is why shrink_cover checks only that V covers:
+        # F covers wherever V does.  Membership in V_k's open cubes and in
+        # F_k's closed boxes is constant on each cell of the unit box cut by
+        # all their faces, so one representative per cell decides it.
+        members, carrier = case
+        try:
+            F_fam, V_fam = shrink_cover(FiniteCover(members, carrier, validate=False))
+        except PreconditionError:
+            assume(False)
         for part, v in zip(F_fam, V_fam):
-            for b in v.balls:
-                lo = b.center.coords[0] - b.radius
-                hi = b.center.coords[0] + b.radius
-                blo, bhi = part[0].bounds[0]
-                assert blo <= max(lo, 0) and min(hi, 1) <= bhi
+            boxes = [b.bounds for b in part]
+            for rep, _ in _iter_cells(Box(cn._unit_bounds(v.dim)), [*v.cubes(), *boxes]):
+                if v.contains(rep):
+                    assert any(b.contains(rep) for b in part)
 
     def test_cloud_shrinking_frozen(self):
         # exact outputs frozen from the pointwise cloud loops this scan replaced
@@ -641,6 +656,25 @@ class TestGeneralPosition:
 
     def test_empty_input(self):
         assert general_position((), F(1, 2)) == ()
+
+    def test_input_shapes_are_checked(self):
+        # a point or flat point of another dimension would be zipped to the
+        # first point's axes, dropping coordinates, and an empty flat has no base
+        with pytest.raises(PreconditionError, match="points disagree on dimension"):
+            general_position(((F(1, 2),), (F(1, 2), F(1, 4))), F(1, 8))
+        with pytest.raises(PreconditionError, match="points disagree on dimension"):
+            general_position([RationalPoint((F(1, 2), F(1, 4))), (F(1, 2),)], F(1, 8))
+        with pytest.raises(PreconditionError, match="flat dimension differs"):
+            general_position(((F(1, 2), F(1, 4)),), F(1, 8), avoid=(((F(0),), (F(1),)),))
+        with pytest.raises(PreconditionError, match="flat dimension differs"):
+            general_position(((F(1, 2),),), F(1, 8), avoid=(((F(0),), (F(1), F(1))),))
+        with pytest.raises(PreconditionError, match="avoid flat needs at least one point"):
+            general_position(((F(1, 2),),), F(1, 8), avoid=((),))
+        with pytest.raises(PreconditionError, match="avoid flat needs at least one point"):
+            general_position(((F(1, 2),),), F(1, 8), avoid=(((F(0),),), ()))
+        # flats of the points' dimension, a point flat included, still pass
+        got = general_position(((F(1, 2),),), F(1, 8), avoid=(((F(1, 4),),),))
+        assert got == (RationalPoint((F(1, 2),)),)
 
 
 class TestEpsEta:

@@ -98,6 +98,13 @@ class TestScaleCounts:
             ScaleCounts(((Fraction(1, 3), 4), (Fraction(1, 9), 2)))
 
 
+class TestPointCloud:
+    def test_len_counts_every_point_repeats_included(self):
+        assert len(PointCloud(1, ())) == 0
+        cloud = PointCloud(2, ((0, 0), (Fraction(1, 2), 1), (0, 0)))
+        assert len(cloud) == 3 == len(cloud.points)
+
+
 class TestBoxCount:
     def test_cloud_cells_with_top_clamp(self):
         cloud = PointCloud(
