@@ -64,7 +64,8 @@ class Compressor:
 
 
 def compress_len(M: Compressor, s: str) -> int:
-    return len(M.encode(s))
+    """len(M.encode(s)), read off M's one length function (``_length_fn``)."""
+    return _length_fn(M)(s)
 
 
 def identity_compressor() -> Compressor:
@@ -295,10 +296,14 @@ def dictionary_compressor() -> Compressor:
 
 
 def _length_fn(M: Compressor) -> Callable[[str], int]:
-    """A function giving len(M.encode(s)); for the dictionary, without building codes.
+    """The one length definition per compressor: a function giving len(M.encode(s)).
 
-    The dictionary lengths resume from the prefix each input shares with
-    the one before, so inputs in sorted order are cheap.
+    ``compress_len``, ``PrefixFreeMachine.code_length``,
+    ``precision_complexity`` and ``co_compressible_check`` all read it.
+    The dictionary lengths are counted without building codes, and
+    resume from the prefix each input shares with the one before, so
+    inputs in sorted order are cheap; the other compressors build the
+    code and take its length.
     """
     if M.encode_fn is _dict_encode:
         scan = _DictScan()

@@ -8,8 +8,9 @@ cube is constant on every cell, so coverage, multiplicity, intersection
 and complement-distance queries are all decided exactly by inspecting
 one representative per cell.
 
-One primitive, ``_axis_runs``, cuts a box, and only by the cubes that
-meet it, since the others hold none of its points.  On each axis a cube
+One primitive, ``_axis_cells``, cuts an axis of a box at the cube
+facets inside it; ``_axis_runs`` cuts by the cubes that meet the box
+alone, since the others hold none of its points.  On each axis a cube
 holds a contiguous run of the sorted axis cells, so membership is read
 off runs, on ints: as per-axis bitsets of the cubes holding each axis
 cell, ANDed across axes, or as one bitboard per cube over all cells.
@@ -38,9 +39,11 @@ diameters and which balls meet the carrier.  Those queries read the
 carrier's merged boxes (``_merged_cells``): face-adjacent cells united
 axis by axis, once per carrier, so the depth-4 interval is one box, not
 81.  Within a box a mask set needs no cells: ``_box_masks`` ANDs each
-axis's distinct bitsets over their product.  Only ``shrink_cover``,
-which reads cell representatives for its margin, still cuts every
-carrier cell; its coverage check is the open family's mask set alone.
+axis's distinct bitsets over their product.  Only ``shrink_cover``
+reads cells of the carrier's own boxes: its margin is a minimum over
+their representatives, the products of ``_axis_cells``' axis
+representatives with every cube of the cover cutting; its coverage
+check is the open family's mask set alone.
 
 An open set's derived datum is its complement: the closures of the
 maximal unit-box cells that none of its cubes holds, as ints on the
@@ -91,6 +94,8 @@ class Box:
         return len(self.bounds)
 
     def contains(self, coords: Sequence[Fraction]) -> bool:
+        if len(coords) != self.dim:
+            raise PreconditionError("point dimension differs from the box's")
         return all(lo <= c <= hi for (lo, hi), c in zip(self.bounds, coords))
 
 
@@ -133,6 +138,8 @@ class OpenSet:
         return self._cubes
 
     def contains(self, coords: Sequence[Fraction]) -> bool:
+        if len(coords) != self.dim:
+            raise PreconditionError("point dimension differs from the set's")
         if not all(ZERO <= c <= ONE for c in coords):
             return False
         return any(
@@ -310,24 +317,6 @@ def _axis_bits(lo: int, hi: int, spans: Sequence[tuple[int, int]]) -> set[int]:
         flips[s] ^= 1 << j
         flips[e] ^= 1 << j
     return set(itertools.accumulate(flips[:-1], operator.xor))
-
-
-def _iter_cells(
-    box: IntBounds, cubes: Sequence[IntBounds]
-) -> Iterator[tuple[tuple[int, ...], IntBounds]]:
-    """Cells of the facet arrangement of the cubes inside the box.
-
-    Yields (representative, closure bounds); cube membership is constant
-    on each cell, so the representative decides it for the whole cell.
-    """
-    per_axis = []
-    for a, (lo, hi) in enumerate(box):
-        cuts = [c[a][0] for c in cubes] + [c[a][1] for c in cubes]
-        per_axis.append(_axis_cells(lo, hi, cuts))
-    for combo in itertools.product(*per_axis):
-        rep = tuple(c[0] for c in combo)
-        closure = tuple((c[1], c[2]) for c in combo)
-        yield rep, closure
 
 
 def _meets(box: IntBounds, cube: IntBounds) -> bool:
@@ -699,14 +688,17 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
     Only V is verified to cover exactly, halving the margin when the
     representative-based estimate was too coarse.
     """
-    # the whole-cover arrangement, not a box-local one: the margin
-    # is a minimum over these representatives, and coarser cells could
-    # drop the ones that set it
+    # the whole-cover arrangement, not a box-local one: every cube's facets
+    # cut each box, since the margin is a minimum over these representatives
+    # and coarser cells could drop the ones that set it; a cell's
+    # representative is one axis cell's per axis
     all_cubes = [cube for m in U.members for cube in m.cubes()]
     g, boxes, (cubes,) = _grid(_carrier_boxes(U.carrier), [all_cubes])
+    cuts = [[v for c in cubes for v in c[a]] for a in range(U.dim)]
     lam = None
     for box in boxes:
-        for rep, _ in _iter_cells(box, cubes):
+        axes = [[rep for rep, _, _ in _axis_cells(lo, hi, cut)] for (lo, hi), cut in zip(box, cuts)]
+        for rep in itertools.product(*axes):
             # a member's depth is on g times its own grid, which divides g
             # (g counts every cube's denominator), so the quotient is the
             # depth on g; a member with no complement counts as depth 1,

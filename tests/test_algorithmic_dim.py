@@ -213,6 +213,32 @@ class TestResumableLengths:
             assert length("0110") == len(factory().encode("0110"))
             with pytest.raises(ValueError, match="only '0' and '1'"):
                 length("0112")
+            with pytest.raises(ValueError, match="only '0' and '1'"):
+                compress_len(factory(), "0112")
+
+    @given(bits)
+    @example("")
+    # single runs whose L - 1 sits on either side of the 7-bit chunk
+    # boundaries 2^7 and 2^14
+    @example("0" * 128)
+    @example("1" * 129)
+    @example("0" * 16384)
+    @example("1" * 16385)
+    def test_compress_len_is_the_code_length(self, s):
+        for factory in BUILTIN_COMPRESSORS.values():
+            M = factory()
+            assert compress_len(M, s) == len(M.encode(s))
+
+    def test_dictionary_lengths_build_no_code(self, monkeypatch):
+        M = dictionary_compressor()
+        lengths = [compress_len(M, s) for s in ("", "0" * 10, "0110100")]
+
+        def refuse(self, s):
+            raise AssertionError("a code was built")
+
+        monkeypatch.setattr(Compressor, "encode", refuse)
+        assert [compress_len(M, s) for s in ("", "0" * 10, "0110100")] == lengths
+        assert prefixfree_transform(M).code_length("0" * 10) == 9 + header_overhead(9)
 
 
 class TestPrefixFreeTransform:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import effdim.covers_nerve as cn
@@ -673,26 +673,40 @@ def test_rank_agrees_with_fraction_elimination(rows):
     assert cn._rank(scaled) == _fraction_rank(rows)
 
 
+def _corner_padding(dim: int) -> tuple[OpenSet, ...]:
+    """2^dim single-ball members centred at 1/4 or 3/4 per axis, radius 5/12."""
+    corners = itertools.product((F(1, 4), F(3, 4)), repeat=dim)
+    return tuple(OpenSet((ball(c, F(5, 12)),)) for c in corners)
+
+
 @st.composite
 def shrinkable_covers(draw):
     """covers(), two thirds of them padded to a cover of the unit box.
 
-    One padding is 2^dim single-ball members centred at 1/4 or 3/4 per
-    axis with radius 5/12, so that the margin is positive and the shrink
-    is built, not only refused.  The other is one member holding the
-    whole box, which has no complement and so depth 1 everywhere.
+    One padding is ``_corner_padding``, so that the margin is positive
+    and the shrink is built, not only refused.  The other is one member
+    holding the whole box, which has no complement and so depth 1
+    everywhere.
     """
     members, carrier = draw(covers())
     padding = draw(st.sampled_from(("none", "corners", "whole")))
     if padding == "corners":
-        corners = itertools.product((F(1, 4), F(3, 4)), repeat=carrier.dim)
-        members += tuple(OpenSet((ball(c, F(5, 12)),)) for c in corners)
+        members += _corner_padding(carrier.dim)
     elif padding == "whole":
         members += (OpenSet((ball((F(1, 2),) * carrier.dim, F(3, 4)),)),)
     return members, carrier
 
 
 @given(shrinkable_covers())
+# A ball at the origin whose facets at 3/8 cut sponge cells it does not
+# meet: cutting each box only by the cubes meeting it drops those cuts,
+# and with them the representatives that set the margin
+@example(
+    (
+        (OpenSet((ball((0, 0, 0), F(3, 8)),)), *_corner_padding(3)),
+        SymbolicCarrier(sponge_descriptor(), 1),
+    )
+)
 def test_shrink_cover_agrees(case):
     members, carrier = case
     U = cn.FiniteCover(members, carrier, validate=False)

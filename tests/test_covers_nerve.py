@@ -98,6 +98,19 @@ class TestOpenSet:
         assert b.contains((F(1, 3),))
         assert not b.contains((F(1, 2),))
 
+    @pytest.mark.parametrize(
+        "region, point",
+        [
+            (Box(((F(0), F(1)), (F(0), F(1)))), (F(1, 2),)),
+            (open_set(ball((F(1, 2), F(1, 2)), F(1, 4))), (F(1, 2),)),
+            (open_set(ball((F(1, 2),), F(1, 4))), (F(1, 2), F(1, 3))),
+        ],
+    )
+    def test_contains_refuses_another_dimension(self, region, point):
+        # zipped against the axes, the point used to be read on fewer of them
+        with pytest.raises(PreconditionError, match="point dimension differs"):
+            region.contains(point)
+
 
 class TestSymbolicCarrier:
     def test_interval_carrier_cells(self):
@@ -599,6 +612,35 @@ class TestRefineCover:
         empty = FiniteCover((open_set(ball((F(1, 3),), F(1, 4))),), PointCloud(1, ()))
         with pytest.raises(PreconditionError, match="no points"):
             refine_cover(empty, 1, F(1, 2))
+
+    def test_symbolic_families_keep_every_cell_ball(self):
+        # Each level-k cell's open interior meets the carrier: for k past the
+        # depth the cell lies in a carrier cell, and before it the cell holds
+        # admissible carrier cells.  So the meeting filter drops no ball of a
+        # symbolic carrier, only of a cloud.  Levels of more than 200 cells
+        # are skipped to keep the sweep short.
+        rules = (
+            BoundSeq.constant(3), BoundSeq.constant(4), BoundSeq.constant(5),
+            BoundSeq.affine(3), BoundSeq.from_table([5, 3], tail=4),
+        )
+        checked = 0
+        for m in (1, 2, 3):
+            for n, z, depth in itertools.product(range(m + 1), rules, range(3)):
+                desc = MengerDescriptor(m, n, z)
+                carrier = SymbolicCarrier(desc, depth)
+                U = FiniteCover((open_set(ball((0,) * m, 2)),), carrier, validate=False)
+                for k in range(depth + 3):
+                    if max(desc.cells_at_depth(k), desc.cells_at_depth(depth)) > 200:
+                        continue
+                    w = carrier.width_at(k)
+                    centers = [tuple((lo + hi) / 2 for lo, hi in c.bounds) for c in carrier.cells_at(k)]
+                    got = [
+                        [(b.center.coords, b.radius) for s in family for b in s.balls]
+                        for family in cn._candidate_families(U, k)
+                    ]
+                    assert got == [[(c, r) for c in centers] for r in (w / 2, w)]
+                    checked += 2
+        assert checked == 692
 
     @given(data=st.data(), dim=st.integers(1, 2), target=st.integers(1, 3))
     def test_every_cloud_cover_refines(self, data, dim, target):
