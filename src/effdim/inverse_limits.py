@@ -16,11 +16,11 @@ the sorted preimages, and the levels where it meets a critical value.
 
 The loops that run once per value key and compare each exact value as
 its reduced (numerator, denominator) int pair, the same equality as the
-Fraction's without its hash: the levels of a branching tree, which get
-one Fraction per node only when the nodes are built (with the cyclic
-collector paused, since a tree holds no cycles), the levels of a branch
-code's decoding and encoding, the repeats of an orbit and the cycle
-table's points.
+Fraction's without its hash: the levels of a branching tree, whose nodes
+keep their level pairs and build a Fraction only when a value is read
+(the nodes are built with the cyclic collector paused, since a tree
+holds no cycles), the levels of a branch code's decoding and encoding,
+the repeats of an orbit and the cycle table's points.
 """
 
 from __future__ import annotations
@@ -29,13 +29,28 @@ import functools
 import gc
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
-from ._rat import fmt
+from ._rat import fmt, rat
 from .ball_calculus import PreconditionError
+
+
+def _int_arg(value: int, name: str) -> int:
+    """value, refused with PreconditionError unless it is an int and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError(f"{name} must be an int")
+    return value
+
+
+def _start_point(x0: Fraction) -> Fraction:
+    """x0 as a Fraction, refused with PreconditionError outside [0,1]."""
+    x0 = Fraction(x0)
+    if not 0 <= x0 <= 1:
+        raise PreconditionError("start point outside [0,1]")
+    return x0
 
 
 # A piece (xn, xd, a, b, e) of a map or of one of its powers is
@@ -270,7 +285,7 @@ def _powers(f: PLMap) -> Iterator[Sequence[Piece]]:
 
 def iterate_map(f: PLMap, power: int) -> PLMap:
     """f composed with itself power times, refused past _SEGMENT_CAP."""
-    if power < 1:
+    if _int_arg(power, "power") < 1:
         raise PreconditionError("power must be at least 1")
     return PLMap(_vertices(next(itertools.islice(_powers(f), power - 1, None))))
 
@@ -391,11 +406,10 @@ def orbit_analyze(
     is certified AsymptoticallyPeriodic.  Otherwise Unknown after the budget.
     A nonpositive tol puts no cycle within reach.
     """
-    x0 = Fraction(x0)
-    if not 0 <= x0 <= 1:
-        raise PreconditionError("start point outside [0,1]")
-    if budget < 1:
+    x0 = _start_point(x0)
+    if _int_arg(budget, "budget") < 1:
         raise PreconditionError("budget must be positive")
+    _int_arg(max_cycle_period, "max_cycle_period")
     tol = Fraction(tol)
     cycles, keys, owners = _cycle_table(f, max_cycle_period)
     # A cycle point v within tol of x has |_key(v) - _key(x)| <= reach, so
@@ -475,12 +489,15 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
 
     Level n step picks the word[n]-th preimage (ascending order) of the
     current value under the level-n map; the levels run on reduced
-    (numerator, denominator) pairs, one Fraction built per level.
+    (numerator, denominator) pairs, one Fraction built per level.  A start
+    point outside [0,1] is refused at every depth.
     """
-    depth = len(code.word) if depth is None else depth
+    depth = len(code.word) if depth is None else _int_arg(depth, "depth")
+    if depth < 0:
+        raise PreconditionError("depth must be nonnegative")
+    traj = [_start_point(code.x0)]
     if depth > len(code.word):
         raise PreconditionError("word shorter than requested depth")
-    traj = [Fraction(code.x0)]
     p, q = traj[0].numerator, traj[0].denominator
     for n in range(depth):
         pre = _preimage_pairs(system.at(n), p, q)
@@ -498,11 +515,13 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     Ranks each x_{n+1} in [0,1] among the sorted preimages of x_n, which
     also verifies f_n(x_{n+1}) = x_n: x_{n+1} is a preimage exactly when
     it is among them.  ex_time collects the levels whose value is a
-    critical value of that level's map.
+    critical value of that level's map.  A start point outside [0,1] is
+    refused, however short the trajectory.
     """
     traj = [Fraction(x) for x in trajectory]
     if not traj:
         raise PreconditionError("empty trajectory")
+    _start_point(traj[0])
     word = []
     ex_time = set()
     for n in range(len(traj) - 1):
@@ -527,12 +546,46 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     return BranchCode(traj[0], tuple(word), frozenset(ex_time))
 
 
-@dataclass(frozen=True)
 class BranchNode:
-    """A node of the backward branching tree."""
+    """A node of the backward branching tree.
 
-    value: Fraction
-    children: tuple["BranchNode", ...] = ()
+    Holds its value as the reduced (numerator, denominator) int pair and
+    builds the Fraction when value is read; equality, hashing, repr and
+    frozenness are those of a frozen dataclass with fields value and
+    children.
+    """
+
+    __slots__ = ("_pair", "children", "__weakref__")
+    __match_args__ = ("value", "children")
+
+    def __init__(self, value: Fraction, children: tuple["BranchNode", ...] = ()):
+        value = rat(value)
+        _set_pair(self, (value.numerator, value.denominator))
+        _set_children(self, children)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(*self._pair)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._pair, self.children) == (other._pair, other.children)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.children))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(value={self.value!r}, children={self.children!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.value, self.children)
 
     def leaf_count(self) -> int:
         leaves = 0
@@ -567,9 +620,21 @@ class BranchNode:
         return True
 
 
+_set_pair = BranchNode._pair.__set__
+_set_children = BranchNode.children.__set__
+
+
+def _node(pair: tuple[int, int], children: tuple[BranchNode, ...]) -> BranchNode:
+    """A BranchNode straight from a reduced pair, with no Fraction built."""
+    node = object.__new__(BranchNode)
+    _set_pair(node, pair)
+    _set_children(node, children)
+    return node
+
+
 # Most nodes branching_tree may build.  The tent map doubles each level, so
-# depth 16 (131,071 nodes) still builds, in about a second, and depth 30
-# would need 2^31 nodes.
+# depth 16 (131,071 nodes) still builds, in about 0.15-0.25 s on a 2-vCPU
+# VM, and depth 30 would need 2^31 nodes.
 _TREE_NODE_CAP = 2**17
 
 
@@ -577,14 +642,15 @@ def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNod
     """Backward preimage tree from x0: node arity is the exact preimage count.
 
     Built level by level without recursion, each level a list of reduced
-    (numerator, denominator) pairs; the nodes, and their Fractions, are
-    built last, bottom level first, with the cyclic collector paused since
-    a tree holds no cycles.  Raises PreconditionError once the tree would
-    pass _TREE_NODE_CAP nodes.
+    (numerator, denominator) pairs; the nodes are built last, bottom level
+    first, each holding its level pair as it stands (no Fraction is built
+    until a node's value is read), with the cyclic collector paused since
+    a tree holds no cycles.  Raises PreconditionError for a start point
+    outside [0,1] and once the tree would pass _TREE_NODE_CAP nodes.
     """
-    if depth < 0:
+    if _int_arg(depth, "depth") < 0:
         raise PreconditionError("depth must be nonnegative")
-    x0 = Fraction(x0)
+    x0 = _start_point(x0)
     levels = [[(x0.numerator, x0.denominator)]]
     arities: list[list[int]] = []
     total = 1
@@ -604,16 +670,17 @@ def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNod
     collecting = gc.isenabled()
     gc.disable()
     try:
-        # each level's list trades its pairs for their nodes in place, so
-        # a pair is freed as soon as its node exists
+        # each level's list trades its pairs, in place, for the nodes that
+        # hold them, so no second list of a level is built
+        node = _node
         nodes = levels.pop()
-        for i, (p, q) in enumerate(nodes):
-            nodes[i] = BranchNode(Fraction(p, q))
+        for i, pair in enumerate(nodes):
+            nodes[i] = node(pair, ())
         while levels:
             children = iter(nodes)
             nodes = levels.pop()
-            for i, ((p, q), n) in enumerate(zip(nodes, arities.pop())):
-                nodes[i] = BranchNode(Fraction(p, q), tuple(itertools.islice(children, n)))
+            for i, (pair, n) in enumerate(zip(nodes, arities.pop())):
+                nodes[i] = node(pair, tuple(itertools.islice(children, n)))
     finally:
         if collecting:
             gc.enable()

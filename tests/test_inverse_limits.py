@@ -1,16 +1,20 @@
 """Tests for interval maps, orbit certificates and inverse-limit coding."""
 
+import copy
 import functools
 import gc
 import itertools
+import pickle
 import random
+import weakref
 from bisect import bisect_left, bisect_right
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import effdim.inverse_limits as il
@@ -308,6 +312,9 @@ def _old_branching_tree(system, x0, depth):
             il.BranchNode(v, tuple(itertools.islice(children, n))) for v, n in zip(values, counts)
         ]
     return nodes[0]
+
+
+OUTSIDE = (PreconditionError, "start point outside [0,1]")
 
 
 def _outcome(fn, *args):
@@ -730,7 +737,13 @@ class TestBranchCodeDifferential:
         f, code, depth = case
         system = InverseSystem.constant(f)
         new = _outcome(decode_point, system, code, depth)
-        assert new == _outcome(_old_decode_point, system, code, depth)
+        old = _outcome(_old_decode_point, system, code, depth)
+        if not 0 <= code.x0 <= 1:
+            # the old levels let such a start through only at depth 0
+            assert new == OUTSIDE
+            assert isinstance(old[0], type) or len(old) == 1
+            return
+        assert new == old
         if not isinstance(new[0], type):
             assert all(type(v) is Fraction for v in new)
 
@@ -738,7 +751,14 @@ class TestBranchCodeDifferential:
     def test_encode_matches_the_fraction_ranks(self, case):
         f, traj = case
         system = InverseSystem.constant(f)
-        assert _outcome(encode_point, system, traj) == _outcome(_old_encode_point, system, traj)
+        new = _outcome(encode_point, system, traj)
+        old = _outcome(_old_encode_point, system, traj)
+        if traj and not 0 <= traj[0] <= 1:
+            # the old ranks let such a start through only alone
+            assert new == OUTSIDE
+            assert isinstance(old, tuple) or len(traj) == 1
+            return
+        assert new == old
 
     def test_error_messages(self):
         half = InverseSystem.constant(PLMap(((F(0), F(0)), (F(1), F(1, 2)))))
@@ -900,6 +920,14 @@ class TestBranchingTree:
         with pytest.raises(PreconditionError, match="exceeds 15 nodes"):
             branching_tree(TENT, F(3, 16), 4)
 
+    def test_real_cap(self):
+        # the tent tree from a generic point doubles each level: depth 16
+        # has 2^17 - 1 nodes, and depth 17 would need 2^18 - 1
+        assert il._TREE_NODE_CAP == 2**17
+        assert branching_tree(TENT, F(3, 16), 16).leaf_count() == 65_536
+        with pytest.raises(PreconditionError, match=f"exceeds {2**17} nodes"):
+            branching_tree(TENT, F(3, 16), 17)
+
     @given(x0=unit_points, depth=st.integers(0, 6))
     def test_matches_the_recursive_build(self, x0, depth):
         f = five_segment_map()
@@ -942,7 +970,11 @@ class TestBranchingTreeDifferential:
         with mock.patch.object(il, "_TREE_NODE_CAP", cap):
             new = _outcome(branching_tree, system, x0, depth)
             old = _outcome(_old_branching_tree, system, x0, depth)
-        if isinstance(old, il.BranchNode):
+        if not 0 <= x0 <= 1:
+            # the old levels let such a start through only at depth 0
+            assert new == OUTSIDE
+            assert isinstance(old, tuple) or depth == 0
+        elif isinstance(old, il.BranchNode):
             assert isinstance(new, il.BranchNode)
             assert _preorder(new) == _preorder(old)
             assert all(kind is Fraction for kind, _, _ in _preorder(new))
@@ -978,13 +1010,13 @@ class TestBranchingTreeCollector:
 
     def test_collector_is_paused_for_the_node_build(self, monkeypatch):
         states = []
-        node = il.BranchNode
+        node = il._node
 
         def tracked(*args):
             states.append(gc.isenabled())
             return node(*args)
 
-        monkeypatch.setattr(il, "BranchNode", tracked)
+        monkeypatch.setattr(il, "_node", tracked)
         was = gc.isenabled()
         try:
             gc.enable()
@@ -993,3 +1025,170 @@ class TestBranchingTreeCollector:
         finally:
             gc.enable() if was else gc.disable()
         assert len(states) == 15 and not any(states)
+
+
+# --- a verbatim copy of the dataclass node and its pair-level node pass ------
+
+
+@dataclass(frozen=True)
+class _OldBranchNode:
+    """A node of the backward branching tree."""
+
+    value: Fraction
+    children: tuple["_OldBranchNode", ...] = ()
+
+
+# the dataclass repr names the class by its qualified name
+_OldBranchNode.__qualname__ = "BranchNode"
+
+
+def _old_pair_tree(system, x0, depth):
+    """branching_tree with one Fraction and one dataclass node per node."""
+    if depth < 0:
+        raise PreconditionError("depth must be nonnegative")
+    x0 = Fraction(x0)
+    levels = [[(x0.numerator, x0.denominator)]]
+    arities = []
+    total = 1
+    for level in range(depth):
+        f = system.at(level)
+        pairs = []
+        counts = []
+        for p, q in levels[-1]:
+            pre = il._preimage_pairs(f, p, q)
+            counts.append(len(pre))
+            pairs += pre
+            if total + len(pairs) > il._TREE_NODE_CAP:
+                raise PreconditionError(f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
+        total += len(pairs)
+        levels.append(pairs)
+        arities.append(counts)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        nodes = levels.pop()
+        for i, (p, q) in enumerate(nodes):
+            nodes[i] = _OldBranchNode(Fraction(p, q))
+        while levels:
+            children = iter(nodes)
+            nodes = levels.pop()
+            for i, ((p, q), n) in enumerate(zip(nodes, arities.pop())):
+                nodes[i] = _OldBranchNode(Fraction(p, q), tuple(itertools.islice(children, n)))
+    finally:
+        if collecting:
+            gc.enable()
+    return nodes[0]
+
+
+def _preorder_nodes(tree):
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(node.children))
+    return out
+
+
+class TestPairNodes:
+    @given(case=tree_cases())
+    @example(case=(tent_map(), F(3, 16), 4, il._TREE_NODE_CAP))
+    @example(case=(tent_map(), F(0), 3, il._TREE_NODE_CAP))
+    def test_matches_the_dataclass_nodes(self, case):
+        f, x0, depth, cap = case
+        system = InverseSystem.constant(f)
+        with mock.patch.object(il, "_TREE_NODE_CAP", cap):
+            new = _outcome(branching_tree, system, x0, depth)
+            old = _outcome(_old_pair_tree, system, x0, depth)
+        if not 0 <= x0 <= 1:
+            assert new == OUTSIDE
+            return
+        if not isinstance(old, _OldBranchNode):
+            assert new == old
+            return
+        assert _preorder(new) == _preorder(old)
+        assert all(kind is Fraction for kind, _, _ in _preorder(new))
+        assert repr(new) == repr(old)
+        assert hash(new) == hash(old)
+        news, olds = _preorder_nodes(new)[:24], _preorder_nodes(old)[:24]
+        for a, b in zip(news, olds):
+            assert hash(a) == hash(b)
+            assert a.__eq__(b) is NotImplemented and not a == b
+            assert [a == c for c in news] == [b == c for c in olds]
+        with mock.patch.object(il, "_TREE_NODE_CAP", cap):
+            assert branching_tree(system, x0, depth) == new
+        for name in ("value", "children"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(new, name, getattr(old, name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(new, name)
+
+    def test_constructor_matches_the_dataclass(self):
+        leaf = il.BranchNode(F(1, 4))
+        tree = il.BranchNode(value=F(1, 2), children=(leaf, il.BranchNode(3)))
+        old = _OldBranchNode(F(1, 2), (_OldBranchNode(F(1, 4)), _OldBranchNode(F(3))))
+        assert repr(tree) == repr(old) == (
+            "BranchNode(value=Fraction(1, 2), children=(BranchNode(value=Fraction(1, 4), children=()), "
+            "BranchNode(value=Fraction(3, 1), children=())))"
+        )
+        assert hash(tree) == hash(old)
+        assert [type(n.value) for n in _preorder_nodes(tree)] == [Fraction] * 3
+        assert tree == il.BranchNode(F(2, 4), (il.BranchNode(F(1, 4)), il.BranchNode(F(3))))
+        assert tree != il.BranchNode(F(1, 2), (leaf,))
+        assert tree.__eq__(F(1, 2)) is NotImplemented
+        with pytest.raises(FrozenInstanceError):
+            tree.other = 1
+        match tree:
+            case il.BranchNode(value, (first, _)):
+                assert (value, first) == (F(1, 2), leaf)
+
+    @pytest.mark.parametrize("value", [0.5, True, None, 1j, (1, 2)], ids=repr)
+    def test_values_must_be_rational(self, value):
+        with pytest.raises(ValueError, match="not a rational"):
+            il.BranchNode(value)
+
+    def test_copies_pickles_and_weak_references(self):
+        tree = branching_tree(TENT, F(3, 16), 3)
+        assert copy.deepcopy(tree) == tree
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert weakref.ref(tree)() is tree
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: decode_point(TENT, BranchCode(F(1, 3), (0, 1)), depth=-1),
+            lambda: decode_point(TENT, BranchCode(F(1, 3), (0, 1)), depth=1.0),
+            lambda: decode_point(TENT, BranchCode(F(1, 3), (0, 1)), depth=True),
+            lambda: branching_tree(TENT, F(1, 3), 2.0),
+            lambda: branching_tree(TENT, F(1, 3), True),
+            lambda: orbit_analyze(tent_map(), F(1, 3), budget=2.5),
+            lambda: orbit_analyze(tent_map(), F(1, 3), budget=True),
+            lambda: orbit_analyze(tent_map(), F(1, 3), max_cycle_period=2.5),
+            lambda: orbit_analyze(tent_map(), F(1, 3), max_cycle_period=True),
+            lambda: iterate_map(tent_map(), 1.5),
+            lambda: iterate_map(tent_map(), True),
+        ],
+        ids=[
+            "decode-depth-negative", "decode-depth-float", "decode-depth-bool",
+            "tree-depth-float", "tree-depth-bool",
+            "orbit-budget-float", "orbit-budget-bool",
+            "orbit-period-float", "orbit-period-bool",
+            "iterate-power-float", "iterate-power-bool",
+        ],
+    )
+    def test_integer_arguments(self, call):
+        with pytest.raises(PreconditionError):
+            call()
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    @pytest.mark.parametrize("x0", [F(-1, 3), F(5), F(2)], ids=str)
+    def test_start_point_outside_the_unit_interval(self, x0, depth):
+        word = (0,) * depth
+        with pytest.raises(PreconditionError, match=r"start point outside \[0,1\]"):
+            branching_tree(TENT, x0, depth)
+        with pytest.raises(PreconditionError, match=r"start point outside \[0,1\]"):
+            decode_point(TENT, BranchCode(x0, word))
+        with pytest.raises(PreconditionError, match=r"start point outside \[0,1\]"):
+            encode_point(TENT, (x0,) + (F(1, 2),) * depth)
