@@ -7,18 +7,27 @@ image behind self-delimiting headers, giving Kraft-summable codes whose
 lengths exceed the compressed lengths by an explicit logarithmic term.
 Precision complexity measures a point of the unit cube by compressing
 canonical encodings of nearby dyadic grid points.  Complexities count
-the dictionary compressor's code lengths without building the codes,
-resuming each input from the prefix it shares with the input before.
+the run-length and dictionary compressors' code lengths without
+building the codes.  The dictionary scan works on int bitboards of the
+input, one per bit value, so the earlier starts of a 3-gram and the
+starts whose match survives each further bit are single ints; it
+resumes each input from the prefix it shares with the input before.
+Every op on a board is O(n) bits, so a scan is quadratic in the input
+length: faster than a per-gram position list up to 2^15 bits, slower
+on random input from 2^16 on (complexities here code at most a few
+hundred bits).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from ._rat import rat
 from .ball_calculus import PreconditionError
 from .fractal_spaces import DigitMatrix
 
@@ -134,6 +143,21 @@ def _rl_decode(code: str) -> str | None:
     return "".join(out)
 
 
+# A run of L bits takes one 8-bit block per started 7 bits of L - 1, so
+# only runs of L >= 129 (L - 1 >= 2^7) take more than one block.  Each
+# pattern matches only at a run's first bit, so a scan is linear.
+_LONG_RUNS = re.compile(r"(?<!0)0{129,}|(?<!1)1{129,}")
+
+
+def _rl_length(s: str) -> int:
+    """len(_rl_encode(s)) = 1 + 8 * (runs + extra blocks), counted, not built."""
+    if not s:
+        return 0
+    runs = 1 + s.count("01") + s.count("10")
+    extra = sum(-(-(m.end() - m.start() - 1).bit_length() // 7) - 1 for m in _LONG_RUNS.finditer(s))
+    return 1 + 8 * (runs + extra)
+
+
 def runlength_compressor() -> Compressor:
     return Compressor("runlength", _rl_encode, _rl_decode, lambda n: 0 if n == 0 else 9)
 
@@ -141,9 +165,9 @@ def runlength_compressor() -> Compressor:
 # dictionary format: a token stream with no header.  Tokens are either
 # '0'+bit (literal) or '1'+gamma(offset)+gamma(length-2) (copy `length`
 # bits from `offset` back, overlap allowed, length >= 3).  The encoder is
-# greedy: longest match among the most recent indexed positions, ties to
-# the smallest offset, and a match is only taken when its token is
-# shorter than spelling the bits as literals.
+# greedy: longest match among the _DICT_CHAIN latest earlier starts of
+# the same 3-gram, ties to the smallest offset, and a match is only taken
+# when its token is shorter than spelling the bits as literals.
 
 _DICT_MINLEN = 3
 _DICT_CHAIN = 64
@@ -166,60 +190,96 @@ def _gamma_read(code: str, pos: int) -> tuple[int, int] | None:
 
 
 class _DictScan:
-    """The greedy dictionary encoder's token scan, resumable across inputs.
+    """The greedy dictionary encoder's token scan on bitboards, resumable across inputs.
+
+    The input is held as one int per bit value, boards["0"] and
+    boards["1"], with bit p set when s[p] holds that value.  At pos, the
+    starts before pos that share s[pos:pos + 3] are one int: the boards
+    of the gram's bits ANDed at shifts 0, 1 and 2, masked below pos, and
+    cut to its _DICT_CHAIN highest bits.  Each further matched bit costs
+    one AND with that bit's board and one shift.  Once a single start is
+    left (known from the count, and checked every eighth matched bit),
+    one XOR of the "1" board against itself shifted by the offset finds
+    where its match stops, so a long match costs a few ops, not one per
+    bit.  The longest match is the last nonzero int,
+    and its highest bit is the smallest offset, as a scan of the starts
+    from the latest back would pick.  No per-gram index is kept, so a
+    resumed input needs only its new boards.
 
     Token i starts at starts[i] and copies offs[i] back (0 for a literal);
     totals[i + 1] is the code length of tokens 0..i.  reaches[i] is the
     largest input index any of tokens 0..i read to decide itself: the last
-    index of its 3-gram, the stopping compare of each match scan, or n
-    where a scan or the gram ran into the end of the input.  A token whose
-    reach lies below the common prefix of two inputs decides the same way
-    on both, so `length` keeps those tokens and rescans only the rest.
+    index of its 3-gram, the compare that stopped its longest match, or n
+    where a match or the gram ran into the end of the input.  A token
+    whose reach lies below the common prefix of two inputs decides the
+    same way on both, so `length` keeps those tokens and rescans only the
+    rest.
     """
 
     def __init__(self, s: str = "") -> None:
-        self.s = s
-        self.index: dict[str, list[int]] = {}
+        self._read(s)
         self.starts: list[int] = []
         self.offs: list[int] = []
         self.totals = [0]
         self.reaches: list[int] = []
 
+    def _read(self, s: str) -> None:
+        self.s = s
+        ones = int(s[::-1], 2) if s else 0
+        self.boards = {"0": ones ^ ((1 << len(s)) - 1), "1": ones}
+
     def run(self, pos: int) -> None:
-        """Tokenize self.s from pos on; index holds the 3-grams before pos."""
+        """Tokenize self.s from pos on, after the tokens kept before pos."""
         s = self.s
         n = len(s)
-        index = self.index
+        boards = self.boards
+        ones = boards["1"]
+        grams: dict[str, int] = {}
         starts, offs, totals, reaches = self.starts, self.offs, self.totals, self.reaches
         total = totals[-1]
         reach = reaches[-1] if reaches else -1
         while pos < n:
-            best_len = 0
-            best_off = 0
-            if pos + _DICT_MINLEN > n:
+            step, off, cost = 1, 0, 2
+            end = n - pos
+            if end < _DICT_MINLEN:
                 reach = n
             else:
-                reach = max(reach, pos + _DICT_MINLEN - 1)
                 gram = s[pos : pos + _DICT_MINLEN]
-                for start in reversed(index.get(gram, ())[-_DICT_CHAIN:]):
+                cand = grams.get(gram)
+                if cand is None:
+                    cand = grams[gram] = boards[gram[0]] & (boards[gram[1]] >> 1) & (boards[gram[2]] >> 2)
+                cand &= (1 << pos) - 1
+                if not cand:
+                    if pos + _DICT_MINLEN - 1 > reach:
+                        reach = pos + _DICT_MINLEN - 1
+                else:
+                    count = cand.bit_count()
+                    if count > _DICT_CHAIN:
+                        cand = _highest_bits(cand, _DICT_CHAIN)
                     length = _DICT_MINLEN
-                    while pos + length < n and s[start + length] == s[pos + length]:
+                    single = count == 1
+                    # bit p + length of up marks a start p whose match runs to length
+                    up = cand << length
+                    while not single and length < end:
+                        more = up & boards[s[pos + length]]
+                        if not more:
+                            break
+                        up = more << 1
                         length += 1
-                    # the compare that stopped the scan, or n at the end
+                        if not length & 7:
+                            single = not up & (up - 1)
+                    start = up.bit_length() - 1 - length
+                    if single and length < end:
+                        # one start left: its match stops at the first bit where s
+                        # differs from itself shifted by the offset, or at n
+                        diff = (ones >> (start + length)) ^ (ones >> (pos + length))
+                        length = min(length + (diff & -diff).bit_length() - 1, end) if diff else end
                     if pos + length > reach:
                         reach = pos + length
-                    if length > best_len:
-                        best_len = length
-                        best_off = pos - start
-            step, off, cost = 1, 0, 2
-            if best_len >= _DICT_MINLEN:
-                # 1 + |gamma(off)| + |gamma(len - 2)|, |gamma(k)| = 2 * bits(k) - 1
-                bits = best_off.bit_length() + (best_len - _DICT_MINLEN + 1).bit_length()
-                match_cost = 2 * bits - 1
-                if match_cost < 2 * best_len:
-                    step, off, cost = best_len, best_off, match_cost
-            for p in range(pos, min(pos + step, n - _DICT_MINLEN + 1)):
-                index.setdefault(s[p : p + _DICT_MINLEN], []).append(p)
+                    # 1 + |gamma(off)| + |gamma(len - 2)|, |gamma(k)| = 2 * bits(k) - 1
+                    match_cost = 2 * ((pos - start).bit_length() + (length - _DICT_MINLEN + 1).bit_length()) - 1
+                    if match_cost < 2 * length:
+                        step, off, cost = length, pos - start, match_cost
             starts.append(pos)
             offs.append(off)
             total += cost
@@ -229,27 +289,41 @@ class _DictScan:
 
     def length(self, s: str) -> int:
         """Code length of s, rescanning only past the prefix shared with the last input."""
-        prev = self.s
-        # d = the length of the common prefix of prev and s, by bisection
-        d, hi = 0, min(len(prev), len(s))
-        while d < hi:
-            mid = (d + hi + 1) // 2
-            if prev[:mid] == s[:mid]:
-                d = mid
-            else:
-                hi = mid - 1
+        prev, before = len(self.s), self.boards["1"]
+        d = min(prev, len(s))
+        self._read(s)
+        # the common prefix of the last input and s ends at their first differing bit
+        diff = before ^ self.boards["1"]
+        if diff:
+            d = min(d, (diff & -diff).bit_length() - 1)
         keep = bisect_left(self.reaches, d)
-        pos = self.starts[keep] if keep < len(self.starts) else len(prev)
+        pos = self.starts[keep] if keep < len(self.starts) else prev
         del self.starts[keep:], self.offs[keep:], self.reaches[keep:], self.totals[keep + 1 :]
-        # grams below min(pos, d - 2) lie inside the shared prefix; re-read the rest
-        lo = min(pos, max(d - _DICT_MINLEN + 1, 0))
-        for grams in self.index.values():
-            del grams[bisect_left(grams, lo) :]
-        for p in range(lo, min(pos, len(s) - _DICT_MINLEN + 1)):
-            self.index.setdefault(s[p : p + _DICT_MINLEN], []).append(p)
-        self.s = s
         self.run(pos)
         return self.totals[-1]
+
+
+def _highest_bits(board: int, k: int) -> int:
+    """board with only its k highest set bits kept; board has more than k.
+
+    The cut is found by bisection on bit_count, inside a window below the
+    top bit doubled until it holds k bits, so each count reads only the
+    bits near the top.
+    """
+    top = board.bit_length()
+    # (board >> lo) holds at least k set bits and (board >> hi) fewer
+    lo, hi, width = top - 2 * k, top, 2 * k
+    while lo > 0 and (board >> lo).bit_count() < k:
+        hi, width = lo, 2 * width
+        lo = top - width
+    lo = max(lo, 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (board >> mid).bit_count() >= k:
+            lo = mid
+        else:
+            hi = mid
+    return board >> lo << lo
 
 
 def _dict_encode(s: str) -> str:
@@ -300,14 +374,19 @@ def _length_fn(M: Compressor) -> Callable[[str], int]:
 
     ``compress_len``, ``PrefixFreeMachine.code_length``,
     ``precision_complexity`` and ``co_compressible_check`` all read it.
-    The dictionary lengths are counted without building codes, and
-    resume from the prefix each input shares with the one before, so
-    inputs in sorted order are cheap; the other compressors build the
-    code and take its length.
+    The built-in run-length and dictionary lengths are counted without
+    building codes.  A run-length code is 0 bits for the empty input,
+    else 1 + the sum over runs of L bits of 8 * max(1, ceil(bitlen(L - 1) / 7)).
+    Dictionary lengths come from the bitboard token scan, resuming from
+    the prefix each input shares with the one before, so inputs in
+    sorted order are cheap.  Other compressors build the code and take
+    its length.
     """
     if M.encode_fn is _dict_encode:
         scan = _DictScan()
         return lambda s: scan.length(_check_bits(s))
+    if M.encode_fn is _rl_encode:
+        return lambda s: _rl_length(_check_bits(s))
     return lambda s: len(M.encode(s))
 
 
@@ -436,13 +515,17 @@ def grid_point_encoding(ks: Sequence[int], r: int) -> str:
 
 
 def _coordinate_intervals(x, r: int) -> list[tuple[Fraction, Fraction]]:
-    """Per-coordinate exact value intervals; width 0 for exact input."""
+    """Per-coordinate exact value intervals; width 0 for exact input.
+
+    Exact coordinates are read through ``_rat.rat``, so a float raises
+    ValueError rather than being taken as its binary expansion.
+    """
     if isinstance(x, DigitMatrix):
         width = x.cell_width()
         if width > Fraction(1, 2 ** (r + 2)):
             raise PreconditionError("stream too short to decide candidate membership")
         return [(v, v + width) for v in x.values()]
-    vals = [Fraction(c) for c in x]
+    vals = [rat(c) for c in x]
     if any(not 0 <= v <= 1 for v in vals):
         raise PreconditionError("point outside the unit cube")
     return [(v, v) for v in vals]
@@ -528,10 +611,11 @@ def co_compressible_check(
     """For each k <= k_max: does some n in [g(k), g(k+1)) give (C+k)/n < s?
 
     Scans each window in ascending n with an exact rational comparison,
-    skipping n where even the compressor's length floor cannot win.
+    skipping n where even the compressor's length floor cannot win.  s is
+    read through ``_rat.rat``, so a float raises ValueError.
     """
     _check_bits(prefix)
-    s = Fraction(s)
+    s = rat(s)
     if k_max < 0:
         raise PreconditionError("k_max must be nonnegative")
     marks = [g(k) for k in range(k_max + 2)]

@@ -46,8 +46,12 @@ def _int_arg(value: int, name: str) -> int:
 
 
 def _start_point(x0: Fraction) -> Fraction:
-    """x0 as a Fraction, refused with PreconditionError outside [0,1]."""
-    x0 = Fraction(x0)
+    """x0 read through ``_rat.rat``, refused with PreconditionError outside [0,1].
+
+    A float raises ValueError, as in ``BranchNode``, rather than being
+    taken as its binary expansion.
+    """
+    x0 = rat(x0)
     if not 0 <= x0 <= 1:
         raise PreconditionError("start point outside [0,1]")
     return x0
@@ -404,13 +408,14 @@ def orbit_analyze(
     is compared against the exactly-detected cycles of period up to
     max_cycle_period: once within tol of a cycle and not receding, the orbit
     is certified AsymptoticallyPeriodic.  Otherwise Unknown after the budget.
-    A nonpositive tol puts no cycle within reach.
+    A nonpositive tol puts no cycle within reach.  x0 and tol are read
+    through ``_rat.rat``, so a float raises ValueError.
     """
     x0 = _start_point(x0)
     if _int_arg(budget, "budget") < 1:
         raise PreconditionError("budget must be positive")
     _int_arg(max_cycle_period, "max_cycle_period")
-    tol = Fraction(tol)
+    tol = rat(tol)
     cycles, keys, owners = _cycle_table(f, max_cycle_period)
     # A cycle point v within tol of x has |_key(v) - _key(x)| <= reach, so
     # that key window names every candidate cycle; any others it names are
@@ -516,9 +521,10 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     also verifies f_n(x_{n+1}) = x_n: x_{n+1} is a preimage exactly when
     it is among them.  ex_time collects the levels whose value is a
     critical value of that level's map.  A start point outside [0,1] is
-    refused, however short the trajectory.
+    refused, however short the trajectory.  Every value is read through
+    ``_rat.rat``, so a float raises ValueError.
     """
-    traj = [Fraction(x) for x in trajectory]
+    traj = [rat(x) for x in trajectory]
     if not traj:
         raise PreconditionError("empty trajectory")
     _start_point(traj[0])

@@ -104,8 +104,11 @@ class TestCompressors:
             assert compress_len(M, s) >= M.code_length_floor(len(s))
 
 
-def _dict_encode_reference(s: str) -> str:
-    """Verbatim copy of the greedy dictionary encoder before it counted lengths."""
+def _dict_encode_reference(s: str, chain: int = _DICT_CHAIN) -> str:
+    """Verbatim copy of the greedy dictionary encoder before it counted lengths.
+
+    Its one change is the chain argument, so a test can lift the cap.
+    """
     out = []
     index: dict[str, list[int]] = {}
     n = len(s)
@@ -115,7 +118,7 @@ def _dict_encode_reference(s: str) -> str:
         best_off = 0
         gram = s[pos : pos + _DICT_MINLEN]
         if len(gram) == _DICT_MINLEN:
-            for start in reversed(index.get(gram, ())[-_DICT_CHAIN:]):
+            for start in reversed(index.get(gram, ())[-chain:]):
                 length = _DICT_MINLEN
                 while pos + length < n and s[start + length] == s[pos + length]:
                     length += 1
@@ -150,6 +153,22 @@ def related_bit_lists(draw):
         tail = draw(st.text(alphabet=draw(st.sampled_from(["01", "0", "1"])), max_size=40))
         out.append(prev[:cut] + tail)
     return out
+
+
+@st.composite
+def run_structured_bits(draw):
+    """Up to ~900 bits of short units each repeated up to 70 times.
+
+    Long repeats give long matches and more than _DICT_CHAIN earlier starts
+    of one 3-gram, which the 120-bit ``bits`` strategy never reaches.
+    """
+    pieces = draw(
+        st.lists(
+            st.tuples(st.text(alphabet="01", min_size=1, max_size=8), st.integers(min_value=1, max_value=70)),
+            max_size=12,
+        )
+    )
+    return "".join(unit * reps for unit, reps in pieces)[:900]
 
 
 @st.composite
@@ -207,6 +226,38 @@ class TestResumableLengths:
     def test_dictionary_codes_match_the_reference(self, s):
         assert _dict_encode(s) == _dict_encode_reference(s)
 
+    # h + "0110" * reps + "1" + h puts reps + 2 earlier starts of "011" before
+    # the last h, the oldest of them h's own; only a chain that reaches it
+    # copies all of h.  Each case names a chain that gives another length:
+    # 63 at 64 starts, 65 at 65 starts and no cap at 68, so the three pin the
+    # cap at exactly 64
+    @pytest.mark.parametrize(
+        "reps, bits, other_chain, other_bits", [(62, 70, 63, 69), (63, 69, 65, 70), (66, 71, None, 72)]
+    )
+    def test_chain_cap(self, reps, bits, other_chain, other_bits):
+        h = "0110100111"
+        s = h + "0110" * reps + "1" + h
+        assert len(_dict_encode_reference(s, chain=other_chain or len(s))) == other_bits
+        assert len(_dict_encode(s)) == len(_dict_encode_reference(s)) == bits
+        assert _dict_encode(s) == _dict_encode_reference(s)
+        length = _length_fn(dictionary_compressor())
+        inputs = (s[:-3], s, s[:-1] + "0", s)
+        assert [length(t) for t in inputs] == [len(_dict_encode_reference(t)) for t in inputs]
+
+    @given(run_structured_bits())
+    def test_dictionary_codes_on_run_structured_input(self, s):
+        assert _dict_encode(s) == _dict_encode_reference(s)
+
+    @given(st.lists(run_structured_bits(), min_size=1, max_size=4), st.data())
+    def test_dictionary_lengths_on_run_structured_input(self, strings, data):
+        # each string after the first shares a random prefix with the one before
+        for i in range(1, len(strings)):
+            cut = data.draw(st.integers(min_value=0, max_value=len(strings[i - 1])))
+            strings[i] = strings[i - 1][:cut] + strings[i]
+        length = _length_fn(dictionary_compressor())
+        got = [length(s) for s in strings]
+        assert got == [len(_dict_encode_reference(s)) for s in strings]
+
     def test_every_string_is_checked(self):
         for factory in BUILTIN_COMPRESSORS.values():
             length = _length_fn(factory())
@@ -239,6 +290,21 @@ class TestResumableLengths:
         monkeypatch.setattr(Compressor, "encode", refuse)
         assert [compress_len(M, s) for s in ("", "0" * 10, "0110100")] == lengths
         assert prefixfree_transform(M).code_length("0" * 10) == 9 + header_overhead(9)
+
+    def test_runlength_lengths_build_no_code(self, monkeypatch):
+        M = runlength_compressor()
+        inputs = ("", "0", "0011", "0" * 128, "1" * 129, "01" * 40 + "1" * 16385)
+        lengths = [compress_len(M, s) for s in inputs]
+        assert lengths == [len(M.encode(s)) for s in inputs]
+        third = precision_complexity((Fraction(1, 3),), 8, M)
+
+        def refuse(self, s):
+            raise AssertionError("a code was built")
+
+        monkeypatch.setattr(Compressor, "encode", refuse)
+        assert [compress_len(M, s) for s in inputs] == lengths
+        assert prefixfree_transform(M).code_length("0" * 200) == 17 + header_overhead(17)
+        assert precision_complexity((Fraction(1, 3),), 8, M) == third
 
 
 class TestPrefixFreeTransform:
@@ -401,6 +467,20 @@ class TestPrecisionComplexity:
         with pytest.raises(PreconditionError, match="16384 grid candidates exceed the cap of 4096"):
             precision_candidates((Fraction(1, 3),) * 7, 2)
 
+    def test_floats_are_refused(self):
+        M = dictionary_compressor()
+        with pytest.raises(ValueError, match="not a rational"):
+            precision_complexity((0.1,), 8, M)
+        with pytest.raises(ValueError, match="not a rational"):
+            precision_candidates((Fraction(1, 2), 0.5), 4)
+        # ints, Fractions, 'p/q' strings and digit streams read as before
+        assert precision_complexity((1,), 8, M) == precision_complexity((Fraction(1),), 8, M)
+        assert precision_complexity(("1/10",), 8, M) == precision_complexity((Fraction(1, 10),), 8, M)
+        stream = DigitMatrix(((0, 2, 1, 0, 2, 2, 1, 0, 1, 2, 0, 1),), BoundSeq.constant(3))
+        assert precision_complexity(stream, 8, M) == min(
+            compress_len(M, grid_point_encoding(ks, 8)) for ks in precision_candidates(stream, 8)
+        )
+
     def test_schnorr_dims_identity_envelope(self):
         lo, hi = schnorr_dims((Fraction(1, 2),), identity_compressor(), range(1, 11))
         assert hi == 9.0  # (2*1+7)/1
@@ -466,6 +546,16 @@ class TestCoCompressible:
         flags = co_compressible_check("0" * 16, M, lambda k: 4 * (k + 1), Fraction(2), 2)
         assert flags == [True, True, True]
         assert calls == [4, 8, 12]
+
+    def test_s_must_be_rational(self):
+        M = runlength_compressor()
+        g = lambda k: 2 ** (k + 4)
+        with pytest.raises(ValueError, match="not a rational"):
+            co_compressible_check("0" * 64, M, g, 0.5, 1)
+        assert co_compressible_check("0" * 64, M, g, "1/2", 1) == co_compressible_check(
+            "0" * 64, M, g, Fraction(1, 2), 1
+        )
+        assert co_compressible_check("0" * 64, M, g, 1, 1) == [True, True]
 
     def test_input_validation(self):
         M = runlength_compressor()

@@ -1192,3 +1192,23 @@ class TestArgumentChecks:
             decode_point(TENT, BranchCode(x0, word))
         with pytest.raises(PreconditionError, match=r"start point outside \[0,1\]"):
             encode_point(TENT, (x0,) + (F(1, 2),) * depth)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: branching_tree(TENT, x, 2),
+            lambda x: decode_point(TENT, BranchCode(x, (0, 1))),
+            lambda x: encode_point(TENT, (x,)),
+            lambda x: orbit_analyze(tent_map(), x),
+            lambda x: orbit_analyze(tent_map(), F(1, 3), tol=x),
+        ],
+        ids=["tree", "decode", "encode", "orbit", "orbit-tol"],
+    )
+    def test_floats_are_refused(self, call):
+        # a float is not read as its binary expansion, as BranchNode(0.1) is not
+        with pytest.raises(ValueError, match="not a rational"):
+            call(0.1)
+        with pytest.raises(ValueError, match="not a rational"):
+            call(0.5)
+        call(F(1, 10))
+        call("1/10")
