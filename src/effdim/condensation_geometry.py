@@ -92,12 +92,15 @@ def sample_S(
 
     Graph coordinates are (x, anchor coords, height).  When requested,
     the first fiber_points anchors are appended at height zero over t,
-    sampling the fiber copy of K.
+    sampling the fiber copy of K; fiber_points runs from 0 to the anchor
+    count.
     """
     lo, hi = rat(E[0]), rat(E[1])
     t = rat(t)
     if not lo <= t <= hi:
         raise PreconditionError("singular point outside the interval")
+    if not 0 <= fiber_points <= len(K_anchors.anchors):
+        raise PreconditionError(f"fiber points must lie in [0, {len(K_anchors.anchors)}]")
     rows = []
     for x in xs:
         x = rat(x)

@@ -32,18 +32,20 @@ holding some carrier point.  Coverage (no empty mask), multiplicity (the
 largest mask) and the nerve (the masks' subsets) all read it, so
 ``FiniteCover`` scans its carrier at most once.  Refinement asks the
 same questions of each candidate family's mask set, and finds every
-parent from one joint mask set of the family and the cover.
+parent from one joint mask set of the family and the cover.  Which of a
+family's balls meet the carrier needs no query: it follows from how the
+ladder's cells are built (``_ladder``).
 
 The mask set depends on the carrier only as a point set, and so do
-diameters and which balls meet the carrier.  Those queries read the
-carrier's merged boxes (``_merged_cells``): face-adjacent cells united
-axis by axis, once per carrier, so the depth-4 interval is one box, not
-81.  Within a box a mask set needs no cells: ``_box_masks`` ANDs each
-axis's distinct bitsets over their product.  Only ``shrink_cover``
-reads cells of the carrier's own boxes: its margin is a minimum over
-their representatives, the products of ``_axis_cells``' axis
-representatives with every cube of the cover cutting; its coverage
-check is the open family's mask set alone.
+diameters.  Those queries read the carrier's merged boxes
+(``_merged_cells``): face-adjacent cells united axis by axis, once per
+carrier, so the depth-4 interval is one box, not 81.  Within a box a
+mask set needs no cells: ``_box_masks`` ANDs each axis's distinct
+bitsets over their product.  Only ``shrink_cover`` reads cells of the
+carrier's own boxes: its margin is a minimum over their representatives,
+the products of ``_axis_cells``' axis representatives with every cube of
+the cover cutting; its coverage check is the open family's mask set
+alone.
 
 An open set's derived datum is its complement: the closures of the
 maximal unit-box cells that none of its cubes holds, as ints on the
@@ -369,8 +371,8 @@ def _carrier_boxes(carrier: Carrier) -> tuple[Bounds, ...]:
 def _carrier_region(carrier: Carrier) -> tuple[Bounds, ...]:
     """The carrier as a point set: its merged cells, or one box per distinct point.
 
-    For the queries that depend on the point set alone: mask sets,
-    diameters and which balls meet the carrier.
+    For the queries that depend on the point set alone: mask sets and
+    diameters.
     """
     if isinstance(carrier, SymbolicCarrier):
         return _merged_cells(carrier.descriptor, carrier.depth)
@@ -750,51 +752,46 @@ def _parents(members: Sequence[OpenSet], U: FiniteCover) -> tuple[int | None, ..
     )
 
 
-def _grid_cells_for_cloud(cloud: PointCloud, w: Fraction) -> list[tuple[Fraction, ...]]:
-    """Lower corners of the w-grid cells that touch some cloud point."""
-    top = int(1 / w) - 1
-    corners = set()
-    for p in cloud.points:
-        ranges = []
-        for c in p:
-            j0 = (c / w).numerator // (c / w).denominator
-            opts = [
-                j
-                for j in (j0 - 1, j0)
-                if 0 <= j <= top and j * w <= c <= (j + 1) * w
-            ]
-            ranges.append(opts)
-        for combo in itertools.product(*ranges):
-            corners.add(tuple(k * w for k in combo))
-    return sorted(corners)
+def _ladder(carrier: Carrier) -> Iterator[tuple[OpenSet, ...]]:
+    """Tight then padded ball families on each grid width, coarse to fine.
 
-
-def _candidate_families(U: FiniteCover, k: int) -> Iterator[tuple[OpenSet, ...]]:
-    """Tight then padded ball families on the width-k grid over the carrier."""
-    carrier = U.carrier
-    dim = U.dim
+    The tight ball of a width-w cell is the open cell, radius w/2; the
+    padded ball has radius w.  Which balls meet the carrier follows from
+    how the cells are built, so no ball is tested.  Every admissible
+    level-k cell of a symbolic carrier meets it: up to the depth the cell
+    holds a depth cell, since the all-zero digit column has no interior
+    digit and so is admissible at every level; past the depth the cell
+    lies in its depth ancestor.  The ladder ends two levels past the
+    depth.  A cloud's cells are the w = 1/2^k cells touching a point,
+    which the padded ball around the cell holds strictly; the tight ball
+    stays only where a point lies inside the open cell on every axis.
+    The cloud ladder never ends.
+    """
     if isinstance(carrier, SymbolicCarrier):
-        w = carrier.width_at(k)
-        centers = [
-            tuple((lo + hi) / 2 for lo, hi in cell.bounds)
-            for cell in carrier.cells_at(k)
-        ]
-    else:
-        w = Fraction(1, 2**k)
-        centers = [
-            tuple(c + w / 2 for c in corner)
-            for corner in _grid_cells_for_cloud(carrier, w)
-        ]
-    boxes = _carrier_region(carrier)
-    for radius in (w / 2, w):
-        sets = [open_set(ball(c, radius)) for c in centers]
-        # keep the balls meeting the carrier, read on the family's grid
-        _, region, groups = _grid(boxes, [s.cubes() for s in sets])
-        members = tuple(
-            s for s, (cube,) in zip(sets, groups) if any(_meets(box, cube) for box in region)
-        )
-        if members:
-            yield members
+        for k in range(carrier.depth + 3):
+            w = carrier.width_at(k)
+            cells = carrier.cells_at(k)
+            centers = [tuple((lo + hi) / 2 for lo, hi in cell.bounds) for cell in cells]
+            for radius in (w / 2, w):
+                yield tuple(open_set(ball(c, radius)) for c in centers)
+        return
+    for k in itertools.count():
+        n = 2**k
+        touched, inside = set(), set()
+        for p in carrier.points:
+            # per axis x = c·n: the cells j with j <= x <= j + 1, then the one with x inside
+            xs = [c * n for c in p]
+            near = [[j for j in range(math.ceil(x) - 1, math.floor(x) + 1) if 0 <= j < n]
+                    for x in xs]
+            touched.update(itertools.product(*near))
+            strict = [[j for j in js if j < x < j + 1] for js, x in zip(near, xs)]
+            inside.update(itertools.product(*strict))
+        for radius, corners in ((Fraction(1, 2 * n), inside), (Fraction(1, n), touched)):
+            if corners:
+                yield tuple(
+                    open_set(ball(tuple(Fraction(2 * j + 1, 2 * n) for j in corner), radius))
+                    for corner in sorted(corners)
+                )
 
 
 def _point_balls(cloud: PointCloud) -> tuple[OpenSet, ...]:
@@ -807,19 +804,6 @@ def _point_balls(cloud: PointCloud) -> tuple[OpenSet, ...]:
     points = list(dict.fromkeys(cloud.points))
     gap = min((max_dist(p, q) for p, q in itertools.combinations(points, 2)), default=Fraction(2))
     return tuple(open_set(ball(p, gap / 2)) for p in points)
-
-
-def _refinement_families(U: FiniteCover, budget: int) -> Iterator[tuple[OpenSet, ...]]:
-    """The width ladder's first budget families, then a cloud's point balls."""
-    carrier = U.carrier
-    if isinstance(carrier, SymbolicCarrier):
-        widths: Iterable[int] = range(carrier.depth + 3)
-    else:
-        widths = itertools.count()
-    ladder = itertools.chain.from_iterable(_candidate_families(U, k) for k in widths)
-    yield from itertools.islice(ladder, max(budget, 0))
-    if isinstance(carrier, PointCloud):
-        yield _point_balls(carrier)
 
 
 def refine_cover(
@@ -844,7 +828,11 @@ def refine_cover(
     if isinstance(carrier, PointCloud) and not carrier.points:
         # no family of the ladder meets an empty cloud, so it would never end
         raise PreconditionError("cloud carrier has no points")
-    for members in _refinement_families(U, budget):
+    families: Iterable[tuple[OpenSet, ...]] = itertools.islice(_ladder(carrier), max(budget, 0))
+    if isinstance(carrier, PointCloud):
+        # the point balls, built only if the ladder's families all fail
+        families = itertools.chain(families, map(_point_balls, [carrier]))
+    for members in families:
         masks = _carrier_masks(members, carrier)
         if frozenset() in masks or any(len(m) > target_mult for m in masks):
             continue

@@ -338,14 +338,21 @@ def noebeling_membership(coords: Sequence[Coord], n: int) -> MembershipVerdict:
 # --- extrema blocks and the generic point stream ---------------------------
 
 
+_BLOCK_CAP = 5  # the largest n: 3^11 tuples are enumerated for it, 3^13 for n = 6
+
+
 def extrema_combinatorics(n: int) -> tuple[int, tuple[str, ...]]:
     """Count and enumerate ternary blocks of length 2n+1 with at most n ones.
 
     The count has the closed form sum_{k<=n} C(2n+1, k) * 2^(2n-k+1); the
-    blocks come back in lexicographic order.
+    blocks come back in lexicographic order.  Enumeration walks all
+    3^(2n+1) ternary tuples, so n past _BLOCK_CAP is refused before any
+    is built.
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
+    if n > _BLOCK_CAP:
+        raise PreconditionError(f"n = {n} is past the cap of {_BLOCK_CAP}")
     width = 2 * n + 1
     count = sum(math.comb(width, k) * 2 ** (width - k) for k in range(n + 1))
     blocks = tuple(

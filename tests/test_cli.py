@@ -183,6 +183,11 @@ class TestGenericPoint:
         b = invoke_json(capsys, "generic-point", "--n", "1", "--len", "6", "--seed", "9")
         assert a == b
 
+    def test_block_cap_exits_two(self, capsys):
+        # n = 6 would walk 3^13 ternary tuples; the cap refuses it before any is built
+        code, out, err = invoke(capsys, "generic-point", "--n", "6", "--len", "2")
+        assert (code, out, err) == (2, "", "effdim: n = 6 is past the cap of 5\n")
+
 
 class TestEstimatorCommands:
     def test_carpet_box_dimension(self, capsys):
@@ -704,6 +709,14 @@ class TestCondensationCommands:
             ["1/4", "3/4", "1/16"],
             ["0/1", "0/1", "0/1"],
         ]
+
+    @pytest.mark.parametrize("fiber", ["17", "20", "-2"])
+    def test_fiber_past_the_anchors_exits_two(self, capsys, fiber):
+        # --anchors 16 gives 16 anchors, so --fiber runs from 0 to 16
+        argv = ("condense-sample", "--xs", "1/4", "--t", "1/2", "--anchors", "16")
+        assert len(invoke_json(capsys, *argv, "--fiber", "16")["points"]) == 17
+        err = "effdim: fiber points must lie in [0, 16]\n"
+        assert invoke(capsys, *argv, f"--fiber={fiber}") == (2, "", err)
 
     def test_iterated_stages(self, capsys):
         data = invoke_json(

@@ -11,11 +11,13 @@ with the cover's dimension, and ``orbit`` exactly for a start point in
 [0, 1] and any rational tolerance.  Documents nest at
 most two levels below a replaced value, and integers stay in [-1, 2],
 so depths and dimensions stay at most 2 and each run stays cheap.  The
-list, bit-string and size flags of ten subcommands (``--depths``,
+list, bit-string and size flags of nine subcommands (``--depths``,
 ``--r``, ``--g``, ``--xs``, ``--word``, ``--prefix``, ``--input``,
-``--kraft-bound``) get random token strings under the same checks, with
-ints past the lowered depth, link and Kraft caps, which must exit 2; a
-negative ``--kraft-bound`` exits 3.
+``--kraft-bound``, ``--fiber``, ``--n``) get random token strings under
+the same checks, with ints past the lowered depth, link, Kraft and block
+caps, which must exit 2; a negative ``--kraft-bound`` exits 3, and a
+``--fiber`` count exits 0 exactly when it lies in [0, 16], the anchor
+count.
 """
 
 import copy
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 import effdim.cli as cli
 import effdim.condensation_geometry as cond
+import effdim.fractal_spaces as fs
 from effdim.cli import run
 
 KEYS = (
@@ -209,10 +212,10 @@ def test_orbit_zero_tol_is_unknown(capsys):
 # Argument strings: up to four tokens, each an int in [-2, 40] or a
 # malformed token, joined by any of the CLI's separators, and for the
 # capped flags also well-formed int lists and ranges, which reach the caps
-# far more often.  The depth, link and Kraft caps are lowered to 12
-# depths, 2^8 links and a bound of 8, so the ints run past them and those
-# runs must exit 2 at once; under the caps each run stays cheap.
-DEPTH_CAP, LINK_CAP, KRAFT_CAP = 12, 2**8, 8
+# far more often.  The depth, link, Kraft and block caps are lowered to 12
+# depths, 2^8 links, a bound of 8 and n = 2, so the ints run past them and
+# those runs must exit 2 at once; under the caps each run stays cheap.
+DEPTH_CAP, LINK_CAP, KRAFT_CAP, BLOCK_CAP = 12, 2**8, 8, 2
 ints = st.integers(-2, 40)
 tokens = ints.map(str) | st.sampled_from(("", "a", "1/2", "1/0", "-"))
 separators = st.sampled_from((",", "..", ":", ";"))
@@ -242,6 +245,11 @@ ARGUMENTS = {
     ),
     "chain-spec --g": (("chain-spec", "--g={}", "--stages", "2"), token_lists() | int_lists | int_ranges),
     "condense-sample --xs": (("condense-sample", "--t", "1/2", "--xs={}"), token_lists()),
+    "condense-sample --fiber": (
+        ("condense-sample", "--t", "1/2", "--xs", "1/4", "--anchors", "16", "--fiber={}"),
+        tokens,
+    ),
+    "generic-point --n": (("generic-point", "--len", "3", "--n={}"), tokens),
     "generic-point --word": (("generic-point", "--n", "1", "--word={}"), token_lists()),
     "il-decode --word": (("il-decode", "--x0", "1/2", "--word={}"), token_lists()),
     "pf-transform --input": (("pf-transform", "--input={}"), bit_strings),
@@ -270,6 +278,9 @@ def _past_cap(name: str, text: str) -> bool:
     if name == "pf-transform --kraft-bound":
         bound = _int_list([text])
         return bound is not None and bound[0] > KRAFT_CAP
+    if name == "generic-point --n":
+        n = _int_list([text])
+        return n is not None and n[0] > BLOCK_CAP
     return False
 
 
@@ -280,6 +291,7 @@ def test_argument_strings_exit_cleanly(capsys, monkeypatch, name, data):
     monkeypatch.setattr(cli, "_DEPTH_CAP", DEPTH_CAP)
     monkeypatch.setattr(cond, "_LINK_CAP", LINK_CAP)
     monkeypatch.setattr(cli, "_KRAFT_CAP", KRAFT_CAP)
+    monkeypatch.setattr(fs, "_BLOCK_CAP", BLOCK_CAP)
     template, values = ARGUMENTS[name]
     text = data.draw(values)
     code = _check(capsys, [arg.format(text) for arg in template])
@@ -288,3 +300,6 @@ def test_argument_strings_exit_cleanly(capsys, monkeypatch, name, data):
     if name == "pf-transform --kraft-bound" and text.startswith("-"):
         # a negative bound, or a token that is no int at all
         assert code == 3, text
+    if name == "condense-sample --fiber" and _int_list([text]) is not None:
+        # the path has 16 anchors, so 0 to 16 fiber points can be taken
+        assert (code == 0) == (0 <= int(text) <= 16), text

@@ -79,6 +79,15 @@ class TestSampleS:
             (F(0), F(1), F(0)),
         )
 
+    def test_fiber_points_range(self):
+        # 0 up to the anchor count append that many fiber rows; anything else is refused
+        P = dyadic_path(8)
+        n = len(P.anchors)
+        assert len(sample_S((0, 1), P, 0, [F(1, 2)], fiber_points=n).points) == 1 + n
+        for bad in (n + 1, 20, -1, -2):
+            with pytest.raises(PreconditionError, match=rf"fiber points must lie in \[0, {n}\]"):
+                sample_S((0, 1), P, 0, [F(1, 2)], fiber_points=bad)
+
     def test_non_integer_parameter_row(self):
         P = dyadic_path(8)
         cloud = sample_S((0, 1), P, 0, [F(2, 5)])

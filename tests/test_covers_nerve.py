@@ -616,9 +616,10 @@ class TestRefineCover:
     def test_symbolic_families_keep_every_cell_ball(self):
         # Each level-k cell's open interior meets the carrier: for k past the
         # depth the cell lies in a carrier cell, and before it the cell holds
-        # admissible carrier cells.  So the meeting filter drops no ball of a
-        # symbolic carrier, only of a cloud.  Levels of more than 200 cells
-        # are skipped to keep the sweep short.
+        # admissible carrier cells.  So the ladder yields every cell ball of a
+        # symbolic carrier at both radii, untested.  Levels of more than 200
+        # cells are skipped to keep the sweep short; cell counts grow with k,
+        # so the levels kept are a prefix and the ladder is read up to them.
         rules = (
             BoundSeq.constant(3), BoundSeq.constant(4), BoundSeq.constant(5),
             BoundSeq.affine(3), BoundSeq.from_table([5, 3], tail=4),
@@ -628,18 +629,22 @@ class TestRefineCover:
             for n, z, depth in itertools.product(range(m + 1), rules, range(3)):
                 desc = MengerDescriptor(m, n, z)
                 carrier = SymbolicCarrier(desc, depth)
-                U = FiniteCover((open_set(ball((0,) * m, 2)),), carrier, validate=False)
-                for k in range(depth + 3):
-                    if max(desc.cells_at_depth(k), desc.cells_at_depth(depth)) > 200:
-                        continue
+                levels = [
+                    k for k in range(depth + 3)
+                    if max(desc.cells_at_depth(k), desc.cells_at_depth(depth)) <= 200
+                ]
+                assert levels == list(range(len(levels)))
+                got = [
+                    [(b.center.coords, b.radius) for s in family for b in s.balls]
+                    for family in itertools.islice(cn._ladder(carrier), 2 * len(levels))
+                ]
+                want = []
+                for k in levels:
                     w = carrier.width_at(k)
                     centers = [tuple((lo + hi) / 2 for lo, hi in c.bounds) for c in carrier.cells_at(k)]
-                    got = [
-                        [(b.center.coords, b.radius) for s in family for b in s.balls]
-                        for family in cn._candidate_families(U, k)
-                    ]
-                    assert got == [[(c, r) for c in centers] for r in (w / 2, w)]
-                    checked += 2
+                    want += [[(c, r) for c in centers] for r in (w / 2, w)]
+                assert got == want
+                checked += len(got)
         assert checked == 692
 
     @given(data=st.data(), dim=st.integers(1, 2), target=st.integers(1, 3))

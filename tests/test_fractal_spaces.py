@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import effdim.fractal_spaces as fs
 from effdim import (
     BoundSeq,
     Coord,
@@ -228,6 +229,18 @@ class TestExtremaCombinatorics:
             width = 2 * n + 1
             expect = sum(math.comb(width, k) * 2 ** (width - k) for k in range(n + 1))
             assert extrema_combinatorics(n)[0] == expect
+
+    def test_block_cap(self, monkeypatch):
+        # checked before any tuple is built, so a huge n is refused at once
+        assert fs._BLOCK_CAP == 5
+        for call in (extrema_combinatorics, lambda n: generic_point_stream((0,), n)):
+            with pytest.raises(PreconditionError, match="past the cap of 5"):
+                call(10**9)
+        monkeypatch.setattr(fs, "_BLOCK_CAP", 2)
+        assert extrema_combinatorics(2)[0] == 192
+        assert generic_point_stream((191,), 2).m == 5
+        with pytest.raises(PreconditionError, match="n = 3 is past the cap of 2"):
+            extrema_combinatorics(3)
 
 
 class TestGenericPointStream:
