@@ -2,16 +2,17 @@
 
 Maps are given by rational vertex lists with no constant segment, so
 evaluation, preimage enumeration and composition all stay exact.  Each
-map keeps its affine pieces, computed on first use, in three forms:
-int pieces y = (a*x + b) / e with one denominator each, for composition;
-the same pieces as Fraction (slope, intercept) pairs, for evaluation;
-and the inverse pieces x = a*y + b with their y-ranges as ints, for
-preimages.  Composition cuts g's int pieces where g crosses a vertex of
-f, so the powers of f are built as int pieces, and the cycle table
-reads each fixed point b / (e - a) off them, traces its cycle on int
-pairs and files cycle points by floor(v * 2^64), one table for every
-tol.  A point of the inverse limit is a backward trajectory; its branch
-code records the starting value, the rank of each backward choice among
+map keeps its affine pieces, computed on first use, in two forms: int
+pieces y = (a*x + b) / e with one denominator each, for evaluation and
+composition, and the inverse pieces x = a*y + b with their y-ranges as
+ints, for preimages.  One int step takes a reduced pair n / d to that of
+f(n / d) with gcds against small ints only; orbits and cycles walk it.
+Composition cuts g's int pieces where g crosses a vertex of f, so the
+powers of f are built as int pieces, and the cycle table reads each
+fixed point b / (e - a) off them, traces its cycle with the step and
+files cycle points by floor(v * 2^64), one table for every tol.  A
+point of the inverse limit is a backward trajectory; its branch code
+records the starting value, the rank of each backward choice among
 the sorted preimages, and the levels where it meets a critical value.
 
 The loops that run once per value key and compare each exact value as
@@ -20,7 +21,7 @@ Fraction's without its hash: the levels of a branching tree, whose nodes
 keep their level pairs and build a Fraction only when a value is read
 (the nodes are built with the cyclic collector paused, since a tree
 holds no cycles), the levels of a branch code's decoding and encoding,
-the repeats of an orbit and the cycle table's points.
+the steps and repeats of an orbit and the cycle table's points.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class PLMap:
     vertices: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        verts = tuple((Fraction(x), Fraction(y)) for x, y in self.vertices)
+        verts = tuple((rat(x), rat(y)) for x, y in self.vertices)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise ValueError("need at least two vertices")
@@ -93,16 +94,34 @@ class PLMap:
         object.__setattr__(self, "_xs", xs)
 
     def __call__(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
+        x = rat(x)
         if not 0 <= x <= 1:
             raise PreconditionError("argument outside [0,1]")
-        # Powers of a map reach thousands of segments, so the segment
-        # lookup must not scan linearly.  It bisects the int vertex grid:
-        # for an int g, g > x·den exactly when g > floor(x·den).
+        # every gcd here is against a, e or 1; Fraction(*self._step(...))
+        # would re-run a full-size gcd in the constructor
+        _, _, a, b, e = self._piece(x.numerator, x.denominator)
+        return (a * x + b) / e
+
+    def _piece(self, n: int, d: int) -> Piece:
+        """The piece at n / d in [0,1], d > 0: the one segment lookup.
+
+        It bisects the int vertex grid, as powers of a map reach thousands
+        of segments: for an int g, g > (n / d)·den exactly when g > floor(n·den / d).
+        """
         den, grid = self._grid
-        i = bisect_right(grid, x.numerator * den // x.denominator)
-        s, c = self._forward[min(i, len(grid) - 1) - 1]
-        return s * x + c
+        return self._pieces[min(bisect_right(grid, n * den // d), len(grid) - 1) - 1]
+
+    def _step(self, n: int, d: int) -> tuple[int, int]:
+        """f(n / d) as a reduced pair, for a reduced pair n / d in [0,1], d > 0.
+
+        As gcd(n, d) = 1, a prime of d that divides m = a*n + b*d also
+        divides a, so gcd(m, e*d) = gcd(m, e*gcd(a, d)): both gcds are
+        against small ints, however many bits n and d have.
+        """
+        _, _, a, b, e = self._piece(n, d)
+        m = a * n + b * d
+        g = gcd(m, e * gcd(a, d))
+        return m // g, e * d // g
 
     def segments(self):
         return tuple(zip(self.vertices, self.vertices[1:]))
@@ -120,16 +139,6 @@ class PLMap:
                 s.numerator * (e // s.denominator), c.numerator * (e // c.denominator), e,
             ))
         return tuple(out)
-
-    @functools.cached_property
-    def _forward(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Per segment, (slope, intercept) as Fractions, for evaluation.
-
-        Orbit values reach thousands of bits, and a Fraction multiply-add
-        against a small slope keeps its gcds small, where an int piece's
-        a * x.numerator + b * x.denominator needs a gcd of the full size.
-        """
-        return tuple((Fraction(a, e), Fraction(b, e)) for _, _, a, b, e in self._pieces)
 
     @functools.cached_property
     def _grid(self) -> tuple[int, list[int]]:
@@ -209,8 +218,8 @@ def _preimage_pairs(f: PLMap, p: int, q: int) -> list[tuple[int, int]]:
 
 
 def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
-    """All exact solutions of f(x) = y, sorted ascending."""
-    y = Fraction(y)
+    """All exact solutions of f(x) = y, sorted ascending; y is read through ``_rat.rat``."""
+    y = rat(y)
     return tuple(Fraction(n, m) for n, m in _preimage_pairs(f, y.numerator, y.denominator))
 
 
@@ -336,17 +345,6 @@ def _cycle_points(f: PLMap, max_period: int) -> list[list[tuple[int, int]]]:
     A period-p point is a fixed point b / (e - a) of a piece of f^p.
     Cycles come lowest period first, each from its smallest point.
     """
-    den, grid = f._grid
-    fpieces = f._pieces
-    last = len(grid) - 1
-
-    def step(n: int, d: int) -> tuple[int, int]:
-        """f(n / d) as a reduced pair."""
-        _, _, a, b, e = fpieces[min(bisect_right(grid, n * den // d), last) - 1]
-        n, d = a * n + b * d, e * d
-        g = gcd(n, d)
-        return n // g, d // g
-
     cycles: list[list[tuple[int, int]]] = []
     known: set[tuple[int, int]] = set()
     for p, pieces in zip(range(1, max_period + 1), _powers(f)):
@@ -367,10 +365,10 @@ def _cycle_points(f: PLMap, max_period: int) -> list[list[tuple[int, int]]]:
                     continue
                 # x is fixed by f^p, so it returns within p steps
                 orbit = [x]
-                cur = step(*x)
+                cur = f._step(*x)
                 while cur != x and len(orbit) < p:
                     orbit.append(cur)
-                    cur = step(*cur)
+                    cur = f._step(*cur)
                 if cur == x and len(orbit) == p:
                     cycles.append(orbit)
                     known.update(orbit)
@@ -408,25 +406,26 @@ def orbit_analyze(
     is compared against the exactly-detected cycles of period up to
     max_cycle_period: once within tol of a cycle and not receding, the orbit
     is certified AsymptoticallyPeriodic.  Otherwise Unknown after the budget.
-    A nonpositive tol puts no cycle within reach.  x0 and tol are read
-    through ``_rat.rat``, so a float raises ValueError.
+    A nonpositive tol puts no cycle within reach, and a max_cycle_period of
+    0 detects no cycle.  x0 and tol are read through ``_rat.rat``, so a
+    float raises ValueError.
     """
     x0 = _start_point(x0)
     if _int_arg(budget, "budget") < 1:
         raise PreconditionError("budget must be positive")
-    _int_arg(max_cycle_period, "max_cycle_period")
+    if _int_arg(max_cycle_period, "max_cycle_period") < 0:
+        raise PreconditionError("max_cycle_period must be nonnegative")
     tol = rat(tol)
     cycles, keys, owners = _cycle_table(f, max_cycle_period)
     # A cycle point v within tol of x has |_key(v) - _key(x)| <= reach, so
     # that key window names every candidate cycle; any others it names are
     # at least tol away.  A negative reach names none.
     reach = -(-(tol.numerator << 64) // tol.denominator)
-    # keyed by (numerator, denominator): the same equality as the Fraction,
-    # without Fraction.__hash__'s modular inverse of the denominator
+    # the orbit walks reduced (numerator, denominator) pairs: the same equality
+    # as the Fraction's, without Fraction.__hash__'s modular inverse
     seen: dict[tuple[int, int], int] = {}
-    x = x0
+    pair = (x0.numerator, x0.denominator)
     for step in range(budget + 1):
-        pair = (x.numerator, x.denominator)
         if pair in seen:
             tail = seen[pair]
             return OrbitReport("Preperiodic", tail=tail, period=step - tail, steps=step)
@@ -434,23 +433,22 @@ def orbit_analyze(
         k = _key(*pair)
         lo = bisect_left(keys, k - reach)
         hi = bisect_right(keys, k + reach)
-        for ci in sorted(set(owners[lo:hi])) if lo < hi else ():
-            cycle = cycles[ci]
-            d = min(abs(x - pt) for pt in cycle)
-            if 0 < d < tol:
-                nxt = f(x)
-                d_next = min(abs(nxt - pt) for pt in cycle)
-                if d_next <= d:
-                    return OrbitReport(
-                        "AsymptoticallyPeriodic",
-                        cycle=cycle,
-                        steps=step,
-                        final_distance=d,
-                    )
-        if x.denominator.bit_length() > _DENOM_BIT_CAP:
+        if lo < hi:
+            x = Fraction(*pair)
+            for ci in sorted(set(owners[lo:hi])):
+                cycle = cycles[ci]
+                d = min(abs(x - pt) for pt in cycle)
+                if 0 < d < tol:
+                    nxt = f(x)
+                    d_next = min(abs(nxt - pt) for pt in cycle)
+                    if d_next <= d:
+                        return OrbitReport(
+                            "AsymptoticallyPeriodic", cycle=cycle, steps=step, final_distance=d
+                        )
+        if pair[1].bit_length() > _DENOM_BIT_CAP:
             return OrbitReport("Unknown", steps=step)
         if step < budget:
-            x = f(x)
+            pair = f._step(*pair)
     return OrbitReport("Unknown", steps=budget)
 
 

@@ -547,6 +547,17 @@ class TestMalformedInput:
             argv = ("orbit", "--map", "tent", "--x0", "1/3", "--max-period", "12", *tol)
             assert invoke(capsys, *argv) == (2, "", "effdim: f^7 may exceed 64 segments\n")
 
+    @pytest.mark.parametrize("period", ["-1", "-3"])
+    def test_negative_max_period_exits_two(self, capsys, period):
+        # a refused period fills no cycle-table cache slot; period 0 means no cycles
+        il._cycle_table.cache_clear()
+        for argv in (("--max-period", period), (f"--max-period={period}",)):
+            code, out, err = invoke(capsys, "orbit", "--map", "tent", "--x0", "1/3", *argv)
+            assert (code, out, err) == (2, "", "effdim: max_cycle_period must be nonnegative\n")
+        assert il._cycle_table.cache_info().currsize == 0
+        data = invoke_json(capsys, "orbit", "--map", "tent", "--x0", "1/3", "--max-period", "0")
+        assert data == {"kind": "Preperiodic", "steps": 2, "tail": 1, "period": 1}
+
     def test_il_tree_node_cap_exits_two(self, capsys, monkeypatch):
         # the depth-3 tent tree from 1/2 has 15 nodes
         monkeypatch.setattr(il, "_TREE_NODE_CAP", 15)

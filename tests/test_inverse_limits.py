@@ -588,11 +588,12 @@ def _piece_values(pieces):
 
 
 def _xs_call(f, x):
-    """PLMap.__call__ bisecting the Fraction vertex list, verbatim."""
+    """PLMap.__call__ bisecting the Fraction vertex list, verbatim but for
+    reading _old_forward(f)'s slope and intercept."""
     x = Fraction(x)
     if not 0 <= x <= 1:
         raise PreconditionError("argument outside [0,1]")
-    s, c = f._forward[min(bisect_right(f._xs, x), len(f._xs) - 1) - 1]
+    _, _, s, c = _old_forward(f)[min(bisect_right(f._xs, x), len(f._xs) - 1) - 1]
     return s * x + c
 
 
@@ -602,14 +603,16 @@ HUGE_UNIT = st.integers(2**1999, 2**2000).flatmap(
 
 
 class TestIntPieces:
-    @given(f=any_maps, xs=st.lists(HUGE_UNIT, min_size=1, max_size=4))
+    @given(f=any_maps, xs=st.lists(unit_points | HUGE_UNIT, min_size=1, max_size=4))
     def test_call_matches_the_fraction_bisect(self, f, xs):
         # at every vertex, 2^-60 to either side of it (past 0 and 1 too),
-        # and at ~2,000-bit points
+        # and at small and ~2,000-bit points; against the Fraction vertex
+        # bisect and against the Fraction (slope, intercept) evaluation
         eps = F(1, 2**60)
         near = [x + d for x, _ in f.vertices for d in (-eps, 0, eps)]
         for x in near + xs:
-            assert _outcome(f, x) == _outcome(_xs_call, f, x)
+            new = _outcome(f, x)
+            assert new == _outcome(_xs_call, f, x) == _outcome(_fraction_call, f, x)
 
     @given(f=any_maps, g=any_maps)
     def test_refine_matches_the_fraction_pieces(self, f, g):
@@ -656,6 +659,167 @@ class TestIntPieces:
         # a slope-1 piece off the diagonal fixes nothing
         g = PLMap(((F(0), F(1, 4)), (F(3, 4), F(1)), (F(1), F(0))))
         assert il._cycle_table(g, 4) == _old_cycle_table(g, 4)
+
+
+# --- verbatim copies of the Fraction evaluation the int step replaced -------
+# PLMap._forward as a function of the map, PLMap.__call__ reading it, and
+# orbit_analyze stepping on Fractions through that __call__.
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_forward(f):
+    """Per segment, (slope, intercept) as Fractions, for evaluation."""
+    return tuple((Fraction(a, e), Fraction(b, e)) for _, _, a, b, e in f._pieces)
+
+
+def _fraction_call(f, x):
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise PreconditionError("argument outside [0,1]")
+    # Powers of a map reach thousands of segments, so the segment
+    # lookup must not scan linearly.  It bisects the int vertex grid:
+    # for an int g, g > x·den exactly when g > floor(x·den).
+    den, grid = f._grid
+    i = bisect_right(grid, x.numerator * den // x.denominator)
+    s, c = _fraction_forward(f)[min(i, len(grid) - 1) - 1]
+    return s * x + c
+
+
+def _fraction_orbit_analyze(
+    f,
+    x0,
+    budget=10_000,
+    tol=Fraction(1, 2**40),
+    max_cycle_period=8,
+):
+    x0 = il._start_point(x0)
+    if il._int_arg(budget, "budget") < 1:
+        raise PreconditionError("budget must be positive")
+    il._int_arg(max_cycle_period, "max_cycle_period")
+    tol = il.rat(tol)
+    cycles, keys, owners = il._cycle_table(f, max_cycle_period)
+    # A cycle point v within tol of x has |_key(v) - _key(x)| <= reach, so
+    # that key window names every candidate cycle; any others it names are
+    # at least tol away.  A negative reach names none.
+    reach = -(-(tol.numerator << 64) // tol.denominator)
+    # keyed by (numerator, denominator): the same equality as the Fraction,
+    # without Fraction.__hash__'s modular inverse of the denominator
+    seen = {}
+    x = x0
+    for step in range(budget + 1):
+        pair = (x.numerator, x.denominator)
+        if pair in seen:
+            tail = seen[pair]
+            return il.OrbitReport("Preperiodic", tail=tail, period=step - tail, steps=step)
+        seen[pair] = step
+        k = il._key(*pair)
+        lo = bisect_left(keys, k - reach)
+        hi = bisect_right(keys, k + reach)
+        for ci in sorted(set(owners[lo:hi])) if lo < hi else ():
+            cycle = cycles[ci]
+            d = min(abs(x - pt) for pt in cycle)
+            if 0 < d < tol:
+                nxt = _fraction_call(f, x)
+                d_next = min(abs(nxt - pt) for pt in cycle)
+                if d_next <= d:
+                    return il.OrbitReport(
+                        "AsymptoticallyPeriodic",
+                        cycle=cycle,
+                        steps=step,
+                        final_distance=d,
+                    )
+        if x.denominator.bit_length() > il._DENOM_BIT_CAP:
+            return il.OrbitReport("Unknown", steps=step)
+        if step < budget:
+            x = _fraction_call(f, x)
+    return il.OrbitReport("Unknown", steps=budget)
+
+
+def _unit_fractions(bits):
+    """Points p / q of [0,1], q of the given bit length, from a seeded rng
+    (20,000-bit draws would overrun Hypothesis's buffer)."""
+
+    def point(seed):
+        rng = random.Random(seed)
+        q = rng.getrandbits(bits) | 1 << (bits - 1)
+        return F(rng.randrange(q + 1), q)
+
+    return st.integers(0, 2**64).map(point)
+
+
+# Starts with small denominators, near a cycle point of the named maps,
+# and of ~2,000 bits.  Their orbits repeat, reach a cycle, run out of
+# budget or pass a lowered _DENOM_BIT_CAP.
+ORBIT_STARTS = (
+    unit_points
+    | st.sampled_from([F(0), F(1), F(2, 3), F(1, 2), F(2, 7), F(1, 3)]).flatmap(
+        lambda v: st.integers(-(2**20), 2**20).map(lambda k: min(max(v + F(k, 2**60), F(0)), F(1)))
+    )
+    | HUGE_UNIT
+)
+STEP_TOLS = TOLS + (F(1, 2**20), F(-1, 2**40))
+
+
+class TestIntStep:
+    @pytest.mark.parametrize("bits", [10, 2000, 20000])
+    @given(f=any_maps | st.sampled_from([tent_map(), five_segment_map()]), data=st.data())
+    def test_step_matches_fraction_arithmetic(self, bits, f, data):
+        # the vertices too, where m = a*n + b*d may be 0 or share a factor with e
+        xs = data.draw(st.lists(_unit_fractions(bits), min_size=1, max_size=3))
+        for x in [v for v, _ in f.vertices] + xs:
+            y = _fraction_call(f, x)
+            assert f._step(x.numerator, x.denominator) == (y.numerator, y.denominator)
+
+    def test_step_takes_no_full_size_gcd(self, monkeypatch):
+        sizes = []
+
+        def counted(*args):
+            sizes.append(min(abs(v).bit_length() for v in args))
+            return gcd(*args)
+
+        monkeypatch.setattr(il, "gcd", counted)
+        f = five_segment_map()
+        rng = random.Random(5)
+        for _ in range(20):
+            q = rng.getrandbits(20000) | 1 << 19999
+            y = f._step(*f._step(rng.randrange(q + 1), q))
+            assert y[1].bit_length() > 19000
+        assert len(sizes) == 80 and max(sizes) < 16
+
+    @pytest.mark.parametrize("tol", STEP_TOLS, ids=str)
+    @given(
+        f=any_maps | st.sampled_from([tent_map(), five_segment_map()]),
+        x0=ORBIT_STARTS,
+        budget=st.integers(1, 60),
+        max_period=st.integers(0, 4),
+    )
+    def test_orbit_matches_the_fraction_steps(self, tol, f, x0, budget, max_period):
+        new = _outcome(orbit_analyze, f, x0, budget, tol, max_period)
+        assert new == _outcome(_fraction_orbit_analyze, f, x0, budget, tol, max_period)
+
+    @pytest.mark.parametrize("cap", [0, 8, 64, 2100])
+    @given(
+        f=any_maps | st.sampled_from([tent_map(), five_segment_map()]),
+        x0=ORBIT_STARTS,
+        tol=st.sampled_from(STEP_TOLS),
+        max_period=st.integers(0, 3),
+    )
+    def test_orbit_matches_under_a_lowered_bit_cap(self, cap, f, x0, tol, max_period):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(il, "_DENOM_BIT_CAP", cap)
+            new = _outcome(orbit_analyze, f, x0, 400, tol, max_period)
+            assert new == _outcome(_fraction_orbit_analyze, f, x0, 400, tol, max_period)
+
+    @pytest.mark.parametrize("name", ["tent", "five"])
+    def test_named_orbits_match_the_fraction_steps(self, name):
+        # workload-style starts, denominators up to 1000, at the default
+        # budget, tol and period
+        f = tent_map() if name == "tent" else five_segment_map()
+        rng = random.Random(7919)
+        for _ in range(300):
+            q = rng.randrange(1, 1001)
+            x0 = F(rng.randrange(q + 1), q)
+            assert orbit_analyze(f, x0) == _fraction_orbit_analyze(f, x0)
 
 
 # --- verbatim copies of the Fraction decode and encode ----------------------
@@ -1167,6 +1331,8 @@ class TestArgumentChecks:
             lambda: orbit_analyze(tent_map(), F(1, 3), budget=True),
             lambda: orbit_analyze(tent_map(), F(1, 3), max_cycle_period=2.5),
             lambda: orbit_analyze(tent_map(), F(1, 3), max_cycle_period=True),
+            lambda: orbit_analyze(tent_map(), F(1, 3), max_cycle_period=-1),
+            lambda: orbit_analyze(tent_map(), F(1, 3), max_cycle_period=-3),
             lambda: iterate_map(tent_map(), 1.5),
             lambda: iterate_map(tent_map(), True),
         ],
@@ -1175,12 +1341,24 @@ class TestArgumentChecks:
             "tree-depth-float", "tree-depth-bool",
             "orbit-budget-float", "orbit-budget-bool",
             "orbit-period-float", "orbit-period-bool",
+            "orbit-period-minus-one", "orbit-period-minus-three",
             "iterate-power-float", "iterate-power-bool",
         ],
     )
     def test_integer_arguments(self, call):
         with pytest.raises(PreconditionError):
             call()
+
+    def test_period_zero_detects_no_cycle(self):
+        il._cycle_table.cache_clear()
+        f = five_segment_map()
+        r = orbit_analyze(f, F(2, 5), budget=200, max_cycle_period=0)
+        assert (r.kind, r.steps) == ("Unknown", 200)
+        assert orbit_analyze(f, F(1, 2), max_cycle_period=0).kind == "Preperiodic"
+        with pytest.raises(PreconditionError, match="max_cycle_period must be nonnegative"):
+            orbit_analyze(f, F(2, 5), max_cycle_period=-3)
+        # a refused period fills no cache slot
+        assert il._cycle_table.cache_info().currsize == 1
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
     @pytest.mark.parametrize("x0", [F(-1, 3), F(5), F(2)], ids=str)
@@ -1201,14 +1379,22 @@ class TestArgumentChecks:
             lambda x: encode_point(TENT, (x,)),
             lambda x: orbit_analyze(tent_map(), x),
             lambda x: orbit_analyze(tent_map(), F(1, 3), tol=x),
+            lambda x: tent_map()(x),
+            lambda x: preimages(tent_map(), x),
+            lambda x: PLMap(((0, 0), (x, 1), (1, 0))),
+            lambda x: PLMap(((0, x), (1, 1))),
         ],
-        ids=["tree", "decode", "encode", "orbit", "orbit-tol"],
+        ids=["tree", "decode", "encode", "orbit", "orbit-tol", "call", "preimages",
+             "vertex-x", "vertex-y"],
     )
     def test_floats_are_refused(self, call):
-        # a float is not read as its binary expansion, as BranchNode(0.1) is not
+        # a float is not read as its binary expansion, as BranchNode(0.1) is
+        # not, and a bool is not read as 0 or 1
         with pytest.raises(ValueError, match="not a rational"):
             call(0.1)
         with pytest.raises(ValueError, match="not a rational"):
             call(0.5)
+        with pytest.raises(ValueError, match="not a rational"):
+            call(True)
         call(F(1, 10))
         call("1/10")
