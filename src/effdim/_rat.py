@@ -1,4 +1,8 @@
-"""Shared exact-rational helpers: parsing, formatting, max-metric distances."""
+"""Shared exact-rational helpers: input readers, formatting, max-metric distances.
+
+Every public entry point reads its numbers through the three readers here:
+``rat`` for rationals, ``rat_point`` for points and ``int_arg`` for ints.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +13,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class PreconditionError(ValueError):
+    """An operation was called outside its stated preconditions."""
+
+
 def rat(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction.
+    """Coerce ints, Fractions and 'p/q' strings to a plain Fraction.
 
     Raises ValueError for a zero denominator and for every other type,
-    bools and floats included.
+    bools, floats and Decimals included.
     """
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
+    if isinstance(value, Fraction):
+        return Fraction(value.numerator, value.denominator)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
@@ -25,6 +35,21 @@ def rat(value) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")
+
+
+def rat_point(value) -> tuple[Fraction, ...]:
+    """A RationalPoint's coordinates, or an iterable's entries read by ``rat``; no box check."""
+    coords = getattr(value, "coords", value)
+    if isinstance(coords, str) or not hasattr(coords, "__iter__"):
+        raise ValueError(f"not a point: {value!r}")
+    return tuple(c if type(c) is Fraction else rat(c) for c in coords)
+
+
+def int_arg(value, name: str) -> int:
+    """value, refused with PreconditionError unless it is an int and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError(f"{name} must be an int")
+    return value
 
 
 def fmt(value: Fraction) -> str:

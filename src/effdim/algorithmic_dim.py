@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._rat import rat
-from .ball_calculus import PreconditionError
+from ._rat import PreconditionError, int_arg, rat, rat_point
 from .fractal_spaces import DigitMatrix
 
 _BITS = frozenset("01")
@@ -402,7 +401,7 @@ BUILTIN_COMPRESSORS = {
 
 def bplus(n: int) -> str:
     """Binary of n with a 0 slotted after each bit; length 2*|binary(n)|."""
-    if n < 1:
+    if int_arg(n, "n") < 1:
         raise PreconditionError("bplus needs n >= 1")
     return "".join(b + "0" for b in bin(n)[2:])
 
@@ -413,7 +412,7 @@ def _header(payload_len: int) -> str:
 
 def header_overhead(payload_len: int) -> int:
     """Exact header cost: twice the bit length of payload_len, plus 2."""
-    return 2 * payload_len.bit_length() + 2
+    return 2 * int_arg(payload_len, "payload_len").bit_length() + 2
 
 
 @dataclass(frozen=True)
@@ -506,26 +505,22 @@ def grid_point_encoding(ks: Sequence[int], r: int) -> str:
     dim = len(ks)
     if not 1 <= dim <= 15:
         raise PreconditionError("dimension must lie in 1..15")
-    if r < 0:
+    if int_arg(r, "r") < 0:
         raise PreconditionError("precision must be nonnegative")
     top = 2 ** (r + 1)
-    if any(not 0 <= k <= top for k in ks):
+    if any(not 0 <= int_arg(k, "a numerator") <= top for k in ks):
         raise PreconditionError("numerator out of range for the grid")
     return format(dim, "04b") + "1" * r + "0" + "".join(format(k, f"0{r + 2}b") for k in ks)
 
 
 def _coordinate_intervals(x, r: int) -> list[tuple[Fraction, Fraction]]:
-    """Per-coordinate exact value intervals; width 0 for exact input.
-
-    Exact coordinates are read through ``_rat.rat``, so a float raises
-    ValueError rather than being taken as its binary expansion.
-    """
+    """Per-coordinate exact value intervals; width 0 for exact input."""
     if isinstance(x, DigitMatrix):
         width = x.cell_width()
         if width > Fraction(1, 2 ** (r + 2)):
             raise PreconditionError("stream too short to decide candidate membership")
         return [(v, v + width) for v in x.values()]
-    vals = [rat(c) for c in x]
+    vals = rat_point(x)
     if any(not 0 <= v <= 1 for v in vals):
         raise PreconditionError("point outside the unit cube")
     return [(v, v) for v in vals]
@@ -547,7 +542,7 @@ def precision_candidates(x, r: int) -> list[tuple[int, ...]]:
 
 def _candidate_axes(x, r: int) -> list[list[int]]:
     """Per coordinate, the certified grid numerators in ascending order."""
-    if r < 0:
+    if int_arg(r, "r") < 0:
         raise PreconditionError("precision must be nonnegative")
     intervals = _coordinate_intervals(x, r)
     top = 2 ** (r + 1)
@@ -586,7 +581,7 @@ def precision_complexity(x, r: int, M: Compressor) -> int:
 
 def precision_complexities(x, M: Compressor, r_range: Sequence[int]) -> dict[int, int]:
     """C_{M,r}(x) once for each distinct r of the range, in ascending r."""
-    rs = sorted(set(int(r) for r in r_range))
+    rs = sorted(set(int_arg(r, "a precision") for r in r_range))
     if not rs or rs[0] < 1:
         raise PreconditionError("precision range must contain positive integers")
     return {r: precision_complexity(x, r, M) for r in rs}
@@ -611,12 +606,11 @@ def co_compressible_check(
     """For each k <= k_max: does some n in [g(k), g(k+1)) give (C+k)/n < s?
 
     Scans each window in ascending n with an exact rational comparison,
-    skipping n where even the compressor's length floor cannot win.  s is
-    read through ``_rat.rat``, so a float raises ValueError.
+    skipping n where even the compressor's length floor cannot win.
     """
     _check_bits(prefix)
     s = rat(s)
-    if k_max < 0:
+    if int_arg(k_max, "k_max") < 0:
         raise PreconditionError("k_max must be nonnegative")
     marks = [g(k) for k in range(k_max + 2)]
     if any(b <= a for a, b in zip(marks, marks[1:])) or marks[0] < 1:

@@ -12,13 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
-from ._rat import max_dist
-
-
-class PreconditionError(ValueError):
-    """An operation was called outside its stated preconditions."""
+from ._rat import PreconditionError, int_arg, max_dist, rat
 
 
 @dataclass(frozen=True)
@@ -28,7 +24,7 @@ class RationalPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
+        coords = tuple(c if type(c) is Fraction else rat(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
         if not coords:
             raise ValueError("point needs at least one coordinate")
@@ -56,7 +52,7 @@ class FormalBall:
     radius: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", Fraction(self.radius))
+        object.__setattr__(self, "radius", rat(self.radius))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
@@ -106,7 +102,7 @@ class SpaceDescriptor:
     dense_rule: Callable[[int], RationalPoint] | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
+        if int_arg(self.dim, "dim") < 1:
             raise ValueError("dim must be at least 1")
 
     def dense_point(self, index: int) -> RationalPoint:
@@ -128,7 +124,7 @@ class NamePrefix:
     space: SpaceDescriptor = field(default_factory=SpaceDescriptor)
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(int_arg(i, "an index") for i in self.indices))
         if any(i < 0 for i in self.indices):
             raise ValueError("indices must be nonnegative")
 

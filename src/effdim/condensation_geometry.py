@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._rat import ONE, ZERO, max_dist, rat
-from .ball_calculus import PreconditionError, RationalPoint
+from ._rat import ONE, ZERO, PreconditionError, int_arg, max_dist, rat
+from .ball_calculus import RationalPoint
 from .dimension_estimators import PointCloud
 
 
@@ -54,7 +54,7 @@ def _dyadic_sequence(count: int) -> list[Fraction]:
 def dyadic_path(count: int) -> SegmentPath:
     """Default path: the dyadic rationals of [0,1] as 1-dimensional anchors."""
     return SegmentPath(
-        tuple(RationalPoint((v,)) for v in _dyadic_sequence(count))
+        tuple(RationalPoint((v,)) for v in _dyadic_sequence(int_arg(count, "count")))
     )
 
 
@@ -99,7 +99,7 @@ def sample_S(
     t = rat(t)
     if not lo <= t <= hi:
         raise PreconditionError("singular point outside the interval")
-    if not 0 <= fiber_points <= len(K_anchors.anchors):
+    if not 0 <= int_arg(fiber_points, "fiber_points") <= len(K_anchors.anchors):
         raise PreconditionError(f"fiber points must lie in [0, {len(K_anchors.anchors)}]")
     rows = []
     for x in xs:
@@ -130,7 +130,7 @@ def iterate_S(
     per stage; the first coordinate always recovers the source sample.
     """
     lo, hi = rat(E[0]), rat(E[1])
-    if stages < 0:
+    if int_arg(stages, "stages") < 0:
         raise PreconditionError("stage count must be nonnegative")
     if stages > len(Q_prefix):
         raise PreconditionError("not enough queue points for the requested stages")
@@ -210,11 +210,11 @@ def chain_descriptor(
     m -> 2^m applied to the link sizes.  More than _LINK_CAP links in all
     is refused before any glue is built.
     """
-    if stages < 0:
+    if int_arg(stages, "stages") < 0:
         raise PreconditionError("stage count must be nonnegative")
     if len(g) < stages:
         raise PreconditionError("not enough g values for the requested stages")
-    sizes = [int(v) for v in g[:stages]]
+    sizes = [int_arg(v, "a link size") for v in g[:stages]]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise PreconditionError("g must be strictly increasing")
     if kappa_growth is None:
@@ -224,7 +224,7 @@ def chain_descriptor(
     else:
         if len(kappa_growth) < stages:
             raise PreconditionError("not enough kappa values for the requested stages")
-        counts = [int(v) for v in kappa_growth[:stages]]
+        counts = [int_arg(v, "a link count") for v in kappa_growth[:stages]]
     if any(c < 1 for c in counts):
         raise PreconditionError("link counts must be positive")
     if sum(counts) > _LINK_CAP:

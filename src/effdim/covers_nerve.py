@@ -71,8 +71,8 @@ from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
 from ._lp import affine_gap
-from ._rat import ZERO, ONE, max_dist, rat
-from .ball_calculus import FormalBall, PreconditionError, RationalPoint
+from ._rat import ZERO, ONE, PreconditionError, fmt, int_arg, max_dist, rat, rat_point
+from .ball_calculus import FormalBall, RationalPoint
 from .dimension_estimators import MengerDescriptor, PointCloud
 from .fractal_spaces import BoundSeq, z_value
 
@@ -87,6 +87,7 @@ class Box:
     bounds: Bounds
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bounds", tuple((rat(lo), rat(hi)) for lo, hi in self.bounds))
         for lo, hi in self.bounds:
             if lo > hi:
                 raise PreconditionError("box has an empty axis interval")
@@ -106,7 +107,7 @@ def _unit_bounds(dim: int) -> Bounds:
 
 
 def ball(center: Sequence, radius) -> FormalBall:
-    return FormalBall(RationalPoint(tuple(rat(c) for c in center)), rat(radius))
+    return FormalBall(RationalPoint(rat_point(center)), radius)
 
 
 def _cube(b: FormalBall) -> Bounds:
@@ -180,7 +181,7 @@ class SymbolicCarrier:
     depth: int
 
     def __post_init__(self) -> None:
-        if self.depth < 0:
+        if int_arg(self.depth, "depth") < 0:
             raise PreconditionError("carrier depth must be nonnegative")
 
     @property
@@ -576,6 +577,7 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet):
     result.  A set whose arrangement passes ``_CELL_CAP`` cells is
     refused with PreconditionError.
     """
+    coords = rat_point(coords)
     if len(coords) != s.dim:
         raise PreconditionError("point dimension differs from the set's")
     (xs,), q = _on_lcm([coords])
@@ -629,7 +631,7 @@ def kappa_map(x, U: FiniteCover, vertices: Sequence[RationalPoint]) -> RationalP
     Members are read inside the unit box, so x must lie in it.  Depths
     and vertices go on common denominators: one int sum per axis.
     """
-    coords = x.coords if isinstance(x, RationalPoint) else tuple(rat(c) for c in x)
+    coords = rat_point(x)
     if len(coords) != U.dim:
         raise PreconditionError("point dimension differs from the cover's")
     if not all(0 <= c.numerator <= c.denominator for c in coords):
@@ -821,8 +823,8 @@ def refine_cover(
     cloud one more family follows the ladder, a ball around each point,
     which meets every multiplicity target and every nonnegative mesh.
     """
-    mesh = rat(mesh)
-    if target_mult < 1:
+    mesh, budget = rat(mesh), int_arg(budget, "budget")
+    if int_arg(target_mult, "target_mult") < 1:
         raise PreconditionError("target multiplicity must be at least 1")
     carrier = U.carrier
     if isinstance(carrier, PointCloud) and not carrier.points:
@@ -910,16 +912,16 @@ def general_position(
     Points of unequal dimension, an empty avoid flat and a flat of another
     dimension than the points' are refused with PreconditionError.
     """
-    eps = rat(eps)
+    eps, budget = rat(eps), int_arg(budget, "budget")
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    pts = [p.coords if isinstance(p, RationalPoint) else [rat(c) for c in p] for p in points]
+    pts = [rat_point(p) for p in points]
     if not pts:
         return ()
     m = len(pts[0])
     if any(len(p) != m for p in pts):
         raise PreconditionError("points disagree on dimension")
-    avoid_flats = [[[rat(c) for c in p] for p in flat] for flat in avoid]
+    avoid_flats = [[rat_point(p) for p in flat] for flat in avoid]
     if not all(avoid_flats):
         raise PreconditionError("an avoid flat needs at least one point")
     if any(len(p) != m for flat in avoid_flats for p in flat):
@@ -995,17 +997,11 @@ class EpsEtaCertificate:
             raise PreconditionError("eps and eta must be positive")
 
     def to_json(self) -> dict:
-        from ._rat import fmt
-
         return {
             "eps": fmt(self.eps),
             "eta": fmt(self.eta),
             "pairs_checked": len(self.witness_pairs),
         }
-
-
-def _as_point(p) -> RationalPoint:
-    return p if isinstance(p, RationalPoint) else RationalPoint(tuple(rat(c) for c in p))
 
 
 def verify_eps_eta(pairs: Sequence, eps, eta):
@@ -1015,7 +1011,7 @@ def verify_eps_eta(pairs: Sequence, eps, eta):
     combination.
     """
     eps, eta = rat(eps), rat(eta)
-    graph = [(_as_point(x), _as_point(gx)) for x, gx in pairs]
+    graph = [(RationalPoint(rat_point(x)), RationalPoint(rat_point(gx))) for x, gx in pairs]
     for a in range(len(graph)):
         for b in range(a + 1, len(graph)):
             (x, gx), (y, gy) = graph[a], graph[b]
@@ -1057,7 +1053,7 @@ def embed_step(
     if mult > n + 1:
         raise PreconditionError("cover multiplicity exceeds n + 1")
     mesh = cover_mesh(U)
-    target = Fraction(1, 2**j)
+    target = Fraction(1, 2 ** int_arg(j, "j"))
     if mesh >= target:
         raise PreconditionError("mesh too coarse for the requested approximation")
     centers = [mbr.balls[0].center for mbr in U.members]
@@ -1076,7 +1072,7 @@ def embed_step(
                 min_gap = gap if min_gap is None else min(min_gap, gap)
     v = _pow2_at_most(min_gap) if min_gap is not None else 0
     eta = Fraction(1, 2**v)
-    eps = Fraction(1, 2**i)
+    eps = Fraction(1, 2 ** int_arg(i, "i"))
     images = []
     for p in sample.points:
         img = kappa_map(p, U, vertices)
@@ -1109,7 +1105,7 @@ def menger_push_step(
     last; grid points stay fixed and the map strictly increases.
     """
     eps = rat(eps)
-    if level < 0:
+    if int_arg(level, "level") < 0:
         raise PreconditionError("level must be nonnegative")
     w = z.scale(level)
     if not 0 < eps < w / 2:

@@ -17,8 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from ._rat import fmt
-from .ball_calculus import PreconditionError, RationalPoint
+from ._rat import PreconditionError, float12, fmt, int_arg, rat, rat_point
 from .fractal_spaces import BoundSeq, _running_product
 
 
@@ -35,10 +34,11 @@ class PointCloud:
     meta: str = ""
 
     def __post_init__(self):
+        dim = int_arg(self.dim, "dim")
         coerced = []
         for p in self.points:
-            coords = p.coords if isinstance(p, RationalPoint) else tuple(Fraction(c) for c in p)
-            if len(coords) != self.dim:
+            coords = rat_point(p)
+            if len(coords) != dim:
                 raise ValueError("point dimension mismatch")
             if any(not 0 <= c <= 1 for c in coords):
                 raise ValueError("cloud points must lie in the unit cube")
@@ -59,7 +59,7 @@ class ScaleCounts:
     rows: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        rows = tuple((Fraction(r), int(c)) for r, c in self.rows)
+        rows = tuple((rat(r), int_arg(c, "a count")) for r, c in self.rows)
         rows = tuple(sorted(rows, key=lambda rc: rc[0], reverse=True))
         object.__setattr__(self, "rows", rows)
         if any(r <= 0 for r, _ in rows):
@@ -105,9 +105,9 @@ class MengerDescriptor:
     z: BoundSeq = field(default_factory=lambda: BoundSeq.constant(3))
 
     def __post_init__(self):
-        if self.m < 1:
+        if int_arg(self.m, "m") < 1:
             raise ValueError("m must be at least 1")
-        if not 0 <= self.n <= self.m:
+        if not 0 <= int_arg(self.n, "n") <= self.m:
             raise ValueError("need 0 <= n <= m")
 
     def level_cell_count(self, j: int) -> int:
@@ -130,9 +130,10 @@ class MengerDescriptor:
 
     def depth_for_scale(self, r: Fraction) -> int:
         """Smallest depth whose cells are at least as fine as r."""
+        r = rat(r)
         if not 0 < r <= 1:
             raise PreconditionError("scale must lie in (0, 1]")
-        need = math.ceil(1 / Fraction(r))  # 1 / P_d <= r iff the int P_d reaches it
+        need = math.ceil(1 / r)  # 1 / P_d <= r iff the int P_d reaches it
         products = self.z._products
         while products[-1] < need:
             _running_product(products, self.z, len(products))
@@ -146,7 +147,7 @@ class CubeDescriptor:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
+        if int_arg(self.dim, "dim") < 1:
             raise ValueError("dim must be at least 1")
 
     def level_cell_count(self, j: int) -> int:
@@ -159,9 +160,10 @@ class CubeDescriptor:
         return Fraction(1, 2**depth)
 
     def depth_for_scale(self, r: Fraction) -> int:
+        r = rat(r)
         if not 0 < r <= 1:
             raise PreconditionError("scale must lie in (0, 1]")
-        return (math.ceil(1 / Fraction(r)) - 1).bit_length()  # least d with 2^d >= 1/r
+        return (math.ceil(1 / r) - 1).bit_length()  # least d with 2^d >= 1/r
 
 
 def cantor_descriptor() -> MengerDescriptor:
@@ -186,7 +188,7 @@ def box_count(data, r: Fraction) -> int:
     last cell.  For a descriptor the count is taken at the smallest depth whose
     cell width is <= r.
     """
-    r = Fraction(r)
+    r = rat(r)
     if r <= 0:
         raise PreconditionError("scale must be positive")
     if isinstance(data, (MengerDescriptor, CubeDescriptor)):
@@ -203,11 +205,13 @@ def box_count(data, r: Fraction) -> int:
                 idx.append(i)
             cells.add(tuple(idx))
         return len(cells)
-    raise TypeError(f"cannot box-count {type(data).__name__}")
+    raise PreconditionError(
+        f"box_count needs a PointCloud, MengerDescriptor or CubeDescriptor, not {type(data).__name__}"
+    )
 
 
 def scale_counts(data, scales: Sequence[Fraction]) -> ScaleCounts:
-    return ScaleCounts(tuple((Fraction(r), box_count(data, Fraction(r))) for r in scales))
+    return ScaleCounts(tuple((r, box_count(data, r)) for r in map(rat, scales)))
 
 
 def box_dimension(counts: ScaleCounts) -> DimEstimate:
@@ -215,6 +219,8 @@ def box_dimension(counts: ScaleCounts) -> DimEstimate:
 
     Slopes are taken between all scale pairs on the log(1/r) vs log N axes.
     """
+    if not isinstance(counts, ScaleCounts):
+        raise PreconditionError(f"box_dimension needs a ScaleCounts, not {type(counts).__name__}")
     rows = counts.rows
     if len(rows) < 2:
         raise PreconditionError("need at least two scales")
@@ -249,7 +255,10 @@ def localized_count(desc, R: Fraction, r: Fraction) -> int:
     per-level independent, so the in-cell count is the product of the level
     counts between the two depths, uniformly over cells.
     """
-    R, r = Fraction(R), Fraction(r)
+    if not isinstance(desc, (MengerDescriptor, CubeDescriptor)):
+        name = type(desc).__name__
+        raise PreconditionError(f"localized counts need a MengerDescriptor or CubeDescriptor, not {name}")
+    R, r = rat(R), rat(r)
     if not r < R:
         raise PreconditionError("need r < R in each localized pair")
     a = desc.depth_for_scale(R)
@@ -284,12 +293,12 @@ def assouad_exponent(
         raise PreconditionError("scale lists empty or misordered")
     pairs = []
     for R, r in zip(R_list, r_list):
-        R, r = Fraction(R), Fraction(r)
+        R, r = rat(R), rat(r)
         if not r < R:
             raise PreconditionError("scale lists empty or misordered")
         pairs.append((localized_count(desc, R, r), R / r))
-    s_step = Fraction(s_step)
-    c_max = Fraction(c_max)
+    s_step = rat(s_step)
+    c_max = rat(c_max)
     if s_step <= 0 or c_max < 1:
         raise PreconditionError("need positive grid step and c_max >= 1")
     ambient = desc.m if isinstance(desc, MengerDescriptor) else desc.dim
@@ -311,8 +320,6 @@ def assouad_exponent(
 
 def estimate_report(counts: ScaleCounts, est: DimEstimate) -> dict:
     """CLI-facing summary: exact rows plus ~-prefixed float slopes."""
-    from ._rat import float12
-
     return {
         "rows": [{"r": fmt(r), "count": c} for r, c in counts.rows],
         "~slope_lower": float12(est.lower),

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .ball_calculus import PreconditionError
+from ._rat import PreconditionError, int_arg, rat, rat_point
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,20 @@ class BoundSeq:
 
     @staticmethod
     def constant(z: int) -> "BoundSeq":
-        if z < 3:
+        if int_arg(z, "z") < 3:
             raise ValueError("bound sequence values must be at least 3")
         return BoundSeq("constant", value=z)
 
     @staticmethod
     def affine(offset: int) -> "BoundSeq":
-        if offset < 3:
+        if int_arg(offset, "offset") < 3:
             raise ValueError("affine bound sequence needs offset >= 3")
         return BoundSeq("affine", value=offset)
 
     @staticmethod
     def from_table(values: Sequence[int], tail: int = 3) -> "BoundSeq":
-        vals = tuple(int(v) for v in values)
-        if any(v < 3 for v in vals) or tail < 3:
+        vals = tuple(int_arg(v, "a table value") for v in values)
+        if any(v < 3 for v in vals) or int_arg(tail, "tail") < 3:
             raise ValueError("bound sequence values must be at least 3")
         return BoundSeq("table", table=vals, tail=tail)
 
@@ -93,7 +93,7 @@ class DigitMatrix:
     z: BoundSeq
 
     def __post_init__(self):
-        rows = tuple(tuple(int(d) for d in row) for row in self.rows)
+        rows = tuple(tuple(int_arg(d, "a digit") for d in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("digit matrix needs at least one row")
@@ -138,7 +138,7 @@ def z_value(digits: Sequence[int], z: BoundSeq) -> Fraction:
     num = 0
     for j, d in enumerate(digits):
         zj = z(j)
-        if not 0 <= d < zj:
+        if not 0 <= int_arg(d, "a digit") < zj:
             raise ValueError(f"digit {d} out of range at level {j}")
         num = num * zj + d
     return Fraction(num, _running_product(z._products, z, len(digits)))
@@ -191,10 +191,11 @@ def _alternative_expansion(prefix: tuple[int, ...]):
 
 def expansions_of(x: Fraction, z: BoundSeq, horizon: int = _EXPANSION_HORIZON):
     """All admissible digit expansions of x in [0,1] (one or two)."""
+    x = rat(x)
     if not 0 <= x <= 1:
         raise PreconditionError("value outside [0,1]")
     out = []
-    prefix, tail = _greedy_expansion(x, z, horizon)
+    prefix, tail = _greedy_expansion(x, z, int_arg(horizon, "horizon"))
     out.append((prefix, tail))
     if tail == ("zeros",):
         alt = _alternative_expansion(prefix)
@@ -253,9 +254,9 @@ def menger_membership_point(x: Sequence[Fraction], n: int, z: BoundSeq) -> Membe
     varying bases may return Unknown when a coordinate has a non-terminating
     expansion.
     """
-    if n < 0:
+    if int_arg(n, "n") < 0:
         raise PreconditionError("n must be nonnegative")
-    per_coord = [expansions_of(Fraction(c), z) for c in x]
+    per_coord = [expansions_of(c, z) for c in rat_point(x)]
     fail_levels = []
     saw_unknown = False
     for combo in itertools.product(*per_coord):
@@ -280,7 +281,7 @@ def menger_membership(data, n: int, z: BoundSeq | None = None) -> MembershipVerd
     Fractions gets the full expansion analysis of menger_membership_point.
     """
     if isinstance(data, DigitMatrix):
-        if n < 0:
+        if int_arg(n, "n") < 0:
             raise PreconditionError("n must be nonnegative")
         for j in range(data.depth):
             zj = data.z(j)
@@ -290,7 +291,7 @@ def menger_membership(data, n: int, z: BoundSeq | None = None) -> MembershipVerd
         return MembershipVerdict("Unknown", level=data.depth)
     if z is None:
         raise PreconditionError("a bound sequence is required for point input")
-    return menger_membership_point(tuple(Fraction(c) for c in data), n, z)
+    return menger_membership_point(data, n, z)
 
 
 # --- Noebeling-style membership -------------------------------------------
@@ -311,7 +312,7 @@ class Coord:
 
     @staticmethod
     def rational(value) -> "Coord":
-        return Coord("rational", Fraction(value))
+        return Coord("rational", rat(value))
 
     @staticmethod
     def irrational() -> "Coord":
@@ -324,7 +325,7 @@ class Coord:
 
 def noebeling_membership(coords: Sequence[Coord], n: int) -> MembershipVerdict:
     """At most n rational coordinates: count tags, Unknown when tags cannot decide."""
-    if n < 0:
+    if int_arg(n, "n") < 0:
         raise PreconditionError("n must be nonnegative")
     rational = sum(1 for c in coords if c.kind == "rational")
     unknown = sum(1 for c in coords if c.kind == "unknown")
@@ -349,7 +350,7 @@ def extrema_combinatorics(n: int) -> tuple[int, tuple[str, ...]]:
     3^(2n+1) ternary tuples, so n past _BLOCK_CAP is refused before any
     is built.
     """
-    if n < 0:
+    if int_arg(n, "n") < 0:
         raise PreconditionError("n must be nonnegative")
     if n > _BLOCK_CAP:
         raise PreconditionError(f"n = {n} is past the cap of {_BLOCK_CAP}")
@@ -372,7 +373,7 @@ def generic_point_stream(word: Sequence[int], n: int) -> DigitMatrix:
     level condition holds at every finite depth by construction.
     """
     count, blocks = extrema_combinatorics(n)
-    word = tuple(int(t) for t in word)
+    word = tuple(int_arg(t, "a word letter") for t in word)
     if not word:
         raise PreconditionError("word must be nonempty")
     if any(not 0 <= t < count for t in word):

@@ -35,23 +35,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
-from ._rat import fmt, rat
-from .ball_calculus import PreconditionError
-
-
-def _int_arg(value: int, name: str) -> int:
-    """value, refused with PreconditionError unless it is an int and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PreconditionError(f"{name} must be an int")
-    return value
+from ._rat import PreconditionError, fmt, int_arg, rat
 
 
 def _start_point(x0: Fraction) -> Fraction:
-    """x0 read through ``_rat.rat``, refused with PreconditionError outside [0,1].
-
-    A float raises ValueError, as in ``BranchNode``, rather than being
-    taken as its binary expansion.
-    """
+    """x0 read through ``_rat.rat``, refused with PreconditionError outside [0,1]."""
     x0 = rat(x0)
     if not 0 <= x0 <= 1:
         raise PreconditionError("start point outside [0,1]")
@@ -218,7 +206,7 @@ def _preimage_pairs(f: PLMap, p: int, q: int) -> list[tuple[int, int]]:
 
 
 def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
-    """All exact solutions of f(x) = y, sorted ascending; y is read through ``_rat.rat``."""
+    """All exact solutions of f(x) = y, sorted ascending."""
     y = rat(y)
     return tuple(Fraction(n, m) for n, m in _preimage_pairs(f, y.numerator, y.denominator))
 
@@ -298,7 +286,7 @@ def _powers(f: PLMap) -> Iterator[Sequence[Piece]]:
 
 def iterate_map(f: PLMap, power: int) -> PLMap:
     """f composed with itself power times, refused past _SEGMENT_CAP."""
-    if _int_arg(power, "power") < 1:
+    if int_arg(power, "power") < 1:
         raise PreconditionError("power must be at least 1")
     return PLMap(_vertices(next(itertools.islice(_powers(f), power - 1, None))))
 
@@ -407,13 +395,12 @@ def orbit_analyze(
     max_cycle_period: once within tol of a cycle and not receding, the orbit
     is certified AsymptoticallyPeriodic.  Otherwise Unknown after the budget.
     A nonpositive tol puts no cycle within reach, and a max_cycle_period of
-    0 detects no cycle.  x0 and tol are read through ``_rat.rat``, so a
-    float raises ValueError.
+    0 detects no cycle.
     """
     x0 = _start_point(x0)
-    if _int_arg(budget, "budget") < 1:
+    if int_arg(budget, "budget") < 1:
         raise PreconditionError("budget must be positive")
-    if _int_arg(max_cycle_period, "max_cycle_period") < 0:
+    if int_arg(max_cycle_period, "max_cycle_period") < 0:
         raise PreconditionError("max_cycle_period must be nonnegative")
     tol = rat(tol)
     cycles, keys, owners = _cycle_table(f, max_cycle_period)
@@ -495,7 +482,7 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
     (numerator, denominator) pairs, one Fraction built per level.  A start
     point outside [0,1] is refused at every depth.
     """
-    depth = len(code.word) if depth is None else _int_arg(depth, "depth")
+    depth = len(code.word) if depth is None else int_arg(depth, "depth")
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     traj = [_start_point(code.x0)]
@@ -504,7 +491,7 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
     p, q = traj[0].numerator, traj[0].denominator
     for n in range(depth):
         pre = _preimage_pairs(system.at(n), p, q)
-        k = code.word[n]
+        k = int_arg(code.word[n], "a branch index")
         if not 0 <= k < len(pre):
             raise PreconditionError(f"branch index {k} out of range at level {n}")
         p, q = pre[k]
@@ -519,8 +506,7 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     also verifies f_n(x_{n+1}) = x_n: x_{n+1} is a preimage exactly when
     it is among them.  ex_time collects the levels whose value is a
     critical value of that level's map.  A start point outside [0,1] is
-    refused, however short the trajectory.  Every value is read through
-    ``_rat.rat``, so a float raises ValueError.
+    refused, however short the trajectory.
     """
     traj = [rat(x) for x in trajectory]
     if not traj:
@@ -652,7 +638,7 @@ def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNod
     a tree holds no cycles.  Raises PreconditionError for a start point
     outside [0,1] and once the tree would pass _TREE_NODE_CAP nodes.
     """
-    if _int_arg(depth, "depth") < 0:
+    if int_arg(depth, "depth") < 0:
         raise PreconditionError("depth must be nonnegative")
     x0 = _start_point(x0)
     levels = [[(x0.numerator, x0.denominator)]]

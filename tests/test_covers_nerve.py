@@ -391,6 +391,15 @@ class TestKappaMap:
         d1 = complement_distance(x, U.members[1])
         assert d0 == d1 == F(1, 10)
 
+    def test_complement_distance_reads_its_point(self):
+        # a 'p/q' string coordinate is read as its Fraction, a RationalPoint
+        # as its coordinates; a bool is not read as 1
+        s = interval_set(F(1, 4), F(3, 4))
+        assert complement_distance(("1/2",), s) == F(1, 4)
+        assert complement_distance(RationalPoint((F(1, 2),)), s) == F(1, 4)
+        with pytest.raises(ValueError, match="^not a rational: True$"):
+            complement_distance((True,), s)
+
     def test_errors(self):
         U = two_sided_cover()
         verts = (RationalPoint((F(0),)),)

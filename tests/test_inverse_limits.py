@@ -693,9 +693,9 @@ def _fraction_orbit_analyze(
     max_cycle_period=8,
 ):
     x0 = il._start_point(x0)
-    if il._int_arg(budget, "budget") < 1:
+    if il.int_arg(budget, "budget") < 1:
         raise PreconditionError("budget must be positive")
-    il._int_arg(max_cycle_period, "max_cycle_period")
+    il.int_arg(max_cycle_period, "max_cycle_period")
     tol = il.rat(tol)
     cycles, keys, owners = il._cycle_table(f, max_cycle_period)
     # A cycle point v within tol of x has |_key(v) - _key(x)| <= reach, so
