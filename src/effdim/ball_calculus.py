@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from ._rat import PreconditionError, int_arg, max_dist, rat
+from ._rat import PreconditionError, int_arg, max_dist, rat, rat_point
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,12 @@ class RationalPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(c if type(c) is Fraction else rat(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
+        coords = self.coords
+        # a tuple of plain Fractions is kept as it is; anything else is read
+        # by rat_point, which refuses a string or a non-iterable
+        if type(coords) is not tuple or not all(type(c) is Fraction for c in coords):
+            coords = rat_point(coords)
+            object.__setattr__(self, "coords", coords)
         if not coords:
             raise ValueError("point needs at least one coordinate")
         # a Fraction's denominator is positive, so 0 <= n/d <= 1 reads 0 <= n <= d

@@ -5,14 +5,18 @@ with a ~ prefix and 12 significant digits.  Output is deterministic for
 fixed inputs.  Exit codes: 0 success, 1 unknown subcommand, 2 violated
 precondition, 3 malformed input.
 
-Each subcommand is one ``_COMMANDS`` entry, and ``run()`` builds only the
-called one's parser.  (This paragraph stays out of ``--help``.)
+Each subcommand is one ``_COMMANDS`` entry.  ``run()`` builds the called
+subcommand's parser on its first call in a process and reuses it after
+that; the full parser, for ``--help``, no arguments or an unknown
+subcommand, is built on every such call.  (This paragraph stays out of
+``--help``.)
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -598,6 +602,17 @@ def _build_parser(*names: str) -> _Parser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """The parser of one subcommand, built on the first call for that name.
+
+    Reusing it is safe: argparse keeps no per-parse state on a parser,
+    every default in ``_COMMANDS`` is immutable, and the handlers read
+    the caps (``_DEPTH_CAP`` and the others) when they run.
+    """
+    return _build_parser(name)
+
+
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if not argv or argv[0] not in _COMMANDS:
@@ -608,7 +623,7 @@ def run(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        args = _build_parser(argv[0]).parse_args(argv)
+        args = _command_parser(argv[0]).parse_args(argv)
     except _ParseFailure as exc:
         print(f"effdim: {exc}", file=sys.stderr)
         return 3

@@ -87,7 +87,14 @@ class Box:
     bounds: Bounds
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bounds", tuple((rat(lo), rat(hi)) for lo, hi in self.bounds))
+        bounds = self.bounds
+        try:
+            if isinstance(bounds, str):
+                raise TypeError
+            bounds = tuple((rat(lo), rat(hi)) for lo, hi in bounds)
+        except TypeError:
+            raise ValueError(f"not a box: {self.bounds!r}") from None
+        object.__setattr__(self, "bounds", bounds)
         for lo, hi in self.bounds:
             if lo > hi:
                 raise PreconditionError("box has an empty axis interval")
@@ -993,6 +1000,8 @@ class EpsEtaCertificate:
     witness_pairs: tuple[tuple[RationalPoint, RationalPoint], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "eps", rat(self.eps))
+        object.__setattr__(self, "eta", rat(self.eta))
         if self.eps <= 0 or self.eta <= 0:
             raise PreconditionError("eps and eta must be positive")
 

@@ -35,6 +35,8 @@ class PointCloud:
 
     def __post_init__(self):
         dim = int_arg(self.dim, "dim")
+        if isinstance(self.points, str) or not hasattr(self.points, "__iter__"):
+            raise ValueError(f"not a point set: {self.points!r}")
         coerced = []
         for p in self.points:
             coords = rat_point(p)

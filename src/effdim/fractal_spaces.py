@@ -34,6 +34,11 @@ class BoundSeq:
     table: tuple[int, ...] = ()
     tail: int = 3
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", int_arg(self.value, "value"))
+        object.__setattr__(self, "table", tuple(int_arg(v, "a table value") for v in self.table))
+        object.__setattr__(self, "tail", int_arg(self.tail, "tail"))
+
     @staticmethod
     def constant(z: int) -> "BoundSeq":
         if int_arg(z, "z") < 3:
@@ -48,10 +53,10 @@ class BoundSeq:
 
     @staticmethod
     def from_table(values: Sequence[int], tail: int = 3) -> "BoundSeq":
-        vals = tuple(int_arg(v, "a table value") for v in values)
-        if any(v < 3 for v in vals) or int_arg(tail, "tail") < 3:
+        seq = BoundSeq("table", table=values, tail=tail)
+        if any(v < 3 for v in seq.table) or seq.tail < 3:
             raise ValueError("bound sequence values must be at least 3")
-        return BoundSeq("table", table=vals, tail=tail)
+        return seq
 
     def __call__(self, j: int) -> int:
         if j < 0:
@@ -307,12 +312,14 @@ class Coord:
     def __post_init__(self):
         if self.kind not in ("rational", "irrational", "unknown"):
             raise ValueError("kind must be rational, irrational or unknown")
-        if self.kind == "rational" and self.value is None:
-            raise ValueError("rational coordinate needs a value")
+        if self.kind == "rational":
+            if self.value is None:
+                raise ValueError("rational coordinate needs a value")
+            object.__setattr__(self, "value", rat(self.value))
 
     @staticmethod
     def rational(value) -> "Coord":
-        return Coord("rational", rat(value))
+        return Coord("rational", value)
 
     @staticmethod
     def irrational() -> "Coord":

@@ -7,7 +7,9 @@ description), they are the reference.  The top-level and per-subcommand
 help, the stdout, stderr and exit code of every help, usage and
 parse-error case, and the parsed namespace of one valid argv per
 subcommand must be the same from ``effdim.cli``.  ``run()`` on a known
-subcommand must build exactly one subparser.
+subcommand must build exactly one subparser on its first call in a
+process and none after that, and a reused parser must give every valid
+argv the same outcome as a fresh one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import types
 
 import pytest
@@ -272,6 +275,19 @@ def test_parsed_namespace(name):
     assert vars(cli._build_parser(name).parse_args(argv)) == vars(reference_parser().parse_args(argv))
 
 
+def _counting_builds(monkeypatch) -> list:
+    """The names of the subparsers built from now on, in order."""
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv, built",
     [
@@ -284,14 +300,59 @@ def test_parsed_namespace(name):
     ],
 )
 def test_run_builds_only_the_called_subparser(monkeypatch, argv, built):
-    calls = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def counting(self, name, **kwargs):
-        calls.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    # as in a fresh process: no subcommand's parser is cached yet
+    cli._command_parser.cache_clear()
+    calls = _counting_builds(monkeypatch)
     _outcome(cli.run, argv)
     assert len(calls) == built
     assert built > 1 or calls == argv[:1]
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["chain-spec", "--g", "2,3", "--stages", "1"], 0),
+        (["il-tree", "--help"], 0),
+        (["frobnicate"], len(NAMES)),
+    ],
+)
+def test_a_second_run_reuses_the_subparser(monkeypatch, argv, built):
+    """The called subcommand's parser is built once per process; the full one every time."""
+    cli._command_parser.cache_clear()
+    _outcome(cli.run, argv)
+    calls = _counting_builds(monkeypatch)
+    _outcome(cli.run, argv)
+    assert len(calls) == built
+
+
+SITUATIONS = ("first", "after a parse failure", "after --help", "twice in a row")
+
+
+@pytest.mark.parametrize("situation", SITUATIONS)
+@pytest.mark.parametrize("name", NAMES)
+def test_no_state_leaks_through_a_cached_parser(tmp_path, monkeypatch, name, situation):
+    # the input files VALID names, so that their handlers run too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "map.json").write_text(json.dumps({"vertices": [["0", "0"], ["1/2", "1"], ["1", "0"]]}))
+    cover = {
+        "carrier": {"kind": "interval", "depth": 2},
+        "members": [[{"center": ["1/4"], "radius": "1/2"}], [{"center": ["3/4"], "radius": "1/2"}]],
+    }
+    (tmp_path / "cover.json").write_text(json.dumps(cover))
+    argv = [name, *VALID[name]]
+    cli._command_parser.cache_clear()
+    expected = _outcome(cli.run, argv)
+    cli._command_parser.cache_clear()
+    earlier = {
+        "first": [],
+        "after a parse failure": [([name, "--bogus"], 3)],
+        "after --help": [([name, "--help"], 0)],
+        "twice in a row": [(argv, expected[0])],
+    }[situation]
+    for earlier_argv, code in earlier:
+        assert _outcome(cli.run, earlier_argv)[0] == code
+    assert _outcome(cli.run, argv) == expected
+    # the checked run reused the parser the earlier run built
+    assert cli._command_parser.cache_info().hits == len(earlier)
+    parsed = cli._command_parser(name).parse_args(argv)
+    assert vars(parsed) == vars(reference_parser().parse_args(argv))

@@ -24,6 +24,7 @@ from effdim import (
     Coord,
     CubeDescriptor,
     DigitMatrix,
+    EpsEtaCertificate,
     FiniteCover,
     FormalBall,
     InverseSystem,
@@ -175,6 +176,10 @@ TABLE = {
         ("eta", "rat", F(1, 2), lambda v: verify_eps_eta([((0,), (0,)), ((1,), (1,))], F(1, 2), v)),
         ("point", "rat", F(1, 2), lambda v: verify_eps_eta([((v,), (0,)), ((1,), (1,))], F(1, 2), F(1, 2))),
     ),
+    "EpsEtaCertificate": (
+        ("eps", "rat", F(1, 2), lambda v: EpsEtaCertificate(v, F(1, 4), ())),
+        ("eta", "rat", F(1, 4), lambda v: EpsEtaCertificate(F(1, 2), v, ())),
+    ),
     "refine_cover": (
         ("target_mult", "int", 2, lambda v: refine_cover(_two_sided(), v, F(1, 2))),
         ("mesh", "rat", F(1, 2), lambda v: refine_cover(_two_sided(), 2, v)),
@@ -219,16 +224,22 @@ TABLE = {
         ("s_step", "rat", F(1, 8), lambda v: assouad_exponent(cantor_descriptor(), [1], [F(1, 27)], v)),
         ("c_max", "rat", F(2), lambda v: assouad_exponent(cantor_descriptor(), [1], [F(1, 27)], F(1, 8), v)),
     ),
-    # digit streams; BoundSeq and Coord are read through their named
-    # constructors, and built field by field they read nothing
+    # digit streams; BoundSeq and Coord read their numbers both through
+    # their named constructors and built field by field
     "BoundSeq": (
         ("constant", "int", 3, lambda v: BoundSeq.constant(v)),
         ("affine", "int", 4, lambda v: BoundSeq.affine(v)),
         ("table value", "int", 4, lambda v: BoundSeq.from_table([v])),
         ("table tail", "int", 5, lambda v: BoundSeq.from_table([4], v)),
+        ("value field", "int", 3, lambda v: BoundSeq("constant", v)),
+        ("table field", "int", 4, lambda v: BoundSeq("table", table=(v,))),
+        ("tail field", "int", 5, lambda v: BoundSeq("table", tail=v)),
     ),
     "DigitMatrix": (("digit", "int", 1, lambda v: DigitMatrix(((0, v),), Z3)),),
-    "Coord": (("rational", "rat", F(1, 2), lambda v: Coord.rational(v)),),
+    "Coord": (
+        ("rational", "rat", F(1, 2), lambda v: Coord.rational(v)),
+        ("value field", "rat", F(1, 2), lambda v: Coord("rational", v)),
+    ),
     "z_value": (("digit", "int", 1, lambda v: z_value((2, v), Z3)),),
     "expansions_of": (
         ("x", "rat", F(1, 3), lambda v: expansions_of(v, Z3)),
@@ -306,7 +317,6 @@ EXEMPT = {
     "validate_prefix": _OBJECTS,
     "ChainSpec": "the record chain_descriptor returns, built from read ints",
     "SegmentPath": _OBJECTS,
-    "EpsEtaCertificate": "the record verify_eps_eta returns; built field by field it reads nothing",
     "FiniteCover": "takes OpenSets and a carrier; its parents are the indices refine_cover fills in",
     "Nerve": "the record nerve_of returns",
     "OpenSet": _OBJECTS,
@@ -414,6 +424,25 @@ def test_wrong_types(call, expected):
 def test_a_point_must_be_an_iterable_of_rationals(call):
     with pytest.raises(ValueError, match="^not a point: "):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: RationalPoint(0.5), "not a point: 0.5"),
+        (lambda: RationalPoint("1/2"), "not a point: '1/2'"),
+        (lambda: RationalPoint("1"), "not a point: '1'"),
+        (lambda: Box(0.5), "not a box: 0.5"),
+        (lambda: Box("1/2"), "not a box: '1/2'"),
+        (lambda: Box((F(1, 2),)), "not a box: (Fraction(1, 2),)"),
+        (lambda: PointCloud(1, 0.5), "not a point set: 0.5"),
+        (lambda: PointCloud(1, "1/2"), "not a point set: '1/2'"),
+    ],
+)
+def test_a_whole_point_or_box_slot_names_the_value(call, expected):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == expected
 
 
 def test_every_public_callable_is_listed():
