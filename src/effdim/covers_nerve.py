@@ -34,7 +34,9 @@ largest mask) and the nerve (the masks' subsets) all read it, so
 same questions of each candidate family's mask set, and finds every
 parent from one joint mask set of the family and the cover.  Which of a
 family's balls meet the carrier needs no query: it follows from how the
-ladder's cells are built (``_ladder``).
+ladder's cells are built (``_ladder``).  So do the symbolic families
+that can never cover, which the ladder does not build: an empty family
+keeps each one's place in the budget, or the ladder ends before them.
 
 The mask set depends on the carrier only as a point set, and so do
 diameters.  Those queries read the carrier's merged boxes
@@ -426,6 +428,13 @@ class FiniteCover:
         return _carrier_masks(self.members, self.carrier)
 
 
+def _cover_arg(U, name: str) -> FiniteCover:
+    """U, refused with PreconditionError unless it is a FiniteCover."""
+    if not isinstance(U, FiniteCover):
+        raise PreconditionError(f"{name} needs a FiniteCover, not {type(U).__name__}")
+    return U
+
+
 # --- diameters and complements ---------------------------------------------
 
 
@@ -472,6 +481,7 @@ def _mesh(members: Sequence[OpenSet], carrier: Carrier) -> Fraction:
 
 def cover_mesh(U: FiniteCover) -> Fraction:
     """Largest member diameter measured inside the carrier region."""
+    U = _cover_arg(U, "cover_mesh")
     return _mesh(U.members, U.carrier)
 
 
@@ -597,13 +607,13 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet):
 
 def cover_multiplicity(U: FiniteCover) -> int:
     """Largest number of members sharing a carrier point."""
-    return max(len(mask) for mask in U._masks)
+    return max(len(mask) for mask in _cover_arg(U, "cover_multiplicity")._masks)
 
 
 def nerve_of(U: FiniteCover) -> "Nerve":
     """Faces are exactly the subfamilies meeting in a carrier point."""
     faces: set[frozenset[int]] = set()
-    for mask in U._masks:
+    for mask in _cover_arg(U, "nerve_of")._masks:
         for r in range(1, len(mask) + 1):
             faces.update(frozenset(c) for c in itertools.combinations(sorted(mask), r))
     return Nerve(len(U.members), frozenset(faces))
@@ -638,6 +648,7 @@ def kappa_map(x, U: FiniteCover, vertices: Sequence[RationalPoint]) -> RationalP
     Members are read inside the unit box, so x must lie in it.  Depths
     and vertices go on common denominators: one int sum per axis.
     """
+    U = _cover_arg(U, "kappa_map")
     coords = rat_point(x)
     if len(coords) != U.dim:
         raise PreconditionError("point dimension differs from the cover's")
@@ -699,6 +710,7 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
     Only V is verified to cover exactly, halving the margin when the
     representative-based estimate was too coarse.
     """
+    U = _cover_arg(U, "shrink_cover")
     # the whole-cover arrangement, not a box-local one: every cube's facets
     # cut each box, since the margin is a minimum over these representatives
     # and coarser cells could drop the ones that set it; a cell's
@@ -770,19 +782,25 @@ def _ladder(carrier: Carrier) -> Iterator[tuple[OpenSet, ...]]:
     level-k cell of a symbolic carrier meets it: up to the depth the cell
     holds a depth cell, since the all-zero digit column has no interior
     digit and so is admissible at every level; past the depth the cell
-    lies in its depth ancestor.  The ladder ends two levels past the
-    depth.  A cloud's cells are the w = 1/2^k cells touching a point,
-    which the padded ball around the cell holds strictly; the tight ball
-    stays only where a point lies inside the open cell on every axis.
-    The cloud ladder never ends.
+    lies in its depth ancestor.  So the origin lies in the carrier, and
+    in no open cell: no tight family covers a symbolic carrier, and the
+    empty family, which covers nothing, holds its place in the budget.
+    When n < m some digit column is inadmissible (every z_j >= 3 gives
+    an interior digit), and past the depth the centre of such a sub-cell
+    of a carrier cell lies at distance w from every cell centre, outside
+    every padded ball: that ladder ends at the depth, and the others two
+    levels past it.  A cloud's cells are the w = 1/2^k cells touching a
+    point, which the padded ball around the cell holds strictly; the
+    tight ball stays only where a point lies inside the open cell on
+    every axis.  The cloud ladder never ends.
     """
     if isinstance(carrier, SymbolicCarrier):
-        for k in range(carrier.depth + 3):
+        desc = carrier.descriptor
+        for k in range(carrier.depth + (1 if desc.n < desc.m else 3)):
             w = carrier.width_at(k)
-            cells = carrier.cells_at(k)
-            centers = [tuple((lo + hi) / 2 for lo, hi in cell.bounds) for cell in cells]
-            for radius in (w / 2, w):
-                yield tuple(open_set(ball(c, radius)) for c in centers)
+            centers = [tuple((lo + hi) / 2 for lo, hi in c.bounds) for c in carrier.cells_at(k)]
+            yield ()
+            yield tuple(open_set(ball(c, w)) for c in centers)
         return
     for k in itertools.count():
         n = 2**k
@@ -825,11 +843,16 @@ def refine_cover(
 
     Every candidate family is checked exactly: coverage, mesh inside the
     carrier, multiplicity, and a parent member containing each new set.
-    The width ladder bottoms out two subdivision levels past the carrier
-    resolution (symbolic) or when the family budget runs out.  On a point
-    cloud one more family follows the ladder, a ball around each point,
-    which meets every multiplicity target and every nonnegative mesh.
+    The search ends when the family budget runs out or, on a symbolic
+    carrier, when the width ladder does: at the carrier resolution, or
+    two subdivision levels past it when every digit column is admissible.
+    A symbolic tight family never covers, so the ladder offers the empty
+    family in its slot, which the coverage test rejects and the budget
+    still counts.  On a point cloud one more family follows the ladder,
+    a ball around each point, which meets every multiplicity target and
+    every nonnegative mesh.
     """
+    U = _cover_arg(U, "refine_cover")
     mesh, budget = rat(mesh), int_arg(budget, "budget")
     if int_arg(target_mult, "target_mult") < 1:
         raise PreconditionError("target multiplicity must be at least 1")
@@ -1034,12 +1057,7 @@ def verify_eps_eta(pairs: Sequence, eps, eta):
 
 def _pow2_at_most(value: Fraction) -> int:
     """Smallest v >= 0 with 2^-v <= value; requires value > 0."""
-    v = 0
-    r = ONE
-    while r > value:
-        r /= 2
-        v += 1
-    return v
+    return (math.ceil(1 / value) - 1).bit_length()  # least v with 2^v >= 1/value
 
 
 def embed_step(

@@ -38,25 +38,27 @@ class BoundSeq:
         object.__setattr__(self, "value", int_arg(self.value, "value"))
         object.__setattr__(self, "table", tuple(int_arg(v, "a table value") for v in self.table))
         object.__setattr__(self, "tail", int_arg(self.tail, "tail"))
+        if self.kind == "affine":
+            if self.value < 3:
+                raise ValueError("affine bound sequence needs offset >= 3")
+        elif self.kind in ("constant", "table"):
+            values = (self.value,) if self.kind == "constant" else (*self.table, self.tail)
+            if min(values) < 3:
+                raise ValueError("bound sequence values must be at least 3")
+        else:
+            raise ValueError(f"unknown bound sequence kind {self.kind!r}")
 
     @staticmethod
     def constant(z: int) -> "BoundSeq":
-        if int_arg(z, "z") < 3:
-            raise ValueError("bound sequence values must be at least 3")
-        return BoundSeq("constant", value=z)
+        return BoundSeq("constant", value=int_arg(z, "z"))
 
     @staticmethod
     def affine(offset: int) -> "BoundSeq":
-        if int_arg(offset, "offset") < 3:
-            raise ValueError("affine bound sequence needs offset >= 3")
-        return BoundSeq("affine", value=offset)
+        return BoundSeq("affine", value=int_arg(offset, "offset"))
 
     @staticmethod
     def from_table(values: Sequence[int], tail: int = 3) -> "BoundSeq":
-        seq = BoundSeq("table", table=values, tail=tail)
-        if any(v < 3 for v in seq.table) or seq.tail < 3:
-            raise ValueError("bound sequence values must be at least 3")
-        return seq
+        return BoundSeq("table", table=values, tail=tail)
 
     def __call__(self, j: int) -> int:
         if j < 0:
@@ -65,9 +67,7 @@ class BoundSeq:
             return self.value
         if self.kind == "affine":
             return j + self.value
-        if self.kind == "table":
-            return self.table[j] if j < len(self.table) else self.tail
-        raise ValueError(f"unknown bound sequence kind {self.kind!r}")
+        return self.table[j] if j < len(self.table) else self.tail
 
     def is_constant(self) -> bool:
         return self.kind == "constant" or (self.kind == "table" and not self.table)
@@ -316,6 +316,8 @@ class Coord:
             if self.value is None:
                 raise ValueError("rational coordinate needs a value")
             object.__setattr__(self, "value", rat(self.value))
+        elif self.value is not None:
+            raise ValueError(f"{self.kind} coordinate holds no value")
 
     @staticmethod
     def rational(value) -> "Coord":

@@ -625,36 +625,46 @@ class TestRefineCover:
     def test_symbolic_families_keep_every_cell_ball(self):
         # Each level-k cell's open interior meets the carrier: for k past the
         # depth the cell lies in a carrier cell, and before it the cell holds
-        # admissible carrier cells.  So the ladder yields every cell ball of a
-        # symbolic carrier at both radii, untested.  Levels of more than 200
-        # cells are skipped to keep the sweep short; cell counts grow with k,
-        # so the levels kept are a prefix and the ladder is read up to them.
+        # admissible carrier cells.  So each padded slot of the ladder holds
+        # every cell ball of a symbolic carrier at radius w, untested.  The
+        # origin lies in the carrier and in no open cell, so no tight family
+        # covers, and each tight slot holds the empty family.  When n < m no
+        # padded family past the depth covers, so the ladder has depth + 1
+        # widths, and depth + 3 when n == m.  Levels of more than 200 cells
+        # are skipped to keep the sweep short; cell counts grow with k, so the
+        # levels kept are a prefix, the ladder is read up to them, and its end
+        # is checked where every width is kept.
         rules = (
             BoundSeq.constant(3), BoundSeq.constant(4), BoundSeq.constant(5),
             BoundSeq.affine(3), BoundSeq.from_table([5, 3], tail=4),
         )
-        checked = 0
+        checked = ended = 0
         for m in (1, 2, 3):
             for n, z, depth in itertools.product(range(m + 1), rules, range(3)):
                 desc = MengerDescriptor(m, n, z)
                 carrier = SymbolicCarrier(desc, depth)
+                widths = depth + 1 if n < m else depth + 3
                 levels = [
-                    k for k in range(depth + 3)
+                    k for k in range(widths)
                     if max(desc.cells_at_depth(k), desc.cells_at_depth(depth)) <= 200
                 ]
                 assert levels == list(range(len(levels)))
+                ladder = cn._ladder(carrier)
                 got = [
                     [(b.center.coords, b.radius) for s in family for b in s.balls]
-                    for family in itertools.islice(cn._ladder(carrier), 2 * len(levels))
+                    for family in itertools.islice(ladder, 2 * len(levels))
                 ]
                 want = []
                 for k in levels:
                     w = carrier.width_at(k)
                     centers = [tuple((lo + hi) / 2 for lo, hi in c.bounds) for c in carrier.cells_at(k)]
-                    want += [[(c, r) for c in centers] for r in (w / 2, w)]
+                    want += [[], [(c, w) for c in centers]]
                 assert got == want
+                if len(levels) == widths:
+                    assert next(ladder, None) is None
+                    ended += 1
                 checked += len(got)
-        assert checked == 692
+        assert (checked, ended) == (506, 92)
 
     @given(data=st.data(), dim=st.integers(1, 2), target=st.integers(1, 3))
     def test_every_cloud_cover_refines(self, data, dim, target):
@@ -792,6 +802,22 @@ class TestEmbedStep:
         sample = PointCloud(1, ((F(0),),))
         with pytest.raises(PreconditionError, match="mesh too coarse"):
             embed_step(sample, self._disjoint_cover(), j=2)
+
+    @given(value=st.fractions(0, 4, max_denominator=2**16).filter(lambda v: v > 0))
+    @example(value=F(4))
+    @example(value=F(1))
+    @example(value=F(1, 2**12))
+    @example(value=F(1, 2**12) + F(1, 2**40))
+    @example(value=F(1, 2**12) - F(1, 2**40))
+    @example(value=F(1, 3**9))
+    def test_eta_exponent_is_the_halving_count(self, value):
+        # eta = 2^-v reads v off ceil(1 / value) as CubeDescriptor.depth_for_scale
+        # does; the count of halvings of 1 down to value is its definition
+        v, r = 0, F(1)
+        while r > value:
+            r /= 2
+            v += 1
+        assert cn._pow2_at_most(value) == v
 
 
 class TestMengerPush:

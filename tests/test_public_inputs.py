@@ -49,6 +49,8 @@ from effdim import (
     chain_descriptor,
     co_compressible_check,
     complement_distance,
+    cover_mesh,
+    cover_multiplicity,
     decode_point,
     dyadic_path,
     embed_step,
@@ -69,6 +71,7 @@ from effdim import (
     menger_membership,
     menger_membership_point,
     menger_push_step,
+    nerve_of,
     noebeling_membership,
     open_set,
     orbit_analyze,
@@ -81,6 +84,7 @@ from effdim import (
     sample_S,
     scale_counts,
     schnorr_dims,
+    shrink_cover,
     tent_map,
     verify_eps_eta,
     z_value,
@@ -309,6 +313,7 @@ TABLE = {
 }
 
 _OBJECTS = "takes library objects only, each of which read its numbers when it was built"
+_COVER = "takes a FiniteCover; other types are refused in test_wrong_types"
 EXEMPT = {
     "BallRelation": "an enum of formal_relation's answers",
     "PreconditionError": "an exception type",
@@ -321,10 +326,10 @@ EXEMPT = {
     "Nerve": "the record nerve_of returns",
     "OpenSet": _OBJECTS,
     "open_set": _OBJECTS,
-    "cover_mesh": _OBJECTS,
-    "cover_multiplicity": _OBJECTS,
-    "nerve_of": _OBJECTS,
-    "shrink_cover": _OBJECTS,
+    "cover_mesh": _COVER,
+    "cover_multiplicity": _COVER,
+    "nerve_of": _COVER,
+    "shrink_cover": _COVER,
     "DimEstimate": "the float slopes box_dimension fits; no exact number goes in",
     "box_dimension": "takes a ScaleCounts; other types are refused in test_wrong_types",
     "estimate_report": _OBJECTS,
@@ -402,6 +407,16 @@ def test_refused_forms(kind, good, call):
             lambda: assouad_exponent(PointCloud(1, ((0,),)), [F(1, 2)], [F(1, 4)]),
             "localized counts need a MengerDescriptor or CubeDescriptor, not PointCloud",
         ),
+        # a cover slot names FiniteCover
+        (lambda: nerve_of([]), "nerve_of needs a FiniteCover, not list"),
+        (lambda: cover_multiplicity(None), "cover_multiplicity needs a FiniteCover, not NoneType"),
+        (lambda: cover_mesh(None), "cover_mesh needs a FiniteCover, not NoneType"),
+        (lambda: shrink_cover(None), "shrink_cover needs a FiniteCover, not NoneType"),
+        (lambda: refine_cover(None, 1, F(1, 2)), "refine_cover needs a FiniteCover, not NoneType"),
+        (
+            lambda: kappa_map((F(1, 2),), None, (RationalPoint((0,)),)),
+            "kappa_map needs a FiniteCover, not NoneType",
+        ),
     ],
 )
 def test_wrong_types(call, expected):
@@ -440,6 +455,34 @@ def test_a_point_must_be_an_iterable_of_rationals(call):
     ],
 )
 def test_a_whole_point_or_box_slot_names_the_value(call, expected):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # the named constructors and the fields check alike
+        (lambda: BoundSeq("constant", 2), "bound sequence values must be at least 3"),
+        (lambda: BoundSeq("constant"), "bound sequence values must be at least 3"),
+        (lambda: BoundSeq.constant(2), "bound sequence values must be at least 3"),
+        (lambda: BoundSeq("affine", 2), "affine bound sequence needs offset >= 3"),
+        (lambda: BoundSeq.affine(2), "affine bound sequence needs offset >= 3"),
+        (lambda: BoundSeq("table", table=(5, 2)), "bound sequence values must be at least 3"),
+        (lambda: BoundSeq("table", table=(5,), tail=2), "bound sequence values must be at least 3"),
+        (lambda: BoundSeq.from_table([5], 2), "bound sequence values must be at least 3"),
+        (lambda: BoundSeq("bogus"), "unknown bound sequence kind 'bogus'"),
+        (lambda: BoundSeq("bogus", 3), "unknown bound sequence kind 'bogus'"),
+        (lambda: BoundSeq(None, 3), "unknown bound sequence kind None"),
+        (lambda: Coord("irrational", 0.5), "irrational coordinate holds no value"),
+        (lambda: Coord("unknown", 0.5), "unknown coordinate holds no value"),
+        (lambda: Coord("unknown", F(1, 2)), "unknown coordinate holds no value"),
+        (lambda: Coord("rational"), "rational coordinate needs a value"),
+        (lambda: Coord("real", F(1, 2)), "kind must be rational, irrational or unknown"),
+    ],
+)
+def test_records_check_their_fields(call, expected):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == expected
