@@ -73,6 +73,8 @@ class Compressor:
 
 def compress_len(M: Compressor, s: str) -> int:
     """len(M.encode(s)), read off M's one length function (``_length_fn``)."""
+    if not isinstance(M, Compressor):
+        raise PreconditionError(f"compress_len needs a Compressor, not {type(M).__name__}")
     return _length_fn(M)(s)
 
 

@@ -847,8 +847,8 @@ def refine_cover(
     carrier, when the width ladder does: at the carrier resolution, or
     two subdivision levels past it when every digit column is admissible.
     A symbolic tight family never covers, so the ladder offers the empty
-    family in its slot, which the coverage test rejects and the budget
-    still counts.  On a point cloud one more family follows the ladder,
+    family in its slot, which is skipped without a scan and which the
+    budget still counts.  On a point cloud one more family follows the ladder,
     a ball around each point, which meets every multiplicity target and
     every nonnegative mesh.
     """
@@ -865,6 +865,9 @@ def refine_cover(
         # the point balls, built only if the ladder's families all fail
         families = itertools.chain(families, map(_point_balls, [carrier]))
     for members in families:
+        if not members:
+            # the empty family's mask set on a nonempty carrier is {∅}: no scan
+            continue
         masks = _carrier_masks(members, carrier)
         if frozenset() in masks or any(len(m) > target_mult for m in masks):
             continue

@@ -17,11 +17,14 @@ the sorted preimages, and the levels where it meets a critical value.
 
 The loops that run once per value key and compare each exact value as
 its reduced (numerator, denominator) int pair, the same equality as the
-Fraction's without its hash: the levels of a branching tree, whose nodes
-keep their level pairs and build a Fraction only when a value is read
-(the nodes are built with the cyclic collector paused, since a tree
-holds no cycles), the levels of a branch code's decoding and encoding,
-the steps and repeats of an orbit and the cycle table's points.
+Fraction's without its hash: the levels of a branching tree, the levels
+of a branch code's decoding and encoding, the steps and repeats of an
+orbit and the cycle table's points.  One preimage kernel solves a whole
+level of pairs at once; a branch code's level is a level of one pair.
+A tree's nodes are built inline from their level pairs and build a
+Fraction only when a value is read, and the whole tree, levels and
+nodes, is built with the cyclic collector paused, since it holds no
+cycles.
 """
 
 from __future__ import annotations
@@ -44,6 +47,20 @@ def _start_point(x0: Fraction) -> Fraction:
     if not 0 <= x0 <= 1:
         raise PreconditionError("start point outside [0,1]")
     return x0
+
+
+def _map_arg(f, name: str) -> PLMap:
+    """f, refused with PreconditionError unless it is a PLMap."""
+    if not isinstance(f, PLMap):
+        raise PreconditionError(f"{name} needs a PLMap, not {type(f).__name__}")
+    return f
+
+
+def _system_arg(system, name: str) -> InverseSystem:
+    """system, refused with PreconditionError unless it is an InverseSystem."""
+    if not isinstance(system, InverseSystem):
+        raise PreconditionError(f"{name} needs an InverseSystem, not {type(system).__name__}")
+    return system
 
 
 # A piece (xn, xd, a, b, e) of a map or of one of its powers is
@@ -180,34 +197,57 @@ def extrema_of(f: PLMap) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
 
     Returns (ex, ex_val) sorted ascending; ex_val keeps one copy per value.
     """
-    return f._extrema
+    return _map_arg(f, "extrema_of")._extrema
+
+
+def _preimage_level(
+    f: PLMap, level: Sequence[tuple[int, int]], room: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The solutions x of f(x) = p / q for every reduced pair (p, q), q > 0, of a level.
+
+    The one preimage kernel, behind preimages, the branch codes and
+    branching_tree.  Returns every pair's solutions as reduced pairs
+    (x.numerator, x.denominator), concatenated in the level's order, and
+    each pair's count.  Segment i contributes its solution, which lies in
+    [x_i, x_(i+1)], when its y-range holds y; so a pair's solutions come
+    out ascending, and a repeat can only be the vertex shared with the
+    previous segment.  Raises PreconditionError when no segment's y-range
+    holds a pair's value and, once that pair's solutions are in, when
+    there are more than room of them: room is what is left of
+    _TREE_NODE_CAP.
+    """
+    inverse = f._inverse
+    sols: list[tuple[int, int]] = []
+    counts: list[int] = []
+    start = 0
+    for p, q in level:
+        last = None
+        for lo_n, lo_d, hi_n, hi_d, an, bn, d in inverse:
+            if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q:
+                n, m = an * p + bn * q, d * q
+                g = gcd(n, m)
+                x = (n // g, m // g)
+                if x != last:
+                    sols.append(x)
+                    last = x
+        end = len(sols)
+        if end == start:
+            raise PreconditionError("value outside the range of the map")
+        counts.append(end - start)
+        if end > room:
+            raise PreconditionError(f"branching tree exceeds {_TREE_NODE_CAP} nodes")
+        start = end
+    return sols, counts
 
 
 def _preimage_pairs(f: PLMap, p: int, q: int) -> list[tuple[int, int]]:
-    """Solutions x of f(x) = p / q, q > 0, as reduced pairs (x.numerator, x.denominator).
-
-    The one preimage kernel, behind preimages and branching_tree.  Segment
-    i contributes its solution, which lies in [x_i, x_(i+1)], when its
-    y-range holds y; so the list comes out ascending, and a repeat can only
-    be the vertex shared with the previous segment.  Raises
-    PreconditionError when no segment's y-range holds y.
-    """
-    sols: list[tuple[int, int]] = []
-    for lo_n, lo_d, hi_n, hi_d, an, bn, d in f._inverse:
-        if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q:
-            n, m = an * p + bn * q, d * q
-            g = gcd(n, m)
-            x = (n // g, m // g)
-            if not sols or sols[-1] != x:
-                sols.append(x)
-    if not sols:
-        raise PreconditionError("value outside the range of the map")
-    return sols
+    """The solutions of f(x) = p / q, q > 0, ascending: a level of one pair, with no cap."""
+    return _preimage_level(f, ((p, q),), len(f._inverse))[0]
 
 
 def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
     """All exact solutions of f(x) = y, sorted ascending."""
-    y = rat(y)
+    f, y = _map_arg(f, "preimages"), rat(y)
     return tuple(Fraction(n, m) for n, m in _preimage_pairs(f, y.numerator, y.denominator))
 
 
@@ -262,6 +302,7 @@ def _vertices(pieces: Sequence[Piece]) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def compose(f: PLMap, g: PLMap) -> PLMap:
     """Exact composition x -> f(g(x)) as a PLMap."""
+    f, g = _map_arg(f, "compose"), _map_arg(g, "compose")
     return PLMap(_vertices(_refine(f, g._pieces)))
 
 
@@ -286,6 +327,7 @@ def _powers(f: PLMap) -> Iterator[Sequence[Piece]]:
 
 def iterate_map(f: PLMap, power: int) -> PLMap:
     """f composed with itself power times, refused past _SEGMENT_CAP."""
+    _map_arg(f, "iterate_map")
     if int_arg(power, "power") < 1:
         raise PreconditionError("power must be at least 1")
     return PLMap(_vertices(next(itertools.islice(_powers(f), power - 1, None))))
@@ -397,6 +439,7 @@ def orbit_analyze(
     A nonpositive tol puts no cycle within reach, and a max_cycle_period of
     0 detects no cycle.
     """
+    _map_arg(f, "orbit_analyze")
     x0 = _start_point(x0)
     if int_arg(budget, "budget") < 1:
         raise PreconditionError("budget must be positive")
@@ -455,7 +498,7 @@ class InverseSystem:
     def at(self, level: int) -> PLMap:
         if level < 0:
             raise ValueError("level must be nonnegative")
-        return self.map_rule(level)
+        return _map_arg(self.map_rule(level), "InverseSystem.at")
 
 
 @dataclass(frozen=True)
@@ -482,6 +525,7 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
     (numerator, denominator) pairs, one Fraction built per level.  A start
     point outside [0,1] is refused at every depth.
     """
+    _system_arg(system, "decode_point")
     depth = len(code.word) if depth is None else int_arg(depth, "depth")
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
@@ -508,6 +552,7 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     critical value of that level's map.  A start point outside [0,1] is
     refused, however short the trajectory.
     """
+    _system_arg(system, "encode_point")
     traj = [rat(x) for x in trajectory]
     if not traj:
         raise PreconditionError("empty trajectory")
@@ -517,7 +562,8 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     for n in range(len(traj) - 1):
         f = system.at(n)
         x, y = traj[n + 1], traj[n]
-        if not 0 <= x <= 1:
+        # 0 <= x <= 1, read on the reduced pair without Fraction comparisons
+        if not 0 <= x.numerator <= x.denominator:
             raise PreconditionError("argument outside [0,1]")
         try:
             # a value outside f's range, or a pair not among its solutions
@@ -527,10 +573,11 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
             raise PreconditionError(f"not a backward trajectory at level {n}") from None
     for n in range(len(traj)):
         try:
-            f = system.at(n)
+            f = system.map_rule(n)
         except ValueError:
+            # the rule may end before the trajectory's last level
             break
-        _, ex_vals = extrema_of(f)
+        _, ex_vals = _map_arg(f, "InverseSystem.at")._extrema
         if traj[n] in ex_vals:
             ex_time.add(n)
     return BranchCode(traj[0], tuple(word), frozenset(ex_time))
@@ -614,63 +661,59 @@ _set_pair = BranchNode._pair.__set__
 _set_children = BranchNode.children.__set__
 
 
-def _node(pair: tuple[int, int], children: tuple[BranchNode, ...]) -> BranchNode:
-    """A BranchNode straight from a reduced pair, with no Fraction built."""
-    node = object.__new__(BranchNode)
-    _set_pair(node, pair)
-    _set_children(node, children)
-    return node
-
-
 # Most nodes branching_tree may build.  The tent map doubles each level, so
-# depth 16 (131,071 nodes) still builds, in about 0.15-0.25 s on a 2-vCPU
-# VM, and depth 30 would need 2^31 nodes.
+# depth 16 (131,071 nodes) still builds, in about 0.13-0.15 s on a 2-vCPU
+# VM under Python 3.11, and depth 30 would need 2^31 nodes.
 _TREE_NODE_CAP = 2**17
 
 
 def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNode:
     """Backward preimage tree from x0: node arity is the exact preimage count.
 
-    Built level by level without recursion, each level a list of reduced
-    (numerator, denominator) pairs; the nodes are built last, bottom level
-    first, each holding its level pair as it stands (no Fraction is built
-    until a node's value is read), with the cyclic collector paused since
-    a tree holds no cycles.  Raises PreconditionError for a start point
-    outside [0,1] and once the tree would pass _TREE_NODE_CAP nodes.
+    Built level by level without recursion: each level is a list of
+    reduced (numerator, denominator) pairs, read off the previous one by
+    one call of the preimage kernel.  The nodes are built last, bottom
+    level first, each straight from its level pair as it stands (no
+    Fraction is built until a node's value is read).  The cyclic
+    collector is paused for the whole build, since a tree holds no
+    cycles, and its prior state restored.  Raises PreconditionError for a
+    start point outside [0,1] and once the tree would pass _TREE_NODE_CAP
+    nodes.
     """
+    _system_arg(system, "branching_tree")
     if int_arg(depth, "depth") < 0:
         raise PreconditionError("depth must be nonnegative")
     x0 = _start_point(x0)
-    levels = [[(x0.numerator, x0.denominator)]]
-    arities: list[list[int]] = []
-    total = 1
-    for level in range(depth):
-        f = system.at(level)
-        pairs: list[tuple[int, int]] = []
-        counts = []
-        for p, q in levels[-1]:
-            pre = _preimage_pairs(f, p, q)
-            counts.append(len(pre))
-            pairs += pre
-            if total + len(pairs) > _TREE_NODE_CAP:
-                raise PreconditionError(f"branching tree exceeds {_TREE_NODE_CAP} nodes")
-        total += len(pairs)
-        levels.append(pairs)
-        arities.append(counts)
     collecting = gc.isenabled()
     gc.disable()
     try:
+        levels = [[(x0.numerator, x0.denominator)]]
+        arities: list[list[int]] = []
+        room = _TREE_NODE_CAP - 1
+        for level in range(depth):
+            pairs, counts = _preimage_level(system.at(level), levels[-1], room)
+            room -= len(pairs)
+            levels.append(pairs)
+            arities.append(counts)
         # each level's list trades its pairs, in place, for the nodes that
         # hold them, so no second list of a level is built
-        node = _node
+        new, set_pair, set_children = object.__new__, _set_pair, _set_children
         nodes = levels.pop()
         for i, pair in enumerate(nodes):
-            nodes[i] = node(pair, ())
+            node = new(BranchNode)
+            set_pair(node, pair)
+            set_children(node, ())
+            nodes[i] = node
         while levels:
-            children = iter(nodes)
+            below = nodes
             nodes = levels.pop()
+            j = 0
             for i, (pair, n) in enumerate(zip(nodes, arities.pop())):
-                nodes[i] = node(pair, tuple(itertools.islice(children, n)))
+                node = new(BranchNode)
+                set_pair(node, pair)
+                set_children(node, tuple(below[j:j + n]))
+                j += n
+                nodes[i] = node
     finally:
         if collecting:
             gc.enable()

@@ -14,7 +14,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import effdim.inverse_limits as il
@@ -1173,14 +1173,15 @@ class TestBranchingTreeCollector:
             gc.enable() if was else gc.disable()
 
     def test_collector_is_paused_for_the_node_build(self, monkeypatch):
+        # every node of the pass gets its children through _set_children
         states = []
-        node = il._node
+        set_children = il._set_children
 
         def tracked(*args):
             states.append(gc.isenabled())
-            return node(*args)
+            return set_children(*args)
 
-        monkeypatch.setattr(il, "_node", tracked)
+        monkeypatch.setattr(il, "_set_children", tracked)
         was = gc.isenabled()
         try:
             gc.enable()
@@ -1189,6 +1190,167 @@ class TestBranchingTreeCollector:
         finally:
             gc.enable() if was else gc.disable()
         assert len(states) == 15 and not any(states)
+
+
+# --- verbatim copies of the per-pair kernel and the tree it built -------------
+# Module names are read through il, so a patched _TREE_NODE_CAP reaches them.
+
+
+def _pair_preimages(f, p, q):
+    sols = []
+    for lo_n, lo_d, hi_n, hi_d, an, bn, d in f._inverse:
+        if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q:
+            n, m = an * p + bn * q, d * q
+            g = gcd(n, m)
+            x = (n // g, m // g)
+            if not sols or sols[-1] != x:
+                sols.append(x)
+    if not sols:
+        raise PreconditionError("value outside the range of the map")
+    return sols
+
+
+def _pair_node(pair, children):
+    node = object.__new__(il.BranchNode)
+    il._set_pair(node, pair)
+    il._set_children(node, children)
+    return node
+
+
+def _pair_branching_tree(system, x0, depth):
+    if il.int_arg(depth, "depth") < 0:
+        raise PreconditionError("depth must be nonnegative")
+    x0 = il._start_point(x0)
+    levels = [[(x0.numerator, x0.denominator)]]
+    arities = []
+    total = 1
+    for level in range(depth):
+        f = system.at(level)
+        pairs = []
+        counts = []
+        for p, q in levels[-1]:
+            pre = _pair_preimages(f, p, q)
+            counts.append(len(pre))
+            pairs += pre
+            if total + len(pairs) > il._TREE_NODE_CAP:
+                raise PreconditionError(f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
+        total += len(pairs)
+        levels.append(pairs)
+        arities.append(counts)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        node = _pair_node
+        nodes = levels.pop()
+        for i, pair in enumerate(nodes):
+            nodes[i] = node(pair, ())
+        while levels:
+            children = iter(nodes)
+            nodes = levels.pop()
+            for i, (pair, n) in enumerate(zip(nodes, arities.pop())):
+                nodes[i] = node(pair, tuple(itertools.islice(children, n)))
+    finally:
+        if collecting:
+            gc.enable()
+    return nodes[0]
+
+
+def _pair_shape(tree):
+    """Each node's pair and arity in preorder, without recursion."""
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append((node._pair, len(node.children)))
+        stack.extend(reversed(node.children))
+    return out
+
+
+def _tree_outcome(fn, system, x0, depth, cap):
+    """fn's tree as _pair_shape, or its error, under a node cap; the collector
+    must come back as it was."""
+    was = gc.isenabled()
+    with mock.patch.object(il, "_TREE_NODE_CAP", cap):
+        out = _outcome(fn, system, x0, depth)
+    assert gc.isenabled() is was
+    return _pair_shape(out) if isinstance(out, il.BranchNode) else out
+
+
+IDENTITY = PLMap(((F(0), F(0)), (F(1), F(1))))
+# alternate maps by level, so each level's kernel reads a different map
+MIXED = InverseSystem(lambda n: (tent_map(), five_segment_map(), IDENTITY)[n % 3])
+KNOWN = {"tent": TENT, "five": InverseSystem.constant(five_segment_map()), "mixed": MIXED}
+
+
+@st.composite
+def known_tree_cases(draw):
+    """A fixed system, x0 in {0, 1/2, 1} (the shared vertex values) or a unit point, a depth."""
+    system = KNOWN[draw(st.sampled_from(sorted(KNOWN)))]
+    x0 = draw(st.sampled_from([F(0), F(1, 2), F(1)]) | unit_points)
+    return system, x0, draw(st.integers(0, 8))
+
+
+class TestLevelKernelDifferential:
+    @settings(max_examples=300)
+    @given(case=tree_cases())
+    @example(case=(tent_map(), F(1, 2), 5, il._TREE_NODE_CAP))
+    @example(case=(five_segment_map(), F(1), 4, 40))
+    def test_matches_the_per_pair_tree(self, case):
+        f, x0, depth, cap = case
+        system = InverseSystem.constant(f)
+        new = _tree_outcome(branching_tree, system, x0, depth, cap)
+        assert new == _tree_outcome(_pair_branching_tree, system, x0, depth, cap)
+
+    @settings(max_examples=200)
+    @given(case=known_tree_cases() | tree_cases().map(lambda c: (InverseSystem.constant(c[0]), c[1], c[2])))
+    def test_cap_at_the_node_count_and_one_below(self, case):
+        system, x0, depth = case
+        old = _tree_outcome(_pair_branching_tree, system, x0, depth, il._TREE_NODE_CAP)
+        if not isinstance(old, list):
+            assert _tree_outcome(branching_tree, system, x0, depth, il._TREE_NODE_CAP) == old
+            return
+        n = len(old)
+        assert _tree_outcome(branching_tree, system, x0, depth, n) == old
+        below = _tree_outcome(branching_tree, system, x0, depth, n - 1)
+        assert below == _tree_outcome(_pair_branching_tree, system, x0, depth, n - 1)
+        if depth:
+            # only a lone root fits every cap
+            assert below == (PreconditionError, f"branching tree exceeds {n - 1} nodes")
+
+    @pytest.mark.parametrize("x0", [F(0), F(1, 2), F(1), F(1, 3)], ids=str)
+    @pytest.mark.parametrize("depth", [1, 999, 3000])
+    def test_deep_identity_chains(self, x0, depth):
+        system = InverseSystem.constant(IDENTITY)
+        for cap in (depth + 1, depth, il._TREE_NODE_CAP):
+            new = _tree_outcome(branching_tree, system, x0, depth, cap)
+            assert new == _tree_outcome(_pair_branching_tree, system, x0, depth, cap)
+        assert new == [((x0.numerator, x0.denominator), 1)] * depth + [((x0.numerator, x0.denominator), 0)]
+
+    @pytest.mark.parametrize("x0", [F(0), F(1, 2), F(1)], ids=str)
+    @pytest.mark.parametrize("name", sorted(KNOWN))
+    def test_shared_vertex_values(self, name, x0):
+        # 0, 1/2 and 1 are values at vertices two segments share, where the
+        # kernel's repeat check keeps one solution
+        for depth in range(9):
+            new = _tree_outcome(branching_tree, KNOWN[name], x0, depth, il._TREE_NODE_CAP)
+            assert new == _tree_outcome(_pair_branching_tree, KNOWN[name], x0, depth, il._TREE_NODE_CAP)
+
+    @given(f=pl_maps(), level=st.lists(st.fractions(-1, 2, max_denominator=48), max_size=6), room=st.integers(0, 20))
+    def test_level_is_the_per_pair_kernel_concatenated(self, f, level, room):
+        pairs = [(y.numerator, y.denominator) for y in level]
+        want = ([], [])
+        try:
+            for p, q in pairs:
+                pre = _pair_preimages(f, p, q)
+                want[0].extend(pre)
+                want[1].append(len(pre))
+                if len(want[0]) > room:
+                    raise PreconditionError(f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
+        except PreconditionError as exc:
+            want = (PreconditionError, str(exc))
+        assert _outcome(il._preimage_level, f, pairs, room) == want
+        for p, q in pairs:
+            assert _outcome(il._preimage_pairs, f, p, q) == _outcome(_pair_preimages, f, p, q)
 
 
 # --- a verbatim copy of the dataclass node and its pair-level node pass ------

@@ -49,6 +49,8 @@ from effdim import (
     chain_descriptor,
     co_compressible_check,
     complement_distance,
+    compose,
+    compress_len,
     cover_mesh,
     cover_multiplicity,
     decode_point,
@@ -57,6 +59,7 @@ from effdim import (
     encode_point,
     expansions_of,
     extrema_combinatorics,
+    extrema_of,
     general_position,
     generic_point_stream,
     grid_point_encoding,
@@ -314,6 +317,7 @@ TABLE = {
 
 _OBJECTS = "takes library objects only, each of which read its numbers when it was built"
 _COVER = "takes a FiniteCover; other types are refused in test_wrong_types"
+_MAP = "takes PLMaps; other types are refused in test_wrong_types"
 EXEMPT = {
     "BallRelation": "an enum of formal_relation's answers",
     "PreconditionError": "an exception type",
@@ -338,16 +342,16 @@ EXEMPT = {
     "sponge_descriptor": "takes no argument",
     "MembershipVerdict": "the record the membership tests return",
     "BranchCode": "a record; decode_point reads its start and word (see its entries)",
-    "InverseSystem": "takes a level -> PLMap rule",
+    "InverseSystem": "takes a level -> PLMap rule; at refuses any other map in test_wrong_types",
     "OrbitReport": "the record orbit_analyze returns",
-    "compose": _OBJECTS,
-    "extrema_of": _OBJECTS,
+    "compose": _MAP,
+    "extrema_of": _MAP,
     "five_segment_map": "takes no argument",
     "tent_map": "takes no argument",
     "Compressor": "takes encode, decode and floor functions",
     "PrefixFreeMachine": _OBJECTS,
     "prefixfree_transform": _OBJECTS,
-    "compress_len": "takes a compressor and a bit string",
+    "compress_len": "takes a compressor, refused in test_wrong_types if not one, and a bit string",
     "dictionary_compressor": "takes no argument",
     "identity_compressor": "takes no argument",
     "runlength_compressor": "takes no argument",
@@ -417,6 +421,41 @@ def test_refused_forms(kind, good, call):
             lambda: kappa_map((F(1, 2),), None, (RationalPoint((0,)),)),
             "kappa_map needs a FiniteCover, not NoneType",
         ),
+        # a map slot names PLMap, a system slot InverseSystem, a compressor slot Compressor
+        (lambda: compose(None, TENT), "compose needs a PLMap, not NoneType"),
+        (lambda: compose(TENT, None), "compose needs a PLMap, not NoneType"),
+        (lambda: iterate_map(None, 2), "iterate_map needs a PLMap, not NoneType"),
+        (lambda: preimages(None, F(1, 2)), "preimages needs a PLMap, not NoneType"),
+        (lambda: orbit_analyze(None, F(1, 3)), "orbit_analyze needs a PLMap, not NoneType"),
+        (lambda: orbit_analyze(SYSTEM, F(1, 3)), "orbit_analyze needs a PLMap, not InverseSystem"),
+        (lambda: extrema_of(None), "extrema_of needs a PLMap, not NoneType"),
+        (lambda: branching_tree(None, F(1, 2), 2), "branching_tree needs an InverseSystem, not NoneType"),
+        (lambda: branching_tree(TENT, F(1, 2), 0), "branching_tree needs an InverseSystem, not PLMap"),
+        (
+            lambda: decode_point(None, BranchCode(F(1, 2), (0,))),
+            "decode_point needs an InverseSystem, not NoneType",
+        ),
+        (lambda: encode_point(None, (F(1, 2),)), "encode_point needs an InverseSystem, not NoneType"),
+        # InverseSystem.at checks the map its rule gives, at every level read
+        (lambda: InverseSystem(lambda n: "tent").at(0), "InverseSystem.at needs a PLMap, not str"),
+        (
+            lambda: branching_tree(InverseSystem.constant(None), F(1, 2), 2),
+            "InverseSystem.at needs a PLMap, not NoneType",
+        ),
+        (
+            lambda: decode_point(InverseSystem.constant(None), BranchCode(F(1, 2), (0,))),
+            "InverseSystem.at needs a PLMap, not NoneType",
+        ),
+        (
+            lambda: encode_point(InverseSystem.constant(None), (F(1, 2), F(1, 4))),
+            "InverseSystem.at needs a PLMap, not NoneType",
+        ),
+        (
+            lambda: encode_point(InverseSystem.constant(None), (F(1, 2),)),
+            "InverseSystem.at needs a PLMap, not NoneType",
+        ),
+        (lambda: compress_len(None, "01"), "compress_len needs a Compressor, not NoneType"),
+        (lambda: compress_len(runlength_compressor, "01"), "compress_len needs a Compressor, not function"),
     ],
 )
 def test_wrong_types(call, expected):

@@ -344,3 +344,22 @@ def test_symbolic_refinement_matches_the_built_ladder(desc, depth, budgets):
     for (target, mesh), budget in itertools.product(_TARGETS, budgets):
         want = _outcome(_built_refine, U, target, mesh, budget)
         assert _outcome(cn.refine_cover, U, target, mesh, budget) == want, (target, mesh, budget)
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLIC))
+def test_an_empty_family_is_never_scanned(name, monkeypatch):
+    # each tight slot's empty family has the mask set {∅} on any nonempty
+    # carrier, so refine_cover skips it without a _carrier_masks call
+    carrier = SYMBOLIC[name]
+    U = FiniteCover((open_set(ball((F(1, 2),) * carrier.dim, 1)),), carrier)
+    scans = []
+    masks = cn._carrier_masks
+
+    def tracked(members, carrier):
+        scans.append(len(members))
+        return masks(members, carrier)
+
+    monkeypatch.setattr(cn, "_carrier_masks", tracked)
+    for (target, mesh), budget in itertools.product(_TARGETS, range(-1, 9)):
+        _outcome(cn.refine_cover, U, target, mesh, budget)
+    assert scans and 0 not in scans
