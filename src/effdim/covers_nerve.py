@@ -16,10 +16,9 @@ off runs, on ints: as per-axis bitsets of the cubes holding each axis
 cell, ANDed across axes, or as one bitboard per cube over all cells.
 
 Every coordinate is some k/D, so ``_grid`` puts the boxes and cubes of
-one query on the common grid g = 2·lcm(all D), once per query: a
-carrier's mask set, an open set's complement, a family's mesh.
-Fractions come back only where a caller reads them: distances,
-diameters and margins.
+one query on the common grid g = 2·lcm(all D): once per family on a
+carrier, and once per open set's complement.  Fractions come back only
+where a caller reads them: distances, diameters and margins.
 
 Carriers come in two kinds, and the queries read both as closed boxes.  A
 symbolic carrier is the depth-d approximant of a digit-defined
@@ -27,27 +26,30 @@ compactum, a finite union of closed grid cells.  A point cloud is the
 degenerate case: each distinct point p is the zero-width box [p, p],
 whose one cell is p itself.
 
-A cover's derived datum is its mask set: the distinct sets of members
-holding some carrier point.  Coverage (no empty mask), multiplicity (the
-largest mask) and the nerve (the masks' subsets) all read it, so
-``FiniteCover`` scans its carrier at most once.  Refinement asks the
-same questions of each candidate family's mask set, and finds every
-parent from one joint mask set of the family and the cover.  Which of a
-family's balls meet the carrier needs no query: it follows from how the
-ladder's cells are built (``_ladder``).  So do the symbolic families
-that can never cover, which the ladder does not build: an empty family
-keeps each one's place in the budget, or the ladder ends before them.
+A family of open sets is read on a carrier in one pass (``_Pass``): one
+grid, and per carrier box the cubes meeting it.  Its mask set, the
+distinct sets of members holding some carrier point, decides coverage
+(no empty mask), multiplicity (the largest mask) and the nerve (the
+masks' subsets); its mesh is the largest span of a member's pieces,
+closure(cube ∩ box).  Each is read off the pass when first asked for,
+and ``FiniteCover`` keeps its pass, so it scans its carrier at most
+once.  Refinement makes one pass per candidate family, finds parents
+from one joint mask set of the family and the cover, and hands the
+accepted pass to the cover it returns.  Which of a family's balls meet
+the carrier needs no query: it follows from how the ladder's cells are
+built (``_ladder``).  So do the symbolic families that can never cover,
+which the ladder does not build: an empty family keeps each one's place
+in the budget, or the ladder ends before them.
 
-The mask set depends on the carrier only as a point set, and so do
-diameters.  Those queries read the carrier's merged boxes
-(``_merged_cells``): face-adjacent cells united axis by axis, once per
-carrier, so the depth-4 interval is one box, not 81.  Within a box a
-mask set needs no cells: ``_box_masks`` ANDs each axis's distinct
-bitsets over their product.  Only ``shrink_cover`` reads cells of the
-carrier's own boxes: its margin is a minimum over their representatives,
-the products of ``_axis_cells``' axis representatives with every cube of
-the cover cutting; its coverage check is the open family's mask set
-alone.
+A pass depends on the carrier only as a point set, so it reads the
+carrier's merged boxes (``_merged_cells``): face-adjacent cells united
+axis by axis, once per carrier, so the depth-4 interval is one box, not
+81.  Within a box a mask set needs no cells: ``_box_masks`` ANDs each
+axis's distinct bitsets over their product.  Only ``shrink_cover``
+reads cells of the carrier's own boxes: its margin is a minimum over
+their representatives, the products of ``_axis_cells``' axis
+representatives with every cube of the cover cutting; its coverage
+check is the open family's mask set alone.
 
 An open set's derived datum is its complement: the closures of the
 maximal unit-box cells that none of its cubes holds, as ints on the
@@ -349,16 +351,16 @@ def _mask(bits: int, local: Sequence[tuple[int, IntBounds]]) -> frozenset[int]:
     return frozenset(g for j, (g, _) in enumerate(local) if bits >> j & 1)
 
 
-def _box_masks(box: IntBounds, groups: Sequence[Sequence[IntBounds]]) -> set[frozenset[int]]:
+def _box_masks(box: IntBounds, local: Sequence[tuple[int, IntBounds]]) -> set[frozenset[int]]:
     """The distinct masks of the box's cells, the groups whose cubes hold
-    each cell, without building the cells.
+    each cell, from the cubes meeting the box (``_local``), without
+    building the cells.
 
     A cell's bitset is the AND of one axis cell's bitset per axis, and
     every choice of axis cells is a cell, so the masks are the ANDs over
     the product of each axis's distinct bitsets.  Folding axis by axis
     keeps only the distinct partial ANDs.
     """
-    local = _local(box, groups)
     acc = {-1}
     for a, (lo, hi) in enumerate(box):
         axis = _axis_bits(lo, hi, [c[a] for _, c in local])
@@ -389,11 +391,37 @@ def _carrier_region(carrier: Carrier) -> tuple[Bounds, ...]:
     return _carrier_boxes(carrier)
 
 
-def _carrier_masks(members: Sequence[OpenSet], carrier: Carrier) -> frozenset[frozenset[int]]:
-    """Distinct membership patterns realized somewhere on the carrier:
-    ``_box_masks`` over every box of the carrier region, on one grid."""
-    _, boxes, groups = _grid(_carrier_region(carrier), [m.cubes() for m in members])
-    return frozenset(mask for box in boxes for mask in _box_masks(box, groups))
+class _Pass:
+    """A family on a carrier: the region's boxes and the members' cubes on
+    their grid g, each box with its meeting cubes (``_local``); the mask
+    set and the mesh are read off them, each the first time it is asked for."""
+
+    def __init__(self, members: Sequence[OpenSet], carrier: Carrier) -> None:
+        self.g, boxes, groups = _grid(_carrier_region(carrier), [m.cubes() for m in members])
+        self.boxes = [(box, _local(box, groups)) for box in boxes]
+
+    @cached_property
+    def masks(self) -> frozenset[frozenset[int]]:
+        """Distinct membership patterns realized somewhere on the carrier."""
+        return frozenset(mask for box, local in self.boxes for mask in _box_masks(box, local))
+
+    @cached_property
+    def mesh(self) -> Fraction:
+        """Largest member diameter inside the carrier; 0 when every member misses it.
+
+        A piece is the closure of cube ∩ box: a positive length on an axis
+        of positive width, the axis value itself on a zero-width one.  A
+        member's pieces make up the closure of its part of the carrier,
+        whose max-metric diameter is its largest per-axis span.
+        """
+        pieces: dict[int, list[IntBounds]] = {}
+        for box, local in self.boxes:
+            for i, cube in local:
+                pieces.setdefault(i, []).append(
+                    tuple((max(blo, clo), min(bhi, chi)) for (blo, bhi), (clo, chi) in zip(box, cube))
+                )
+        spans = [max(hi for _, hi in a) - min(lo for lo, _ in a) for ps in pieces.values() for a in zip(*ps)]
+        return Fraction(max(spans, default=0), self.g)
 
 
 @dataclass(frozen=True)
@@ -413,10 +441,17 @@ class FiniteCover:
     def __post_init__(self) -> None:
         if not self.members:
             raise PreconditionError("empty cover")
+        for m in self.members:
+            if not isinstance(m, OpenSet):
+                raise PreconditionError(f"FiniteCover needs an OpenSet, not {type(m).__name__}")
+        if not isinstance(self.carrier, (PointCloud, SymbolicCarrier)):
+            raise PreconditionError(
+                f"FiniteCover needs a PointCloud or SymbolicCarrier, not {type(self.carrier).__name__}"
+            )
         dims = {m.dim for m in self.members} | {self.carrier.dim}
         if len(dims) != 1:
             raise PreconditionError("cover members and carrier disagree on dimension")
-        if self.validate and frozenset() in self._masks:
+        if self.validate and frozenset() in self._pass.masks:
             raise PreconditionError("carrier point not covered by any member")
 
     @property
@@ -424,8 +459,8 @@ class FiniteCover:
         return self.carrier.dim
 
     @cached_property
-    def _masks(self) -> frozenset[frozenset[int]]:
-        return _carrier_masks(self.members, self.carrier)
+    def _pass(self) -> _Pass:
+        return _Pass(self.members, self.carrier)
 
 
 def _cover_arg(U, name: str) -> FiniteCover:
@@ -438,51 +473,9 @@ def _cover_arg(U, name: str) -> FiniteCover:
 # --- diameters and complements ---------------------------------------------
 
 
-def _pieces_within(cubes: Sequence[IntBounds], region: Sequence[IntBounds]) -> list[IntBounds]:
-    """Closures of the nonempty (cube ∩ region-box) fragments, on one grid.
-
-    A fragment's bounds are only built where the open cube meets the
-    closed box (``_meets``).  Radii are positive, so the fragment
-    spans a positive length on each axis of positive width, and is the
-    axis value itself on a zero-width axis.
-    """
-    return [
-        tuple((max(blo, clo), min(bhi, chi)) for (blo, bhi), (clo, chi) in zip(box, cube))
-        for box in region
-        for cube in cubes
-        if _meets(box, cube)
-    ]
-
-
-def _diam_within(cubes: Sequence[IntBounds], region: Sequence[IntBounds]) -> int:
-    """Max-metric diameter of the cubes' union inside the region; 0 when they miss.
-
-    The largest pairwise distance under the max metric is the largest
-    per-axis span: highest upper bound minus lowest lower bound.
-    """
-    pieces = _pieces_within(cubes, region)
-    if not pieces:
-        return 0
-    return max(
-        max(hi for _, hi in axis) - min(lo for lo, _ in axis) for axis in zip(*pieces)
-    )
-
-
-def _mesh(members: Sequence[OpenSet], carrier: Carrier) -> Fraction:
-    """Largest member diameter inside the carrier, all on the family's grid.
-
-    A piece is the closure of cube ∩ box, and the union of the pieces
-    over the boxes is the closure of cube ∩ carrier, so the merged boxes
-    give the cells' spans.
-    """
-    g, region, groups = _grid(_carrier_region(carrier), [m.cubes() for m in members])
-    return Fraction(max(_diam_within(cubes, region) for cubes in groups), g)
-
-
 def cover_mesh(U: FiniteCover) -> Fraction:
     """Largest member diameter measured inside the carrier region."""
-    U = _cover_arg(U, "cover_mesh")
-    return _mesh(U.members, U.carrier)
+    return _cover_arg(U, "cover_mesh")._pass.mesh
 
 
 # Most cells an open set's complement is built over, a bit each (512 KB): with
@@ -607,13 +600,13 @@ def complement_distance(coords: Sequence[Fraction], s: OpenSet):
 
 def cover_multiplicity(U: FiniteCover) -> int:
     """Largest number of members sharing a carrier point."""
-    return max(len(mask) for mask in _cover_arg(U, "cover_multiplicity")._masks)
+    return max((len(mask) for mask in _cover_arg(U, "cover_multiplicity")._pass.masks), default=0)
 
 
 def nerve_of(U: FiniteCover) -> "Nerve":
     """Faces are exactly the subfamilies meeting in a carrier point."""
     faces: set[frozenset[int]] = set()
-    for mask in _cover_arg(U, "nerve_of")._masks:
+    for mask in _cover_arg(U, "nerve_of")._pass.masks:
         for r in range(1, len(mask) + 1):
             faces.update(frozenset(c) for c in itertools.combinations(sorted(mask), r))
     return Nerve(len(U.members), frozenset(faces))
@@ -654,6 +647,9 @@ def kappa_map(x, U: FiniteCover, vertices: Sequence[RationalPoint]) -> RationalP
         raise PreconditionError("point dimension differs from the cover's")
     if not all(0 <= c.numerator <= c.denominator for c in coords):
         raise PreconditionError("point lies outside the unit box")
+    for v in vertices:
+        if not isinstance(v, RationalPoint):
+            raise PreconditionError(f"kappa_map needs a RationalPoint, not {type(v).__name__}")
     if len(vertices) != len(U.members):
         raise PreconditionError("one vertex per cover member is required")
     if len({v.dim for v in vertices}) != 1:
@@ -750,7 +746,7 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
                 break
             closed.append(boxes)
             open_.append(v)
-        if ok and frozenset() not in _carrier_masks(open_, U.carrier):
+        if ok and frozenset() not in _Pass(open_, U.carrier).masks:
             return tuple(closed), tuple(open_)
         lam /= 2
     raise PreconditionError("no positive margin")
@@ -766,7 +762,7 @@ def _parents(members: Sequence[OpenSet], U: FiniteCover) -> tuple[int | None, ..
     joint family (members, then U's members) holding j holds n + i.
     """
     n = len(members)
-    masks = _carrier_masks(tuple(members) + U.members, U.carrier)
+    masks = _Pass(tuple(members) + U.members, U.carrier).masks
     return tuple(
         next((i for i in range(len(U.members)) if all(n + i in m for m in masks if j in m)), None)
         for j in range(n)
@@ -841,16 +837,20 @@ def refine_cover(
 ) -> FiniteCover:
     """Search widths coarse to fine for a refinement meeting both targets.
 
-    Every candidate family is checked exactly: coverage, mesh inside the
-    carrier, multiplicity, and a parent member containing each new set.
-    The search ends when the family budget runs out or, on a symbolic
-    carrier, when the width ladder does: at the carrier resolution, or
-    two subdivision levels past it when every digit column is admissible.
-    A symbolic tight family never covers, so the ladder offers the empty
-    family in its slot, which is skipped without a scan and which the
-    budget still counts.  On a point cloud one more family follows the ladder,
-    a ball around each point, which meets every multiplicity target and
-    every nonnegative mesh.
+    Every candidate family is checked exactly on one pass over the
+    carrier (``_Pass``): coverage and multiplicity off its mask set, then
+    the mesh inside the carrier, and last a parent member containing each
+    new set, off the joint mask set of the family and the cover.  The
+    cover returned holds the pass that accepted its family, so neither
+    its validation nor a query on it scans the carrier again.  The search
+    ends when the family budget runs out or, on a symbolic carrier, when
+    the width ladder does: at the carrier resolution, or two subdivision
+    levels past it when every digit column is admissible.  A symbolic
+    tight family never covers, so the ladder offers the empty family in
+    its slot, which is skipped without a scan and which the budget still
+    counts.  On a point cloud one more family follows the ladder, a ball
+    around each point, which meets every multiplicity target and every
+    nonnegative mesh.
     """
     U = _cover_arg(U, "refine_cover")
     mesh, budget = rat(mesh), int_arg(budget, "budget")
@@ -868,15 +868,20 @@ def refine_cover(
         if not members:
             # the empty family's mask set on a nonempty carrier is {∅}: no scan
             continue
-        masks = _carrier_masks(members, carrier)
-        if frozenset() in masks or any(len(m) > target_mult for m in masks):
+        family = _Pass(members, carrier)
+        if frozenset() in family.masks or any(len(m) > target_mult for m in family.masks):
             continue
-        if _mesh(members, carrier) > mesh:
+        if family.mesh > mesh:
             continue
         parents = _parents(members, U)
         if None in parents:
             continue
-        return FiniteCover(members, carrier, parents=parents)
+        # the cover holds the pass that accepted it, so validating it and
+        # querying it scan nothing again
+        refined = object.__new__(FiniteCover)
+        refined.__dict__["_pass"] = family
+        refined.__init__(members, carrier, parents=parents)
+        return refined
     raise PreconditionError("search exhausted")
 
 
@@ -1089,7 +1094,7 @@ def embed_step(
     centers = [mbr.balls[0].center for mbr in U.members]
     wiggle = min((target - mesh) / 2, Fraction(1, 2 ** (j + 2)))
     vertices = general_position(centers, wiggle, avoid)
-    faces = [mask for mask in U._masks if mask]
+    faces = [mask for mask in U._pass.masks if mask]
     min_gap = None
     for a in range(len(faces)):
         for b in range(a + 1, len(faces)):

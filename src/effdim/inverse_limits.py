@@ -180,6 +180,11 @@ class PLMap:
         ]
         return tuple(x for x, _ in turns), tuple(sorted({y for _, y in turns}))
 
+    @functools.cached_property
+    def _critical_pairs(self) -> frozenset[tuple[int, int]]:
+        """The critical values of ``_extrema`` as reduced (numerator, denominator) pairs."""
+        return frozenset((y.numerator, y.denominator) for y in self._extrema[1])
+
 
 def tent_map() -> PLMap:
     return PLMap(((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0))))
@@ -549,8 +554,10 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     Ranks each x_{n+1} in [0,1] among the sorted preimages of x_n, which
     also verifies f_n(x_{n+1}) = x_n: x_{n+1} is a preimage exactly when
     it is among them.  ex_time collects the levels whose value is a
-    critical value of that level's map.  A start point outside [0,1] is
-    refused, however short the trajectory.
+    critical value of that level's map, a reduced pair looked up in the
+    map's cached pair set; only the last level's map is fetched for this
+    alone, and a rule that ends there leaves that level out.  A start
+    point outside [0,1] is refused, however short the trajectory.
     """
     _system_arg(system, "encode_point")
     traj = [rat(x) for x in trajectory]
@@ -562,6 +569,8 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     for n in range(len(traj) - 1):
         f = system.at(n)
         x, y = traj[n + 1], traj[n]
+        if (y.numerator, y.denominator) in f._critical_pairs:
+            ex_time.add(n)
         # 0 <= x <= 1, read on the reduced pair without Fraction comparisons
         if not 0 <= x.numerator <= x.denominator:
             raise PreconditionError("argument outside [0,1]")
@@ -571,14 +580,14 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
             word.append(pre.index((x.numerator, x.denominator)))
         except ValueError:
             raise PreconditionError(f"not a backward trajectory at level {n}") from None
-    for n in range(len(traj)):
-        try:
-            f = system.map_rule(n)
-        except ValueError:
-            # the rule may end before the trajectory's last level
-            break
-        _, ex_vals = _map_arg(f, "InverseSystem.at")._extrema
-        if traj[n] in ex_vals:
+    n, y = len(traj) - 1, traj[-1]
+    try:
+        f = system.map_rule(n)
+    except ValueError:
+        # the rule may end before the trajectory's last level
+        pass
+    else:
+        if (y.numerator, y.denominator) in _map_arg(f, "InverseSystem.at")._critical_pairs:
             ex_time.add(n)
     return BranchCode(traj[0], tuple(word), frozenset(ex_time))
 

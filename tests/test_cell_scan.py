@@ -279,8 +279,9 @@ def _shrink_cover(U):
     """shrink_cover with its margin over Fraction representatives, and
     with the closed family's coverage checked before the open one's.
 
-    The representatives come from the global cell loop above and the
-    closed check is ``_closed_family_covers`` above; the rest is verbatim.
+    The representatives come from the global cell loop above, the
+    closed check is ``_closed_family_covers`` above and the open one
+    ``_first_uncovered``; the rest is verbatim.
     """
     all_cubes = [cube for m in U.members for cube in m.cubes()]
     if isinstance(U.carrier, PointCloud):
@@ -315,7 +316,7 @@ def _shrink_cover(U):
             closed.append(boxes)
             open_.append(v)
         if ok and _closed_family_covers(closed, U.carrier):
-            if frozenset() not in cn._carrier_masks(open_, U.carrier):
+            if _first_uncovered(open_, U.carrier) is None:
                 return tuple(closed), tuple(open_)
         lam /= 2
     raise PreconditionError("no positive margin")
@@ -387,6 +388,20 @@ class BoxCarrier:
 
     def boxes(self) -> tuple[Box, ...]:
         return self.cells
+
+
+def _cover(members, carrier) -> cn.FiniteCover:
+    """FiniteCover(members, carrier, validate=False) on any carrier drawn here.
+
+    FiniteCover refuses a carrier that is neither a PointCloud nor a
+    SymbolicCarrier.  The scans read a BoxCarrier's explicit boxes as
+    they read a cloud's, so its cover is assembled field by field.
+    """
+    if not isinstance(carrier, BoxCarrier):
+        return cn.FiniteCover(members, carrier, validate=False)
+    U = object.__new__(cn.FiniteCover)
+    U.__dict__.update(members=members, carrier=carrier, parents=None, validate=False)
+    return U
 
 
 def grid(lo: int, hi: int):
@@ -481,7 +496,7 @@ def test_scan_masks_equal_global_masks_per_box(case):
             for rep, _ in _iter_cells(box, all_cubes)
         }
         assert local == whole
-    assert cn._carrier_masks(members, carrier) == _carrier_masks(members, carrier)
+    assert cn._Pass(members, carrier).masks == _carrier_masks(members, carrier)
 
 
 @given(covers())
@@ -519,20 +534,27 @@ def test_scan_cells_are_homogeneous_and_inside_the_box(case):
 
 @given(covers())
 def test_first_uncovered_agrees(case):
-    # coverage is read off the cover's mask set: no empty mask
+    # coverage is read off the family's mask set, no empty mask, which is
+    # what FiniteCover's validation reads
     members, carrier = case
-    masks = cn.FiniteCover(members, carrier, validate=False)._masks
-    assert (frozenset() not in masks) == (_first_uncovered(members, carrier) is None)
+    covered = _first_uncovered(members, carrier) is None
+    assert (frozenset() not in cn._Pass(members, carrier).masks) == covered
+    if not isinstance(carrier, BoxCarrier):
+        try:
+            cn.FiniteCover(members, carrier)
+        except PreconditionError as exc:
+            assert not covered and str(exc) == "carrier point not covered by any member"
+        else:
+            assert covered
 
 
 @given(covers())
 def test_mult_exceeds_agrees_at_every_limit(case):
     # multiplicity is read off the cover's mask set: its largest mask
     members, carrier = case
-    masks = cn.FiniteCover(members, carrier, validate=False)._masks
+    mult = cn.cover_multiplicity(_cover(members, carrier))
     for limit in range(len(members) + 2):
-        exceeds = any(len(m) > limit for m in masks)
-        assert exceeds == _mult_exceeds(members, carrier, limit)
+        assert (mult > limit) == _mult_exceeds(members, carrier, limit)
 
 
 @given(st.data())
@@ -709,7 +731,7 @@ def shrinkable_covers(draw):
 )
 def test_shrink_cover_agrees(case):
     members, carrier = case
-    U = cn.FiniteCover(members, carrier, validate=False)
+    U = _cover(members, carrier)
 
     def outcome(shrink):
         try:
@@ -726,7 +748,7 @@ def test_subset_within_agrees(case, data):
     members, carrier = case
     inner = data.draw(st.sampled_from(members))
     outer = data.draw(st.sampled_from(members) | open_sets(carrier.dim, 2))
-    U = cn.FiniteCover((outer,), carrier, validate=False)
+    U = _cover((outer,), carrier)
     expected = (0,) if _subset_within(inner, outer, carrier) else (None,)
     assert cn._parents((inner,), U) == expected
 
@@ -741,17 +763,17 @@ def test_parents_are_first_containing_members(case, data):
         next((i for i, big in enumerate(members) if _subset_within(s, big, carrier)), None)
         for s in family
     )
-    assert cn._parents(family, cn.FiniteCover(members, carrier, validate=False)) == expected
+    assert cn._parents(family, _cover(members, carrier)) == expected
 
 
 @given(covers())
 def test_diam_within_equals_pairwise_maximum(case):
+    # each member alone, then the whole family, whose members are all
+    # measured on its one grid
     members, carrier = case
-    # every member is measured on the one grid of the whole family
-    g, region, groups = cn._grid(cn._carrier_boxes(carrier), [m.cubes() for m in members])
-    for s, cubes in zip(members, groups):
-        assert F(cn._diam_within(cubes, region), g) == _diam_within(s, carrier)
-    U = cn.FiniteCover(members, carrier, validate=False)
+    for s in members:
+        assert cn.cover_mesh(_cover((s,), carrier)) == _diam_within(s, carrier)
+    U = _cover(members, carrier)
     assert cn.cover_mesh(U) == max(_diam_within(s, carrier) for s in members)
 
 
@@ -774,26 +796,23 @@ def _scanned_masks(members, carrier) -> frozenset[frozenset[int]]:
     return frozenset(mask for _, _, mask in _carrier_cells(carrier, [m.cubes() for m in members]))
 
 
-def _cell_mesh(members, carrier) -> Fraction:
-    g, region, groups = cn._grid(_cell_boxes(carrier), [m.cubes() for m in members])
-    return Fraction(max(cn._diam_within(cubes, region) for cubes in groups), g)
-
-
 # --- the merged-box, mask-only scan against the per-cell scan ---------------
 
 
 @given(covers())
 def test_region_masks_equal_the_cell_scan(case):
     members, carrier = case
-    assert cn._carrier_masks(members, carrier) == _scanned_masks(members, carrier)
+    assert cn._Pass(members, carrier).masks == _scanned_masks(members, carrier)
 
 
 @given(covers())
 def test_region_mesh_and_meeting_equal_the_cells(case):
     # the closure of cube ∩ carrier is a property of the point set, so the
-    # merged boxes give the same spans, and meet the same cubes, as the cells
+    # merged boxes give the same spans, and meet the same cubes, as the
+    # cells, whose pieces _diam_within compares pairwise
     members, carrier = case
-    assert cn._mesh(members, carrier) == _cell_mesh(members, carrier)
+    mesh = max(_diam_within(s, carrier) for s in members)
+    assert cn.cover_mesh(_cover(members, carrier)) == mesh
     groups = [m.cubes() for m in members]
     _, merged, int_groups = cn._grid(cn._carrier_region(carrier), groups)
     _, cells, cell_groups = cn._grid(_cell_boxes(carrier), groups)

@@ -1,7 +1,9 @@
 """Tests for covers, nerves, kappa maps, shrinkings and embedding steps."""
 
+import copy
 import itertools
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -243,9 +245,10 @@ class TestFiniteCover:
         assert len(U.members) == 1
 
     def test_carrier_is_scanned_once(self, monkeypatch):
+        # a scan of the carrier puts its boxes and the members' cubes on one grid
         calls = []
-        scan = cn._carrier_masks
-        monkeypatch.setattr(cn, "_carrier_masks", lambda *a, **k: calls.append(a) or scan(*a, **k))
+        grid = cn._grid
+        monkeypatch.setattr(cn, "_grid", lambda *a: calls.append(a) or grid(*a))
         members = (open_set(ball((0,), F(3, 5))), open_set(ball((1,), F(3, 5))))
         lazy = FiniteCover(members, interval_carrier(2), validate=False)
         assert calls == []
@@ -261,6 +264,65 @@ class TestFiniteCover:
         U = FiniteCover(two_sided_cover().members, cloud)
         assert cover_multiplicity(U) == 2
         assert cover_mesh(U) == F(1, 2)
+
+    def test_one_grid_serves_every_query(self, monkeypatch):
+        # validation, nerve_of, cover_multiplicity and cover_mesh read one
+        # pass over the carrier, so the cover's boxes and cubes go on one grid
+        two_sided = two_sided_cover().members
+        cases = [
+            (two_sided, interval_carrier(2)),
+            (two_sided, PointCloud(1, ((F(0),), (F(1, 2),)))),
+            ((open_set(ball((F(1, 2),), 1)),), cantor_carrier(3)),
+            ((open_set(ball((F(1, 2),) * 2, 1)),), SymbolicCarrier(carpet_descriptor(), 1)),
+        ]
+        grids = []
+        grid = cn._grid
+        monkeypatch.setattr(cn, "_grid", lambda *a: grids.append(a) or grid(*a))
+        for members, carrier in cases:
+            grids.clear()
+            U = FiniteCover(members, carrier)
+            nerve_of(U), cover_multiplicity(U), cover_mesh(U)
+            assert len(grids) == 1
+
+    @pytest.mark.parametrize(
+        "carrier, target, mesh, scans",
+        [
+            # the interval's padded families of radius 1, 1/3 and 1/9, the
+            # last accepted, then the joint pass for its parents: 4 grids
+            (interval_carrier(2), 2, F(1, 2), 4),
+            (cantor_carrier(2), 2, F(1, 3), 3),
+            (PointCloud(1, ((F(1, 5),), (F(4, 5),))), 1, F(1, 4), 4),
+        ],
+        ids=["interval-2", "cantor-2", "cloud"],
+    )
+    def test_a_refined_cover_is_not_scanned_again(self, monkeypatch, carrier, target, mesh, scans):
+        U = FiniteCover((open_set(ball((F(1, 2),), 1)),), carrier)
+        fresh = refine_cover(U, target, mesh)
+        grids = []
+        grid = cn._grid
+        monkeypatch.setattr(cn, "_grid", lambda *a: grids.append(a) or grid(*a))
+        refined = refine_cover(U, target, mesh)
+        # one pass per family offered, one joint pass, and none to validate
+        # the result: it holds the pass that accepted its family
+        assert len(grids) == scans
+        grids.clear()
+        answers = nerve_of(refined), cover_multiplicity(refined), cover_mesh(refined)
+        assert grids == []
+        # the seeded cover is the cover a caller would build
+        rebuilt = FiniteCover(refined.members, carrier, parents=refined.parents)
+        assert refined == fresh == rebuilt and refined.validate
+        assert repr(refined) == repr(rebuilt) and hash(refined) == hash(rebuilt)
+        assert answers == (nerve_of(rebuilt), cover_multiplicity(rebuilt), cover_mesh(rebuilt))
+        for twin in (copy.copy(refined), copy.deepcopy(refined), pickle.loads(pickle.dumps(refined))):
+            assert twin == refined
+            assert (nerve_of(twin), cover_multiplicity(twin), cover_mesh(twin)) == answers
+
+    def test_multiplicity_on_an_empty_carrier_is_zero(self):
+        # no carrier point, so no mask: the nerve has no faces and no member
+        # has a diameter, and multiplicity agrees with nerve dimension + 1
+        U = FiniteCover((open_set(ball((F(1, 3),), F(1, 4))),), PointCloud(1, ()))
+        assert cover_multiplicity(U) == 0 == nerve_of(U).dimension() + 1
+        assert cover_mesh(U) == 0
 
 
 def _oracle_faces(members, carrier):

@@ -1282,6 +1282,53 @@ MIXED = InverseSystem(lambda n: (tent_map(), five_segment_map(), IDENTITY)[n % 3
 KNOWN = {"tent": TENT, "five": InverseSystem.constant(five_segment_map()), "mixed": MIXED}
 
 
+class TestEncodeCriticalValues:
+    """encode_point tests each level's value for a critical value on the
+    map its first loop fetched, as a reduced pair, and fetches only the
+    last level's map again."""
+
+    @given(data=st.data())
+    def test_per_level_maps_match_the_fraction_encode(self, data):
+        # starts at the critical values of tent (1) and five-segment (1/5,
+        # 4/5) as often as not, so that ex_time is seldom empty
+        system = KNOWN[data.draw(st.sampled_from(sorted(KNOWN)))]
+        traj = [data.draw(st.sampled_from([F(1), F(1, 5), F(4, 5), F(1, 2)]) | unit_points)]
+        for n, k in enumerate(data.draw(st.lists(st.integers(0, 3), max_size=8))):
+            pre = preimages(system.at(n), traj[-1])
+            traj.append(pre[k % len(pre)])
+        if data.draw(st.booleans()):
+            traj[data.draw(st.integers(0, len(traj) - 1))] = data.draw(unit_points)
+        assert _outcome(encode_point, system, traj) == _outcome(_old_encode_point, system, traj)
+
+    def test_each_level_map_is_fetched_once(self):
+        calls = []
+
+        def rule(n):
+            calls.append(n)
+            return MIXED.map_rule(n)
+
+        # 2/5, 4/5, 2/5, 2/5, 1/5 under tent, five-segment, identity, tent
+        # and five-segment: 4/5 and the last value 1/5 are critical values
+        traj = decode_point(MIXED, BranchCode(F(2, 5), (1, 0, 0, 0)))
+        code = encode_point(InverseSystem(rule), traj)
+        assert calls == list(range(len(traj)))
+        assert code == _old_encode_point(MIXED, traj)
+        assert code.ex_time == frozenset({1, 4})
+
+    def test_a_rule_may_end_at_the_last_level(self):
+        def rule(n):
+            if n >= 3:
+                raise ValueError("no map past level 2")
+            return tent_map()
+
+        system = InverseSystem(rule)
+        traj = (F(1), F(1, 2), F(1, 4), F(1, 8))
+        assert encode_point(system, traj) == _old_encode_point(system, traj)
+        assert encode_point(system, traj).ex_time == frozenset({0})
+        # before the last level the first loop reads the rule, which raises
+        assert _outcome(encode_point, system, traj + (F(1, 16),)) == (ValueError, "no map past level 2")
+
+
 @st.composite
 def known_tree_cases(draw):
     """A fixed system, x0 in {0, 1/2, 1} (the shared vertex values) or a unit point, a depth."""

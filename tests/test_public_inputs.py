@@ -326,7 +326,10 @@ EXEMPT = {
     "validate_prefix": _OBJECTS,
     "ChainSpec": "the record chain_descriptor returns, built from read ints",
     "SegmentPath": _OBJECTS,
-    "FiniteCover": "takes OpenSets and a carrier; its parents are the indices refine_cover fills in",
+    "FiniteCover": (
+        "takes OpenSets and a carrier, other types refused in test_wrong_types; "
+        "its parents are the indices refine_cover fills in"
+    ),
     "Nerve": "the record nerve_of returns",
     "OpenSet": _OBJECTS,
     "open_set": _OBJECTS,
@@ -420,6 +423,26 @@ def test_refused_forms(kind, good, call):
         (
             lambda: kappa_map((F(1, 2),), None, (RationalPoint((0,)),)),
             "kappa_map needs a FiniteCover, not NoneType",
+        ),
+        # a cover's members are OpenSets and its carrier a PointCloud or
+        # SymbolicCarrier; a kappa vertex is a RationalPoint
+        (lambda: FiniteCover((None,), interval_carrier(1)), "FiniteCover needs an OpenSet, not NoneType"),
+        (
+            lambda: FiniteCover((open_set(ball((0,), 1)), ball((0,), 1)), interval_carrier(1)),
+            "FiniteCover needs an OpenSet, not FormalBall",
+        ),
+        (
+            lambda: FiniteCover(_two_sided().members, None),
+            "FiniteCover needs a PointCloud or SymbolicCarrier, not NoneType",
+        ),
+        (
+            lambda: FiniteCover(_two_sided().members, interval_carrier(2).descriptor),
+            "FiniteCover needs a PointCloud or SymbolicCarrier, not MengerDescriptor",
+        ),
+        (lambda: kappa_map((F(1, 2),), _two_sided(), [None]), "kappa_map needs a RationalPoint, not NoneType"),
+        (
+            lambda: kappa_map((F(1, 2),), _two_sided(), (RationalPoint((0,)), (1,))),
+            "kappa_map needs a RationalPoint, not tuple",
         ),
         # a map slot names PLMap, a system slot InverseSystem, a compressor slot Compressor
         (lambda: compose(None, TENT), "compose needs a PLMap, not NoneType"),

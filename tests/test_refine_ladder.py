@@ -16,6 +16,10 @@ ladder now offers the empty family in place of each tight family and
 ends at the depth when some digit column is inadmissible, since none of
 those families covers; every budget must give the same cover or the
 same "search exhausted".
+
+Both references check a family through the public API (``_accepts``):
+coverage as ``FiniteCover``'s validation raising or not, then
+``cover_multiplicity`` and ``cover_mesh``.
 """
 
 import itertools
@@ -39,22 +43,36 @@ from effdim import (
     ball,
     cantor_carrier,
     carpet_descriptor,
+    cover_mesh,
+    cover_multiplicity,
     interval_carrier,
     open_set,
 )
 from effdim._rat import int_arg, rat
 from effdim.covers_nerve import (
     Carrier,
-    _carrier_masks,
     _carrier_region,
     _grid,
     _meets,
-    _mesh,
     _parents,
     _point_balls,
 )
 
 F = Fraction
+
+
+# --- the checks both references make, through the public API --------------
+
+
+def _accepts(members, carrier, target_mult: int, mesh: Fraction) -> bool:
+    """Does the family cover the carrier, within the multiplicity and mesh?"""
+    try:
+        V = FiniteCover(members, carrier)
+    except PreconditionError as exc:
+        if str(exc) != "carrier point not covered by any member":
+            raise
+        return False
+    return cover_multiplicity(V) <= target_mult and cover_mesh(V) <= mesh
 
 
 # --- the earlier ladder, verbatim ------------------------------------------
@@ -121,13 +139,11 @@ def _refinement_families(U: FiniteCover, budget: int) -> Iterator[tuple[OpenSet,
 
 
 def _reference_refine(U: FiniteCover, target_mult: int, mesh: Fraction, budget: int) -> FiniteCover:
-    """The earlier ``refine_cover`` search loop, over the earlier ladder."""
+    """The earlier ``refine_cover`` search loop, over the earlier ladder,
+    with its checks made by ``_accepts``."""
     carrier = U.carrier
     for members in _refinement_families(U, budget):
-        masks = _carrier_masks(members, carrier)
-        if frozenset() in masks or any(len(m) > target_mult for m in masks):
-            continue
-        if _mesh(members, carrier) > mesh:
+        if not _accepts(members, carrier, target_mult, mesh):
             continue
         parents = _parents(members, U)
         if None in parents:
@@ -278,6 +294,7 @@ def _built_refine(
     resolution (symbolic) or when the family budget runs out.  On a point
     cloud one more family follows the ladder, a ball around each point,
     which meets every multiplicity target and every nonnegative mesh.
+    The checks are made by ``_accepts``.
     """
     mesh, budget = rat(mesh), int_arg(budget, "budget")
     if int_arg(target_mult, "target_mult") < 1:
@@ -291,10 +308,7 @@ def _built_refine(
         # the point balls, built only if the ladder's families all fail
         families = itertools.chain(families, map(_point_balls, [carrier]))
     for members in families:
-        masks = _carrier_masks(members, carrier)
-        if frozenset() in masks or any(len(m) > target_mult for m in masks):
-            continue
-        if _mesh(members, carrier) > mesh:
+        if not _accepts(members, carrier, target_mult, mesh):
             continue
         parents = _parents(members, U)
         if None in parents:
@@ -349,17 +363,18 @@ def test_symbolic_refinement_matches_the_built_ladder(desc, depth, budgets):
 @pytest.mark.parametrize("name", sorted(SYMBOLIC))
 def test_an_empty_family_is_never_scanned(name, monkeypatch):
     # each tight slot's empty family has the mask set {∅} on any nonempty
-    # carrier, so refine_cover skips it without a _carrier_masks call
+    # carrier, so refine_cover skips it without putting it on a grid; a
+    # family's grid has one group of cubes per member
     carrier = SYMBOLIC[name]
     U = FiniteCover((open_set(ball((F(1, 2),) * carrier.dim, 1)),), carrier)
     scans = []
-    masks = cn._carrier_masks
+    grid = cn._grid
 
-    def tracked(members, carrier):
-        scans.append(len(members))
-        return masks(members, carrier)
+    def tracked(boxes, groups):
+        scans.append(len(groups))
+        return grid(boxes, groups)
 
-    monkeypatch.setattr(cn, "_carrier_masks", tracked)
+    monkeypatch.setattr(cn, "_grid", tracked)
     for (target, mesh), budget in itertools.product(_TARGETS, range(-1, 9)):
         _outcome(cn.refine_cover, U, target, mesh, budget)
     assert scans and 0 not in scans
