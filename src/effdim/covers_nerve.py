@@ -430,7 +430,10 @@ class FiniteCover:
 
     Construction verifies coverage unless validate=False is passed; the
     escape hatch exists so that error paths of the cover operations can
-    be exercised on deliberately broken families.
+    be exercised on deliberately broken families.  The members must come
+    as a tuple of OpenSets.  The cover's one pass over its carrier is
+    cached on first use and left out of its pickled state, so a copy or
+    an unpickled cover makes its own pass on its first query.
     """
 
     members: tuple[OpenSet, ...]
@@ -439,6 +442,10 @@ class FiniteCover:
     validate: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.members, tuple):
+            raise PreconditionError(
+                f"FiniteCover needs a tuple of OpenSets, not {type(self.members).__name__}"
+            )
         if not self.members:
             raise PreconditionError("empty cover")
         for m in self.members:
@@ -461,6 +468,12 @@ class FiniteCover:
     @cached_property
     def _pass(self) -> _Pass:
         return _Pass(self.members, self.carrier)
+
+    def __getstate__(self) -> dict:
+        """The fields without the cached pass: a copy scans on its first query."""
+        state = dict(self.__dict__)
+        state.pop("_pass", None)
+        return state
 
 
 def _cover_arg(U, name: str) -> FiniteCover:

@@ -21,10 +21,11 @@ Fraction's without its hash: the levels of a branching tree, the levels
 of a branch code's decoding and encoding, the steps and repeats of an
 orbit and the cycle table's points.  One preimage kernel solves a whole
 level of pairs at once; a branch code's level is a level of one pair.
-A tree's nodes are built inline from their level pairs and build a
-Fraction only when a value is read, and the whole tree, levels and
-nodes, is built with the cyclic collector paused, since it holds no
-cycles.
+A branching tree is held as its levels, built with the cyclic collector
+paused since they hold no cycles: its nodes are built from their level
+pairs when they are read, each builds a Fraction only when its value is
+read, and its leaf count, arity profile and full-binary test are read
+off the kernel's per-pair counts.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import functools
 import gc
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -598,10 +600,18 @@ class BranchNode:
     Holds its value as the reduced (numerator, denominator) int pair and
     builds the Fraction when value is read; equality, hashing, repr and
     frozenness are those of a frozen dataclass with fields value and
-    children.
+    children.  A hand-built node holds the children it is given.  A node
+    that branching_tree made holds its place in its tree's levels
+    instead: its children are built from the next level, with the same
+    link, the first time they are read, and leaf_count, arity_profile
+    and is_full_binary read the levels' counts rather than walk the
+    nodes.  Such a node, while it is alive, keeps its whole tree's levels
+    alive.
     """
 
-    __slots__ = ("_pair", "children", "__weakref__")
+    # _link is set only on the nodes branching_tree makes, to (levels, level,
+    # index); their _children stays unset until children is first read
+    __slots__ = ("_pair", "_children", "_link", "__weakref__")
     __match_args__ = ("value", "children")
 
     def __init__(self, value: Fraction, children: tuple["BranchNode", ...] = ()):
@@ -612,6 +622,16 @@ class BranchNode:
     @property
     def value(self) -> Fraction:
         return Fraction(*self._pair)
+
+    @property
+    def children(self) -> tuple["BranchNode", ...]:
+        try:
+            return self._children
+        except AttributeError:
+            levels, level, index = self._link
+            children = levels.children(level, index)
+            _set_children(self, children)
+            return children
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -634,6 +654,10 @@ class BranchNode:
         return type(self), (self.value, self.children)
 
     def leaf_count(self) -> int:
+        link = getattr(self, "_link", None)
+        if link is not None:
+            levels, level, index = link
+            return levels.leaf_count(level, index)
         leaves = 0
         stack = [self]
         while stack:
@@ -645,7 +669,11 @@ class BranchNode:
         return leaves
 
     def arity_profile(self) -> dict[int, int]:
-        """How many internal nodes have each arity."""
+        """How many internal nodes have each arity, in ascending arity."""
+        link = getattr(self, "_link", None)
+        if link is not None:
+            levels, level, index = link
+            return levels.arity_profile(level, index)
         profile: dict[int, int] = {}
         stack = [self]
         while stack:
@@ -653,9 +681,13 @@ class BranchNode:
             if node.children:
                 profile[len(node.children)] = profile.get(len(node.children), 0) + 1
                 stack.extend(node.children)
-        return profile
+        return dict(sorted(profile.items()))
 
     def is_full_binary(self) -> bool:
+        link = getattr(self, "_link", None)
+        if link is not None:
+            levels, level, index = link
+            return levels.is_full_binary(level, index)
         stack = [self]
         while stack:
             node = stack.pop()
@@ -667,12 +699,72 @@ class BranchNode:
 
 
 _set_pair = BranchNode._pair.__set__
-_set_children = BranchNode.children.__set__
+_set_children = BranchNode._children.__set__
+_set_link = BranchNode._link.__set__
 
 
-# Most nodes branching_tree may build.  The tent map doubles each level, so
-# depth 16 (131,071 nodes) still builds, in about 0.13-0.15 s on a 2-vCPU
-# VM under Python 3.11, and depth 30 would need 2^31 nodes.
+class _Levels:
+    """A branching tree as its levels, shared by every node made from them.
+
+    pairs[k] lists level k's reduced (numerator, denominator) pairs,
+    counts[k] the preimage count of each pair of a level k above the
+    last, and offsets[k] their running sums from 0: the children of node
+    (k, i) are the pairs offsets[k][i] to offsets[k][i + 1] - 1 of level
+    k + 1.  The kernel raises on a pair with no preimage, so every node
+    above the last level has children: the leaves are exactly the last
+    level, and a node's subtree is one index range on each level.
+    """
+
+    __slots__ = ("pairs", "counts", "offsets")
+
+    def __init__(self, pairs: list[list[tuple[int, int]]], counts: list[list[int]]):
+        self.pairs = pairs
+        self.counts = counts
+        self.offsets = [list(itertools.accumulate(c, initial=0)) for c in counts]
+
+    def node(self, level: int, index: int) -> BranchNode:
+        """Node (level, index), linked to the levels, its children not yet built."""
+        node = object.__new__(BranchNode)
+        _set_pair(node, self.pairs[level][index])
+        _set_link(node, (self, level, index))
+        return node
+
+    def children(self, level: int, index: int) -> tuple[BranchNode, ...]:
+        if level == len(self.counts):
+            return ()
+        offsets = self.offsets[level]
+        return tuple(self.node(level + 1, j) for j in range(offsets[index], offsets[index + 1]))
+
+    def _spans(self, level: int, index: int) -> Iterator[tuple[int, int]]:
+        """The index range [lo, hi) of node (level, index)'s subtree on its
+        own level and on each one below it, down to the leaves."""
+        lo, hi = index, index + 1
+        yield lo, hi
+        for offsets in self.offsets[level:]:
+            lo, hi = offsets[lo], offsets[hi]
+            yield lo, hi
+
+    def leaf_count(self, level: int, index: int) -> int:
+        for lo, hi in self._spans(level, index):
+            pass
+        return hi - lo
+
+    def arity_profile(self, level: int, index: int) -> dict[int, int]:
+        profile: Counter[int] = Counter()
+        for counts, (lo, hi) in zip(self.counts[level:], self._spans(level, index)):
+            profile.update(counts[lo:hi])
+        return dict(sorted(profile.items()))
+
+    def is_full_binary(self, level: int, index: int) -> bool:
+        return all(
+            counts[lo:hi].count(2) == hi - lo
+            for counts, (lo, hi) in zip(self.counts[level:], self._spans(level, index))
+        )
+
+
+# Most nodes branching_tree may hold.  The tent map doubles each level, so
+# depth 16 (131,071 nodes) still builds, its levels in about 0.08 s on a
+# 2-vCPU VM under Python 3.11, and depth 30 would need 2^31 nodes.
 _TREE_NODE_CAP = 2**17
 
 
@@ -681,13 +773,15 @@ def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNod
 
     Built level by level without recursion: each level is a list of
     reduced (numerator, denominator) pairs, read off the previous one by
-    one call of the preimage kernel.  The nodes are built last, bottom
-    level first, each straight from its level pair as it stands (no
-    Fraction is built until a node's value is read).  The cyclic
-    collector is paused for the whole build, since a tree holds no
-    cycles, and its prior state restored.  Raises PreconditionError for a
-    start point outside [0,1] and once the tree would pass _TREE_NODE_CAP
-    nodes.
+    one call of the preimage kernel, which also gives each pair's count.
+    The cyclic collector is paused for the levels, since they hold no
+    cycles, and its prior state restored.  The tree is its levels
+    (_Levels): the root returned is the one node built, and every other
+    node is built from its level pair when its parent's children are
+    first read (no Fraction is built until a node's value is read).  A
+    node kept alive keeps its tree's levels alive.  Raises
+    PreconditionError for a start point outside [0,1] and once the tree
+    would pass _TREE_NODE_CAP nodes.
     """
     _system_arg(system, "branching_tree")
     if int_arg(depth, "depth") < 0:
@@ -704,26 +798,7 @@ def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNod
             room -= len(pairs)
             levels.append(pairs)
             arities.append(counts)
-        # each level's list trades its pairs, in place, for the nodes that
-        # hold them, so no second list of a level is built
-        new, set_pair, set_children = object.__new__, _set_pair, _set_children
-        nodes = levels.pop()
-        for i, pair in enumerate(nodes):
-            node = new(BranchNode)
-            set_pair(node, pair)
-            set_children(node, ())
-            nodes[i] = node
-        while levels:
-            below = nodes
-            nodes = levels.pop()
-            j = 0
-            for i, (pair, n) in enumerate(zip(nodes, arities.pop())):
-                node = new(BranchNode)
-                set_pair(node, pair)
-                set_children(node, tuple(below[j:j + n]))
-                j += n
-                nodes[i] = node
     finally:
         if collecting:
             gc.enable()
-    return nodes[0]
+    return _Levels(levels, arities).node(0, 0)

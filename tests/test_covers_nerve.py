@@ -317,6 +317,35 @@ class TestFiniteCover:
             assert twin == refined
             assert (nerve_of(twin), cover_multiplicity(twin), cover_mesh(twin)) == answers
 
+    @pytest.mark.parametrize(
+        "make",
+        [two_sided_cover, seven_point_cloud_cover, lambda: refine_cover(two_sided_cover(), 2, F(1, 2))],
+        ids=["interval", "cloud", "refined"],
+    )
+    def test_the_pass_is_not_pickled(self, monkeypatch, make):
+        queried, unqueried = make(), make()
+        answers = nerve_of(queried), cover_multiplicity(queried), cover_mesh(queried)
+        assert "_pass" in queried.__dict__
+        assert pickle.dumps(queried) == pickle.dumps(unqueried)
+        grids = []
+        grid = cn._grid
+        monkeypatch.setattr(cn, "_grid", lambda *a: grids.append(a) or grid(*a))
+        for twin in (pickle.loads(pickle.dumps(queried)), copy.copy(queried), copy.deepcopy(queried)):
+            assert "_pass" not in twin.__dict__
+            assert twin == queried and hash(twin) == hash(queried) and repr(twin) == repr(queried)
+            grids.clear()
+            assert (nerve_of(twin), cover_multiplicity(twin), cover_mesh(twin)) == answers
+            # the copy makes its own pass, once
+            assert len(grids) == 1
+
+    def test_members_must_be_a_tuple(self):
+        members = list(two_sided_cover().members)
+        with pytest.raises(PreconditionError, match="^FiniteCover needs a tuple of OpenSets, not list$"):
+            FiniteCover(members, interval_carrier(2))
+        U = FiniteCover(tuple(members), interval_carrier(2))
+        assert hash(U) == hash(two_sided_cover()) and U == two_sided_cover()
+        assert refine_cover(U, 2, F(1, 2)) == refine_cover(two_sided_cover(), 2, F(1, 2))
+
     def test_multiplicity_on_an_empty_carrier_is_zero(self):
         # no carrier point, so no mask: the nerve has no faces and no member
         # has a diameter, and multiplicity agrees with nerve dimension + 1

@@ -1172,16 +1172,16 @@ class TestBranchingTreeCollector:
         finally:
             gc.enable() if was else gc.disable()
 
-    def test_collector_is_paused_for_the_node_build(self, monkeypatch):
-        # every node of the pass gets its children through _set_children
+    def test_collector_is_paused_for_every_level(self, monkeypatch):
+        # each level below the root comes from one call of the level kernel
         states = []
-        set_children = il._set_children
+        level = il._preimage_level
 
         def tracked(*args):
             states.append(gc.isenabled())
-            return set_children(*args)
+            return level(*args)
 
-        monkeypatch.setattr(il, "_set_children", tracked)
+        monkeypatch.setattr(il, "_preimage_level", tracked)
         was = gc.isenabled()
         try:
             gc.enable()
@@ -1189,7 +1189,7 @@ class TestBranchingTreeCollector:
             assert gc.isenabled()
         finally:
             gc.enable() if was else gc.disable()
-        assert len(states) == 15 and not any(states)
+        assert states == [False] * 3
 
 
 # --- verbatim copies of the per-pair kernel and the tree it built -------------
@@ -1525,6 +1525,78 @@ class TestPairNodes:
         assert copy.deepcopy(tree) == tree
         assert pickle.loads(pickle.dumps(tree)) == tree
         assert weakref.ref(tree)() is tree
+
+
+def _queries(node):
+    return node.leaf_count(), list(node.arity_profile().items()), node.is_full_binary()
+
+
+class TestLevelCounts:
+    """A tree's nodes are built from its levels when read, and the three
+    queries read the levels' counts; a pickled copy is hand-built, so its
+    queries walk the nodes."""
+
+    def _check_every_node(self, tree):
+        copy_ = pickle.loads(pickle.dumps(tree))
+        nodes, copies = _preorder_nodes(tree), _preorder_nodes(copy_)
+        assert len(nodes) == len(copies)
+        for node, twin in zip(nodes, copies):
+            assert node._link is not None and getattr(twin, "_link", None) is None
+            assert node == twin and _queries(node) == _queries(twin)
+        # the root, an inner node when there is one and the last leaf, each pickled alone
+        inner = [n for n in nodes[1:] if n.children][:1]
+        for node in [tree, *inner, nodes[-1]]:
+            assert _queries(node) == _queries(pickle.loads(pickle.dumps(node)))
+
+    @settings(max_examples=60)
+    @given(case=tree_cases())
+    @example(case=(tent_map(), F(0), 4, il._TREE_NODE_CAP))
+    @example(case=(five_segment_map(), F(1, 5), 3, il._TREE_NODE_CAP))
+    def test_every_node_answers_as_its_pickled_copy(self, case):
+        f, x0, depth, cap = case
+        with mock.patch.object(il, "_TREE_NODE_CAP", cap):
+            tree = _outcome(branching_tree, InverseSystem.constant(f), x0, depth)
+        if isinstance(tree, il.BranchNode):
+            self._check_every_node(tree)
+
+    @settings(max_examples=60)
+    @given(case=known_tree_cases())
+    def test_known_systems_answer_as_their_pickled_copies(self, case):
+        tree = _outcome(branching_tree, *case)
+        if isinstance(tree, il.BranchNode):
+            self._check_every_node(tree)
+
+    def test_the_queries_build_only_the_root(self, monkeypatch):
+        made = []
+        set_pair = il._set_pair
+        monkeypatch.setattr(il, "_set_pair", lambda node, pair: made.append(pair) or set_pair(node, pair))
+        tree = branching_tree(TENT, F(3, 16), 12)
+        assert tree.leaf_count() == 4096
+        assert made == [(3, 16)]
+        assert tree.arity_profile() == {2: 4095} and tree.is_full_binary()
+        assert made == [(3, 16)]
+        # reading children builds that one level of nodes, once
+        assert tree.children is tree.children
+        assert made == [(3, 16), (3, 32), (29, 32)]
+
+    def test_a_node_outlives_its_root(self):
+        tree = branching_tree(TENT, F(0), 6)
+        child = tree.children[1].children[0]
+        want = _queries(pickle.loads(pickle.dumps(child)))
+        root = weakref.ref(tree)
+        del tree
+        gc.collect()
+        assert root() is None
+        assert _queries(child) == want
+        assert child == branching_tree(TENT, F(0), 6).children[1].children[0]
+        self._check_every_node(child)
+
+    def test_a_hand_built_node_over_built_children_walks(self):
+        tree = branching_tree(TENT, F(0), 5)
+        mixed = il.BranchNode(F(1, 7), tree.children + (tree,))
+        assert getattr(mixed, "_link", None) is None
+        assert _queries(mixed) == _queries(pickle.loads(pickle.dumps(mixed)))
+        assert mixed.leaf_count() == 2 * tree.leaf_count()
 
 
 class TestArgumentChecks:

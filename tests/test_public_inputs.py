@@ -327,7 +327,7 @@ EXEMPT = {
     "ChainSpec": "the record chain_descriptor returns, built from read ints",
     "SegmentPath": _OBJECTS,
     "FiniteCover": (
-        "takes OpenSets and a carrier, other types refused in test_wrong_types; "
+        "takes a tuple of OpenSets and a carrier, other types refused in test_wrong_types; "
         "its parents are the indices refine_cover fills in"
     ),
     "Nerve": "the record nerve_of returns",
@@ -424,8 +424,17 @@ def test_refused_forms(kind, good, call):
             lambda: kappa_map((F(1, 2),), None, (RationalPoint((0,)),)),
             "kappa_map needs a FiniteCover, not NoneType",
         ),
-        # a cover's members are OpenSets and its carrier a PointCloud or
-        # SymbolicCarrier; a kappa vertex is a RationalPoint
+        # a cover's members are a tuple of OpenSets and its carrier a PointCloud
+        # or SymbolicCarrier; a kappa vertex is a RationalPoint
+        (
+            lambda: FiniteCover(list(_two_sided().members), interval_carrier(2)),
+            "FiniteCover needs a tuple of OpenSets, not list",
+        ),
+        (lambda: FiniteCover(None, interval_carrier(1)), "FiniteCover needs a tuple of OpenSets, not NoneType"),
+        (
+            lambda: FiniteCover(open_set(ball((0,), 1)), interval_carrier(1)),
+            "FiniteCover needs a tuple of OpenSets, not OpenSet",
+        ),
         (lambda: FiniteCover((None,), interval_carrier(1)), "FiniteCover needs an OpenSet, not NoneType"),
         (
             lambda: FiniteCover((open_set(ball((0,), 1)), ball((0,), 1)), interval_carrier(1)),
