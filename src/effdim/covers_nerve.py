@@ -15,10 +15,14 @@ holds a contiguous run of the sorted axis cells, so membership is read
 off runs, on ints: as per-axis bitsets of the cubes holding each axis
 cell, ANDed across axes, or as one bitboard per cube over all cells.
 
-Every coordinate is some k/D, so ``_grid`` puts the boxes and cubes of
-one query on the common grid g = 2·lcm(all D): once per family on a
-carrier, and once per open set's complement.  Fractions come back only
-where a caller reads them: distances, diameters and margins.
+An open set holds its cubes as ints over one denominator D, the lcm of
+their ends' denominators (``_int_cubes``), so no Fraction stands between
+a ball and its cube.  A carrier box's coordinates are some k/q, and
+``_grid`` puts the boxes and the sets of one family on their common grid
+g = 2·lcm(every q and D), a set's ints times g/D, once per family on a
+carrier; an open set's complement is built on its own grid 2·D.
+Fractions come back only where a caller reads them: distances,
+diameters and margins.
 
 Carriers come in two kinds, and the queries read both as closed boxes.  A
 symbolic carrier is the depth-d approximant of a digit-defined
@@ -51,13 +55,13 @@ their representatives, the products of ``_axis_cells``' axis
 representatives with every cube of the cover cutting; its coverage
 check is the open family's mask set alone.
 
-An open set's derived datum is its complement: the closures of the
-maximal unit-box cells that none of its cubes holds, as ints on the
-set's grid, built on one int bitboard with a bit per cell of the set's
-unit-box arrangement (``_uncovered_closures``), up to ``_CELL_CAP``
-cells.  Kappa weights and shrinking margins are distances to it, so
-each set, a single ball too, builds it at most once, however many
-points are weighed.  A distance is measured in ints too: the point goes
+An open set's derived data are its int cubes, made when it is built,
+and its complement: the closures of the maximal unit-box cells that
+none of its cubes holds, as ints on the set's grid 2·D, built on one
+int bitboard with a bit per cell of the set's unit-box arrangement
+(``_uncovered_closures``), up to ``_CELL_CAP`` cells.  Kappa weights
+and shrinking margins are distances to it, so each set, a single ball
+too, builds it at most once, however many points are weighed.  A distance is measured in ints too: the point goes
 on its own denominator q, and a gap to a bound on grid g is compared on
 q·g.  General position tests affine ranks by fraction-free elimination
 over ints, on one grid per call.
@@ -113,16 +117,33 @@ class Box:
         return all(lo <= c <= hi for (lo, hi), c in zip(self.bounds, coords))
 
 
-def _unit_bounds(dim: int) -> Bounds:
-    return tuple((ZERO, ONE) for _ in range(dim))
-
-
 def ball(center: Sequence, radius) -> FormalBall:
     return FormalBall(RationalPoint(rat_point(center)), radius)
 
 
-def _cube(b: FormalBall) -> Bounds:
-    return tuple((c - b.radius, c + b.radius) for c in b.center.coords)
+def _int_cubes(balls: Sequence[FormalBall]) -> tuple[int, tuple[IntBounds, ...]]:
+    """The balls' cubes, center ± radius per axis, as ints over one denominator D, and D.
+
+    The ints are first formed over the lcm of the centers' and radii's
+    denominators; dividing it and every endpoint by their gcd leaves D
+    the lcm of the endpoints' reduced denominators.  So a center 1/4 with
+    radius 1/4, formed as (0, 2) over 4, is held as (0, 1) over D = 2:
+    every grid stays the one the endpoints' Fractions would give.
+    """
+    den = math.lcm(
+        *(b.radius.denominator for b in balls),
+        *(c.denominator for b in balls for c in b.center.coords),
+    )
+    cubes = []
+    for b in balls:
+        r = b.radius.numerator * (den // b.radius.denominator)
+        ks = [c.numerator * (den // c.denominator) for c in b.center.coords]
+        cubes.append(tuple((k - r, k + r) for k in ks))
+    common = math.gcd(den, *(v for cube in cubes for pair in cube for v in pair))
+    if common > 1:
+        den //= common
+        cubes = [tuple((lo // common, hi // common) for lo, hi in cube) for cube in cubes]
+    return den, tuple(cubes)
 
 
 @dataclass(frozen=True)
@@ -131,10 +152,14 @@ class OpenSet:
 
     The set is (union of open cubes) intersected with [0,1]^dim, hence
     open in the subspace topology even where a cube pokes past the box.
+    Its cubes are held once, as ints over one denominator D, the lcm of
+    their endpoints' denominators (``_int_cubes``): every grid the set
+    goes on is a multiple of D, so it is put there by one int product
+    per endpoint.  ``cubes`` reads them back as Fractions.
     """
 
     balls: tuple[FormalBall, ...]
-    _cubes: tuple[Bounds, ...] = field(init=False, repr=False, compare=False)
+    _ints: tuple[int, tuple[IntBounds, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.balls:
@@ -142,14 +167,15 @@ class OpenSet:
         dims = {b.center.dim for b in self.balls}
         if len(dims) != 1:
             raise PreconditionError("balls of one set must share a dimension")
-        object.__setattr__(self, "_cubes", tuple(_cube(b) for b in self.balls))
+        object.__setattr__(self, "_ints", _int_cubes(self.balls))
 
     @property
     def dim(self) -> int:
         return self.balls[0].center.dim
 
     def cubes(self) -> tuple[Bounds, ...]:
-        return self._cubes
+        den, cubes = self._ints
+        return tuple(tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in cube) for cube in cubes)
 
     def contains(self, coords: Sequence[Fraction]) -> bool:
         if len(coords) != self.dim:
@@ -281,24 +307,29 @@ Carrier = PointCloud | SymbolicCarrier
 
 
 def _grid(
-    boxes: Sequence[Bounds], groups: Sequence[Sequence[Bounds]]
+    boxes: Sequence[Bounds], sets: Sequence[OpenSet]
 ) -> tuple[int, list[IntBounds], list[list[IntBounds]]]:
-    """The boxes and the groups' cubes as ints on their common grid g.
+    """The boxes and each set's cubes as ints on their common grid g.
 
-    Every coordinate is some k/D, so on g = 2·lcm(all D) it is the even
-    int k·g/D, and the midpoint of two such is an int too.  Order and
-    membership are those of the Fractions; dividing by g gives them back.
+    Every box coordinate is some k/q and every set's cubes are ints over
+    its D, so on g = 2·lcm(every q and D) a coordinate is the even int
+    k·g/q, a set's cube int is times g/D, and the midpoint of two such is
+    an int too.  Order and membership are those of the Fractions; dividing
+    by g gives them back.
     """
-    dens = {v.denominator for b in itertools.chain(boxes, *groups) for pair in b for v in pair}
-    g = 2 * math.lcm(*dens)
+    dens = {v.denominator for b in boxes for pair in b for v in pair}
+    g = 2 * math.lcm(*dens, *(s._ints[0] for s in sets))
     mult = {d: g // d for d in dens}
-
-    def scale(b: Bounds) -> IntBounds:
-        return tuple(
-            (lo.numerator * mult[lo.denominator], hi.numerator * mult[hi.denominator]) for lo, hi in b
-        )
-
-    return g, [scale(b) for b in boxes], [[scale(c) for c in cubes] for cubes in groups]
+    int_boxes = [
+        tuple((lo.numerator * mult[lo.denominator], hi.numerator * mult[hi.denominator]) for lo, hi in b)
+        for b in boxes
+    ]
+    groups = []
+    for s in sets:
+        den, cubes = s._ints
+        k = g // den
+        groups.append([tuple((lo * k, hi * k) for lo, hi in cube) for cube in cubes])
+    return g, int_boxes, groups
 
 
 def _axis_cells(lo: int, hi: int, cuts: Iterable[int]):
@@ -397,7 +428,7 @@ class _Pass:
     set and the mesh are read off them, each the first time it is asked for."""
 
     def __init__(self, members: Sequence[OpenSet], carrier: Carrier) -> None:
-        self.g, boxes, groups = _grid(_carrier_region(carrier), [m.cubes() for m in members])
+        self.g, boxes, groups = _grid(_carrier_region(carrier), members)
         self.boxes = [(box, _local(box, groups)) for box in boxes]
 
     @cached_property
@@ -505,6 +536,10 @@ def _uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
     """The set's grid g, and on it the closures of the maximal unit-box
     cells that no cube of s holds.
 
+    The set's cubes are ints over its D, and the unit box's ends are 0
+    and D, so g = 2·D, what ``_grid`` gives the unit box and the set, and
+    the cubes on it are the set's ints doubled.
+
     The cells of the unit box cut by the cubes meeting it are the bits of
     one int, axis 0 fastest: axis cell i on axis a is bit i·st, where
     the stride st is the product of the earlier axes' cell counts.  A
@@ -519,8 +554,10 @@ def _uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
     other uncovered closure lies in one of theirs.  Only their bits are
     read back into closures.
     """
-    g, _, (cubes,) = _grid([_unit_bounds(s.dim)], [s.cubes()])
-    local = [cube for _, cube in _local(((0, g),) * s.dim, [cubes])]
+    den, cubes = s._ints
+    g = 2 * den
+    unit = ((0, den),) * s.dim
+    local = [tuple((2 * lo, 2 * hi) for lo, hi in cube) for cube in cubes if _meets(unit, cube)]
     axes = [_axis_runs(0, g, [c[a] for c in local]) for a in range(s.dim)]
     *strides, n = itertools.accumulate([len(c) for c, _ in axes], operator.mul, initial=1)
     if n > _CELL_CAP:
@@ -724,8 +761,8 @@ def shrink_cover(U: FiniteCover) -> tuple[tuple[tuple[Box, ...], ...], tuple[Ope
     # cut each box, since the margin is a minimum over these representatives
     # and coarser cells could drop the ones that set it; a cell's
     # representative is one axis cell's per axis
-    all_cubes = [cube for m in U.members for cube in m.cubes()]
-    g, boxes, (cubes,) = _grid(_carrier_boxes(U.carrier), [all_cubes])
+    g, boxes, groups = _grid(_carrier_boxes(U.carrier), U.members)
+    cubes = [cube for group in groups for cube in group]
     cuts = [[v for c in cubes for v in c[a]] for a in range(U.dim)]
     lam = None
     for box in boxes:

@@ -606,7 +606,9 @@ class BranchNode:
     link, the first time they are read, and leaf_count, arity_profile
     and is_full_binary read the levels' counts rather than walk the
     nodes.  Such a node, while it is alive, keeps its whole tree's levels
-    alive.
+    alive.  Equality and hashing walk the nodes on an explicit stack, so
+    they hold at any depth; repr and pickling still recurse once per
+    level, and on Python 3.11 raise RecursionError from depth 330-331.
     """
 
     # _link is set only on the nodes branching_tree makes, to (levels, level,
@@ -634,12 +636,38 @@ class BranchNode:
             return children
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self._pair, self.children) == (other._pair, other.children)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a walk over pairs of nodes, not a recursion per level
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if not (a.__class__ is b.__class__ and isinstance(a, BranchNode)):
+                if a == b:
+                    continue
+                return False
+            if a._pair != b._pair:
+                return False
+            ca, cb = a.children, b.children
+            if ca.__class__ is not cb.__class__ or len(ca) != len(cb):
+                return False
+            stack.extend(zip(reversed(ca), reversed(cb)))
+        return True
 
     def __hash__(self):
-        return hash((self.value, self.children))
+        # hash((value, children)), taken bottom up rather than by a recursion
+        # per level: each child node goes into its parent's tuple as a stand-in
+        # carrying the child's hash, which is all a tuple hash reads of it
+        order = [self]
+        for node in order:
+            order.extend(c for c in node.children if isinstance(c, BranchNode))
+        hashes = {}
+        for node in reversed(order):
+            children = [_Hashed(hashes[id(c)]) if isinstance(c, BranchNode) else c for c in node.children]
+            hashes[id(node)] = hash((node.value, tuple(children)))
+        return hashes[id(self)]
 
     def __repr__(self):
         return f"{type(self).__qualname__}(value={self.value!r}, children={self.children!r})"
@@ -696,6 +724,18 @@ class BranchNode:
                     return False
                 stack.extend(node.children)
         return True
+
+
+class _Hashed:
+    """A stand-in for an object inside a tuple being hashed: it hashes to the object's hash."""
+
+    __slots__ = ("hash",)
+
+    def __init__(self, hash_: int):
+        self.hash = hash_
+
+    def __hash__(self):
+        return self.hash
 
 
 _set_pair = BranchNode._pair.__set__

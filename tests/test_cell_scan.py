@@ -48,7 +48,7 @@ from effdim import (
 )
 from effdim._rat import ONE, ZERO, max_dist
 from effdim.ball_calculus import PreconditionError
-from effdim.covers_nerve import Bounds, IntBounds, _unit_bounds
+from effdim.covers_nerve import Bounds, IntBounds
 
 F = Fraction
 GRID = 24  # every drawn coordinate is a multiple of 1/GRID, so cuts coincide often
@@ -79,6 +79,10 @@ def _iter_cells(box: Box, cubes: Sequence[Bounds]) -> Iterator[tuple[tuple[Fract
         rep = tuple(c[0] for c in combo)
         closure = tuple((c[1], c[2]) for c in combo)
         yield rep, closure
+
+
+def _unit_bounds(dim: int) -> Bounds:
+    return tuple((ZERO, ONE) for _ in range(dim))
 
 
 def _in_cube(coords: Sequence[Fraction], cube: Bounds) -> bool:
@@ -364,7 +368,7 @@ def _old_scan(
 
 
 def _old_uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
-    g, _, (cubes,) = cn._grid([_unit_bounds(s.dim)], [s.cubes()])
+    g, _, (cubes,) = cn._grid([_unit_bounds(s.dim)], [s])
     box = tuple((0, g) for _ in range(s.dim))
     uncovered = [(rep, closure) for rep, closure, mask in _old_scan(box, [cubes]) if not mask]
     facets = set()
@@ -488,7 +492,7 @@ def test_scan_masks_equal_global_masks_per_box(case):
         Box(_unit_bounds(carrier.dim)),
     )
     # the scan reads the boxes and cubes as ints on their common grid
-    _, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], groups)
+    _, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], members)
     for box, int_box in zip(boxes, int_boxes):
         local = {mask for _, _, mask in _old_scan(int_box, int_groups)}
         whole = {
@@ -507,7 +511,7 @@ def test_scan_cells_are_homogeneous_and_inside_the_box(case):
         boxes = tuple(Box(tuple((c, c) for c in p)) for p in carrier.points)
     else:
         boxes = carrier.boxes()
-    g, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], groups)
+    g, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], members)
 
     def cells(int_box):
         """The scan's cells of a box, read back off the grid as Fractions."""
@@ -787,13 +791,13 @@ def _cell_boxes(carrier) -> tuple[Bounds, ...]:
     return tuple(b.bounds for b in carrier.boxes())
 
 
-def _carrier_cells(carrier, groups):
-    _, boxes, groups = cn._grid(_cell_boxes(carrier), groups)
+def _carrier_cells(carrier, members):
+    _, boxes, groups = cn._grid(_cell_boxes(carrier), members)
     return (cell for box in boxes for cell in _old_scan(box, groups))
 
 
 def _scanned_masks(members, carrier) -> frozenset[frozenset[int]]:
-    return frozenset(mask for _, _, mask in _carrier_cells(carrier, [m.cubes() for m in members]))
+    return frozenset(mask for _, _, mask in _carrier_cells(carrier, members))
 
 
 # --- the merged-box, mask-only scan against the per-cell scan ---------------
@@ -813,9 +817,8 @@ def test_region_mesh_and_meeting_equal_the_cells(case):
     members, carrier = case
     mesh = max(_diam_within(s, carrier) for s in members)
     assert cn.cover_mesh(_cover(members, carrier)) == mesh
-    groups = [m.cubes() for m in members]
-    _, merged, int_groups = cn._grid(cn._carrier_region(carrier), groups)
-    _, cells, cell_groups = cn._grid(_cell_boxes(carrier), groups)
+    _, merged, int_groups = cn._grid(cn._carrier_region(carrier), members)
+    _, cells, cell_groups = cn._grid(_cell_boxes(carrier), members)
     for cubes, cell_cubes in zip(int_groups, cell_groups):
         for cube, cell_cube in zip(cubes, cell_cubes):
             meets = any(cn._meets(b, cube) for b in merged)

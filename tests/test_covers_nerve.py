@@ -593,7 +593,7 @@ class TestShrinkCover:
             assume(False)
         for part, v in zip(F_fam, V_fam):
             boxes = [b.bounds for b in part]
-            for rep, _ in _iter_cells(Box(cn._unit_bounds(v.dim)), [*v.cubes(), *boxes]):
+            for rep, _ in _iter_cells(Box(((0, 1),) * v.dim), [*v.cubes(), *boxes]):
                 if v.contains(rep):
                     assert any(b.contains(rep) for b in part)
 

@@ -1515,6 +1515,30 @@ class TestPairNodes:
             case il.BranchNode(value, (first, _)):
                 assert (value, first) == (F(1, 2), leaf)
 
+    def test_deep_chains_compare_and_hash_without_recursion(self):
+        # test_deep_chain_builds_without_recursion's depth-2000 tree, a
+        # rebuilt twin and a hand-built chain of the same values, and chains
+        # one level short or with another leaf
+        identity = InverseSystem.constant(PLMap(((F(0), F(0)), (F(1), F(1)))))
+
+        def chain(depth, leaf=F(1, 2)):
+            node = il.BranchNode(leaf)
+            for _ in range(depth):
+                node = il.BranchNode(F(1, 2), (node,))
+            return node
+
+        tree = branching_tree(identity, F(1, 2), 2000)
+        for twin in (branching_tree(identity, F(1, 2), 2000), chain(2000)):
+            assert tree == twin and twin == tree and hash(twin) == hash(tree)
+        for other in (branching_tree(identity, F(1, 2), 1999), chain(2000, F(1, 3)), chain(2001)):
+            assert tree != other and other != tree
+        # the walks give the dataclass's values at a depth its recursion reaches
+        old = _OldBranchNode(F(1, 2))
+        for _ in range(150):
+            old = _OldBranchNode(F(1, 2), (old,))
+        assert hash(chain(150)) == hash(branching_tree(identity, F(1, 2), 150)) == hash(old)
+        assert hash(chain(150, F(1, 3))) != hash(old)
+
     @pytest.mark.parametrize("value", [0.5, True, None, 1j, (1, 2)], ids=repr)
     def test_values_must_be_rational(self, value):
         with pytest.raises(ValueError, match="not a rational"):

@@ -117,7 +117,7 @@ def _candidate_families(U: FiniteCover, k: int) -> Iterator[tuple[OpenSet, ...]]
     for radius in (w / 2, w):
         sets = [open_set(ball(c, radius)) for c in centers]
         # keep the balls meeting the carrier, read on the family's grid
-        _, region, groups = _grid(boxes, [s.cubes() for s in sets])
+        _, region, groups = _grid(boxes, sets)
         members = tuple(
             s for s, (cube,) in zip(sets, groups) if any(_meets(box, cube) for box in region)
         )
