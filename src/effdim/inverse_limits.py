@@ -84,7 +84,12 @@ class PLMap:
     vertices: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        verts = tuple((rat(x), rat(y)) for x, y in self.vertices)
+        try:
+            if isinstance(self.vertices, str):
+                raise TypeError
+            verts = tuple((rat(x), rat(y)) for x, y in self.vertices)
+        except TypeError:
+            raise PreconditionError(f"PLMap needs a sequence of (x, y) vertices, not {self.vertices!r}") from None
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise ValueError("need at least two vertices")
@@ -503,8 +508,12 @@ class InverseSystem:
         return InverseSystem(lambda n: f)
 
     def at(self, level: int) -> PLMap:
-        if level < 0:
+        if int_arg(level, "level") < 0:
             raise ValueError("level must be nonnegative")
+        return self._at(level)
+
+    def _at(self, level: int) -> PLMap:
+        """The level's map; the library's level loops call this, as they count their levels from 0."""
         return _map_arg(self.map_rule(level), "InverseSystem.at")
 
 
@@ -533,15 +542,20 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
     point outside [0,1] is refused at every depth.
     """
     _system_arg(system, "decode_point")
-    depth = len(code.word) if depth is None else int_arg(depth, "depth")
+    try:
+        size = len(code.word)
+    except TypeError:
+        kind = type(code.word).__name__
+        raise PreconditionError(f"decode_point needs a tuple of branch indices, not {kind}") from None
+    depth = size if depth is None else int_arg(depth, "depth")
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
     traj = [_start_point(code.x0)]
-    if depth > len(code.word):
+    if depth > size:
         raise PreconditionError("word shorter than requested depth")
     p, q = traj[0].numerator, traj[0].denominator
     for n in range(depth):
-        pre = _preimage_pairs(system.at(n), p, q)
+        pre = _preimage_pairs(system._at(n), p, q)
         k = int_arg(code.word[n], "a branch index")
         if not 0 <= k < len(pre):
             raise PreconditionError(f"branch index {k} out of range at level {n}")
@@ -562,14 +576,20 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
     point outside [0,1] is refused, however short the trajectory.
     """
     _system_arg(system, "encode_point")
-    traj = [rat(x) for x in trajectory]
+    try:
+        if isinstance(trajectory, str):
+            raise TypeError
+        traj = [rat(x) for x in trajectory]
+    except TypeError:
+        kind = type(trajectory).__name__
+        raise PreconditionError(f"encode_point needs a sequence of rationals, not {kind}") from None
     if not traj:
         raise PreconditionError("empty trajectory")
     _start_point(traj[0])
     word = []
     ex_time = set()
     for n in range(len(traj) - 1):
-        f = system.at(n)
+        f = system._at(n)
         x, y = traj[n + 1], traj[n]
         if (y.numerator, y.denominator) in f._critical_pairs:
             ex_time.add(n)
@@ -600,15 +620,15 @@ class BranchNode:
     Holds its value as the reduced (numerator, denominator) int pair and
     builds the Fraction when value is read; equality, hashing, repr and
     frozenness are those of a frozen dataclass with fields value and
-    children.  A hand-built node holds the children it is given.  A node
+    children.  A hand-built node holds the tuple of children it is given.  A node
     that branching_tree made holds its place in its tree's levels
     instead: its children are built from the next level, with the same
     link, the first time they are read, and leaf_count, arity_profile
     and is_full_binary read the levels' counts rather than walk the
     nodes.  Such a node, while it is alive, keeps its whole tree's levels
-    alive.  Equality and hashing walk the nodes on an explicit stack, so
-    they hold at any depth; repr and pickling still recurse once per
-    level, and on Python 3.11 raise RecursionError from depth 330-331.
+    alive.  Equality, hashing and repr walk the nodes on an explicit
+    stack, and a node pickles and copies as a flat preorder of its
+    nodes, rebuilt hand-built; so all of them hold at any depth.
     """
 
     # _link is set only on the nodes branching_tree makes, to (levels, level,
@@ -617,6 +637,8 @@ class BranchNode:
     __match_args__ = ("value", "children")
 
     def __init__(self, value: Fraction, children: tuple["BranchNode", ...] = ()):
+        if type(children) is not tuple:
+            raise PreconditionError(f"BranchNode needs a tuple of children, not {type(children).__name__}")
         value = rat(value)
         _set_pair(self, (value.numerator, value.denominator))
         _set_children(self, children)
@@ -651,7 +673,7 @@ class BranchNode:
             if a._pair != b._pair:
                 return False
             ca, cb = a.children, b.children
-            if ca.__class__ is not cb.__class__ or len(ca) != len(cb):
+            if len(ca) != len(cb):
                 return False
             stack.extend(zip(reversed(ca), reversed(cb)))
         return True
@@ -670,7 +692,25 @@ class BranchNode:
         return hashes[id(self)]
 
     def __repr__(self):
-        return f"{type(self).__qualname__}(value={self.value!r}, children={self.children!r})"
+        # the dataclass repr, written out from an explicit stack of nodes to
+        # render and text to copy, not by a recursion per level
+        parts = []
+        stack: list[tuple[object, bool]] = [(self, False)]
+        while stack:
+            item, text = stack.pop()
+            if text:
+                parts.append(item)
+            elif not isinstance(item, BranchNode):
+                parts.append(repr(item))
+            else:
+                children = item.children
+                parts.append(f"{type(item).__qualname__}(value={item.value!r}, children=(")
+                stack.append((",))" if len(children) == 1 else "))", True))
+                for i in reversed(range(len(children))):
+                    stack.append((children[i], False))
+                    if i:
+                        stack.append((", ", True))
+        return "".join(parts)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -679,7 +719,17 @@ class BranchNode:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), (self.value, self.children)
+        # a flat preorder of (pair, node-child count, (position, child) of
+        # each other child), so pickle and deepcopy do not recurse per level
+        order = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            kids = [c for c in node.children if isinstance(c, BranchNode)]
+            others = tuple((i, c) for i, c in enumerate(node.children) if not isinstance(c, BranchNode))
+            order.append((node._pair, len(kids), others))
+            stack.extend(reversed(kids))
+        return _rebuild, (order,)
 
     def leaf_count(self) -> int:
         link = getattr(self, "_link", None)
@@ -741,6 +791,24 @@ class _Hashed:
 _set_pair = BranchNode._pair.__set__
 _set_children = BranchNode._children.__set__
 _set_link = BranchNode._link.__set__
+
+
+def _rebuild(order: list[tuple[tuple[int, int], int, tuple]]) -> BranchNode:
+    """The hand-built tree of BranchNode.__reduce__'s preorder, built bottom up.
+
+    Read backwards, a preorder meets each node after its subtree, so a
+    node's children are the last ones built, its first child on top.
+    """
+    built: list[BranchNode] = []
+    for pair, arity, others in reversed(order):
+        children = [built.pop() for _ in range(arity)]
+        for i, child in others:
+            children.insert(i, child)
+        node = object.__new__(BranchNode)
+        _set_pair(node, pair)
+        _set_children(node, tuple(children))
+        built.append(node)
+    return built[0]
 
 
 class _Levels:
@@ -834,7 +902,7 @@ def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNod
         arities: list[list[int]] = []
         room = _TREE_NODE_CAP - 1
         for level in range(depth):
-            pairs, counts = _preimage_level(system.at(level), levels[-1], room)
+            pairs, counts = _preimage_level(system._at(level), levels[-1], room)
             room -= len(pairs)
             levels.append(pairs)
             arities.append(counts)

@@ -1,4 +1,19 @@
-"""Tests for interval maps, orbit certificates and inverse-limit coding."""
+"""Tests for interval maps, orbit certificates and inverse-limit coding.
+
+The differential tests check effdim's int kernels against one plain
+Fraction reference, ``pl_reference`` (tests/pl_reference.py), which
+works on vertex lists, imports nothing of effdim but PreconditionError,
+and takes the caps as arguments.  Their inputs are random maps, maps
+with redundant collinear vertices, the named maps, shared vertex
+values, huge denominators, and caps lowered through monkeypatch.  The
+private kernels are checked against the reference's results too:
+``_refine`` and ``_powers`` against its consecutive vertices,
+``_cycle_table`` against its cycle points keyed by floor(v * 2^64),
+``_step`` against its evaluation and ``_preimage_level`` against its
+preimages.  The one copy of earlier library code kept here is
+``_OldBranchNode``, the frozen dataclass whose repr, hash and equality
+``BranchNode`` must match.
+"""
 
 import copy
 import functools
@@ -7,12 +22,12 @@ import itertools
 import pickle
 import random
 import weakref
-from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd
 from unittest import mock
 
+import pl_reference as ref
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -166,163 +181,33 @@ class TestPreimages:
             orbit_analyze(tent_map(), F(1, 3), max_cycle_period=12)
 
 
-# --- verbatim copies of the Fraction kernels the affine pieces replaced -----
-
-
-def _old_call(f, x):
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise PreconditionError("argument outside [0,1]")
-    verts = f.vertices
-    i = min(bisect_right([x for x, _ in verts], x), len(verts) - 1) - 1
-    (x0, y0), (x1, y1) = verts[i], verts[i + 1]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-
-
-def _old_solutions(f, y):
-    return {
-        x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-        for (x0, y0), (x1, y1) in f.segments()
-        if min(y0, y1) <= y <= max(y0, y1)
-    }
-
-
-def _old_preimages(f, y):
-    sols = _old_solutions(f, Fraction(y))
-    if not sols:
-        raise PreconditionError("value outside the range of the map")
-    return tuple(sorted(sols))
-
-
-def _old_compose(f, g):
-    cuts = {x for x, _ in g.vertices}.union(*(_old_solutions(g, bx) for bx, _ in f.vertices))
-    xs = sorted(cuts)
-    verts = []
-    for x in xs:
-        y = _old_call(f, _old_call(g, x))
-        if verts and verts[-1][1] == y:
-            raise PreconditionError("composition has a constant segment")
-        verts.append((x, y))
-    return PLMap(tuple(verts))
-
-
-def _cycles_by_power(f, max_period):
-    """The cycle table from powers of f chained through _old_compose: the
-    fixed points of each f^p read off its segments' vertices."""
-    cycles = []
-    known = set()
-    fp = f
-    for p in range(1, max_period + 1):
-        if p > 1:
-            fp = _old_compose(f, fp)
-        fixed = set()
-        for (x0, y0), (x1, y1) in fp.segments():
-            slope = (y1 - y0) / (x1 - x0)
-            if slope == 1:
-                if y0 == x0:
-                    fixed.add(x0)
-                    fixed.add(x1)
-                continue
-            x = (x0 * slope - y0) / (slope - 1)
-            if x0 <= x <= x1:
-                fixed.add(x)
-        for x in sorted(fixed):
-            if x in known:
-                continue
-            orbit = [x]
-            cur = _old_call(f, x)
-            while cur != x:
-                orbit.append(cur)
-                cur = _old_call(f, cur)
-            if len(orbit) == p:
-                cycles.append(tuple(orbit))
-                known.update(orbit)
-    return tuple(cycles)
-
-
-@functools.lru_cache(maxsize=None)
-def _old_cycle_point_index(f, max_period):
-    cycles = _cycles_by_power(f, max_period)
-    entries = sorted(
-        (pt, idx) for idx, cycle in enumerate(cycles) for pt in cycle
-    )
-    values = [pt for pt, _ in entries]
-    owners = [idx for _, idx in entries]
-    return cycles, values, owners
-
-
-def _old_orbit_analyze(f, x0, budget, tol, max_cycle_period):
-    """orbit_analyze with the sorted cycle points and its bisect window."""
-    x0 = Fraction(x0)
-    tol = Fraction(tol)
-    cycles, cyc_values, cyc_owners = _old_cycle_point_index(f, max_cycle_period)
-    seen = {}
-    x = x0
-    for step in range(budget + 1):
-        if x in seen:
-            tail = seen[x]
-            return il.OrbitReport("Preperiodic", tail=tail, period=step - tail, steps=step)
-        seen[x] = step
-        lo = bisect_right(cyc_values, x - tol)
-        hi = bisect_right(cyc_values, x + tol)
-        for ci in sorted({cyc_owners[i] for i in range(lo, hi)}):
-            cycle = cycles[ci]
-            d = min(abs(x - pt) for pt in cycle)
-            if 0 < d < tol:
-                nxt = _old_call(f, x)
-                d_next = min(abs(nxt - pt) for pt in cycle)
-                if d_next <= d:
-                    return il.OrbitReport(
-                        "AsymptoticallyPeriodic",
-                        cycle=cycle,
-                        steps=step,
-                        final_distance=d,
-                    )
-        if x.denominator.bit_length() > il._DENOM_BIT_CAP:
-            return il.OrbitReport("Unknown", steps=step)
-        if step < budget:
-            x = _old_call(f, x)
-    return il.OrbitReport("Unknown", steps=budget)
-
-
-def _old_branching_tree(system, x0, depth):
-    """branching_tree with Fraction levels, built on _old_preimages."""
-    if depth < 0:
-        raise PreconditionError("depth must be nonnegative")
-    levels = [[Fraction(x0)]]
-    arities = []
-    total = 1
-    for level in range(depth):
-        f = system.at(level)
-        values = []
-        counts = []
-        for value in levels[-1]:
-            pre = _old_preimages(f, value)
-            counts.append(len(pre))
-            values.extend(pre)
-            if total + len(values) > il._TREE_NODE_CAP:
-                raise PreconditionError(f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
-        total += len(values)
-        levels.append(values)
-        arities.append(counts)
-    nodes = [il.BranchNode(v) for v in levels[-1]]
-    for values, counts in zip(reversed(levels[:-1]), reversed(arities)):
-        children = iter(nodes)
-        nodes = [
-            il.BranchNode(v, tuple(itertools.islice(children, n))) for v, n in zip(values, counts)
-        ]
-    return nodes[0]
-
-
-OUTSIDE = (PreconditionError, "start point outside [0,1]")
-
-
 def _outcome(fn, *args):
     """fn's value, or the type and message of the error it raised."""
     try:
         return fn(*args)
     except (PreconditionError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def _levels(system):
+    """A system as the reference reads it: level n's vertex list."""
+    return lambda n: system.at(n).vertices
+
+
+def _orbits(f, x0, budget, tol, max_period):
+    """orbit_analyze's report as its fields, or its error, and the reference's, at the current caps."""
+    new = _outcome(orbit_analyze, f, x0, budget, tol, max_period)
+    if isinstance(new, il.OrbitReport):
+        new = (new.kind, new.tail, new.period, new.cycle, new.steps, new.final_distance)
+    args = (f.vertices, x0, budget, tol, max_period, il._SEGMENT_CAP, il._DENOM_BIT_CAP)
+    return new, _outcome(ref.orbit_analyze, *args)
+
+
+def _ref_table(f, max_period):
+    """The reference's cycles, their points' keys floor(v * 2^64) ascending, and each key's cycle."""
+    cycles = ref.cycles(f.vertices, max_period, il._SEGMENT_CAP)
+    entries = sorted(((v.numerator << 64) // v.denominator, i) for i, cycle in enumerate(cycles) for v in cycle)
+    return cycles, [k for k, _ in entries], [i for _, i in entries]
 
 
 @st.composite
@@ -344,19 +229,11 @@ class TestAffinePieces:
     def test_preimages_and_evaluation_match_the_fraction_kernel(self, case):
         f, ys = case
         for y in ys:
-            assert _outcome(preimages, f, y) == _outcome(_old_preimages, f, y)
-            assert _outcome(f, y) == _outcome(_old_call, f, y)
-
-    @given(f=pl_maps(), g=pl_maps())
-    def test_compose_matches_the_fraction_kernel(self, f, g):
-        new = _outcome(compose, f, g)
-        old = _outcome(_old_compose, f, g)
-        assert (new.vertices if isinstance(new, PLMap) else new) == (
-            old.vertices if isinstance(old, PLMap) else old
-        )
+            assert _outcome(preimages, f, y) == _outcome(ref.preimages, f.vertices, y)
+            assert _outcome(f, y) == _outcome(ref.evaluate, f.vertices, y)
 
     def test_shared_vertex_is_listed_once(self):
-        assert preimages(five_segment_map(), F(4, 5)) == _old_preimages(five_segment_map(), F(4, 5))
+        assert preimages(five_segment_map(), F(4, 5)) == ref.preimages(five_segment_map().vertices, F(4, 5))
         assert preimages(tent_map(), F(1)) == (F(1, 2),)
 
     def test_inverse_pieces_built_once_per_tree(self, monkeypatch):
@@ -376,14 +253,14 @@ class TestOrbitWindow:
     @given(x0=unit_points, max_period=st.integers(1, 4), name=st.sampled_from(["tent", "five"]))
     def test_named_maps_match_the_bisect_window(self, tol, x0, max_period, name):
         f = tent_map() if name == "tent" else five_segment_map()
-        new = orbit_analyze(f, x0, budget=300, tol=tol, max_cycle_period=max_period)
-        assert new == _old_orbit_analyze(f, x0, 300, tol, max_period)
+        new, old = _orbits(f, x0, 300, tol, max_period)
+        assert new == old
 
     @pytest.mark.parametrize("tol", TOLS, ids=str)
     @given(f=pl_maps(), x0=unit_points, max_period=st.integers(1, 4))
     def test_random_maps_match_the_bisect_window(self, tol, f, x0, max_period):
-        new = _outcome(orbit_analyze, f, x0, 200, tol, max_period)
-        assert new == _outcome(_old_orbit_analyze, f, x0, 200, tol, max_period)
+        new, old = _orbits(f, x0, 200, tol, max_period)
+        assert new == old
 
     @given(q=st.integers(50, 500).map(lambda v: 2 * v + 1), k=st.integers(0, 2**20), shift=st.integers(0, 4))
     def test_tent_repeats_match_the_bisect_window(self, q, k, shift):
@@ -392,15 +269,15 @@ class TestOrbitWindow:
         # q + shift + 1 steps, mostly after hundreds of distinct values
         f = tent_map()
         x0 = F(k % (q << shift), q << shift)
-        new = orbit_analyze(f, x0, budget=1200)
-        assert new == _old_orbit_analyze(f, x0, 1200, F(1, 2**40), 8)
-        assert new.kind == "Preperiodic"
-        assert new.tail + new.period == new.steps
+        new, old = _orbits(f, x0, 1200, F(1, 2**40), 8)
+        assert new == old
+        kind, tail, period, _, steps, _ = new
+        assert kind == "Preperiodic" and tail + period == steps
         path = [x0]
-        for _ in range(new.steps):
-            path.append(_old_call(f, path[-1]))
-        assert path[new.tail] == path[-1]
-        assert len(set(path[:-1])) == new.steps
+        for _ in range(steps):
+            path.append(ref.evaluate(f.vertices, path[-1]))
+        assert path[tail] == path[-1]
+        assert len(set(path[:-1])) == steps
 
     def test_window_reaches_the_key_distance_of_tol(self):
         # 1 - d, with d just below tol = 2^-40, has a key tol * 2^64 = 2^24
@@ -429,14 +306,14 @@ class TestOrbitWindow:
 class TestCycleTable:
     @given(f=pl_maps(), max_period=st.integers(1, 4))
     def test_chain_equals_per_power_table(self, f, max_period):
-        assert il._cycle_table(f, max_period)[0] == _cycles_by_power(f, max_period)
+        assert il._cycle_table(f, max_period)[0] == ref.cycles(f.vertices, max_period, il._SEGMENT_CAP)
 
     @pytest.mark.parametrize("f", [tent_map(), five_segment_map()], ids=["tent", "five"])
     def test_chain_equals_per_power_table_on_named_maps(self, f):
-        assert il._cycle_table(f, 6)[0] == _cycles_by_power(f, 6)
+        assert il._cycle_table(f, 6)[0] == ref.cycles(f.vertices, 6, il._SEGMENT_CAP)
 
     def test_five_segment_table_at_period_eight(self):
-        assert il._cycle_table(five_segment_map(), 8)[0] == _cycles_by_power(five_segment_map(), 8)
+        assert il._cycle_table(five_segment_map(), 8)[0] == ref.cycles(five_segment_map().vertices, 8, il._SEGMENT_CAP)
 
     def test_one_composition_per_period(self, monkeypatch):
         calls = []
@@ -463,99 +340,6 @@ class TestCycleTable:
         assert len(il._cycle_table(f, 6)[0]) > 1
         assert built == []
 
-    @given(f=pl_maps(), power=st.integers(1, 4))
-    def test_iterate_map_matches_the_old_compose_chain(self, f, power):
-        fp = f
-        for _ in range(power - 1):
-            fp = _old_compose(f, fp)
-        assert iterate_map(f, power).vertices == fp.vertices
-
-
-# --- verbatim copies of the Fraction pieces the int pieces replaced ---------
-# Each reads _old_forward(f) where it read the PLMap's Fraction _forward.
-
-
-@functools.lru_cache(maxsize=None)
-def _old_forward(f):
-    """Per segment, its affine piece (x0, x1, slope, intercept)."""
-    out = []
-    for (x0, y0), (x1, y1) in f.segments():
-        slope = (y1 - y0) / (x1 - x0)
-        out.append((x0, x1, slope, y0 - slope * x0))
-    return tuple(out)
-
-
-def _old_refine(f, pieces):
-    xs, forward = f._xs, _old_forward(f)
-    out = []
-    slopes = {}  # a power of f has few distinct slopes: keep one object each
-    for x0, x1, s, c in pieces:
-        up = s > 0
-        lo, hi = (s * x0 + c, s * x1 + c) if up else (s * x1 + c, s * x0 + c)
-        # the segments of f that g passes through on [x0, x1], in order;
-        # g leaves segment j through its right vertex going up, else its left
-        segs = range(bisect_right(xs, lo) - 1, bisect_left(xs, hi))
-        segs = segs if up else segs[::-1]
-        ends = [(xs[j + up] - c) / s for j in segs[:-1]] + [x1]
-        for a, b, j in zip([x0] + ends, ends, segs):
-            _, _, fs, fc = forward[j]
-            slope = slopes.get((j, s))
-            if slope is None:
-                slope = slopes[j, s] = fs * s
-            out.append((a, b, slope, fs * c + fc))
-    return out
-
-
-def _old_vertices(pieces):
-    x0, _, s, c = pieces[0]
-    return ((x0, s * x0 + c),) + tuple((x1, s * x1 + c) for _, x1, s, c in pieces)
-
-
-def _old_powers(f):
-    pieces = _old_forward(f)
-    for p in itertools.count(2):
-        yield pieces
-        if len(_old_forward(f)) * len(pieces) > il._SEGMENT_CAP:
-            raise PreconditionError(f"f^{p} may exceed {il._SEGMENT_CAP} segments")
-        pieces = _old_refine(f, pieces)
-
-
-def _old_iterate_map(f, power):
-    if power < 1:
-        raise PreconditionError("power must be at least 1")
-    return PLMap(_old_vertices(next(itertools.islice(_old_powers(f), power - 1, None))))
-
-
-def _old_key(v):
-    return (v.numerator << 64) // v.denominator
-
-
-@functools.lru_cache(maxsize=None)
-def _old_cycle_table(f, max_period):
-    cycles = []
-    known = set()  # (numerator, denominator) of each cycle point
-    for p, pieces in zip(range(1, max_period + 1), _old_powers(f)):
-        # the pieces ascend in x, so their fixed points come in ascending order
-        for x0, x1, s, c in pieces:
-            if s == 1:
-                fixed = (x0, x1) if c == 0 else ()
-            else:
-                x = c / (1 - s)
-                fixed = (x,) if x0 <= x <= x1 else ()
-            for x in fixed:
-                if (x.numerator, x.denominator) in known:
-                    continue
-                orbit = [x]
-                cur = f(x)
-                while cur != x:
-                    orbit.append(cur)
-                    cur = f(cur)
-                if len(orbit) == p:
-                    cycles.append(tuple(orbit))
-                    known.update((v.numerator, v.denominator) for v in orbit)
-    entries = sorted((_old_key(pt), idx) for idx, cycle in enumerate(cycles) for pt in cycle)
-    return tuple(cycles), [k for k, _ in entries], [idx for _, idx in entries]
-
 
 @st.composite
 def collinear_maps(draw):
@@ -573,80 +357,62 @@ def collinear_maps(draw):
 any_maps = pl_maps() | collinear_maps()
 
 
-def _piece_values(pieces):
-    """Each int piece as (x0, x1, slope, intercept) Fractions, checking that
-    its right end is reduced over a positive denominator and that
-    gcd(a, b, e) = 1 with e > 0."""
-    out = []
-    x0 = F(0)
+def _piece_vertices(pieces):
+    """The vertices of int pieces, each checked to meet its left neighbour, its right
+    end reduced over a positive denominator and gcd(a, b, e) = 1 with e > 0."""
+    verts = [(F(0), F(pieces[0][3], pieces[0][4]))]
     for xn, xd, a, b, e in pieces:
         assert xd > 0 and gcd(xn, xd) == 1
         assert e > 0 and gcd(a, b, e) == 1
-        out.append((x0, F(xn, xd), F(a, e), F(b, e)))
-        x0 = F(xn, xd)
-    return out
+        assert (a * verts[-1][0] + b) / e == verts[-1][1]
+        verts.append((F(xn, xd), (a * F(xn, xd) + b) / e))
+    return tuple(verts)
 
 
-def _xs_call(f, x):
-    """PLMap.__call__ bisecting the Fraction vertex list, verbatim but for
-    reading _old_forward(f)'s slope and intercept."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise PreconditionError("argument outside [0,1]")
-    _, _, s, c = _old_forward(f)[min(bisect_right(f._xs, x), len(f._xs) - 1) - 1]
-    return s * x + c
-
-
-HUGE_UNIT = st.integers(2**1999, 2**2000).flatmap(
-    lambda q: st.integers(0, q).map(lambda p: F(p, q))
-)
+HUGE_UNIT = st.integers(2**1999, 2**2000).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
 
 
 class TestIntPieces:
     @given(f=any_maps, xs=st.lists(unit_points | HUGE_UNIT, min_size=1, max_size=4))
     def test_call_matches_the_fraction_bisect(self, f, xs):
         # at every vertex, 2^-60 to either side of it (past 0 and 1 too),
-        # and at small and ~2,000-bit points; against the Fraction vertex
-        # bisect and against the Fraction (slope, intercept) evaluation
+        # and at small and ~2,000-bit points
         eps = F(1, 2**60)
         near = [x + d for x, _ in f.vertices for d in (-eps, 0, eps)]
         for x in near + xs:
-            new = _outcome(f, x)
-            assert new == _outcome(_xs_call, f, x) == _outcome(_fraction_call, f, x)
+            assert _outcome(f, x) == _outcome(ref.evaluate, f.vertices, x)
 
     @given(f=any_maps, g=any_maps)
     def test_refine_matches_the_fraction_pieces(self, f, g):
-        assert _piece_values(il._refine(f, g._pieces)) == _old_refine(f, _old_forward(g))
+        assert _piece_vertices(il._refine(f, g._pieces)) == ref.compose(f.vertices, g.vertices)
 
     @given(f=any_maps, power=st.integers(1, 4))
     def test_powers_match_the_fraction_pieces(self, f, power):
         new = list(itertools.islice(il._powers(f), power))
-        old = list(itertools.islice(_old_powers(f), power))
-        assert [_piece_values(p) for p in new] == [list(p) for p in old]
+        old = [ref.iterate_map(f.vertices, p, il._SEGMENT_CAP) for p in range(1, power + 1)]
+        assert [_piece_vertices(p) for p in new] == old
 
     @given(f=any_maps, g=any_maps)
     def test_compose_matches_the_fraction_chain(self, f, g):
-        assert compose(f, g).vertices == _old_vertices(_old_refine(f, _old_forward(g)))
+        assert compose(f, g).vertices == ref.compose(f.vertices, g.vertices)
 
     @given(f=any_maps, power=st.integers(0, 5))
     def test_iterate_map_matches_the_fraction_chain(self, f, power):
         new = _outcome(iterate_map, f, power)
-        old = _outcome(_old_iterate_map, f, power)
-        assert (new.vertices if isinstance(new, PLMap) else new) == (
-            old.vertices if isinstance(old, PLMap) else old
-        )
+        old = _outcome(ref.iterate_map, f.vertices, power, il._SEGMENT_CAP)
+        assert (new.vertices if isinstance(new, PLMap) else new) == old
 
     @given(f=any_maps, max_period=st.integers(1, 5))
     def test_cycle_table_matches_the_fraction_table(self, f, max_period):
         new = _outcome(il._cycle_table, f, max_period)
-        assert new == _outcome(_old_cycle_table, f, max_period)
+        assert new == _outcome(_ref_table, f, max_period)
         if not isinstance(new[0], type):
             assert all(type(v) is Fraction for cycle in new[0] for v in cycle)
 
     @pytest.mark.parametrize("f", [tent_map(), five_segment_map()], ids=["tent", "five"])
     def test_named_tables_at_period_eight(self, f):
         il._cycle_table.cache_clear()
-        assert il._cycle_table(f, 8) == _old_cycle_table(f, 8)
+        assert il._cycle_table(f, 8) == _ref_table(f, 8)
 
     def test_identity_pieces_and_redundant_cuts(self):
         # the identity, with redundant vertices, fixes every point: each
@@ -654,85 +420,11 @@ class TestIntPieces:
         # are its two ends
         f = PLMap(((F(0), F(0)), (F(1, 3), F(1, 3)), (F(1, 2), F(1, 2)), (F(1), F(1))))
         new = il._cycle_table(f, 3)
-        assert new == _old_cycle_table(f, 3)
+        assert new == _ref_table(f, 3)
         assert new[0] == ((F(0),), (F(1, 3),), (F(1, 2),), (F(1),))
         # a slope-1 piece off the diagonal fixes nothing
         g = PLMap(((F(0), F(1, 4)), (F(3, 4), F(1)), (F(1), F(0))))
-        assert il._cycle_table(g, 4) == _old_cycle_table(g, 4)
-
-
-# --- verbatim copies of the Fraction evaluation the int step replaced -------
-# PLMap._forward as a function of the map, PLMap.__call__ reading it, and
-# orbit_analyze stepping on Fractions through that __call__.
-
-
-@functools.lru_cache(maxsize=None)
-def _fraction_forward(f):
-    """Per segment, (slope, intercept) as Fractions, for evaluation."""
-    return tuple((Fraction(a, e), Fraction(b, e)) for _, _, a, b, e in f._pieces)
-
-
-def _fraction_call(f, x):
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise PreconditionError("argument outside [0,1]")
-    # Powers of a map reach thousands of segments, so the segment
-    # lookup must not scan linearly.  It bisects the int vertex grid:
-    # for an int g, g > x·den exactly when g > floor(x·den).
-    den, grid = f._grid
-    i = bisect_right(grid, x.numerator * den // x.denominator)
-    s, c = _fraction_forward(f)[min(i, len(grid) - 1) - 1]
-    return s * x + c
-
-
-def _fraction_orbit_analyze(
-    f,
-    x0,
-    budget=10_000,
-    tol=Fraction(1, 2**40),
-    max_cycle_period=8,
-):
-    x0 = il._start_point(x0)
-    if il.int_arg(budget, "budget") < 1:
-        raise PreconditionError("budget must be positive")
-    il.int_arg(max_cycle_period, "max_cycle_period")
-    tol = il.rat(tol)
-    cycles, keys, owners = il._cycle_table(f, max_cycle_period)
-    # A cycle point v within tol of x has |_key(v) - _key(x)| <= reach, so
-    # that key window names every candidate cycle; any others it names are
-    # at least tol away.  A negative reach names none.
-    reach = -(-(tol.numerator << 64) // tol.denominator)
-    # keyed by (numerator, denominator): the same equality as the Fraction,
-    # without Fraction.__hash__'s modular inverse of the denominator
-    seen = {}
-    x = x0
-    for step in range(budget + 1):
-        pair = (x.numerator, x.denominator)
-        if pair in seen:
-            tail = seen[pair]
-            return il.OrbitReport("Preperiodic", tail=tail, period=step - tail, steps=step)
-        seen[pair] = step
-        k = il._key(*pair)
-        lo = bisect_left(keys, k - reach)
-        hi = bisect_right(keys, k + reach)
-        for ci in sorted(set(owners[lo:hi])) if lo < hi else ():
-            cycle = cycles[ci]
-            d = min(abs(x - pt) for pt in cycle)
-            if 0 < d < tol:
-                nxt = _fraction_call(f, x)
-                d_next = min(abs(nxt - pt) for pt in cycle)
-                if d_next <= d:
-                    return il.OrbitReport(
-                        "AsymptoticallyPeriodic",
-                        cycle=cycle,
-                        steps=step,
-                        final_distance=d,
-                    )
-        if x.denominator.bit_length() > il._DENOM_BIT_CAP:
-            return il.OrbitReport("Unknown", steps=step)
-        if step < budget:
-            x = _fraction_call(f, x)
-    return il.OrbitReport("Unknown", steps=budget)
+        assert il._cycle_table(g, 4) == _ref_table(g, 4)
 
 
 def _unit_fractions(bits):
@@ -767,7 +459,7 @@ class TestIntStep:
         # the vertices too, where m = a*n + b*d may be 0 or share a factor with e
         xs = data.draw(st.lists(_unit_fractions(bits), min_size=1, max_size=3))
         for x in [v for v, _ in f.vertices] + xs:
-            y = _fraction_call(f, x)
+            y = ref.evaluate(f.vertices, x)
             assert f._step(x.numerator, x.denominator) == (y.numerator, y.denominator)
 
     def test_step_takes_no_full_size_gcd(self, monkeypatch):
@@ -794,8 +486,8 @@ class TestIntStep:
         max_period=st.integers(0, 4),
     )
     def test_orbit_matches_the_fraction_steps(self, tol, f, x0, budget, max_period):
-        new = _outcome(orbit_analyze, f, x0, budget, tol, max_period)
-        assert new == _outcome(_fraction_orbit_analyze, f, x0, budget, tol, max_period)
+        new, old = _orbits(f, x0, budget, tol, max_period)
+        assert new == old
 
     @pytest.mark.parametrize("cap", [0, 8, 64, 2100])
     @given(
@@ -807,8 +499,8 @@ class TestIntStep:
     def test_orbit_matches_under_a_lowered_bit_cap(self, cap, f, x0, tol, max_period):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(il, "_DENOM_BIT_CAP", cap)
-            new = _outcome(orbit_analyze, f, x0, 400, tol, max_period)
-            assert new == _outcome(_fraction_orbit_analyze, f, x0, 400, tol, max_period)
+            new, old = _orbits(f, x0, 400, tol, max_period)
+            assert new == old
 
     @pytest.mark.parametrize("name", ["tent", "five"])
     def test_named_orbits_match_the_fraction_steps(self, name):
@@ -819,47 +511,9 @@ class TestIntStep:
         for _ in range(300):
             q = rng.randrange(1, 1001)
             x0 = F(rng.randrange(q + 1), q)
-            assert orbit_analyze(f, x0) == _fraction_orbit_analyze(f, x0)
-
-
-# --- verbatim copies of the Fraction decode and encode ----------------------
-
-
-def _old_decode_point(system, code, depth=None):
-    depth = len(code.word) if depth is None else depth
-    if depth > len(code.word):
-        raise PreconditionError("word shorter than requested depth")
-    traj = [Fraction(code.x0)]
-    for n in range(depth):
-        pre = preimages(system.at(n), traj[-1])
-        k = code.word[n]
-        if not 0 <= k < len(pre):
-            raise PreconditionError(f"branch index {k} out of range at level {n}")
-        traj.append(pre[k])
-    return tuple(traj)
-
-
-def _old_encode_point(system, trajectory):
-    traj = [Fraction(x) for x in trajectory]
-    if not traj:
-        raise PreconditionError("empty trajectory")
-    word = []
-    ex_time = set()
-    for n in range(len(traj) - 1):
-        f = system.at(n)
-        if f(traj[n + 1]) != traj[n]:
-            raise PreconditionError(f"not a backward trajectory at level {n}")
-        pre = preimages(f, traj[n])
-        word.append(pre.index(traj[n + 1]))
-    for n in range(len(traj)):
-        try:
-            f = system.at(n)
-        except ValueError:
-            break
-        _, ex_vals = extrema_of(f)
-        if traj[n] in ex_vals:
-            ex_time.add(n)
-    return BranchCode(traj[0], tuple(word), frozenset(ex_time))
+            r = orbit_analyze(f, x0)
+            new = (r.kind, r.tail, r.period, r.cycle, r.steps, r.final_distance)
+            assert new == _orbits(f, x0, 10_000, F(1, 2**40), 8)[1]
 
 
 def _start_values(f):
@@ -888,25 +542,32 @@ def encode_cases(draw):
     for _ in range(draw(st.integers(0, 8))):
         if not min(y for _, y in f.vertices) <= traj[-1] <= max(y for _, y in f.vertices):
             break
-        traj.append(draw(st.sampled_from(_old_preimages(f, traj[-1]))))
+        traj.append(draw(st.sampled_from(ref.preimages(f.vertices, traj[-1]))))
     traj = traj[: draw(st.integers(0, len(traj)))]
     if traj and draw(st.booleans()):
         traj[draw(st.integers(0, len(traj) - 1))] = draw(_start_values(f))
     return f, traj
 
 
+def _decodes(system, code, depth=None):
+    """decode_point's trajectory, or its error, and the reference's."""
+    new = _outcome(decode_point, system, code, depth)
+    return new, _outcome(ref.decode_point, _levels(system), code.x0, code.word, depth)
+
+
+def _codes(system, traj):
+    """encode_point's (x0, word, ex_time), or its error, and the reference's."""
+    new = _outcome(encode_point, system, traj)
+    if isinstance(new, BranchCode):
+        new = (new.x0, new.word, new.ex_time)
+    return new, _outcome(ref.encode_point, _levels(system), traj)
+
+
 class TestBranchCodeDifferential:
     @given(case=decode_cases())
     def test_decode_matches_the_fraction_levels(self, case):
         f, code, depth = case
-        system = InverseSystem.constant(f)
-        new = _outcome(decode_point, system, code, depth)
-        old = _outcome(_old_decode_point, system, code, depth)
-        if not 0 <= code.x0 <= 1:
-            # the old levels let such a start through only at depth 0
-            assert new == OUTSIDE
-            assert isinstance(old[0], type) or len(old) == 1
-            return
+        new, old = _decodes(InverseSystem.constant(f), code, depth)
         assert new == old
         if not isinstance(new[0], type):
             assert all(type(v) is Fraction for v in new)
@@ -914,33 +575,24 @@ class TestBranchCodeDifferential:
     @given(case=encode_cases())
     def test_encode_matches_the_fraction_ranks(self, case):
         f, traj = case
-        system = InverseSystem.constant(f)
-        new = _outcome(encode_point, system, traj)
-        old = _outcome(_old_encode_point, system, traj)
-        if traj and not 0 <= traj[0] <= 1:
-            # the old ranks let such a start through only alone
-            assert new == OUTSIDE
-            assert isinstance(old, tuple) or len(traj) == 1
-            return
+        new, old = _codes(InverseSystem.constant(f), traj)
         assert new == old
 
     def test_error_messages(self):
         half = InverseSystem.constant(PLMap(((F(0), F(0)), (F(1), F(1, 2)))))
-        cases = [
-            (decode_point, _old_decode_point, (TENT, BranchCode(F(1), (1,)))),
-            (decode_point, _old_decode_point, (TENT, BranchCode(F(1, 3), (0, -1)))),
-            (decode_point, _old_decode_point, (TENT, BranchCode(F(1, 3), (0,)), 2)),
-            (decode_point, _old_decode_point, (half, BranchCode(F(3, 4), (0,)))),
-            (decode_point, _old_decode_point, (half, BranchCode(F(1, 2), (0, 0)))),
-            (encode_point, _old_encode_point, (TENT, ())),
-            (encode_point, _old_encode_point, (TENT, (F(1, 2), F(1, 4), F(1, 3)))),
-            (encode_point, _old_encode_point, (TENT, (F(1, 2), F(3, 2)))),
-            (encode_point, _old_encode_point, (half, (F(3, 4), F(1)))),
-        ]
-        for new, old, args in cases:
-            out = _outcome(new, *args)
-            assert out == _outcome(old, *args)
-            assert isinstance(out, tuple) and out[0] is PreconditionError
+        for new, old in [
+            _decodes(TENT, BranchCode(F(1), (1,))),
+            _decodes(TENT, BranchCode(F(1, 3), (0, -1))),
+            _decodes(TENT, BranchCode(F(1, 3), (0,)), 2),
+            _decodes(half, BranchCode(F(3, 4), (0,))),
+            _decodes(half, BranchCode(F(1, 2), (0, 0))),
+            _codes(TENT, ()),
+            _codes(TENT, (F(1, 2), F(1, 4), F(1, 3))),
+            _codes(TENT, (F(1, 2), F(3, 2))),
+            _codes(half, (F(3, 4), F(1))),
+        ]:
+            assert new == old
+            assert isinstance(new, tuple) and new[0] is PreconditionError
 
 
 class TestOrbitAnalyze:
@@ -1099,20 +751,41 @@ class TestBranchingTree:
         def build(value, level):
             if level == depth:
                 return il.BranchNode(value)
-            return il.BranchNode(value, tuple(build(p, level + 1) for p in _old_preimages(f, value)))
+            return il.BranchNode(value, tuple(build(p, level + 1) for p in ref.preimages(f.vertices, value)))
 
         assert branching_tree(InverseSystem.constant(f), x0, depth) == build(x0, 0)
 
 
-def _preorder(tree):
-    """Each node's value type, value and arity, in preorder."""
+def _preorder_nodes(tree):
     out = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        out.append((type(node.value), node.value, len(node.children)))
+        out.append(node)
         stack.extend(reversed(node.children))
     return out
+
+
+def _preorder(tree):
+    """Each node's value and arity in preorder; every value must be a Fraction."""
+    nodes = _preorder_nodes(tree)
+    assert all(type(node.value) is Fraction for node in nodes)
+    return [(node.value, len(node.children)) for node in nodes]
+
+
+def _tree_outcome(system, x0, depth, cap):
+    """branching_tree's preorder, or its error, under a node cap; the collector
+    must come back as it was."""
+    was = gc.isenabled()
+    with mock.patch.object(il, "_TREE_NODE_CAP", cap):
+        out = _outcome(branching_tree, system, x0, depth)
+    assert gc.isenabled() is was
+    return _preorder(out) if isinstance(out, il.BranchNode) else out
+
+
+def _ref_tree(system, x0, depth, cap):
+    """The reference's preorder, or its error."""
+    return _outcome(ref.branching_tree, _levels(system), x0, depth, cap)
 
 
 @st.composite
@@ -1131,27 +804,14 @@ class TestBranchingTreeDifferential:
     def test_matches_the_fraction_levels(self, case):
         f, x0, depth, cap = case
         system = InverseSystem.constant(f)
-        with mock.patch.object(il, "_TREE_NODE_CAP", cap):
-            new = _outcome(branching_tree, system, x0, depth)
-            old = _outcome(_old_branching_tree, system, x0, depth)
-        if not 0 <= x0 <= 1:
-            # the old levels let such a start through only at depth 0
-            assert new == OUTSIDE
-            assert isinstance(old, tuple) or depth == 0
-        elif isinstance(old, il.BranchNode):
-            assert isinstance(new, il.BranchNode)
-            assert _preorder(new) == _preorder(old)
-            assert all(kind is Fraction for kind, _, _ in _preorder(new))
-        else:
-            assert new == old
+        assert _tree_outcome(system, x0, depth, cap) == _ref_tree(system, x0, depth, cap)
 
     def test_off_range_start_and_cap_errors(self):
         half = InverseSystem.constant(PLMap(((F(0), F(0)), (F(1), F(1, 2)))))
         for system, x0, depth, cap in ((half, F(3, 4), 1, 10), (half, F(1, 2), 3, 10), (TENT, F(1, 3), 4, 20)):
-            with mock.patch.object(il, "_TREE_NODE_CAP", cap):
-                new = _outcome(branching_tree, system, x0, depth)
-                assert new == _outcome(_old_branching_tree, system, x0, depth)
-                assert isinstance(new, tuple) and new[0] is PreconditionError
+            new = _tree_outcome(system, x0, depth, cap)
+            assert new == _ref_tree(system, x0, depth, cap)
+            assert isinstance(new, tuple) and new[0] is PreconditionError
 
 
 class TestBranchingTreeCollector:
@@ -1192,90 +852,6 @@ class TestBranchingTreeCollector:
         assert states == [False] * 3
 
 
-# --- verbatim copies of the per-pair kernel and the tree it built -------------
-# Module names are read through il, so a patched _TREE_NODE_CAP reaches them.
-
-
-def _pair_preimages(f, p, q):
-    sols = []
-    for lo_n, lo_d, hi_n, hi_d, an, bn, d in f._inverse:
-        if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q:
-            n, m = an * p + bn * q, d * q
-            g = gcd(n, m)
-            x = (n // g, m // g)
-            if not sols or sols[-1] != x:
-                sols.append(x)
-    if not sols:
-        raise PreconditionError("value outside the range of the map")
-    return sols
-
-
-def _pair_node(pair, children):
-    node = object.__new__(il.BranchNode)
-    il._set_pair(node, pair)
-    il._set_children(node, children)
-    return node
-
-
-def _pair_branching_tree(system, x0, depth):
-    if il.int_arg(depth, "depth") < 0:
-        raise PreconditionError("depth must be nonnegative")
-    x0 = il._start_point(x0)
-    levels = [[(x0.numerator, x0.denominator)]]
-    arities = []
-    total = 1
-    for level in range(depth):
-        f = system.at(level)
-        pairs = []
-        counts = []
-        for p, q in levels[-1]:
-            pre = _pair_preimages(f, p, q)
-            counts.append(len(pre))
-            pairs += pre
-            if total + len(pairs) > il._TREE_NODE_CAP:
-                raise PreconditionError(f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
-        total += len(pairs)
-        levels.append(pairs)
-        arities.append(counts)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        node = _pair_node
-        nodes = levels.pop()
-        for i, pair in enumerate(nodes):
-            nodes[i] = node(pair, ())
-        while levels:
-            children = iter(nodes)
-            nodes = levels.pop()
-            for i, (pair, n) in enumerate(zip(nodes, arities.pop())):
-                nodes[i] = node(pair, tuple(itertools.islice(children, n)))
-    finally:
-        if collecting:
-            gc.enable()
-    return nodes[0]
-
-
-def _pair_shape(tree):
-    """Each node's pair and arity in preorder, without recursion."""
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        out.append((node._pair, len(node.children)))
-        stack.extend(reversed(node.children))
-    return out
-
-
-def _tree_outcome(fn, system, x0, depth, cap):
-    """fn's tree as _pair_shape, or its error, under a node cap; the collector
-    must come back as it was."""
-    was = gc.isenabled()
-    with mock.patch.object(il, "_TREE_NODE_CAP", cap):
-        out = _outcome(fn, system, x0, depth)
-    assert gc.isenabled() is was
-    return _pair_shape(out) if isinstance(out, il.BranchNode) else out
-
-
 IDENTITY = PLMap(((F(0), F(0)), (F(1), F(1))))
 # alternate maps by level, so each level's kernel reads a different map
 MIXED = InverseSystem(lambda n: (tent_map(), five_segment_map(), IDENTITY)[n % 3])
@@ -1294,11 +870,12 @@ class TestEncodeCriticalValues:
         system = KNOWN[data.draw(st.sampled_from(sorted(KNOWN)))]
         traj = [data.draw(st.sampled_from([F(1), F(1, 5), F(4, 5), F(1, 2)]) | unit_points)]
         for n, k in enumerate(data.draw(st.lists(st.integers(0, 3), max_size=8))):
-            pre = preimages(system.at(n), traj[-1])
+            pre = ref.preimages(system.at(n).vertices, traj[-1])
             traj.append(pre[k % len(pre)])
         if data.draw(st.booleans()):
             traj[data.draw(st.integers(0, len(traj) - 1))] = data.draw(unit_points)
-        assert _outcome(encode_point, system, traj) == _outcome(_old_encode_point, system, traj)
+        new, old = _codes(system, traj)
+        assert new == old
 
     def test_each_level_map_is_fetched_once(self):
         calls = []
@@ -1312,7 +889,7 @@ class TestEncodeCriticalValues:
         traj = decode_point(MIXED, BranchCode(F(2, 5), (1, 0, 0, 0)))
         code = encode_point(InverseSystem(rule), traj)
         assert calls == list(range(len(traj)))
-        assert code == _old_encode_point(MIXED, traj)
+        assert (code.x0, code.word, code.ex_time) == ref.encode_point(_levels(MIXED), traj)
         assert code.ex_time == frozenset({1, 4})
 
     def test_a_rule_may_end_at_the_last_level(self):
@@ -1323,8 +900,9 @@ class TestEncodeCriticalValues:
 
         system = InverseSystem(rule)
         traj = (F(1), F(1, 2), F(1, 4), F(1, 8))
-        assert encode_point(system, traj) == _old_encode_point(system, traj)
-        assert encode_point(system, traj).ex_time == frozenset({0})
+        new, old = _codes(system, traj)
+        assert new == old
+        assert new[2] == frozenset({0})
         # before the last level the first loop reads the rule, which raises
         assert _outcome(encode_point, system, traj + (F(1, 16),)) == (ValueError, "no map past level 2")
 
@@ -1345,21 +923,20 @@ class TestLevelKernelDifferential:
     def test_matches_the_per_pair_tree(self, case):
         f, x0, depth, cap = case
         system = InverseSystem.constant(f)
-        new = _tree_outcome(branching_tree, system, x0, depth, cap)
-        assert new == _tree_outcome(_pair_branching_tree, system, x0, depth, cap)
+        assert _tree_outcome(system, x0, depth, cap) == _ref_tree(system, x0, depth, cap)
 
     @settings(max_examples=200)
     @given(case=known_tree_cases() | tree_cases().map(lambda c: (InverseSystem.constant(c[0]), c[1], c[2])))
     def test_cap_at_the_node_count_and_one_below(self, case):
         system, x0, depth = case
-        old = _tree_outcome(_pair_branching_tree, system, x0, depth, il._TREE_NODE_CAP)
+        old = _ref_tree(system, x0, depth, il._TREE_NODE_CAP)
         if not isinstance(old, list):
-            assert _tree_outcome(branching_tree, system, x0, depth, il._TREE_NODE_CAP) == old
+            assert _tree_outcome(system, x0, depth, il._TREE_NODE_CAP) == old
             return
         n = len(old)
-        assert _tree_outcome(branching_tree, system, x0, depth, n) == old
-        below = _tree_outcome(branching_tree, system, x0, depth, n - 1)
-        assert below == _tree_outcome(_pair_branching_tree, system, x0, depth, n - 1)
+        assert _tree_outcome(system, x0, depth, n) == old
+        below = _tree_outcome(system, x0, depth, n - 1)
+        assert below == _ref_tree(system, x0, depth, n - 1)
         if depth:
             # only a lone root fits every cap
             assert below == (PreconditionError, f"branching tree exceeds {n - 1} nodes")
@@ -1369,9 +946,9 @@ class TestLevelKernelDifferential:
     def test_deep_identity_chains(self, x0, depth):
         system = InverseSystem.constant(IDENTITY)
         for cap in (depth + 1, depth, il._TREE_NODE_CAP):
-            new = _tree_outcome(branching_tree, system, x0, depth, cap)
-            assert new == _tree_outcome(_pair_branching_tree, system, x0, depth, cap)
-        assert new == [((x0.numerator, x0.denominator), 1)] * depth + [((x0.numerator, x0.denominator), 0)]
+            new = _tree_outcome(system, x0, depth, cap)
+            assert new == _ref_tree(system, x0, depth, cap)
+        assert new == [(x0, 1)] * depth + [(x0, 0)]
 
     @pytest.mark.parametrize("x0", [F(0), F(1, 2), F(1)], ids=str)
     @pytest.mark.parametrize("name", sorted(KNOWN))
@@ -1379,28 +956,30 @@ class TestLevelKernelDifferential:
         # 0, 1/2 and 1 are values at vertices two segments share, where the
         # kernel's repeat check keeps one solution
         for depth in range(9):
-            new = _tree_outcome(branching_tree, KNOWN[name], x0, depth, il._TREE_NODE_CAP)
-            assert new == _tree_outcome(_pair_branching_tree, KNOWN[name], x0, depth, il._TREE_NODE_CAP)
+            new = _tree_outcome(KNOWN[name], x0, depth, il._TREE_NODE_CAP)
+            assert new == _ref_tree(KNOWN[name], x0, depth, il._TREE_NODE_CAP)
 
     @given(f=pl_maps(), level=st.lists(st.fractions(-1, 2, max_denominator=48), max_size=6), room=st.integers(0, 20))
     def test_level_is_the_per_pair_kernel_concatenated(self, f, level, room):
         pairs = [(y.numerator, y.denominator) for y in level]
+        sols = [_outcome(ref.preimages, f.vertices, y) for y in level]
+        sols = [s if isinstance(s[0], type) else [(x.numerator, x.denominator) for x in s] for s in sols]
         want = ([], [])
-        try:
-            for p, q in pairs:
-                pre = _pair_preimages(f, p, q)
-                want[0].extend(pre)
-                want[1].append(len(pre))
-                if len(want[0]) > room:
-                    raise PreconditionError(f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
-        except PreconditionError as exc:
-            want = (PreconditionError, str(exc))
+        for s in sols:
+            if isinstance(s[0], type):
+                want = s
+                break
+            want[0].extend(s)
+            want[1].append(len(s))
+            if len(want[0]) > room:
+                want = (PreconditionError, f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
+                break
         assert _outcome(il._preimage_level, f, pairs, room) == want
-        for p, q in pairs:
-            assert _outcome(il._preimage_pairs, f, p, q) == _outcome(_pair_preimages, f, p, q)
+        for (p, q), s in zip(pairs, sols):
+            assert _outcome(il._preimage_pairs, f, p, q) == s
 
 
-# --- a verbatim copy of the dataclass node and its pair-level node pass ------
+# --- the frozen dataclass BranchNode replaced, its spec for repr, hash and equality
 
 
 @dataclass(frozen=True)
@@ -1415,52 +994,12 @@ class _OldBranchNode:
 _OldBranchNode.__qualname__ = "BranchNode"
 
 
-def _old_pair_tree(system, x0, depth):
-    """branching_tree with one Fraction and one dataclass node per node."""
-    if depth < 0:
-        raise PreconditionError("depth must be nonnegative")
-    x0 = Fraction(x0)
-    levels = [[(x0.numerator, x0.denominator)]]
-    arities = []
-    total = 1
-    for level in range(depth):
-        f = system.at(level)
-        pairs = []
-        counts = []
-        for p, q in levels[-1]:
-            pre = il._preimage_pairs(f, p, q)
-            counts.append(len(pre))
-            pairs += pre
-            if total + len(pairs) > il._TREE_NODE_CAP:
-                raise PreconditionError(f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
-        total += len(pairs)
-        levels.append(pairs)
-        arities.append(counts)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        nodes = levels.pop()
-        for i, (p, q) in enumerate(nodes):
-            nodes[i] = _OldBranchNode(Fraction(p, q))
-        while levels:
-            children = iter(nodes)
-            nodes = levels.pop()
-            for i, ((p, q), n) in enumerate(zip(nodes, arities.pop())):
-                nodes[i] = _OldBranchNode(Fraction(p, q), tuple(itertools.islice(children, n)))
-    finally:
-        if collecting:
-            gc.enable()
-    return nodes[0]
-
-
-def _preorder_nodes(tree):
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
-    return out
+def _dataclass_tree(shape):
+    """The _OldBranchNode tree of a preorder (value, arity) list, built bottom up."""
+    built = []
+    for value, arity in reversed(shape):
+        built.append(_OldBranchNode(value, tuple(built.pop() for _ in range(arity))))
+    return built[0]
 
 
 class TestPairNodes:
@@ -1472,15 +1011,12 @@ class TestPairNodes:
         system = InverseSystem.constant(f)
         with mock.patch.object(il, "_TREE_NODE_CAP", cap):
             new = _outcome(branching_tree, system, x0, depth)
-            old = _outcome(_old_pair_tree, system, x0, depth)
-        if not 0 <= x0 <= 1:
-            assert new == OUTSIDE
+        shape = _ref_tree(system, x0, depth, cap)
+        if not isinstance(shape, list):
+            assert new == shape
             return
-        if not isinstance(old, _OldBranchNode):
-            assert new == old
-            return
-        assert _preorder(new) == _preorder(old)
-        assert all(kind is Fraction for kind, _, _ in _preorder(new))
+        old = _dataclass_tree(shape)
+        assert _preorder(new) == _preorder(old) == shape
         assert repr(new) == repr(old)
         assert hash(new) == hash(old)
         news, olds = _preorder_nodes(new)[:24], _preorder_nodes(old)[:24]
@@ -1538,6 +1074,23 @@ class TestPairNodes:
             old = _OldBranchNode(F(1, 2), (old,))
         assert hash(chain(150)) == hash(branching_tree(identity, F(1, 2), 150)) == hash(old)
         assert hash(chain(150, F(1, 3))) != hash(old)
+
+    def test_deep_chains_repr_pickle_and_copy_without_recursion(self):
+        # depth-2000 identity chains from 1/2, one a tree and one hand-built over a non-node
+        # child; a recursion per level fails from depth 300 (deepcopy) and 340 (repr, pickle)
+        identity = InverseSystem.constant(PLMap(((F(0), F(0)), (F(1), F(1)))))
+        head = "BranchNode(value=Fraction(1, 2), children=("
+        leaf = "BranchNode(value=Fraction(1, 2), children=())"
+        tree = branching_tree(identity, F(1, 2), 2000)
+        assert repr(tree) == head * 2000 + leaf + ",))" * 2000
+        odd = il.BranchNode(F(1, 2), (il.BranchNode(F(1, 3)), "x"))
+        for _ in range(2000):
+            odd = il.BranchNode(F(1, 2), (odd,))
+        assert repr(odd) == head * 2001 + "BranchNode(value=Fraction(1, 3), children=()), 'x'))" + ",))" * 2000
+        for node in (tree, odd):
+            for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+                assert twin == node and repr(twin) == repr(node)
+                assert getattr(twin, "_link", None) is None and getattr(twin.children[0], "_link", None) is None
 
     @pytest.mark.parametrize("value", [0.5, True, None, 1j, (1, 2)], ids=repr)
     def test_values_must_be_rational(self, value):

@@ -271,6 +271,7 @@ TABLE = {
     ),
     # inverse limits
     "PLMap": (("vertex", "rat", F(1, 2), lambda v: PLMap(((0, 0), (v, 1), (1, 0)))),),
+    "InverseSystem": (("level", "int", 0, lambda v: SYSTEM.at(v)),),
     "BranchNode": (("value", "rat", F(1, 2), lambda v: BranchNode(v)),),
     "iterate_map": (("power", "int", 2, lambda v: iterate_map(TENT, v)),),
     "preimages": (("y", "rat", F(1, 2), lambda v: preimages(TENT, v)),),
@@ -345,7 +346,6 @@ EXEMPT = {
     "sponge_descriptor": "takes no argument",
     "MembershipVerdict": "the record the membership tests return",
     "BranchCode": "a record; decode_point reads its start and word (see its entries)",
-    "InverseSystem": "takes a level -> PLMap rule; at refuses any other map in test_wrong_types",
     "OrbitReport": "the record orbit_analyze returns",
     "compose": _MAP,
     "extrema_of": _MAP,
@@ -486,6 +486,18 @@ def test_refused_forms(kind, good, call):
             lambda: encode_point(InverseSystem.constant(None), (F(1, 2),)),
             "InverseSystem.at needs a PLMap, not NoneType",
         ),
+        # a whole vertex list, branch word, trajectory or child tuple names its slot
+        (lambda: PLMap((0, 1)), "PLMap needs a sequence of (x, y) vertices, not (0, 1)"),
+        (lambda: PLMap(5), "PLMap needs a sequence of (x, y) vertices, not 5"),
+        (lambda: PLMap("0,1"), "PLMap needs a sequence of (x, y) vertices, not '0,1'"),
+        (
+            lambda: decode_point(SYSTEM, BranchCode(F(1, 2), 5)),
+            "decode_point needs a tuple of branch indices, not int",
+        ),
+        (lambda: encode_point(SYSTEM, 5), "encode_point needs a sequence of rationals, not int"),
+        (lambda: encode_point(SYSTEM, "1/2"), "encode_point needs a sequence of rationals, not str"),
+        (lambda: BranchNode(F(1, 2), 5), "BranchNode needs a tuple of children, not int"),
+        (lambda: BranchNode(F(1, 2), [BranchNode(0)]), "BranchNode needs a tuple of children, not list"),
         (lambda: compress_len(None, "01"), "compress_len needs a Compressor, not NoneType"),
         (lambda: compress_len(runlength_compressor, "01"), "compress_len needs a Compressor, not function"),
     ],
