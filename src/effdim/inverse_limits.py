@@ -87,9 +87,15 @@ class PLMap:
         try:
             if isinstance(self.vertices, str):
                 raise TypeError
-            verts = tuple((rat(x), rat(y)) for x, y in self.vertices)
+            verts = []
+            for v in self.vertices:
+                if len(v) != 2:  # refused here, not by unpacking's ValueError
+                    raise TypeError
+                x, y = v
+                verts.append((rat(x), rat(y)))
         except TypeError:
             raise PreconditionError(f"PLMap needs a sequence of (x, y) vertices, not {self.vertices!r}") from None
+        verts = tuple(verts)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise ValueError("need at least two vertices")
@@ -542,6 +548,8 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
     point outside [0,1] is refused at every depth.
     """
     _system_arg(system, "decode_point")
+    if not isinstance(code, BranchCode):
+        raise PreconditionError(f"decode_point needs a BranchCode, not {type(code).__name__}")
     try:
         size = len(code.word)
     except TypeError:

@@ -4,7 +4,8 @@ Each test records a "[criterion N] PASS/FAIL: ..." line that the shared
 conftest prints as a scorecard section after the run, so every test run
 shows the complete scorecard regardless of output capture.  Oracles here
 avoid the library internals: counting is done by direct enumeration,
-nerves by grid sampling, and codes by explicit string arithmetic.
+nerves by the cell enumeration of ``tests/cover_reference.py``, and codes
+by explicit string arithmetic.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import time
 from fractions import Fraction
 
 import conftest
+import cover_reference as ref
 
 from effdim import (
     BUILTIN_COMPRESSORS,
@@ -318,50 +320,6 @@ def test_criterion_08_co_compressibility_windows():
     )
 
 
-def _oracle_faces(members, carrier):
-    width = carrier.resolution()
-    cell_keys = {
-        tuple(lo / width for lo, _ in b.bounds) for b in carrier.boxes()
-    }
-
-    def in_region(p):
-        options = []
-        for v in p:
-            q = v / width
-            idx = q.numerator // q.denominator
-            cand = [idx]
-            if q == idx:
-                cand.append(idx - 1)
-            options.append(cand)
-        return any(key in cell_keys for key in itertools.product(*options))
-
-    axis_values = []
-    for a in range(carrier.dim):
-        cuts = {F(0), F(1)}
-        for m in members:
-            for cube in m.cubes():
-                lo, hi = cube[a]
-                for v in (lo, hi):
-                    if 0 <= v <= 1:
-                        cuts.add(v)
-        for b in carrier.boxes():
-            lo, hi = b.bounds[a]
-            cuts.add(lo)
-            cuts.add(hi)
-        cuts = sorted(cuts)
-        vals = list(cuts)
-        vals.extend((x + y) / 2 for x, y in zip(cuts, cuts[1:]))
-        axis_values.append(sorted(vals))
-    faces = set()
-    for p in itertools.product(*axis_values):
-        if not in_region(p):
-            continue
-        mask = frozenset(i for i, m in enumerate(members) if m.contains(p))
-        for r in range(1, len(mask) + 1):
-            faces.update(map(frozenset, itertools.combinations(sorted(mask), r)))
-    return frozenset(faces)
-
-
 def _random_symbolic_cover(carrier, rng: random.Random) -> FiniteCover:
     parent_level = min(carrier.depth, 2) if carrier.depth > 0 else 0
     parents = carrier.cells_at(parent_level)
@@ -399,7 +357,7 @@ def test_criterion_09_nerve_against_sampling():
             U = _random_symbolic_cover(carrier, rng)
             assert len(U.members) <= 12
             checked += 1
-            if nerve_of(U).faces != _oracle_faces(U.members, carrier):
+            if nerve_of(U).faces != ref.nerve_faces(ref.sets_of(U.members), ref.carrier_of(carrier)):
                 mismatched += 1
     ok = checked == 9 and mismatched == 0
     _report(9, ok, f"{checked} random covers on depth-3 carriers, {mismatched} nerve mismatches")

@@ -1,35 +1,24 @@
-"""Differential tests: the box-local bitset scan against the global cell loops.
+"""Differential tests: the cover layer's cell scans against the reference.
 
-The reference functions below are verbatim copies of the loops that
-``covers_nerve`` ran before its box-local bitset scan replaced them:
-every carrier box cut by every cube of the whole cover, and membership
-tested per (cell, cube) through ``_in_cube``.  Random covers in one to
-three dimensions, with cubes poking past the unit box, explicit
-zero-width carrier boxes and point clouds, must get the same answers
-from the scan's consumers as from these copies.  The scan reads ints on
-a common grid, so half the random covers mix coprime denominators.
-
-The int kernels past the scan, complement distances, shrink margins and
-``_rank`` (fed int rows), are checked the same way against verbatim
-copies of the Fraction code they replaced.
-
-The scan itself is gone from ``covers_nerve``; ``_old_scan`` is a
-verbatim copy, checked against the global loops and kept as the oracle
-for what replaced it.  The queries that read the carrier as a point set,
-mask sets, meshes and which cubes meet the carrier,
-scan merged carrier boxes without building cells; they are checked
-against ``_old_scan`` over every carrier cell.  An open set's complement
-is one int bitboard over its arrangement; it is checked against
-``_old_uncovered_closures``, a verbatim copy of the scan-based build.
+``covers_nerve`` reads a family on a carrier without building cells: it
+ANDs per-axis bitsets of the cubes meeting each merged carrier box, and
+builds an open set's complement on one int bitboard.  The reference,
+``tests/cover_reference.py``, cuts every carrier box by every cube facet
+and tests one representative per cell with strict inequalities on
+Fractions.  Random covers in one to three dimensions, with cubes poking
+past the unit box, explicit zero-width carrier boxes and point clouds,
+must get the same mask sets, multiplicities, meshes, parents, complement
+distances and shrinkings from both.  The kernels read ints on a common
+grid, so half the random covers mix coprime denominators.  ``_rank``
+(fed int rows) is checked against the reference's Fraction elimination.
 """
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
+import cover_reference as ref
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -46,338 +35,13 @@ from effdim import (
     interval_carrier,
     sponge_descriptor,
 )
-from effdim._rat import ONE, ZERO, max_dist
+from effdim._rat import ONE, ZERO
 from effdim.ball_calculus import PreconditionError
-from effdim.covers_nerve import Bounds, IntBounds
 
 F = Fraction
 GRID = 24  # every drawn coordinate is a multiple of 1/GRID, so cuts coincide often
 # ...except in the mixed covers, whose coordinates are multiples of one of these
 MIXED = (24, 35, 7, 2**40)
-
-
-# --- reference: the global loops, verbatim ---------------------------------
-
-
-def _axis_cells(lo: Fraction, hi: Fraction, cuts: Iterable[Fraction]):
-    vals = sorted({lo, hi} | {c for c in cuts if lo < c < hi})
-    out = []
-    for t, v in enumerate(vals):
-        out.append((v, v, v))
-        if t + 1 < len(vals):
-            nxt = vals[t + 1]
-            out.append(((v + nxt) / 2, v, nxt))
-    return out
-
-
-def _iter_cells(box: Box, cubes: Sequence[Bounds]) -> Iterator[tuple[tuple[Fraction, ...], Bounds]]:
-    per_axis = []
-    for a, (lo, hi) in enumerate(box.bounds):
-        cuts = [c[a][0] for c in cubes] + [c[a][1] for c in cubes]
-        per_axis.append(_axis_cells(lo, hi, cuts))
-    for combo in itertools.product(*per_axis):
-        rep = tuple(c[0] for c in combo)
-        closure = tuple((c[1], c[2]) for c in combo)
-        yield rep, closure
-
-
-def _unit_bounds(dim: int) -> Bounds:
-    return tuple((ZERO, ONE) for _ in range(dim))
-
-
-def _in_cube(coords: Sequence[Fraction], cube: Bounds) -> bool:
-    return all(lo < c < hi for (lo, hi), c in zip(cube, coords))
-
-
-def _dist_to_bounds(coords: Sequence[Fraction], bounds: Bounds) -> Fraction:
-    d = ZERO
-    for c, (lo, hi) in zip(coords, bounds):
-        if c < lo:
-            d = max(d, lo - c)
-        elif c > hi:
-            d = max(d, c - hi)
-    return d
-
-
-def _carrier_masks(members, carrier) -> set[frozenset[int]]:
-    all_cubes = [cube for m in members for cube in m.cubes()]
-    masks: set[frozenset[int]] = set()
-    if isinstance(carrier, PointCloud):
-        for p in carrier.points:
-            masks.add(frozenset(i for i, m in enumerate(members) if m.contains(p)))
-        return masks
-    for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, all_cubes):
-            masks.add(
-                frozenset(
-                    i
-                    for i, m in enumerate(members)
-                    if any(_in_cube(rep, cube) for cube in m.cubes())
-                )
-            )
-    return masks
-
-
-def _mult_exceeds(members, carrier, limit: int) -> bool:
-    if isinstance(carrier, PointCloud):
-        return any(
-            sum(1 for m in members if m.contains(p)) > limit for p in carrier.points
-        )
-    all_cubes = [cube for m in members for cube in m.cubes()]
-    for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, all_cubes):
-            hits = 0
-            for m in members:
-                if any(_in_cube(rep, cube) for cube in m.cubes()):
-                    hits += 1
-                    if hits > limit:
-                        return True
-    return False
-
-
-def _first_uncovered(members, carrier):
-    if isinstance(carrier, PointCloud):
-        for p in carrier.points:
-            if not any(m.contains(p) for m in members):
-                return p
-        return None
-    all_cubes = [cube for m in members for cube in m.cubes()]
-    for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, all_cubes):
-            if not any(any(_in_cube(rep, c) for c in m.cubes()) for m in members):
-                return rep
-    return None
-
-
-def complement_distance(coords, s: OpenSet):
-    box = Box(_unit_bounds(s.dim))
-    cubes = s.cubes()
-    if len(cubes) == 1:
-        cube = cubes[0]
-        if not all(lo < c < hi for (lo, hi), c in zip(cube, coords)):
-            return ZERO
-        best = None
-        for a, ((clo, chi), (blo, bhi)) in enumerate(zip(cube, box.bounds)):
-            if clo >= blo:
-                d = coords[a] - clo
-                best = d if best is None else min(best, d)
-            if chi <= bhi:
-                d = chi - coords[a]
-                best = d if best is None else min(best, d)
-        return best
-    best = None
-    for rep, closure in _iter_cells(box, cubes):
-        if not any(_in_cube(rep, cube) for cube in cubes):
-            d = _dist_to_bounds(coords, closure)
-            best = d if best is None else min(best, d)
-    return best
-
-
-def _closed_family_covers(family, carrier) -> bool:
-    """Does the family of closed boxes cover the carrier?  The check
-    ``shrink_cover`` made of its closed family before it checked only
-    its open one."""
-    if isinstance(carrier, PointCloud):
-        return all(
-            any(b.contains(p) for boxes in family for b in boxes)
-            for p in carrier.points
-        )
-    closed = [b.bounds for boxes in family for b in boxes]
-    for box in carrier.boxes():
-        # cut by the closed boxes meeting this one only: the others hold none of its cells
-        near = [
-            c for c in closed if all(clo <= bhi and blo <= chi for (blo, bhi), (clo, chi) in zip(box.bounds, c))
-        ]
-        for rep, _ in _iter_cells(box, near):
-            if not any(Box(c).contains(rep) for c in near):
-                return False
-    return True
-
-
-def _subset_within(inner: OpenSet, outer: OpenSet, carrier) -> bool:
-    if isinstance(carrier, PointCloud):
-        return all(outer.contains(p) for p in carrier.points if inner.contains(p))
-    cubes = list(inner.cubes()) + list(outer.cubes())
-    for box in carrier.boxes():
-        for rep, _ in _iter_cells(box, cubes):
-            if any(_in_cube(rep, c) for c in inner.cubes()) and not any(
-                _in_cube(rep, c) for c in outer.cubes()
-            ):
-                return False
-    return True
-
-
-def _pieces_within(s: OpenSet, region: Sequence[Box]) -> list[Bounds]:
-    return [
-        tuple((max(blo, clo), min(bhi, chi)) for (blo, bhi), (clo, chi) in zip(box.bounds, cube))
-        for box in region
-        for cube in s.cubes()
-        if all(clo < bhi and chi > blo for (blo, bhi), (clo, chi) in zip(box.bounds, cube))
-    ]
-
-
-def _diam_within(s: OpenSet, carrier) -> Fraction:
-    if isinstance(carrier, PointCloud):
-        inside = [p for p in carrier.points if s.contains(p)]
-        best = ZERO
-        for i, p in enumerate(inside):
-            for q in inside[i:]:
-                best = max(best, max_dist(p, q))
-        return best
-    pieces = _pieces_within(s, carrier.boxes())
-    best = ZERO
-    for i, a in enumerate(pieces):
-        for b in pieces[i:]:
-            gap = max(
-                max(ahi - blo, bhi - alo)
-                for (alo, ahi), (blo, bhi) in zip(a, b)
-            )
-            best = max(best, gap)
-    return best
-
-
-# --- reference: the Fraction kernels the int kernels replaced, verbatim -----
-
-
-def _slab_distance(coords, s: OpenSet):
-    """A single cube's complement distance as unit-box slabs, on Fractions.
-
-    complement_distance's former single-cube branch; it agrees with the
-    closures only at points of the unit box.
-    """
-    cubes = s.cubes()
-    cube = cubes[0]
-    if not all(lo < c < hi for (lo, hi), c in zip(cube, coords)):
-        return ZERO
-    best = None
-    for a, ((clo, chi), (blo, bhi)) in enumerate(zip(cube, _unit_bounds(s.dim))):
-        if clo >= blo:
-            d = coords[a] - clo
-            best = d if best is None else min(best, d)
-        if chi <= bhi:
-            d = chi - coords[a]
-            best = d if best is None else min(best, d)
-    return best
-
-
-def _fraction_rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [v / inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _shrink_cover(U):
-    """shrink_cover with its margin over Fraction representatives, and
-    with the closed family's coverage checked before the open one's.
-
-    The representatives come from the global cell loop above, the
-    closed check is ``_closed_family_covers`` above and the open one
-    ``_first_uncovered``; the rest is verbatim.
-    """
-    all_cubes = [cube for m in U.members for cube in m.cubes()]
-    if isinstance(U.carrier, PointCloud):
-        boxes = [Box(tuple((c, c) for c in p)) for p in U.carrier.points]
-    else:
-        boxes = U.carrier.boxes()
-    units = [rep for box in boxes for rep, _ in _iter_cells(box, all_cubes)]
-    lam = None
-    for u in units:
-        depth = ZERO
-        for m in U.members:
-            d = complement_distance(u, m)
-            d = ONE if d is None else min(d, ONE)
-            depth = max(depth, d)
-        if depth == 0:
-            raise PreconditionError("no positive margin")
-        lam = depth if lam is None else min(lam, depth)
-    if lam is None:
-        raise PreconditionError("no positive margin")
-    for _ in range(64):
-        closed = []
-        open_ = []
-        ok = True
-        for m in U.members:
-            boxes = tuple(
-                b for b in (cn._shrunk_box(cube, lam / 2) for cube in m.cubes()) if b
-            )
-            v = cn._shrunk_set(m, lam * 3 / 4)
-            if not boxes or v is None:
-                ok = False
-                break
-            closed.append(boxes)
-            open_.append(v)
-        if ok and _closed_family_covers(closed, U.carrier):
-            if _first_uncovered(open_, U.carrier) is None:
-                return tuple(closed), tuple(open_)
-        lam /= 2
-    raise PreconditionError("no positive margin")
-
-
-# --- reference: the cell scan and the complement it built, verbatim ---------
-# (module helpers that are still in use are read from ``cn``)
-
-
-def _old_axis_bits(
-    lo: int, hi: int, spans: Sequence[tuple[int, int]]
-) -> list[tuple[int, tuple[int, int], int]]:
-    cells = cn._axis_cells(lo, hi, [v for span in spans for v in span])
-    reps = [rep for rep, _, _ in cells]
-    # the cells holding span j are the run reps[s:e]; flipping bit j at
-    # both ends makes the running XOR the bitset
-    flips = [0] * (len(cells) + 1)
-    for j, (slo, shi) in enumerate(spans):
-        s, e = bisect_right(reps, slo), bisect_left(reps, shi)
-        flips[s] ^= 1 << j
-        flips[e] ^= 1 << j
-    bits = 0
-    out = []
-    for (rep, clo, chi), flip in zip(cells, flips):
-        bits ^= flip
-        out.append((rep, (clo, chi), bits))
-    return out
-
-
-def _old_scan(
-    box: IntBounds, groups: Sequence[Sequence[IntBounds]]
-) -> Iterator[tuple[tuple[int, ...], IntBounds, frozenset[int]]]:
-    local = cn._local(box, groups)
-    per_axis = [_old_axis_bits(lo, hi, [c[a] for _, c in local]) for a, (lo, hi) in enumerate(box)]
-    masks: dict[int, frozenset[int]] = {}
-    for combo in itertools.product(*per_axis):
-        rep, closure, bitsets = zip(*combo)
-        bits = bitsets[0]
-        for b in bitsets[1:]:
-            bits &= b
-        mask = masks.get(bits)
-        if mask is None:
-            mask = masks[bits] = cn._mask(bits, local)
-        yield rep, closure, mask
-
-
-def _old_uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
-    g, _, (cubes,) = cn._grid([_unit_bounds(s.dim)], [s])
-    box = tuple((0, g) for _ in range(s.dim))
-    uncovered = [(rep, closure) for rep, closure, mask in _old_scan(box, [cubes]) if not mask]
-    facets = set()
-    for rep, closure in uncovered:
-        for a, (lo, hi) in enumerate(closure):
-            if lo != hi:
-                facets.add(rep[:a] + (lo,) + rep[a + 1 :])
-                facets.add(rep[:a] + (hi,) + rep[a + 1 :])
-    return g, tuple(closure for rep, closure in uncovered if rep not in facets)
 
 
 # --- random covers ---------------------------------------------------------
@@ -480,60 +144,48 @@ def covers(draw):
     return members, draw(carriers(dim, coord))
 
 
-# --- the scan and its consumers against the reference ----------------------
+# --- the cover layer against the reference ---------------------------------
+
+
+def _data(members, carrier):
+    return ref.sets_of(members), ref.carrier_of(carrier)
+
+
+def _inside(a, b) -> bool:
+    """Does the closed box a lie in the closed box b?"""
+    return all(blo <= alo and ahi <= bhi for (alo, ahi), (blo, bhi) in zip(a, b))
 
 
 @given(covers())
 def test_scan_masks_equal_global_masks_per_box(case):
+    # one box's mask set, read off the cubes meeting it on the family's
+    # grid; a cloud is read on the whole unit box
     members, carrier = case
-    groups = [m.cubes() for m in members]
-    all_cubes = [c for g in groups for c in g]
-    boxes = carrier.boxes() if not isinstance(carrier, PointCloud) else (
-        Box(_unit_bounds(carrier.dim)),
-    )
-    # the scan reads the boxes and cubes as ints on their common grid
-    _, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], members)
+    sets, boxes = _data(members, carrier)
+    if isinstance(carrier, PointCloud):
+        boxes = (((ZERO, ONE),) * carrier.dim,)
+    _, int_boxes, int_groups = cn._grid(boxes, members)
     for box, int_box in zip(boxes, int_boxes):
-        local = {mask for _, _, mask in _old_scan(int_box, int_groups)}
-        whole = {
-            frozenset(i for i, g in enumerate(groups) if any(_in_cube(rep, c) for c in g))
-            for rep, _ in _iter_cells(box, all_cubes)
-        }
-        assert local == whole
-    assert cn._Pass(members, carrier).masks == _carrier_masks(members, carrier)
+        assert cn._box_masks(int_box, cn._local(int_box, int_groups)) == ref.masks(sets, (box,))
 
 
 @given(covers())
 def test_scan_cells_are_homogeneous_and_inside_the_box(case):
+    # per axis of a carrier box cut by the cubes meeting it, the axis cells
+    # are the reference's, and a cube's run [s, e) holds exactly the cells
+    # whose representative lies strictly inside the cube's span; a cloud
+    # point's zero-width box has one cell per axis
     members, carrier = case
-    groups = [m.cubes() for m in members]
-    if isinstance(carrier, PointCloud):
-        boxes = tuple(Box(tuple((c, c) for c in p)) for p in carrier.points)
-    else:
-        boxes = carrier.boxes()
-    g, int_boxes, int_groups = cn._grid([b.bounds for b in boxes], members)
-
-    def cells(int_box):
-        """The scan's cells of a box, read back off the grid as Fractions."""
-        for rep, closure, mask in _old_scan(int_box, int_groups):
-            yield tuple(F(r, g) for r in rep), tuple((F(lo, g), F(hi, g)) for lo, hi in closure), mask
-
-    if isinstance(carrier, PointCloud):
-        # a cloud point p is read as the zero-width box [p, p]: its one cell
-        # is p, and the mask holds the members containing p
-        for p, int_box in zip(carrier.points, int_boxes):
-            assert [(rep, mask) for rep, _, mask in cells(int_box)] == [
-                (p, frozenset(i for i, m in enumerate(members) if m.contains(p)))
-            ]
-    for box, int_box in zip(boxes, int_boxes):
-        for rep, closure, mask in cells(int_box):
-            assert box.contains(rep)
-            assert Box(closure).contains(rep)
-            assert all(blo <= lo and hi <= bhi for (lo, hi), (blo, bhi) in zip(closure, box.bounds))
-            # the closure's corners lie in the closure of every member holding rep
-            for corner in itertools.product(*closure):
-                for i in mask:
-                    assert any(Box(c).contains(corner) for c in groups[i])
+    g, int_boxes, int_groups = cn._grid(ref.carrier_of(carrier), members)
+    for int_box in int_boxes:
+        local = [cube for _, cube in cn._local(int_box, int_groups)]
+        for a, (lo, hi) in enumerate(int_box):
+            spans = [c[a] for c in local]
+            cells, runs = cn._axis_runs(lo, hi, spans)
+            want = ref.axis_cells(F(lo, g), F(hi, g), sorted({F(v, g) for span in spans for v in span}))
+            assert [tuple(F(v, g) for v in cell) for cell in cells] == want
+            for (slo, shi), (s, e) in zip(spans, runs):
+                assert [i for i, (rep, _, _) in enumerate(want) if F(slo, g) < rep < F(shi, g)] == list(range(s, e))
 
 
 @given(covers())
@@ -541,7 +193,7 @@ def test_first_uncovered_agrees(case):
     # coverage is read off the family's mask set, no empty mask, which is
     # what FiniteCover's validation reads
     members, carrier = case
-    covered = _first_uncovered(members, carrier) is None
+    covered = ref.first_uncovered(*_data(members, carrier)) is None
     assert (frozenset() not in cn._Pass(members, carrier).masks) == covered
     if not isinstance(carrier, BoxCarrier):
         try:
@@ -556,9 +208,7 @@ def test_first_uncovered_agrees(case):
 def test_mult_exceeds_agrees_at_every_limit(case):
     # multiplicity is read off the cover's mask set: its largest mask
     members, carrier = case
-    mult = cn.cover_multiplicity(_cover(members, carrier))
-    for limit in range(len(members) + 2):
-        assert (mult > limit) == _mult_exceeds(members, carrier, limit)
+    assert cn.cover_multiplicity(_cover(members, carrier)) == ref.multiplicity(*_data(members, carrier))
 
 
 @given(st.data())
@@ -568,33 +218,25 @@ def test_complement_distance_agrees(data):
     s = data.draw(open_sets(dim, SIZES[dim][0], coord))
     for _ in range(3):
         x = tuple(data.draw(coord(0, GRID)) for _ in range(dim))
-        assert cn.complement_distance(x, s) == complement_distance(x, s)
+        assert cn.complement_distance(x, s) == ref.complement_distance(x, ref.balls_of(s), cn._CELL_CAP)
 
 
 @given(st.data())
 def test_cached_complement_is_the_maximal_uncovered_closures(data):
     dim = data.draw(st.integers(1, 3))
     s = data.draw(open_sets(dim, SIZES[dim][0]))
-    cubes = s.cubes()
-    unit = Box(_unit_bounds(dim))
-    uncovered = [
-        closure
-        for rep, closure in _iter_cells(unit, cubes)
-        if not any(_in_cube(rep, cube) for cube in cubes)
-    ]
+    balls = ref.balls_of(s)
+    uncovered = ref.uncovered_cells(balls, cn._CELL_CAP).values()
     # the cache holds the closures as ints on the set's grid g
     g, int_closures = s._complement
     closures = [tuple((F(lo, g), F(hi, g)) for lo, hi in c) for c in int_closures]
     for closure in closures:
         assert closure in uncovered
-        assert not any(
-            other != closure and all(olo <= lo and hi <= ohi for (lo, hi), (olo, ohi) in zip(closure, other))
-            for other in uncovered
-        )
+        assert not any(other != closure and _inside(closure, other) for other in uncovered)
     for _ in range(3):
         x = tuple(data.draw(grid(0, GRID)) for _ in range(dim))
-        cached = min((_dist_to_bounds(x, c) for c in closures), default=None)
-        assert cached == complement_distance(x, s)
+        cached = min((ref.distance(x, c) for c in closures), default=None)
+        assert cached == ref.complement_distance(x, balls, cn._CELL_CAP)
 
 
 @st.composite
@@ -617,19 +259,14 @@ def test_int_distance_agrees_with_the_fraction_kernels(data):
     # cube face, where strict and weak comparisons part
     dim = data.draw(st.integers(1, 3))
     s = data.draw(touching_sets(dim, SIZES[dim][0]))
-    g, int_closures = s._complement
-    closures = [tuple((F(lo, g), F(hi, g)) for lo, hi in c) for c in int_closures]
+    balls = ref.balls_of(s)
     # every face value, and the thirds between them, nearer one face than
     # the other; they lie inside cubes more often than not
     faces = sorted({v for cube in s.cubes() for pair in cube for v in pair})
     values = faces + [a + (b - a) * t for a, b in zip(faces, faces[1:]) for t in (F(1, 3), F(2, 3))]
     for _ in range(6):
         x = tuple(data.draw(mixed(-12, 36) | st.sampled_from(values)) for _ in range(dim))
-        expected = min((_dist_to_bounds(x, c) for c in closures), default=None)
-        assert cn.complement_distance(x, s) == expected
-        if len(s.cubes()) == 1 and all(ZERO <= c <= ONE for c in x):
-            # in the unit box, a single cube's closures are its slabs
-            assert expected == _slab_distance(x, s)
+        assert cn.complement_distance(x, s) == ref.complement_distance(x, balls, cn._CELL_CAP)
 
 
 def test_one_ball_and_its_nested_copy_agree_outside_the_box():
@@ -656,7 +293,7 @@ def test_single_cube_faces_on_the_box_bound_slabs():
     ]
     for centre, radius, x, expected in cases:
         s = OpenSet((ball(centre, radius),))
-        assert cn.complement_distance(x, s) == _slab_distance(x, s) == expected
+        assert cn.complement_distance(x, s) == ref.complement_distance(x, ref.balls_of(s), cn._CELL_CAP) == expected
 
 
 SCALARS = st.sampled_from(MIXED).flatmap(
@@ -696,7 +333,7 @@ def test_rank_agrees_with_fraction_elimination(rows):
     for row in rows:
         q = math.lcm(*(v.denominator for v in row))
         scaled.append([v.numerator * (q // v.denominator) for v in row])
-    assert cn._rank(scaled) == _fraction_rank(rows)
+    assert cn._rank(scaled) == ref.rank(rows)
 
 
 def _corner_padding(dim: int) -> tuple[OpenSet, ...]:
@@ -735,15 +372,16 @@ def shrinkable_covers(draw):
 )
 def test_shrink_cover_agrees(case):
     members, carrier = case
-    U = _cover(members, carrier)
-
-    def outcome(shrink):
-        try:
-            return shrink(U)
-        except PreconditionError as exc:
-            return str(exc)
-
-    assert outcome(cn.shrink_cover) == outcome(_shrink_cover)
+    try:
+        closed, open_ = cn.shrink_cover(_cover(members, carrier))
+        got = tuple(tuple(b.bounds for b in part) for part in closed), ref.sets_of(open_)
+    except PreconditionError as exc:
+        got = str(exc)
+    try:
+        want = ref.shrink_cover(*_data(members, carrier), cn._CELL_CAP)
+    except PreconditionError as exc:
+        want = str(exc)
+    assert got == want
 
 
 @given(covers(), st.data())
@@ -753,8 +391,7 @@ def test_subset_within_agrees(case, data):
     inner = data.draw(st.sampled_from(members))
     outer = data.draw(st.sampled_from(members) | open_sets(carrier.dim, 2))
     U = _cover((outer,), carrier)
-    expected = (0,) if _subset_within(inner, outer, carrier) else (None,)
-    assert cn._parents((inner,), U) == expected
+    assert cn._parents((inner,), U) == ref.parents(ref.sets_of((inner,)), *_data((outer,), carrier))
 
 
 @given(covers(), st.data())
@@ -763,10 +400,7 @@ def test_parents_are_first_containing_members(case, data):
     family = data.draw(
         st.lists(st.sampled_from(members) | open_sets(carrier.dim, 2), min_size=1, max_size=3)
     )
-    expected = tuple(
-        next((i for i, big in enumerate(members) if _subset_within(s, big, carrier)), None)
-        for s in family
-    )
+    expected = ref.parents(ref.sets_of(family), *_data(members, carrier))
     assert cn._parents(family, _cover(members, carrier)) == expected
 
 
@@ -775,54 +409,32 @@ def test_diam_within_equals_pairwise_maximum(case):
     # each member alone, then the whole family, whose members are all
     # measured on its one grid
     members, carrier = case
-    for s in members:
-        assert cn.cover_mesh(_cover((s,), carrier)) == _diam_within(s, carrier)
-    U = _cover(members, carrier)
-    assert cn.cover_mesh(U) == max(_diam_within(s, carrier) for s in members)
-
-
-
-# --- reference: the per-cell carrier scan, verbatim -------------------------
-
-
-def _cell_boxes(carrier) -> tuple[Bounds, ...]:
-    if isinstance(carrier, PointCloud):
-        return tuple(tuple((c, c) for c in p) for p in carrier.points)
-    return tuple(b.bounds for b in carrier.boxes())
-
-
-def _carrier_cells(carrier, members):
-    _, boxes, groups = cn._grid(_cell_boxes(carrier), members)
-    return (cell for box in boxes for cell in _old_scan(box, groups))
-
-
-def _scanned_masks(members, carrier) -> frozenset[frozenset[int]]:
-    return frozenset(mask for _, _, mask in _carrier_cells(carrier, members))
-
-
-# --- the merged-box, mask-only scan against the per-cell scan ---------------
+    sets, region = _data(members, carrier)
+    for s, balls in zip(members, sets):
+        assert cn.cover_mesh(_cover((s,), carrier)) == ref.mesh((balls,), region)
+    assert cn.cover_mesh(_cover(members, carrier)) == ref.mesh(sets, region)
 
 
 @given(covers())
 def test_region_masks_equal_the_cell_scan(case):
+    # the pass reads the merged carrier boxes, the reference every cell
     members, carrier = case
-    assert cn._Pass(members, carrier).masks == _scanned_masks(members, carrier)
+    assert cn._Pass(members, carrier).masks == ref.masks(*_data(members, carrier))
 
 
 @given(covers())
 def test_region_mesh_and_meeting_equal_the_cells(case):
     # the closure of cube ∩ carrier is a property of the point set, so the
     # merged boxes give the same spans, and meet the same cubes, as the
-    # cells, whose pieces _diam_within compares pairwise
+    # cells the reference reads
     members, carrier = case
-    mesh = max(_diam_within(s, carrier) for s in members)
-    assert cn.cover_mesh(_cover(members, carrier)) == mesh
+    sets, cells = _data(members, carrier)
+    assert cn.cover_mesh(_cover(members, carrier)) == ref.mesh(sets, cells)
     _, merged, int_groups = cn._grid(cn._carrier_region(carrier), members)
-    _, cells, cell_groups = cn._grid(_cell_boxes(carrier), members)
-    for cubes, cell_cubes in zip(int_groups, cell_groups):
-        for cube, cell_cube in zip(cubes, cell_cubes):
-            meets = any(cn._meets(b, cube) for b in merged)
-            assert meets == any(cn._meets(b, cell_cube) for b in cells)
+    for int_cubes, balls in zip(int_groups, sets):
+        for int_cube, cube in zip(int_cubes, ref.cubes(balls)):
+            meets = any(cn._meets(b, int_cube) for b in merged)
+            assert meets == any(ref.meets(cube, b) for b in cells)
 
 
 # --- the bitboard complement against the scan-based build -------------------
@@ -852,12 +464,16 @@ def complement_sets(draw) -> OpenSet:
 
 @given(complement_sets())
 def test_bitboard_complement_equals_the_scan_based_build(s):
-    g, closures = cn._uncovered_closures(s)
-    old_g, old_closures = _old_uncovered_closures(s)
-    assert g == old_g
-    # the same closures, each once; only their order may differ
-    assert len(closures) == len(set(closures)) == len(old_closures)
-    assert set(closures) == set(old_closures)
+    # the set's grid is twice the lcm of its cube ends' denominators, and
+    # its closures are the reference's maximal ones, each once; only their
+    # order may differ
+    balls = ref.balls_of(s)
+    g, int_closures = cn._uncovered_closures(s)
+    assert g == 2 * math.lcm(*(v.denominator for cube in ref.cubes(balls) for pair in cube for v in pair))
+    closures = [tuple((F(lo, g), F(hi, g)) for lo, hi in c) for c in int_closures]
+    want = ref.complement(balls, cn._CELL_CAP)
+    assert len(closures) == len(set(closures)) == len(want)
+    assert set(closures) == set(want)
 
 
 def test_arrangement_cap(monkeypatch):

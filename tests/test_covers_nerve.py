@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cover_reference as ref
 import effdim.covers_nerve as cn
 from effdim import (
     BoundSeq,
@@ -44,7 +45,7 @@ from effdim import (
     verify_eps_eta,
 )
 from effdim._lp import affine_gap
-from test_cell_scan import _iter_cells, shrinkable_covers
+from test_cell_scan import shrinkable_covers
 
 F = Fraction
 
@@ -354,44 +355,6 @@ class TestFiniteCover:
         assert cover_mesh(U) == 0
 
 
-def _oracle_faces(members, carrier):
-    """Brute-force nerve faces via corner/midpoint sampling.
-
-    Cuts come from the ball cubes and from the carrier's cell bounds, so
-    within each sampled arrangement cell both ball membership and region
-    membership are constant; the cut values plus consecutive midpoints
-    then meet every cell, and membership goes through the public
-    contains() only.
-    """
-    dim = carrier.dim
-    region = carrier.boxes()
-    axis_values = []
-    for a in range(dim):
-        cuts = {F(0), F(1)}
-        for m in members:
-            for cube in m.cubes():
-                lo, hi = cube[a]
-                for v in (lo, hi):
-                    if 0 <= v <= 1:
-                        cuts.add(v)
-        for b in region:
-            lo, hi = b.bounds[a]
-            cuts.add(lo)
-            cuts.add(hi)
-        cuts = sorted(cuts)
-        vals = list(cuts)
-        vals.extend((x + y) / 2 for x, y in zip(cuts, cuts[1:]))
-        axis_values.append(sorted(vals))
-    faces = set()
-    for p in itertools.product(*axis_values):
-        if not any(b.contains(p) for b in region):
-            continue
-        mask = frozenset(i for i, m in enumerate(members) if m.contains(p))
-        for r in range(1, len(mask) + 1):
-            faces.update(map(frozenset, itertools.combinations(sorted(mask), r)))
-    return frozenset(faces)
-
-
 class TestNerve:
     def test_two_member_overlap(self):
         N = nerve_of(two_sided_cover())
@@ -433,7 +396,7 @@ class TestNerve:
             open_set(ball((1,), F(2, 5))),
         )
         U = FiniteCover(members, interval_carrier(2))
-        assert nerve_of(U).faces == _oracle_faces(members, U.carrier)
+        assert nerve_of(U).faces == ref.nerve_faces(ref.sets_of(members), ref.carrier_of(U.carrier))
 
     def test_against_sampling_oracle_cantor(self):
         members = (
@@ -441,7 +404,7 @@ class TestNerve:
             open_set(ball((1,), F(1, 2))),
         )
         U = FiniteCover(members, cantor_carrier(2))
-        assert nerve_of(U).faces == _oracle_faces(members, U.carrier)
+        assert nerve_of(U).faces == ref.nerve_faces(ref.sets_of(members), ref.carrier_of(U.carrier))
 
     def test_against_sampling_oracle_carpet(self):
         members = (
@@ -452,7 +415,7 @@ class TestNerve:
         )
         U = FiniteCover(members, SymbolicCarrier(carpet_descriptor(), 2))
         N = nerve_of(U)
-        assert N.faces == _oracle_faces(members, U.carrier)
+        assert N.faces == ref.nerve_faces(ref.sets_of(members), ref.carrier_of(U.carrier))
         N.validate()
 
 
@@ -593,7 +556,8 @@ class TestShrinkCover:
             assume(False)
         for part, v in zip(F_fam, V_fam):
             boxes = [b.bounds for b in part]
-            for rep, _ in _iter_cells(Box(((0, 1),) * v.dim), [*v.cubes(), *boxes]):
+            cuts = ref.facets([*v.cubes(), *boxes], v.dim)
+            for rep, _ in ref.cells(((F(0), F(1)),) * v.dim, cuts):
                 if v.contains(rep):
                     assert any(b.contains(rep) for b in part)
 

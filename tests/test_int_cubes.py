@@ -1,29 +1,26 @@
 """Differential tests: an open set's cubes held as ints on its own denominator.
 
 An ``OpenSet`` holds its cubes once, as ints over one denominator D, and
-every grid reads them from there.  The reference functions below are the
-Fraction path it replaced: ``_fraction_cubes`` forms center ± radius per
-axis, ``_fraction_grid`` is a verbatim copy of the grid that read those
-Fractions' numerators and denominators, and
-``_fraction_uncovered_closures`` a verbatim copy of the complement build
-on that grid.  Random sets of one to four balls in one to three
-dimensions mix denominators, and half of them are drawn so that the
-centers' and radii's denominators exceed the endpoints' (center 1/4 with
-radius 1/4 has the cube (0, 1/2)).  The ints must equal the reference
-cubes, every grid and complement must equal the reference's, and the
-cover operations must give the same outputs, or raise the same errors,
-when the reference grid and complement are patched in.
+every grid reads them from there.  The reference, ``tests/cover_reference.py``,
+forms each cube as center ± radius on Fractions.  Random sets of one to
+four balls in one to three dimensions mix denominators, and half of them
+are drawn so that the centers' and radii's denominators exceed the
+endpoints' (center 1/4 with radius 1/4 has the cube (0, 1/2)).  The ints
+must read back as the reference cubes, every grid as the boxes and cubes
+on twice the lcm of their denominators, every complement as the
+reference's maximal uncovered closures, and the cover operations must
+give the reference's outputs, or raise its errors, under an arrangement
+cap that sometimes refuses a set.
 """
 
 import itertools
 import math
-import operator
 import pickle
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 from unittest import mock
 
+import cover_reference as ref
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -38,64 +35,6 @@ F = Fraction
 DENOMS = (1, 2, 3, 4, 6, 8, 12, 35, 64, 2**40)
 
 
-# --- reference: the Fraction cubes and grid, verbatim -----------------------
-
-
-def _fraction_cubes(s: OpenSet) -> tuple[Bounds, ...]:
-    return tuple(tuple((c - b.radius, c + b.radius) for c in b.center.coords) for b in s.balls)
-
-
-def _fraction_grid(
-    boxes: Sequence[Bounds], groups: Sequence[Sequence[Bounds]]
-) -> tuple[int, list[IntBounds], list[list[IntBounds]]]:
-    dens = {v.denominator for b in itertools.chain(boxes, *groups) for pair in b for v in pair}
-    g = 2 * math.lcm(*dens)
-    mult = {d: g // d for d in dens}
-
-    def scale(b: Bounds) -> IntBounds:
-        return tuple(
-            (lo.numerator * mult[lo.denominator], hi.numerator * mult[hi.denominator]) for lo, hi in b
-        )
-
-    return g, [scale(b) for b in boxes], [[scale(c) for c in cubes] for cubes in groups]
-
-
-def _fraction_grid_of_sets(boxes, sets):
-    """The reference grid with ``_grid``'s arguments: the sets' Fraction cubes."""
-    return _fraction_grid(boxes, [_fraction_cubes(s) for s in sets])
-
-
-def _fraction_uncovered_closures(s: OpenSet) -> tuple[int, tuple[IntBounds, ...]]:
-    g, _, (cubes,) = _fraction_grid([((ZERO, ONE),) * s.dim], [_fraction_cubes(s)])
-    local = [cube for _, cube in cn._local(((0, g),) * s.dim, [cubes])]
-    axes = [cn._axis_runs(0, g, [c[a] for c in local]) for a in range(s.dim)]
-    *strides, n = itertools.accumulate([len(c) for c, _ in axes], operator.mul, initial=1)
-    if n > cn._CELL_CAP:
-        raise PreconditionError(f"open set's arrangement has more than {cn._CELL_CAP} cells")
-    covered = 0
-    for cube_runs in zip(*(runs for _, runs in axes)):
-        board = 1
-        for (lo, hi), st_ in zip(cube_runs, strides):
-            board = board * cn._repunit(st_, hi - lo) << lo * st_
-        covered |= board
-    uncovered = covered ^ ((1 << n) - 1)
-    dominated = 0
-    for (cells, _), st_ in zip(axes, strides):
-        period = st_ * len(cells)
-        odd = (((1 << st_) - 1) << st_) * cn._repunit(2 * st_, len(cells) // 2)
-        inner = uncovered & odd * cn._repunit(period, n // period)
-        dominated |= inner << st_ | inner >> st_
-    bits = bin(uncovered & ~dominated)[:1:-1]
-    closures = []
-    k = bits.find("1")
-    while k >= 0:
-        closures.append(
-            tuple(cells[k // st_ % len(cells)][1:] for (cells, _), st_ in zip(axes, strides))
-        )
-        k = bits.find("1", k + 1)
-    return g, tuple(closures)
-
-
 @dataclass(frozen=True)
 class _OldOpenSet:
     """The dataclass fields of an open set that held its Fraction cubes."""
@@ -104,7 +43,7 @@ class _OldOpenSet:
     _cubes: tuple[Bounds, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_cubes", _fraction_cubes(self))
+        object.__setattr__(self, "_cubes", ref.cubes(ref.balls_of(self)))
 
 
 # the dataclass repr names the class by its qualified name
@@ -173,7 +112,7 @@ QUARTERS = ((((F(1, 4),), F(1, 4)),), (((F(1, 3),), F(1, 6)),))
 def test_ints_over_d_are_the_fraction_cubes(spec):
     s = _set(spec)
     den, cubes = s._ints
-    want = _fraction_cubes(s)
+    want = ref.cubes(ref.balls_of(s))
     assert [[(F(lo, den), F(hi, den)) for lo, hi in cube] for cube in cubes] == [list(c) for c in want]
     assert all(type(v) is int for cube in cubes for pair in cube for v in pair)
     assert den == math.lcm(*(v.denominator for cube in want for pair in cube for v in pair))
@@ -191,19 +130,30 @@ def test_a_center_and_radius_over_4_give_ints_over_2():
 @given(families())
 @example((QUARTERS, ((F(1, 4),), (F(1, 2),)), PointCloud(1, ((F(1, 4),), (F(1, 2),))), cn._CELL_CAP))
 def test_grids_and_complements_equal_the_fraction_ones(case):
+    # on g, twice the lcm of every box and cube end's denominator, the ints
+    # read back as the boxes and the reference cubes; a set's complement is
+    # the reference's maximal uncovered closures on its own grid
     specs, points, carrier, _ = case
     sets = [_set(spec) for spec in specs]
+    cubes = [list(ref.cubes(ref.balls_of(s))) for s in sets]
     for boxes in (cn._carrier_region(carrier), cn._carrier_boxes(carrier), ()):
-        got = cn._grid(boxes, sets)
-        assert got == _fraction_grid_of_sets(boxes, sets)
-        dens = {v.denominator for b in boxes for pair in b for v in pair}
-        dens |= {v.denominator for s in sets for cube in _fraction_cubes(s) for pair in cube for v in pair}
-        assert got[0] == 2 * math.lcm(*dens)
-    for s in sets:
-        assert cn._uncovered_closures(s) == _fraction_uncovered_closures(s)
+        g, int_boxes, groups = cn._grid(boxes, sets)
+        dens = {v.denominator for b in [*boxes, *itertools.chain(*cubes)] for pair in b for v in pair}
+        assert g == 2 * math.lcm(*dens)
+        assert [_on(b, g) for b in int_boxes] == list(boxes)
+        assert [[_on(c, g) for c in group] for group in groups] == cubes
+    for s, own in zip(sets, cubes):
+        g, closures = cn._uncovered_closures(s)
+        assert g == 2 * math.lcm(*(v.denominator for c in own for pair in c for v in pair))
+        assert sorted(_on(c, g) for c in closures) == sorted(ref.complement(ref.balls_of(s), cn._CELL_CAP))
 
 
-# --- the cover operations against the Fraction grid ----------------------------
+def _on(bounds: IntBounds, g: int) -> Bounds:
+    """Int bounds on the grid g as Fractions."""
+    return tuple((F(lo, g), F(hi, g)) for lo, hi in bounds)
+
+
+# --- the cover operations against the reference ------------------------------
 
 
 def outcome(fn, *args):
@@ -216,15 +166,31 @@ def outcome(fn, *args):
 
 def _answers(specs, points, carrier) -> list:
     """complement_distance per (point, set), and on the cover of fresh sets
-    kappa_map per point, cover_mesh and shrink_cover."""
+    kappa_map per point, cover_mesh and shrink_cover, as plain data."""
     members = tuple(_set(spec) for spec in specs)
     out = [outcome(cn.complement_distance, p, m) for p in points for m in members]
     U = outcome(FiniteCover, members, carrier)
     if not isinstance(U, FiniteCover):
         return out + [U]
     vertices = [m.balls[0].center for m in members]
-    out += [outcome(cn.kappa_map, p, U, vertices) for p in points]
-    return out + [outcome(cn.cover_mesh, U), outcome(cn.shrink_cover, U)]
+    out += [outcome(lambda p: cn.kappa_map(p, U, vertices).coords, p) for p in points]
+
+    def shrink():
+        closed, open_ = cn.shrink_cover(U)
+        return tuple(tuple(b.bounds for b in part) for part in closed), ref.sets_of(open_)
+
+    return out + [outcome(cn.cover_mesh, U), outcome(shrink)]
+
+
+def _reference_answers(specs, points, carrier, cap) -> list:
+    sets = ref.sets_of(_set(spec) for spec in specs)
+    region = ref.carrier_of(carrier)
+    out = [outcome(ref.complement_distance, p, s, cap) for p in points for s in sets]
+    if ref.first_uncovered(sets, region) is not None:
+        return out + [(PreconditionError, "carrier point not covered by any member")]
+    vertices = [s[0][0] for s in sets]
+    out += [outcome(ref.kappa_map, p, sets, vertices, cap) for p in points]
+    return out + [outcome(ref.mesh, sets, region), outcome(ref.shrink_cover, sets, region, cap)]
 
 
 @given(families())
@@ -234,12 +200,7 @@ def test_cover_operations_equal_the_fraction_grid_ones(case):
     specs, points, carrier, cap = case
     with mock.patch.object(cn, "_CELL_CAP", cap):
         got = _answers(specs, points, carrier)
-        with (
-            mock.patch.object(cn, "_grid", _fraction_grid_of_sets),
-            mock.patch.object(cn, "_uncovered_closures", _fraction_uncovered_closures),
-        ):
-            want = _answers(specs, points, carrier)
-    assert got == want
+    assert got == _reference_answers(specs, points, carrier, cap)
 
 
 # --- the dataclass surface ----------------------------------------------------

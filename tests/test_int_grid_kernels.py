@@ -2,10 +2,11 @@
 
 ``general_position`` puts its points, avoid flats and candidates on one
 int grid per call, and ``kappa_map`` sums its weighted vertices as ints
-on common denominators.  The reference functions below are verbatim
-copies of the Fraction code they replaced (``_rank`` then cleared each
-row's denominators itself).  Random inputs must give equal outputs, or
-both must raise the same error with the same text.
+on common denominators.  The reference, ``tests/cover_reference.py``,
+searches on Fractions with Gauss–Jordan ranks and sums Fraction weights,
+each a distance to the closures of a member's uncovered cells.  Random
+inputs must give equal outputs, or both must raise the same error with
+the same text.
 
 The general-position inputs mix repeated points, collinear and coplanar
 ones and points lying on an avoid flat, with eps small enough that the
@@ -14,194 +15,20 @@ grids, so the members' depths have different denominators; their
 points sit on the box faces, inside and outside the box.
 """
 
-import itertools
-import math
 from fractions import Fraction
-from typing import Sequence
 
+import cover_reference as ref
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import effdim.covers_nerve as cn
 from effdim import FiniteCover, PointCloud, RationalPoint, ball, complement_distance, open_set
-from effdim._rat import ONE, ZERO, rat
-from effdim.ball_calculus import PreconditionError
+from effdim._rat import ONE, ZERO
 
 F = Fraction
 # coordinates are multiples of 1/D for one of these D; 24 holds 2^3 but not
 # 2^4, so a perturbation at level 4 or finer leaves the inputs' own grid
 DENOMS = (8, 24, 35, 7, 64, 2**40, 3 * 2**41)
-
-
-# --- reference: the Fraction kernels, verbatim -----------------------------
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank of the rows, by fraction-free elimination over ints.
-
-    Each row is scaled by the lcm of its denominators, which keeps its
-    span.  Bareiss's elimination ("Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 1968) keeps
-    every entry a minor of those int rows: after a pivot p, row r becomes
-    (p·r − r[col]·pivot row) / previous pivot, and the division is exact.
-    """
-    mat = []
-    for row in rows:
-        q = math.lcm(*(v.denominator for v in row))
-        mat.append([v.numerator * (q // v.denominator) for v in row])
-    rank = 0
-    prev = 1
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        p = top[col]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            mat[r] = [(p * a - f * b) // prev for a, b in zip(mat[r], top)]
-        prev = p
-        rank += 1
-    return rank
-
-
-def _directions(points: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """The rows p − points[0] of the other points, spanning the hull's directions."""
-    base = points[0]
-    return [[c - b for c, b in zip(p, base)] for p in points[1:]]
-
-
-def _affinely_independent(points: Sequence[Sequence[Fraction]]) -> bool:
-    if len(points) <= 1:
-        return True
-    dirs = _directions(points)
-    return _rank(dirs) == len(dirs)
-
-
-def _span_meets(points: Sequence[Sequence[Fraction]], sub: Sequence[Sequence[Fraction]]) -> bool:
-    """Does the affine hull of the points meet the affine hull of sub?"""
-    combined = _directions(points) + _directions(sub)
-    diff = [s - b for s, b in zip(sub[0], points[0])]
-    if not combined:
-        return diff == [ZERO] * len(diff)
-    return _rank(combined) == _rank(combined + [diff])
-
-
-def general_position(
-    points: Sequence,
-    eps: Fraction,
-    avoid: Sequence[Sequence[Sequence[Fraction]]] = (),
-    budget: int = 200_000,
-) -> tuple[RationalPoint, ...]:
-    """Perturb each point by less than eps into general position.
-
-    After the scan, every subset of at most m+1 output points is
-    affinely independent, and the affine span of any at most m - dim(L)
-    outputs misses each avoid flat L.  Candidates run over dyadic grids
-    of increasing denominator in lexicographic order, so the result is
-    deterministic.
-    """
-    eps = rat(eps)
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    pts = [
-        list(p.coords) if isinstance(p, RationalPoint) else [rat(c) for c in p]
-        for p in points
-    ]
-    if not pts:
-        return ()
-    m = len(pts[0])
-    avoid_flats = [[[rat(c) for c in p] for p in flat] for flat in avoid]
-    avoid_dims = [_rank(_directions(flat)) for flat in avoid_flats]
-
-    placed: list[list[Fraction]] = []
-
-    def admissible(candidate: list[Fraction]) -> bool:
-        chosen = placed + [candidate]
-        i = len(chosen) - 1
-        for size in range(1, min(m + 1, len(chosen)) + 1):
-            for combo in itertools.combinations(range(i), size - 1):
-                subset = [chosen[c] for c in combo] + [candidate]
-                if not _affinely_independent(subset):
-                    return False
-        for flat, fdim in zip(avoid_flats, avoid_dims):
-            limit = m - fdim
-            for size in range(1, min(limit, len(chosen)) + 1):
-                for combo in itertools.combinations(range(i), size - 1):
-                    subset = [chosen[c] for c in combo] + [candidate]
-                    if _span_meets(subset, flat):
-                        return False
-        return True
-
-    steps = 0
-    for p in pts:
-        if admissible(p):
-            placed.append(p)
-            continue
-        found = False
-        level = 2
-        fresh = True
-        while not found:
-            denom = 2**level
-            radius = math.floor(eps * denom) - 1
-            if radius >= 1:
-                for offs in itertools.product(range(-radius, radius + 1), repeat=m):
-                    if all(o == 0 for o in offs):
-                        continue
-                    if not fresh and all(o % 2 == 0 for o in offs):
-                        continue
-                    steps += 1
-                    if steps > budget:
-                        raise PreconditionError("budget exceeded")
-                    cand = [c + Fraction(o, denom) for c, o in zip(p, offs)]
-                    if not all(ZERO <= c <= ONE for c in cand):
-                        continue
-                    if admissible(cand):
-                        placed.append(cand)
-                        found = True
-                        break
-                fresh = False
-            level += 1
-            if level > 40:
-                raise PreconditionError("budget exceeded")
-    return tuple(RationalPoint(tuple(p)) for p in placed)
-
-
-def kappa_map(x, U: FiniteCover, vertices: Sequence[RationalPoint]) -> RationalPoint:
-    """Convex combination of vertices weighted by depth inside each member.
-
-    The weight of member i is the exact distance from x to the part of
-    the unit box outside that member, so the support is exactly the set
-    of members containing x and the weights sum to 1 after normalizing.
-    Members are read inside the unit box, so x must lie in it.
-    """
-    coords = x.coords if isinstance(x, RationalPoint) else tuple(rat(c) for c in x)
-    if len(coords) != U.dim:
-        raise PreconditionError("point dimension differs from the cover's")
-    if not all(ZERO <= c <= ONE for c in coords):
-        raise PreconditionError("point lies outside the unit box")
-    if len(vertices) != len(U.members):
-        raise PreconditionError("one vertex per cover member is required")
-    if len({v.dim for v in vertices}) != 1:
-        raise PreconditionError("vertices disagree on dimension")
-    weights = []
-    for m in U.members:
-        d = complement_distance(coords, m)
-        if d is None:
-            raise PreconditionError("member complement is empty; kappa weight undefined")
-        weights.append(d)
-    total = sum(weights)
-    if total == 0:
-        raise PreconditionError("uncovered point")
-    tdim = vertices[0].dim
-    out = [ZERO] * tdim
-    for w, p in zip(weights, vertices):
-        if w:
-            for a in range(tdim):
-                out[a] += w * p.coords[a] / total
-    return RationalPoint(tuple(out))
 
 
 # --- strategies ------------------------------------------------------------
@@ -272,11 +99,13 @@ def general_position_cases(draw):
 @example(([(F(1, 2), F(1, 2))] * 3, F(1, 16), (), 4))
 def test_general_position_agrees_with_the_fraction_search(case):
     points, eps, avoid, budget = case
-    want = outcome(general_position, points, eps, avoid, budget)
+    coords = [p.coords if isinstance(p, RationalPoint) else p for p in points]
+    want = outcome(ref.general_position, coords, eps, avoid, budget, cn._FINEST_LEVEL)
     got = outcome(cn.general_position, points, eps, avoid, budget)
-    assert got == want
     if not isinstance(got[0], type):
         assert all(type(c) is Fraction for p in got for c in p.coords)
+        got = tuple(p.coords for p in got)
+    assert got == want
 
 
 @st.composite
@@ -344,13 +173,15 @@ def test_kappa_map_agrees_with_the_fraction_sum(case):
     saved = cn._CELL_CAP
     cn._CELL_CAP = cap
     try:
-        want = outcome(kappa_map, point, _cover(dim, specs), vertices)
         got = outcome(cn.kappa_map, point, _cover(dim, specs), vertices)
     finally:
         cn._CELL_CAP = saved
-    assert got == want
     if isinstance(got, RationalPoint):
         assert all(type(c) is Fraction for c in got.coords)
+        got = got.coords
+    coords = point.coords if isinstance(point, RationalPoint) else point
+    sets = ref.sets_of(_cover(dim, specs).members)
+    assert got == outcome(ref.kappa_map, coords, sets, [v.coords for v in vertices], cap)
 
 
 def test_kappa_weights_on_different_grids():
@@ -359,6 +190,6 @@ def test_kappa_weights_on_different_grids():
     U = FiniteCover(members, PointCloud(1, ((F(1, 4),),)))
     verts = (RationalPoint((F(0),)), RationalPoint((F(1),)))
     img = cn.kappa_map((F(1, 4),), U, verts)
-    assert img == kappa_map((F(1, 4),), U, verts)
+    assert img.coords == ref.kappa_map((F(1, 4),), ref.sets_of(members), [v.coords for v in verts], cn._CELL_CAP)
     w0, w1 = (complement_distance((F(1, 4),), m) for m in members)
     assert img.coords == (w1 / (w0 + w1),)

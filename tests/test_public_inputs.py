@@ -467,6 +467,7 @@ def test_refused_forms(kind, good, call):
             lambda: decode_point(None, BranchCode(F(1, 2), (0,))),
             "decode_point needs an InverseSystem, not NoneType",
         ),
+        (lambda: decode_point(SYSTEM, 5), "decode_point needs a BranchCode, not int"),
         (lambda: encode_point(None, (F(1, 2),)), "encode_point needs an InverseSystem, not NoneType"),
         # InverseSystem.at checks the map its rule gives, at every level read
         (lambda: InverseSystem(lambda n: "tent").at(0), "InverseSystem.at needs a PLMap, not str"),
@@ -490,6 +491,9 @@ def test_refused_forms(kind, good, call):
         (lambda: PLMap((0, 1)), "PLMap needs a sequence of (x, y) vertices, not (0, 1)"),
         (lambda: PLMap(5), "PLMap needs a sequence of (x, y) vertices, not 5"),
         (lambda: PLMap("0,1"), "PLMap needs a sequence of (x, y) vertices, not '0,1'"),
+        # so does a vertex of another length than two
+        (lambda: PLMap(((0, 0, 0), (1, 1))), "PLMap needs a sequence of (x, y) vertices, not ((0, 0, 0), (1, 1))"),
+        (lambda: PLMap(((0,), (1, 1))), "PLMap needs a sequence of (x, y) vertices, not ((0,), (1, 1))"),
         (
             lambda: decode_point(SYSTEM, BranchCode(F(1, 2), 5)),
             "decode_point needs a tuple of branch indices, not int",
