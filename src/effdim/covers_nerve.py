@@ -112,6 +112,7 @@ class Box:
         return len(self.bounds)
 
     def contains(self, coords: Sequence[Fraction]) -> bool:
+        coords = rat_point(coords)
         if len(coords) != self.dim:
             raise PreconditionError("point dimension differs from the box's")
         return all(lo <= c <= hi for (lo, hi), c in zip(self.bounds, coords))
@@ -178,6 +179,7 @@ class OpenSet:
         return tuple(tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in cube) for cube in cubes)
 
     def contains(self, coords: Sequence[Fraction]) -> bool:
+        coords = rat_point(coords)
         if len(coords) != self.dim:
             raise PreconditionError("point dimension differs from the set's")
         if not all(ZERO <= c <= ONE for c in coords):
@@ -735,7 +737,7 @@ def _shrunk_box(cube: Bounds, pull: Fraction) -> Box | None:
         nhi = ONE if hi > ONE else hi - pull
         if nlo > nhi:
             return None
-        bounds.append((min(max(nlo, ZERO), ONE), min(max(nhi, ZERO), ONE)))
+        bounds.append((nlo, nhi))
     return Box(tuple(bounds))
 
 

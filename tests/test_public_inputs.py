@@ -159,7 +159,13 @@ TABLE = {
         ("xs", "rat", F(1, 4), lambda v: iterate_S((0, 1), PATH, [F(1, 2)], 1, [v])),
     ),
     # covers and nerves
-    "Box": (("bound", "rat", F(1, 2), lambda v: Box(((F(1, 4), v),))),),
+    "Box": (
+        ("bound", "rat", F(1, 2), lambda v: Box(((F(1, 4), v),))),
+        ("point", "rat", F(1, 2), lambda v: Box(((F(1, 4), F(1, 2)), (0, 1))).contains((v, F(1, 4)))),
+    ),
+    "OpenSet": (
+        ("contains", "rat", F(1, 2), lambda v: open_set(ball((F(1, 2), F(1, 2)), F(1, 4))).contains((v, F(1, 2)))),
+    ),
     "SymbolicCarrier": (("depth", "int", 2, lambda v: SymbolicCarrier(cantor_descriptor(), v)),),
     "ball": (
         ("center", "rat", F(1, 2), lambda v: ball((F(1, 4), v), F(1, 8))),
@@ -332,7 +338,6 @@ EXEMPT = {
         "its parents are the indices refine_cover fills in"
     ),
     "Nerve": "the record nerve_of returns",
-    "OpenSet": _OBJECTS,
     "open_set": _OBJECTS,
     "cover_mesh": _COVER,
     "cover_multiplicity": _COVER,
@@ -573,6 +578,21 @@ def test_records_check_their_fields(call, expected):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == expected
+
+
+def test_contains_reads_its_point():
+    s = open_set(ball((F(1, 2), F(1, 2)), F(1, 4)))
+    box = Box(((F(1, 4), F(3, 4)), (F(1, 4), F(3, 4))))
+    for member in (s, box):
+        assert member.contains(RationalPoint((F(1, 2), F(1, 2))))
+        assert member.contains(("1/2", 1 - Half(1, 2)))
+        with pytest.raises(ValueError, match="^not a point: '1/2'$"):
+            member.contains("1/2")
+        with pytest.raises(PreconditionError, match="^point dimension differs from the "):
+            member.contains((F(1, 2),))
+    # the cube (0, 2) holds 3/2, but the set is read inside the unit box
+    assert not open_set(ball((1,), 1)).contains(("3/2",))
+    assert Box(((0, 2),)).contains(("3/2",))
 
 
 def test_every_public_callable_is_listed():
