@@ -64,8 +64,14 @@ class FormalBall:
     def dim(self) -> int:
         return self.center.dim
 
-    def contains(self, p: RationalPoint) -> bool:
-        return self.center.dist(p) < self.radius
+    def contains(self, p) -> bool:
+        """Is the point, a RationalPoint or its coordinates, in the ball inside the unit cube?"""
+        coords = rat_point(p)
+        if len(coords) != self.dim:
+            raise PreconditionError("point dimension differs from the ball's")
+        if not all(0 <= c <= 1 for c in coords):
+            return False
+        return max_dist(self.center.coords, coords) < self.radius
 
 
 class BallRelation(enum.Enum):

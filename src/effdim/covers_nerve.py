@@ -63,8 +63,9 @@ int bitboard with a bit per cell of the set's unit-box arrangement
 and shrinking margins are distances to it, so each set, a single ball
 too, builds it at most once, however many points are weighed.  A distance is measured in ints too: the point goes
 on its own denominator q, and a gap to a bound on grid g is compared on
-q·g.  General position tests affine ranks by fraction-free elimination
-over ints, on one grid per call.
+q·g.  General position works on ints, on one grid per call: each hull
+of placed points is reduced once to fraction-free (Bareiss) elimination
+steps, and a candidate is tested by reducing one row against them.
 """
 
 from __future__ import annotations
@@ -941,47 +942,47 @@ def refine_cover(
 
 _FINEST_LEVEL = 40  # general_position's finest candidate grid is 1/2^_FINEST_LEVEL
 
+Step = tuple[int, list[int], int]  # an elimination step: pivot column, pivot row, previous pivot
 
-def _rank(rows: list[list[int]]) -> int:
-    """Rank of int rows, by fraction-free elimination.
+
+def _reduce(row: list[int], ech: Sequence[Step]) -> list[int]:
+    """The int row after ech's elimination steps: all zero exactly when it lies in their span.
 
     Bareiss's elimination ("Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 1968) keeps
-    every entry a minor of the rows: after a pivot p, row r becomes
-    (p·r − r[col]·pivot row) / previous pivot, and the division is exact.
+    integer-preserving Gaussian elimination", Math. Comp. 1968).  A step is
+    a pivot row, its pivot column and the previous step's pivot, and takes
+    a row r to (p·r − r[col]·pivot row) / previous pivot.  After k steps
+    each entry of r is a (k+1)-minor of the pivot rows and r, so every
+    division is exact, and the entries all vanish exactly when the pivot
+    rows span r.
     """
-    mat = list(rows)
-    rank = 0
-    prev = 1
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        p = top[col]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            mat[r] = [(p * a - f * b) // prev for a, b in zip(mat[r], top)]
-        prev = p
-        rank += 1
-    return rank
+    for col, top, prev in ech:
+        p, f = top[col], row[col]
+        row = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return row
 
 
-def _directions(points: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The rows p − points[0] of the other points, spanning the hull's directions."""
-    base = points[0]
-    return [[c - b for c, b in zip(p, base)] for p in points[1:]]
+def _step(ech: Sequence[Step], reduced: list[int]) -> Step | None:
+    """The step a row reduced by ech adds to them, pivoting on its first nonzero entry; None if all zero."""
+    col = next((j for j, a in enumerate(reduced) if a), None)
+    if col is None:
+        return None
+    return col, reduced, ech[-1][1][ech[-1][0]] if ech else 1
 
 
-def _span_meets(points: Sequence[Sequence[int]], sub: Sequence[Sequence[int]]) -> bool:
-    """Does the affine hull of the points meet the affine hull of sub?"""
-    combined = _directions(points) + _directions(sub)
-    diff = [s - b for s, b in zip(sub[0], points[0])]
-    if not combined:
-        return not any(diff)
-    return _rank(combined) == _rank(combined + [diff])
+def _echelon(rows: Iterable[list[int]]) -> list[Step]:
+    """Bareiss steps spanning the int rows, one per unit of rank: each row reduced by the steps before it."""
+    ech: list[Step] = []
+    for row in rows:
+        step = _step(ech, _reduce(row, ech))
+        if step is not None:
+            ech.append(step)
+    return ech
+
+
+def _rank(rows: Iterable[list[int]]) -> int:
+    """Rank of int rows, by fraction-free elimination."""
+    return len(_echelon(rows))
 
 
 def general_position(
@@ -1001,6 +1002,18 @@ def general_position(
     so the tests subtract and eliminate ints; only the outputs are Fractions.
     Points of unequal dimension, an empty avoid flat and a flat of another
     dimension than the points' are refused with PreconditionError.
+
+    Placed points are in general position, so a candidate c fails exactly
+    when it is a placed point, lies in the hull of a combination S of 2..m
+    placed points, or, for an avoid flat L and S of 0..m - dim(L) - 1
+    placed points, hull(S ∪ {c}) meets L.  Each S is reduced once, when its
+    last point is placed, to its first point s0 and the Bareiss steps of
+    its directions; c is then tested by reducing the one row c − s0.  For n
+    placed points the cache holds the Σ_{k=2..m} C(n, k) hulls that every
+    candidate is tested against, and one entry per flat and S.  Let W be
+    the span of the directions of S and of L, and u = l0 − s0.  As hull(S)
+    misses L, u is outside W, and hull(S ∪ {c}) meets L exactly when c − s0
+    lies in W + span(u) but not in W.
     """
     eps, budget = rat(eps), int_arg(budget, "budget")
     if eps <= 0:
@@ -1016,30 +1029,55 @@ def general_position(
         raise PreconditionError("an avoid flat needs at least one point")
     if any(len(p) != m for flat in avoid_flats for p in flat):
         raise PreconditionError("avoid flat dimension differs from the points'")
+    if m == 0:
+        raise ValueError("point needs at least one coordinate")  # as RationalPoint refuses it
     _, grid = _on_lcm([*pts, *itertools.chain(*avoid_flats)], 2**_FINEST_LEVEL)
     pts = _on_lcm(pts, grid)[0]
-    avoid_flats = [_on_lcm(flat, grid)[0] for flat in avoid_flats]
-    avoid_dims = [_rank(_directions(flat)) for flat in avoid_flats]
 
     placed: list[list[int]] = []
+    # (s0, steps): a candidate c fails when c − s0 reduces to zero
+    hulls: list[tuple[list[int], list[Step]]] = []
+    # (s0, steps of W, [step of u]): c fails when c − s0 is in W + span(u) but not in W
+    meets: list[tuple[list[int], list[Step], list[Step]]] = []
+    # (l0, directions of L, the most points an S tested against L holds)
+    flats: list[tuple[list[int], list[list[int]], int]] = []
+    for l0, *rest in (_on_lcm(flat, grid)[0] for flat in avoid_flats):
+        dirs = [[a - b for a, b in zip(p, l0)] for p in rest]
+        ech = _echelon(dirs)
+        if len(ech) < m:
+            hulls.append((l0, ech))  # S = ∅: c fails when it lies in L
+        flats.append((l0, dirs, m - len(ech) - 1))
 
-    def admissible(candidate: list[int]) -> bool:
-        # the candidate with k placed points: k directions of rank k
-        for k in range(1, min(m, len(placed)) + 1):
-            for combo in itertools.combinations(placed, k):
-                if _rank(_directions([*combo, candidate])) < k:
-                    return False
-        for flat, fdim in zip(avoid_flats, avoid_dims):
-            for k in range(min(m - fdim, len(placed) + 1)):
-                for combo in itertools.combinations(placed, k):
-                    if _span_meets([*combo, candidate], flat):
-                        return False
+    def admissible(c: list[int]) -> bool:
+        if c in placed:
+            return False
+        for s0, ech in hulls:
+            if not any(_reduce([a - b for a, b in zip(c, s0)], ech)):
+                return False
+        for s0, ech, step in meets:
+            r = _reduce([a - b for a, b in zip(c, s0)], ech)
+            if any(r) and not any(_reduce(r, step)):
+                return False
         return True
+
+    def place(q: list[int]) -> None:
+        for k in range(1, m):
+            for s0, *rest in itertools.combinations(placed, k):
+                hulls.append((s0, _echelon([a - b for a, b in zip(s, s0)] for s in (*rest, q))))
+        for l0, dirs, most in flats:
+            for k in range(most):
+                for combo in itertools.combinations(placed, k):
+                    s0, *rest = (*combo, q)
+                    ech = _echelon([[a - b for a, b in zip(s, s0)] for s in rest] + dirs)
+                    # u = l0 − s0 is outside W, so its step exists: q passed
+                    # the test for S without q, so hull(S) misses L
+                    meets.append((s0, ech, [_step(ech, _reduce([a - b for a, b in zip(l0, s0)], ech))]))
+        placed.append(q)
 
     steps = 0
     for p in pts:
         if admissible(p):
-            placed.append(p)
+            place(p)
             continue
         found = False
         level = 2
@@ -1061,7 +1099,7 @@ def general_position(
                     if not all(0 <= c <= grid for c in cand):
                         continue
                     if admissible(cand):
-                        placed.append(cand)
+                        place(cand)
                         found = True
                         break
                 fresh = False
@@ -1100,10 +1138,17 @@ def verify_eps_eta(pairs: Sequence, eps, eta):
     """Certificate when eta-close images imply eps-close sources; else a pair.
 
     The returned counterexample is ((x, g(x)), (y, g(y))) for a violating
-    combination.
+    combination.  A nonpositive eps or eta, and sources or images of mixed
+    dimension, are refused with PreconditionError before any pair is read.
     """
     eps, eta = rat(eps), rat(eta)
+    if eps <= 0 or eta <= 0:
+        raise PreconditionError("eps and eta must be positive")
     graph = [(RationalPoint(rat_point(x)), RationalPoint(rat_point(gx))) for x, gx in pairs]
+    if len({x.dim for x, _ in graph}) > 1:
+        raise PreconditionError("sources disagree on dimension")
+    if len({gx.dim for _, gx in graph}) > 1:
+        raise PreconditionError("images disagree on dimension")
     for a in range(len(graph)):
         for b in range(a + 1, len(graph)):
             (x, gx), (y, gy) = graph[a], graph[b]

@@ -14,6 +14,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("effdim")
+# ten times the examples, for a run that names it: --hypothesis-profile=effdim-wide
+settings.register_profile("effdim-wide", parent=settings.get_profile("effdim"), max_examples=600)
 
 # Filled by the acceptance tests; shown after the run so the scorecard
 # survives output capture.

@@ -793,6 +793,9 @@ class TestGeneralPosition:
             general_position(((F(1, 2),),), F(1, 8), avoid=((),))
         with pytest.raises(PreconditionError, match="avoid flat needs at least one point"):
             general_position(((F(1, 2),),), F(1, 8), avoid=(((F(0),),), ()))
+        # a point needs a coordinate, as RationalPoint says
+        with pytest.raises(ValueError, match="^point needs at least one coordinate$"):
+            general_position(((), ()), F(1, 8))
         # flats of the points' dimension, a point flat included, still pass
         got = general_position(((F(1, 2),),), F(1, 8), avoid=(((F(1, 4),),),))
         assert got == (RationalPoint((F(1, 2),)),)
@@ -815,6 +818,25 @@ class TestEpsEta:
     def test_positivity_enforced(self):
         with pytest.raises(PreconditionError):
             EpsEtaCertificate(F(0), F(1, 2), ())
+
+    def test_arguments_are_checked_before_the_scan(self):
+        # a collapse is a counterexample for any eps, so a scan that ran
+        # first would return it instead of refusing the bound
+        collapse = [((F(0),), (F(0),)), ((F(1),), (F(0),))]
+        for eps, eta in ((-1, F(1, 4)), (F(1, 4), 0), (0, 0)):
+            for pairs in (collapse, []):
+                with pytest.raises(PreconditionError, match="^eps and eta must be positive$"):
+                    verify_eps_eta(pairs, eps, eta)
+        # mixed dimensions are refused whether the images are close or far apart
+        for far in ((F(1),), (F(0),)):
+            with pytest.raises(PreconditionError, match="^sources disagree on dimension$"):
+                verify_eps_eta([((F(0),), (F(0),)), ((F(1), F(1)), far)], F(1, 2), F(1, 2))
+        for far in ((F(1), F(1)), (F(0), F(0))):
+            with pytest.raises(PreconditionError, match="^images disagree on dimension$"):
+                verify_eps_eta([((F(0),), (F(0),)), ((F(1),), far)], F(1, 2), F(1, 2))
+        # sources and images may differ from each other in dimension
+        out = verify_eps_eta([((F(0),), (F(0), F(0))), ((F(1),), (F(1), F(1)))], F(1, 2), F(1, 2))
+        assert isinstance(out, EpsEtaCertificate)
 
 
 class TestAffineGap:

@@ -1,12 +1,14 @@
 """Differential tests: general position and kappa maps on ints, against Fractions.
 
 ``general_position`` puts its points, avoid flats and candidates on one
-int grid per call, and ``kappa_map`` sums its weighted vertices as ints
-on common denominators.  The reference, ``tests/cover_reference.py``,
-searches on Fractions with Gauss–Jordan ranks and sums Fraction weights,
-each a distance to the closures of a member's uncovered cells.  Random
-inputs must give equal outputs, or both must raise the same error with
-the same text.
+int grid per call, and tests a candidate by reducing one int row against
+the Bareiss steps cached for each placed hull; ``kappa_map`` sums its
+weighted vertices as ints on common denominators.  The reference,
+``tests/cover_reference.py``, searches on Fractions with Gauss–Jordan
+ranks and sums Fraction weights, each a distance to the closures of a
+member's uncovered cells.  Random inputs must give equal outputs, or
+both must raise the same error with the same text.  The one-row
+reduction itself is checked against Fraction elimination and ranks.
 
 The general-position inputs mix repeated points, collinear and coplanar
 ones and points lying on an avoid flat, with eps small enough that the
@@ -59,6 +61,48 @@ def affine_combination(draw, points):
     return tuple(sum(w * p[a] for w, p in zip(weights, points)) / total for a in range(len(points[0])))
 
 
+# grid-sized entries too: general_position's rows live on grids of 2^40 and more
+INTS = st.integers(-3, 3) | st.integers(-64, 64) | st.integers(-(2**45), 2**45)
+
+
+@st.composite
+def rows_and_row(draw):
+    """Int rows of up to 5 columns, with dependent rows mixed in, and one
+    more row: an int combination of them, so in their span, or free."""
+    cols = draw(st.integers(1, 5))
+    row = st.lists(INTS, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.insert(draw(st.integers(0, len(rows))), [s * u + t * v for u, v in zip(a, b)])
+    if rows and draw(st.booleans()):
+        coeffs = [draw(st.integers(-3, 3)) for _ in rows]
+        v = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(cols)]
+    else:
+        v = draw(row)
+    return rows, v
+
+
+@given(rows_and_row())
+@example(([], [0, 0]))
+@example(([[0, 2, 4], [0, 1, 2]], [0, 3, 6]))
+def test_one_row_reduction_is_exact_and_tests_the_span(case):
+    rows, v = case
+    ech = cn._echelon(rows)
+    assert len(ech) == ref.rank(rows)
+    got = cn._reduce(list(v), ech)
+    # after the steps the row is the last pivot times its Fraction residual,
+    # so no floor division lost a remainder
+    residual = [F(a) for a in v]
+    for col, top, _ in ech:
+        residual = [a - residual[col] / top[col] * b for a, b in zip(residual, top)]
+    last = ech[-1][1][ech[-1][0]] if ech else 1
+    assert got == [last * a for a in residual]
+    assert (not any(got)) == (ref.rank(rows + [v]) == ref.rank(rows))
+
+
 @st.composite
 def general_position_cases(draw):
     dim = draw(st.integers(1, 3))
@@ -71,7 +115,8 @@ def general_position_cases(draw):
             flat.append(draw(st.sampled_from(flat) | point))
         avoid.append(tuple(flat))
     pts: list[tuple[Fraction, ...]] = []
-    for _ in range(draw(st.integers(1, 5))):
+    # up to 8 points, so the placed hulls of every size 2..m are tested against
+    for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(("fresh", "repeat", "collinear", "coplanar", "on flat")))
         if kind == "repeat" and pts:
             pts.append(draw(st.sampled_from(pts)))

@@ -136,7 +136,10 @@ def _cocompress(s=F(1, 2), k_max=2):
 TABLE = {
     # ball calculus
     "RationalPoint": (("coordinate", "rat", F(1, 2), lambda v: RationalPoint((F(1, 4), v))),),
-    "FormalBall": (("radius", "rat", F(1, 4), lambda v: FormalBall(RationalPoint((F(1, 2),)), v)),),
+    "FormalBall": (
+        ("radius", "rat", F(1, 4), lambda v: FormalBall(RationalPoint((F(1, 2),)), v)),
+        ("contains", "rat", F(1, 2), lambda v: ball((F(1, 2), F(1, 2)), F(1, 4)).contains((v, F(1, 2)))),
+    ),
     "NamePrefix": (("index", "int", 3, lambda v: NamePrefix((0, v))),),
     "SpaceDescriptor": (("dim", "int", 2, lambda v: SpaceDescriptor(v)),),
     # condensation geometry
@@ -583,7 +586,7 @@ def test_records_check_their_fields(call, expected):
 def test_contains_reads_its_point():
     s = open_set(ball((F(1, 2), F(1, 2)), F(1, 4)))
     box = Box(((F(1, 4), F(3, 4)), (F(1, 4), F(3, 4))))
-    for member in (s, box):
+    for member in (s, box, ball((F(1, 2), F(1, 2)), F(1, 4))):
         assert member.contains(RationalPoint((F(1, 2), F(1, 2))))
         assert member.contains(("1/2", 1 - Half(1, 2)))
         with pytest.raises(ValueError, match="^not a point: '1/2'$"):
@@ -592,6 +595,7 @@ def test_contains_reads_its_point():
             member.contains((F(1, 2),))
     # the cube (0, 2) holds 3/2, but the set is read inside the unit box
     assert not open_set(ball((1,), 1)).contains(("3/2",))
+    assert not ball((1,), 1).contains(("3/2",))
     assert Box(((0, 2),)).contains(("3/2",))
 
 
