@@ -73,9 +73,7 @@ class Compressor:
 
 def compress_len(M: Compressor, s: str) -> int:
     """len(M.encode(s)), read off M's one length function (``_length_fn``)."""
-    if not isinstance(M, Compressor):
-        raise PreconditionError(f"compress_len needs a Compressor, not {type(M).__name__}")
-    return _length_fn(M)(s)
+    return _length_fn(M, "compress_len")(s)
 
 
 def identity_compressor() -> Compressor:
@@ -370,7 +368,7 @@ def dictionary_compressor() -> Compressor:
     return Compressor("dictionary", _dict_encode, _dict_decode, lambda n: 0 if n == 0 else 2)
 
 
-def _length_fn(M: Compressor) -> Callable[[str], int]:
+def _length_fn(M: Compressor, name: str) -> Callable[[str], int]:
     """The one length definition per compressor: a function giving len(M.encode(s)).
 
     ``compress_len``, ``PrefixFreeMachine.code_length``,
@@ -381,8 +379,11 @@ def _length_fn(M: Compressor) -> Callable[[str], int]:
     Dictionary lengths come from the bitboard token scan, resuming from
     the prefix each input shares with the one before, so inputs in
     sorted order are cheap.  Other compressors build the code and take
-    its length.
+    its length.  An M other than a Compressor is refused with
+    PreconditionError naming the caller, name.
     """
+    if not isinstance(M, Compressor):
+        raise PreconditionError(f"{name} needs a Compressor, not {type(M).__name__}")
     if M.encode_fn is _dict_encode:
         scan = _DictScan()
         return lambda s: scan.length(_check_bits(s))
@@ -439,7 +440,7 @@ class PrefixFreeMachine:
         return _header(len(payload)) + payload
 
     def code_length(self, s: str) -> int:
-        c = compress_len(self.base, s)
+        c = _length_fn(self.base, "PrefixFreeMachine.code_length")(s)
         return c + header_overhead(c)
 
     def decode(self, code: str) -> str | None:
@@ -578,7 +579,7 @@ def _candidate_codes(x, r: int) -> list[str]:
 
 def precision_complexity(x, r: int, M: Compressor) -> int:
     """Min compressed length over canonical encodings of certified candidates."""
-    return min(map(_length_fn(M), _candidate_codes(x, r)))
+    return min(map(_length_fn(M, "precision_complexity"), _candidate_codes(x, r)))
 
 
 def precision_complexities(x, M: Compressor, r_range: Sequence[int]) -> dict[int, int]:
@@ -619,7 +620,7 @@ def co_compressible_check(
         raise PreconditionError("g must be strictly increasing and positive")
     if len(prefix) < marks[-1]:
         raise PreconditionError("prefix shorter than g(k_max + 1)")
-    length = _length_fn(M)
+    length = _length_fn(M, "co_compressible_check")
     out = []
     for k in range(k_max + 1):
         hit = False

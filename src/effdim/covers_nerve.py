@@ -66,6 +66,9 @@ on its own denominator q, and a gap to a bound on grid g is compared on
 q·g.  General position works on ints, on one grid per call: each hull
 of placed points is reduced once to fraction-free (Bareiss) elimination
 steps, and a candidate is tested by reducing one row against them.
+The embedding step's gap between two affine hulls runs on the same
+kernel: it is read from the LP dual, over the dependencies among the
+columns of the hulls' int directions (``_affine_gap``).
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, Sequence
 
-from ._lp import affine_gap
 from ._rat import ZERO, ONE, PreconditionError, fmt, int_arg, max_dist, rat, rat_point
 from .ball_calculus import FormalBall, RationalPoint
 from .dimension_estimators import MengerDescriptor, PointCloud
@@ -980,9 +982,43 @@ def _echelon(rows: Iterable[list[int]]) -> list[Step]:
     return ech
 
 
-def _rank(rows: Iterable[list[int]]) -> int:
-    """Rank of int rows, by fraction-free elimination."""
-    return len(_echelon(rows))
+def _affine_gap(pts_a: Sequence[Sequence[Fraction]], pts_b: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact max-metric distance between the affine hulls of two point lists.
+
+    With w = b0 − a0 and V the span of both lists' directions, the gap is
+    the least |w − v|∞ over v in V, which by LP duality is the largest
+    |y·w| / |y|₁ over y ⊥ V.  That maximum sits at an elementary vector of
+    V⊥ (Rockafellar, "The elementary vectors of a subspace of R^N", 1969):
+    a dependency y among the columns of the int direction matrix whose
+    support is a minimal dependent set.  Every such set is an independent
+    set S of columns and one later column, so the walk goes depth first
+    over the independent sets, visiting at most 2^m of them for points in
+    R^m.  Each next column, with the identity row e_j as its tail, is
+    reduced by the Bareiss steps of S: a nonzero column part extends S,
+    and a zero one leaves y as the tail.  With no dependency V is all of
+    R^m and the gap is 0.
+    """
+    rows, q = _on_lcm([*pts_a, *pts_b])
+    a0, b0 = rows[0], rows[len(pts_a)]
+    dirs = [[c - s for c, s in zip(p, a0)] for p in rows[1 : len(pts_a)]]
+    dirs += [[c - s for c, s in zip(p, b0)] for p in rows[len(pts_a) + 1 :]]
+    m, k = len(a0), len(dirs)
+    w = [b - a for a, b in zip(a0, b0)]
+    cols = [[v[d] for v in dirs] + [int(e == d) for e in range(m)] for d in range(m)]
+    gap = ZERO
+
+    def walk(ech: list[Step], start: int) -> None:
+        nonlocal gap
+        for j in range(start, m):
+            r = _reduce(cols[j], ech)
+            if any(r[:k]):
+                walk([*ech, _step(ech, r)], j + 1)
+            else:
+                y = r[k:]
+                gap = max(gap, Fraction(abs(sum(map(operator.mul, y, w))), q * sum(map(abs, y))))
+
+    walk([], 0)
+    return gap
 
 
 def general_position(
@@ -1001,7 +1037,8 @@ def general_position(
     one grid per call, the lcm of their denominators and 2^_FINEST_LEVEL,
     so the tests subtract and eliminate ints; only the outputs are Fractions.
     Points of unequal dimension, an empty avoid flat and a flat of another
-    dimension than the points' are refused with PreconditionError.
+    dimension than the points' are refused with PreconditionError, and a
+    point outside the unit box with RationalPoint's ValueError.
 
     Placed points are in general position, so a candidate c fails exactly
     when it is a placed point, lies in the hull of a combination S of 2..m
@@ -1029,10 +1066,13 @@ def general_position(
         raise PreconditionError("an avoid flat needs at least one point")
     if any(len(p) != m for flat in avoid_flats for p in flat):
         raise PreconditionError("avoid flat dimension differs from the points'")
+    # as RationalPoint refuses them, before any candidate is tried
     if m == 0:
-        raise ValueError("point needs at least one coordinate")  # as RationalPoint refuses it
+        raise ValueError("point needs at least one coordinate")
     _, grid = _on_lcm([*pts, *itertools.chain(*avoid_flats)], 2**_FINEST_LEVEL)
     pts = _on_lcm(pts, grid)[0]
+    if not all(0 <= c <= grid for p in pts for c in p):
+        raise ValueError("coordinates must lie in [0,1]")
 
     placed: list[list[int]] = []
     # (s0, steps): a candidate c fails when c − s0 reduces to zero
@@ -1177,8 +1217,13 @@ def embed_step(
     Vertices are member-ball centers moved into general position away
     from the avoid flats; eta is the largest power of two below the
     smallest gap between affine spans of disjoint nerve faces, and the
-    exhaustive pair check on the sample seals the certificate.
+    exhaustive pair check on the sample seals the certificate.  A sample
+    other than a PointCloud, or a cover other than a FiniteCover, is
+    refused with PreconditionError.
     """
+    if not isinstance(sample, PointCloud):
+        raise PreconditionError(f"embed_step needs a PointCloud, not {type(sample).__name__}")
+    U = _cover_arg(U, "embed_step")
     m = sample.dim
     n = (m - 1) // 2
     mult = cover_multiplicity(U)
@@ -1198,7 +1243,7 @@ def embed_step(
             if not (faces[a] & faces[b]):
                 ga = [vertices[t].coords for t in sorted(faces[a])]
                 gb = [vertices[t].coords for t in sorted(faces[b])]
-                gap = affine_gap(ga, gb)
+                gap = _affine_gap(ga, gb)
                 if gap == 0:
                     raise PreconditionError("general position failed to separate spans")
                 min_gap = gap if min_gap is None else min(min_gap, gap)

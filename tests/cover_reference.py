@@ -421,7 +421,8 @@ def general_position(
     p + offsets/2^level, every offset below eps·2^level - 1 in size, not all
     zero and, past the first level tried, not all even, in lexicographic
     order, inside the unit box; each counts against the budget, and levels
-    run from 2 to finest_level.
+    run from 2 to finest_level.  A point outside the unit box is refused
+    before any candidate is tried.
     """
     if eps <= 0:
         raise PreconditionError("eps must be positive")
@@ -434,6 +435,8 @@ def general_position(
         raise PreconditionError("an avoid flat needs at least one point")
     if any(len(p) != m for flat in avoid for p in flat):
         raise PreconditionError("avoid flat dimension differs from the points'")
+    if not all(ZERO <= c <= ONE for p in points for c in p):
+        raise ValueError("coordinates must lie in [0,1]")
     flats = [(flat, rank(_directions(flat))) for flat in avoid]
     placed: list[Point] = []
 
@@ -480,3 +483,54 @@ def _candidates(p: Point, eps: Fraction, finest_level: int) -> Iterator[Point | 
                 yield x
         fresh = False
     raise PreconditionError("budget exceeded")
+
+
+# --- affine gap -------------------------------------------------------------------
+
+
+def _solve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
+    """The one solution of the square system by Gauss–Jordan elimination; None when singular."""
+    aug = [[*row, b] for row, b in zip(mat, rhs)]
+    n = len(aug)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        top = aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], top)]
+    return [row[-1] for row in aug]
+
+
+def affine_gap(pts_a: Sequence[Point], pts_b: Sequence[Point]) -> Fraction:
+    """The max-metric distance between the two lists' affine hulls, as the primal LP.
+
+    With w = b0 − a0 and a basis B of both lists' directions, the gap is
+    the least t with |w − Bx|∞ <= t for some x.  The least t sits at a
+    vertex, where t and the k coefficients x solve σ_d·(w − Bx)_d = t on
+    k + 1 coordinates d with signs σ_d; the gap is the least t among the
+    feasible solutions of every such system, or 0 when B spans R^m.
+    """
+    w = [b - a for a, b in zip(pts_a[0], pts_b[0])]
+    basis: list[list[Fraction]] = []
+    for d in _directions(pts_a) + _directions(pts_b):
+        if rank(basis + [d]) > len(basis):
+            basis.append(d)
+    m, k = len(w), len(basis)
+    if k == m:
+        return ZERO
+    best = None
+    for coords in itertools.combinations(range(m), k + 1):
+        for signs in itertools.product((1, -1), repeat=k + 1):
+            # σ·(w − Bx)_d = t, as σ·(Bx)_d + t = σ·w_d
+            mat = [[s * v[d] for v in basis] + [ONE] for d, s in zip(coords, signs)]
+            sol = _solve(mat, [s * w[d] for d, s in zip(coords, signs)])
+            if sol is None:
+                continue
+            *x, t = sol
+            if all(abs(w[d] - sum(c * v[d] for c, v in zip(x, basis))) <= t for d in range(m)):
+                best = t if best is None else min(best, t)
+    return best

@@ -202,20 +202,20 @@ class TestResumableLengths:
     @example(["0010011", "001001111"])
     @example(["0010011", "00100111", "001001111"])
     def test_dictionary_lengths_on_arbitrary_lists(self, strings):
-        length = _length_fn(dictionary_compressor())
+        length = _length_fn(dictionary_compressor(), "compress_len")
         got = [length(s) for s in strings]
         assert got == [len(_dict_encode_reference(s)) for s in strings]
 
     @given(related_bit_lists())
     def test_dictionary_lengths_on_shared_prefixes(self, strings):
-        length = _length_fn(dictionary_compressor())
+        length = _length_fn(dictionary_compressor(), "compress_len")
         got = [length(s) for s in strings]
         assert got == [len(_dict_encode_reference(s)) for s in strings]
 
     @given(sorted_candidate_encodings())
     def test_dictionary_lengths_on_sorted_candidates(self, strings):
         assert strings == sorted(strings)
-        length = _length_fn(dictionary_compressor())
+        length = _length_fn(dictionary_compressor(), "compress_len")
         got = [length(s) for s in strings]
         assert got == [len(_dict_encode_reference(s)) for s in strings]
 
@@ -240,7 +240,7 @@ class TestResumableLengths:
         assert len(_dict_encode_reference(s, chain=other_chain or len(s))) == other_bits
         assert len(_dict_encode(s)) == len(_dict_encode_reference(s)) == bits
         assert _dict_encode(s) == _dict_encode_reference(s)
-        length = _length_fn(dictionary_compressor())
+        length = _length_fn(dictionary_compressor(), "compress_len")
         inputs = (s[:-3], s, s[:-1] + "0", s)
         assert [length(t) for t in inputs] == [len(_dict_encode_reference(t)) for t in inputs]
 
@@ -254,13 +254,13 @@ class TestResumableLengths:
         for i in range(1, len(strings)):
             cut = data.draw(st.integers(min_value=0, max_value=len(strings[i - 1])))
             strings[i] = strings[i - 1][:cut] + strings[i]
-        length = _length_fn(dictionary_compressor())
+        length = _length_fn(dictionary_compressor(), "compress_len")
         got = [length(s) for s in strings]
         assert got == [len(_dict_encode_reference(s)) for s in strings]
 
     def test_every_string_is_checked(self):
         for factory in BUILTIN_COMPRESSORS.values():
-            length = _length_fn(factory())
+            length = _length_fn(factory(), "compress_len")
             assert length("0110") == len(factory().encode("0110"))
             with pytest.raises(ValueError, match="only '0' and '1'"):
                 length("0112")

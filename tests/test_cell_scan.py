@@ -9,8 +9,9 @@ Fractions.  Random covers in one to three dimensions, with cubes poking
 past the unit box, explicit zero-width carrier boxes and point clouds,
 must get the same mask sets, multiplicities, meshes, parents, complement
 distances and shrinkings from both.  The kernels read ints on a common
-grid, so half the random covers mix coprime denominators.  ``_rank``
-(fed int rows) is checked against the reference's Fraction elimination.
+grid, so half the random covers mix coprime denominators.  The length
+of ``_echelon`` (fed int rows), their rank, is checked against the
+reference's Fraction elimination.
 """
 
 import itertools
@@ -328,12 +329,12 @@ def matrices(draw):
 
 @given(matrices())
 def test_rank_agrees_with_fraction_elimination(rows):
-    # _rank reads int rows; scaling a row by the lcm of its denominators keeps its span
+    # _echelon reads int rows; scaling a row by the lcm of its denominators keeps its span
     scaled = []
     for row in rows:
         q = math.lcm(*(v.denominator for v in row))
         scaled.append([v.numerator * (q // v.denominator) for v in row])
-    assert cn._rank(scaled) == ref.rank(rows)
+    assert len(cn._echelon(scaled)) == ref.rank(rows)
 
 
 def _corner_padding(dim: int) -> tuple[OpenSet, ...]:

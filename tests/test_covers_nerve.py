@@ -44,7 +44,6 @@ from effdim import (
     sponge_descriptor,
     verify_eps_eta,
 )
-from effdim._lp import affine_gap
 from test_cell_scan import shrinkable_covers
 
 F = Fraction
@@ -800,6 +799,20 @@ class TestGeneralPosition:
         got = general_position(((F(1, 2),),), F(1, 8), avoid=(((F(1, 4),),),))
         assert got == (RationalPoint((F(1, 2),)),)
 
+    def test_points_outside_the_unit_box_are_refused_before_the_search(self):
+        # a repeated point at 3/2 would be perturbed until the budget ran out;
+        # it is refused first, with the error RationalPoint gives a lone one
+        for budget in (100_000, 0):
+            with pytest.raises(ValueError, match=r"^coordinates must lie in \[0,1\]$"):
+                general_position([(F(3, 2),), (F(3, 2),)], F(1, 8), (), budget)
+        with pytest.raises(ValueError, match=r"^coordinates must lie in \[0,1\]$"):
+            general_position([(F(3, 2),)], F(1, 8))
+        with pytest.raises(ValueError, match=r"^coordinates must lie in \[0,1\]$"):
+            RationalPoint((F(3, 2),))
+        # an avoid flat may reach past the box
+        got = general_position(((F(1, 2),),), F(1, 8), avoid=(((F(3, 2),),),))
+        assert got == (RationalPoint((F(1, 2),)),)
+
 
 class TestEpsEta:
     def test_certificate_on_an_isometry(self):
@@ -841,17 +854,17 @@ class TestEpsEta:
 
 class TestAffineGap:
     def test_point_to_point_is_max_metric(self):
-        assert affine_gap([(F(0), F(0))], [(F(1), F(1, 2))]) == 1
+        assert cn._affine_gap([(F(0), F(0))], [(F(1), F(1, 2))]) == 1
 
     def test_parallel_segments(self):
         a = [(F(0), F(0)), (F(1), F(0))]
         b = [(F(0), F(1, 2)), (F(1), F(1, 2))]
-        assert affine_gap(a, b) == F(1, 2)
+        assert cn._affine_gap(a, b) == F(1, 2)
 
     def test_crossing_lines_touch(self):
         a = [(F(0), F(0)), (F(1), F(1))]
         b = [(F(0), F(1)), (F(1), F(0))]
-        assert affine_gap(a, b) == 0
+        assert cn._affine_gap(a, b) == 0
 
 
 class TestEmbedStep:

@@ -9,6 +9,9 @@ ranks and sums Fraction weights, each a distance to the closures of a
 member's uncovered cells.  Random inputs must give equal outputs, or
 both must raise the same error with the same text.  The one-row
 reduction itself is checked against Fraction elimination and ranks.
+The embedding step's gap between two affine hulls, read on the same
+kernel from the LP dual, is checked against the reference's primal:
+the least t over the vertex systems of Fraction Gauss–Jordan solves.
 
 The general-position inputs mix repeated points, collinear and coplanar
 ones and points lying on an avoid flat, with eps small enough that the
@@ -142,6 +145,8 @@ def general_position_cases(draw):
 @example(([(F(1, 3),), (F(1, 3),)], F(1, 8), (((F(1, 3),),),), 200_000))
 # three copies of a point: the step budget runs out during the search
 @example(([(F(1, 2), F(1, 2))] * 3, F(1, 16), (), 4))
+# a point past the unit box is refused before the search
+@example(([(F(3, 2),), (F(3, 2),)], F(1, 8), (), 100_000))
 def test_general_position_agrees_with_the_fraction_search(case):
     points, eps, avoid, budget = case
     coords = [p.coords if isinstance(p, RationalPoint) else p for p in points]
@@ -227,6 +232,47 @@ def test_kappa_map_agrees_with_the_fraction_sum(case):
     coords = point.coords if isinstance(point, RationalPoint) else point
     sets = ref.sets_of(_cover(dim, specs).members)
     assert got == outcome(ref.kappa_map, coords, sets, [v.coords for v in vertices], cap)
+
+
+@st.composite
+def affine_gap_cases(draw):
+    """Two lists of 1..3 points in 1..6 dimensions; a point after the first
+    is fresh, a repeat, or on a line through two points drawn so far, and a
+    second-list point may be a first-list one, so the lists share points and
+    the directions are often rank-deficient or span the whole space."""
+    dim = draw(st.integers(1, 6))
+    point = st.tuples(*[COORDS] * dim)
+    lists: tuple[list, list] = ([draw(point)], [])
+    for pts, most in zip(lists, (2, 3)):
+        for _ in range(draw(st.integers(0 if pts else 1, most))):
+            pool = lists[0] + lists[1]
+            kind = draw(st.sampled_from(("fresh", "repeat", "collinear")))
+            if kind == "repeat":
+                pts.append(draw(st.sampled_from(pool)))
+            elif kind == "collinear" and len(pool) >= 2:
+                pts.append(draw(affine_combination(draw(st.permutations(pool))[:2])))
+            else:
+                pts.append(draw(point))
+    return lists
+
+
+@given(affine_gap_cases())
+# crossing diagonals of the unit square meet; the diagonal and its parallel a half
+# below it are 1/4 apart, splitting the offset between the axes
+@example(([(F(0), F(0)), (F(1), F(1))], [(F(0), F(1)), (F(1), F(0))]))
+@example(([(F(0), F(0)), (F(1), F(1))], [(F(1, 2), F(0)), (F(1), F(1, 2))]))
+# the one direction moves the second axis only: the gap is the largest offset
+# on the others, 1 on the third
+@example(([(F(1, 8), F(0), F(0)), (F(1, 8), F(1), F(0))], [(F(7, 8), F(0), F(1))]))
+# two points of R^6 apart on the last axis alone: every column is a dependency
+@example(([(F(0),) * 6], [(F(0),) * 5 + (F(1, 2),)]))
+# a repeated point against one on the 2^40 grid
+@example(([(F(1, 3),)] * 2, [(F(1, 2**40),)]))
+def test_affine_gap_agrees_with_the_primal_reference(case):
+    pts_a, pts_b = case
+    got = cn._affine_gap(pts_a, pts_b)
+    assert type(got) is Fraction
+    assert got == ref.affine_gap(pts_a, pts_b) == cn._affine_gap(pts_b, pts_a)
 
 
 def test_kappa_weights_on_different_grids():

@@ -81,6 +81,7 @@ from effdim import (
     path_param,
     precision_candidates,
     precision_complexity,
+    prefixfree_transform,
     preimages,
     refine_cover,
     runlength_compressor,
@@ -432,6 +433,12 @@ def test_refused_forms(kind, good, call):
             lambda: kappa_map((F(1, 2),), None, (RationalPoint((0,)),)),
             "kappa_map needs a FiniteCover, not NoneType",
         ),
+        # embed_step names itself for both its sample and its cover
+        (lambda: embed_step(None, _disjoint()), "embed_step needs a PointCloud, not NoneType"),
+        (
+            lambda: embed_step(PointCloud(1, ((F(0),),)), None),
+            "embed_step needs a FiniteCover, not NoneType",
+        ),
         # a cover's members are a tuple of OpenSets and its carrier a PointCloud
         # or SymbolicCarrier; a kappa vertex is a RationalPoint
         (
@@ -512,6 +519,23 @@ def test_refused_forms(kind, good, call):
         (lambda: BranchNode(F(1, 2), [BranchNode(0)]), "BranchNode needs a tuple of children, not list"),
         (lambda: compress_len(None, "01"), "compress_len needs a Compressor, not NoneType"),
         (lambda: compress_len(runlength_compressor, "01"), "compress_len needs a Compressor, not function"),
+        # every reader of a compressor's length names itself
+        (
+            lambda: precision_complexity((F(1, 3),), 2, None),
+            "precision_complexity needs a Compressor, not NoneType",
+        ),
+        (
+            lambda: schnorr_dims((F(1, 3),), runlength_compressor, [2, 3]),
+            "precision_complexity needs a Compressor, not function",
+        ),
+        (
+            lambda: co_compressible_check("0101", None, lambda k: k + 1, F(1, 2), 1),
+            "co_compressible_check needs a Compressor, not NoneType",
+        ),
+        (
+            lambda: prefixfree_transform(None).code_length("01"),
+            "PrefixFreeMachine.code_length needs a Compressor, not NoneType",
+        ),
     ],
 )
 def test_wrong_types(call, expected):
