@@ -430,6 +430,10 @@ class PrefixFreeMachine:
 
     base: Compressor
 
+    def __post_init__(self):
+        if not isinstance(self.base, Compressor):
+            raise PreconditionError(f"PrefixFreeMachine needs a Compressor, not {type(self.base).__name__}")
+
     def code(self, payload: str) -> str:
         if not self.base.image_test(payload):
             raise PreconditionError("payload is not in the compressor's image")

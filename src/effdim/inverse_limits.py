@@ -4,28 +4,32 @@ Maps are given by rational vertex lists with no constant segment, so
 evaluation, preimage enumeration and composition all stay exact.  Each
 map keeps its affine pieces, computed on first use, in two forms: int
 pieces y = (a*x + b) / e with one denominator each, for evaluation and
-composition, and the inverse pieces x = a*y + b with their y-ranges as
-ints, for preimages.  One int step takes a reduced pair n / d to that of
-f(n / d) with gcds against small ints only; orbits and cycles walk it.
-Composition cuts g's int pieces where g crosses a vertex of f, so the
-powers of f are built as int pieces, and the cycle table reads each
-fixed point b / (e - a) off them, traces its cycle with the step and
-files cycle points by floor(v * 2^64), one table for every tol.  A
-point of the inverse limit is a backward trajectory; its branch code
-records the starting value, the rank of each backward choice among
-the sorted preimages, and the levels where it meets a critical value.
+composition, and the inverse pieces x = (a*y + b) / m on one shared
+denominator m, with their y-ranges as ints on another, for preimages.
+One int step takes a reduced pair n / d to that of f(n / d) with gcds
+against small ints only; orbits and cycles walk it.  Composition cuts
+g's int pieces where g crosses a vertex of f, so the powers of f are
+built as int pieces, and the cycle table reads each fixed point
+b / (e - a) off them, traces its cycle with the step and files cycle
+points by floor(v * 2^64), one table for every tol.  A point of the
+inverse limit is a backward trajectory; its branch code records the
+starting value, the rank of each backward choice among the sorted
+preimages, and the levels where it meets a critical value.
 
-The loops that run once per value key and compare each exact value as
-its reduced (numerator, denominator) int pair, the same equality as the
-Fraction's without its hash: the levels of a branching tree, the levels
-of a branch code's decoding and encoding, the steps and repeats of an
-orbit and the cycle table's points.  One preimage kernel solves a whole
-level of pairs at once; a branch code's level is a level of one pair.
+An orbit keys and compares each exact value as its reduced (numerator,
+denominator) int pair, the same equality as the Fraction's without its
+hash: its steps and repeats and the cycle table's points.  One preimage
+kernel solves a whole level of values at once.  A level is a list of
+int numerators over one shared denominator, and so is the level it
+returns, divided by one gcd, so that its denominator is the lcm of its
+values' reduced denominators: no solution is reduced on its own.  A
+branch code's level is a level of one value: decoding picks a solution
+from it, encoding ranks the next value's numerator on its denominator.
 A branching tree is held as its levels, built with the cyclic collector
-paused since they hold no cycles: its nodes are built from their level
-pairs when they are read, each builds a Fraction only when its value is
-read, and its leaf count, arity profile and full-binary test are read
-off the kernel's per-pair counts.
+paused since they hold no cycles: its nodes are built from their level's
+numerator and denominator, reduced, when they are read, each builds a
+Fraction only when its value is read, and its leaf count, arity profile
+and full-binary test are read off the kernel's per-value counts.
 """
 
 from __future__ import annotations
@@ -165,23 +169,29 @@ class PLMap:
         return den, [x.numerator * (den // x.denominator) for x in self._xs]
 
     @functools.cached_property
-    def _inverse(self) -> tuple[tuple[int, ...], ...]:
-        """Per segment, its y-range and inverse piece x = a * y + b as ints.
+    def _inverse(self) -> tuple[int, int, tuple[tuple[int, int, int, int], ...]]:
+        """The inverse pieces as ints on two shared denominators.
 
-        Each entry is (lo.num, lo.den, hi.num, hi.den, an, bn, d) with
-        [lo, hi] the segment's y-range and a = an / d, b = bn / d.
+        Returns (w, m, pieces): per segment, (lo, hi, a, b) with the
+        segment's y-range [lo / w, hi / w] and its inverse piece
+        x = (a * y + b) / m; w is the lcm of the vertex y values'
+        denominators and m that of the inverse pieces'.  With the vertex
+        x values as ints over v, the inverse of the segment from (x0, y0)
+        to (x1, y1) is x = ((x1 - x0)*w*y + x0*y1 - x1*y0) / ((y1 - y0)*v).
         """
-        out = []
-        for (x0, y0), (x1, y1) in self.segments():
-            lo, hi = min(y0, y1), max(y0, y1)
-            a = (x1 - x0) / (y1 - y0)
-            b = x0 - a * y0
-            out.append((
-                lo.numerator, lo.denominator, hi.numerator, hi.denominator,
-                a.numerator * b.denominator, b.numerator * a.denominator,
-                a.denominator * b.denominator,
-            ))
-        return tuple(out)
+        verts = self.vertices
+        v = lcm(*(x.denominator for x, _ in verts))
+        w = lcm(*(y.denominator for _, y in verts))
+        pts = [(x.numerator * (v // x.denominator), y.numerator * (w // y.denominator)) for x, y in verts]
+        inv = []
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            a, b, e = (x1 - x0) * w, x0 * y1 - x1 * y0, (y1 - y0) * v
+            if e < 0:
+                a, b, e = -a, -b, -e
+            g = gcd(a, b, e)
+            inv.append((min(y0, y1), max(y0, y1), a // g, b // g, e // g))
+        m = lcm(*(e for *_, e in inv))
+        return w, m, tuple((lo, hi, a * (m // e), b * (m // e)) for lo, hi, a, b, e in inv)
 
     @functools.cached_property
     def _extrema(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -218,33 +228,35 @@ def extrema_of(f: PLMap) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     return _map_arg(f, "extrema_of")._extrema
 
 
-def _preimage_level(
-    f: PLMap, level: Sequence[tuple[int, int]], room: int
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """The solutions x of f(x) = p / q for every reduced pair (p, q), q > 0, of a level.
+def _preimage_level(f: PLMap, den: int, level: Sequence[int], room: int) -> tuple[int, list[int], list[int]]:
+    """The solutions x of f(x) = p / den for every numerator p of a level, den > 0.
 
     The one preimage kernel, behind preimages, the branch codes and
-    branching_tree.  Returns every pair's solutions as reduced pairs
-    (x.numerator, x.denominator), concatenated in the level's order, and
-    each pair's count.  Segment i contributes its solution, which lies in
-    [x_i, x_(i+1)], when its y-range holds y; so a pair's solutions come
-    out ascending, and a repeat can only be the vertex shared with the
-    previous segment.  Raises PreconditionError when no segment's y-range
-    holds a pair's value and, once that pair's solutions are in, when
-    there are more than room of them: room is what is left of
-    _TREE_NODE_CAP.
+    branching_tree.  Returns (den', numerators, counts): every value's
+    solutions as numerators over the one denominator den', concatenated
+    in the level's order, and each value's count.  With the inverse
+    pieces x = (a * y + b) / m, a solution is (a * p + b * den) / (den * m),
+    so the range tests are int comparisons and a repeat is an equal int.
+    Segment i contributes its solution, which lies in [x_i, x_(i+1)],
+    when its y-range holds the value; so a value's solutions come out
+    ascending, and a repeat can only be the vertex shared with the
+    previous segment.  The output is divided by gcd(den * m, *numerators),
+    so den' is the lcm of the solutions' reduced denominators, and a
+    level of one solution is its reduced pair.  Raises PreconditionError
+    when no segment's y-range holds a value and, once that value's
+    solutions are in, when there are more than room of them: room is
+    what is left of _TREE_NODE_CAP.
     """
-    inverse = f._inverse
-    sols: list[tuple[int, int]] = []
+    w, m, inverse = f._inverse
+    sols: list[int] = []
     counts: list[int] = []
     start = 0
-    for p, q in level:
+    for p in level:
+        y = p * w  # the value over w * den, as the pieces' ranges are
         last = None
-        for lo_n, lo_d, hi_n, hi_d, an, bn, d in inverse:
-            if lo_n * q <= p * lo_d and p * hi_d <= hi_n * q:
-                n, m = an * p + bn * q, d * q
-                g = gcd(n, m)
-                x = (n // g, m // g)
+        for lo, hi, a, b in inverse:
+            if lo * den <= y <= hi * den:
+                x = a * p + b * den
                 if x != last:
                     sols.append(x)
                     last = x
@@ -255,18 +267,19 @@ def _preimage_level(
         if end > room:
             raise PreconditionError(f"branching tree exceeds {_TREE_NODE_CAP} nodes")
         start = end
-    return sols, counts
-
-
-def _preimage_pairs(f: PLMap, p: int, q: int) -> list[tuple[int, int]]:
-    """The solutions of f(x) = p / q, q > 0, ascending: a level of one pair, with no cap."""
-    return _preimage_level(f, ((p, q),), len(f._inverse))[0]
+    # numerators first: gcd stops dividing once its running value is 1
+    den *= m
+    g = gcd(*sols, den)
+    if g == 1:
+        return den, sols, counts
+    return den // g, [x // g for x in sols], counts
 
 
 def preimages(f: PLMap, y: Fraction) -> tuple[Fraction, ...]:
     """All exact solutions of f(x) = y, sorted ascending."""
     f, y = _map_arg(f, "preimages"), rat(y)
-    return tuple(Fraction(n, m) for n, m in _preimage_pairs(f, y.numerator, y.denominator))
+    den, sols, _ = _preimage_level(f, y.denominator, (y.numerator,), len(f.vertices))
+    return tuple(Fraction(x, den) for x in sols)
 
 
 def _refine(f: PLMap, pieces: Sequence[Piece]) -> list[Piece]:
@@ -543,9 +556,9 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
     """Backward trajectory selected by a branch word.
 
     Level n step picks the word[n]-th preimage (ascending order) of the
-    current value under the level-n map; the levels run on reduced
-    (numerator, denominator) pairs, one Fraction built per level.  A start
-    point outside [0,1] is refused at every depth.
+    current value under the level-n map: the preimage kernel solves the
+    level of that one value, and the pick is the one Fraction built per
+    level.  A start point outside [0,1] is refused at every depth.
     """
     _system_arg(system, "decode_point")
     if not isinstance(code, BranchCode):
@@ -561,14 +574,15 @@ def decode_point(system: InverseSystem, code: BranchCode, depth: int | None = No
     traj = [_start_point(code.x0)]
     if depth > size:
         raise PreconditionError("word shorter than requested depth")
-    p, q = traj[0].numerator, traj[0].denominator
+    x = traj[0]
     for n in range(depth):
-        pre = _preimage_pairs(system._at(n), p, q)
+        f = system._at(n)
+        den, sols, _ = _preimage_level(f, x.denominator, (x.numerator,), len(f.vertices))
         k = int_arg(code.word[n], "a branch index")
-        if not 0 <= k < len(pre):
+        if not 0 <= k < len(sols):
             raise PreconditionError(f"branch index {k} out of range at level {n}")
-        p, q = pre[k]
-        traj.append(Fraction(p, q))
+        x = Fraction(sols[k], den)
+        traj.append(x)
     return tuple(traj)
 
 
@@ -577,11 +591,13 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
 
     Ranks each x_{n+1} in [0,1] among the sorted preimages of x_n, which
     also verifies f_n(x_{n+1}) = x_n: x_{n+1} is a preimage exactly when
-    it is among them.  ex_time collects the levels whose value is a
-    critical value of that level's map, a reduced pair looked up in the
-    map's cached pair set; only the last level's map is fetched for this
-    alone, and a rule that ends there leaves that level out.  A start
-    point outside [0,1] is refused, however short the trajectory.
+    its reduced denominator divides the preimages' shared one and its
+    numerator on that denominator is among theirs.  ex_time collects the
+    levels whose value is a critical value of that level's map, a reduced
+    pair looked up in the map's cached pair set; only the last level's
+    map is fetched for this alone, and a rule that ends there leaves that
+    level out.  A start point outside [0,1] is refused, however short the
+    trajectory.
     """
     _system_arg(system, "encode_point")
     try:
@@ -605,9 +621,13 @@ def encode_point(system: InverseSystem, trajectory: Sequence[Fraction]) -> Branc
         if not 0 <= x.numerator <= x.denominator:
             raise PreconditionError("argument outside [0,1]")
         try:
-            # a value outside f's range, or a pair not among its solutions
-            pre = _preimage_pairs(f, y.numerator, y.denominator)
-            word.append(pre.index((x.numerator, x.denominator)))
+            # a value outside f's range, or x not among its solutions: not
+            # on their denominator, or its numerator there not among theirs
+            den, sols, _ = _preimage_level(f, y.denominator, (y.numerator,), len(f.vertices))
+            scale, rest = divmod(den, x.denominator)
+            if rest:
+                raise ValueError
+            word.append(sols.index(x.numerator * scale))
         except ValueError:
             raise PreconditionError(f"not a backward trajectory at level {n}") from None
     n, y = len(traj) - 1, traj[-1]
@@ -822,26 +842,37 @@ def _rebuild(order: list[tuple[tuple[int, int], int, tuple]]) -> BranchNode:
 class _Levels:
     """A branching tree as its levels, shared by every node made from them.
 
-    pairs[k] lists level k's reduced (numerator, denominator) pairs,
-    counts[k] the preimage count of each pair of a level k above the
-    last, and offsets[k] their running sums from 0: the children of node
-    (k, i) are the pairs offsets[k][i] to offsets[k][i + 1] - 1 of level
-    k + 1.  The kernel raises on a pair with no preimage, so every node
-    above the last level has children: the leaves are exactly the last
-    level, and a node's subtree is one index range on each level.
+    Level k's values are nums[k][i] / dens[k], as the preimage kernel
+    returns them; counts[k] lists the preimage count of each value of a
+    level k above the last, and offsets[k] their running sums from 0:
+    the children of node (k, i) are the values offsets[k][i] to
+    offsets[k][i + 1] - 1 of level k + 1.  The kernel raises on a value
+    with no preimage, so every node above the last level has children:
+    the leaves are exactly the last level, and a node's subtree is one
+    index range on each level.
     """
 
-    __slots__ = ("pairs", "counts", "offsets")
+    __slots__ = ("dens", "nums", "counts", "offsets")
 
-    def __init__(self, pairs: list[list[tuple[int, int]]], counts: list[list[int]]):
-        self.pairs = pairs
+    def __init__(self, dens: list[int], nums: list[list[int]], counts: list[list[int]]):
+        self.dens = dens
+        self.nums = nums
         self.counts = counts
         self.offsets = [list(itertools.accumulate(c, initial=0)) for c in counts]
 
     def node(self, level: int, index: int) -> BranchNode:
-        """Node (level, index), linked to the levels, its children not yet built."""
+        """Node (level, index), linked to the levels, its children not yet built.
+
+        Its value is reduced here, so a node holds the reduced pair that a
+        hand-built one does; a level of one value already is that pair.
+        """
+        nums, d = self.nums[level], self.dens[level]
+        n = nums[index]
+        if len(nums) > 1:  # a level of one value is its reduced pair
+            g = gcd(n, d)
+            n, d = n // g, d // g
         node = object.__new__(BranchNode)
-        _set_pair(node, self.pairs[level][index])
+        _set_pair(node, (n, d))
         _set_link(node, (self, level, index))
         return node
 
@@ -879,21 +910,21 @@ class _Levels:
 
 
 # Most nodes branching_tree may hold.  The tent map doubles each level, so
-# depth 16 (131,071 nodes) still builds, its levels in about 0.08 s on a
-# 2-vCPU VM under Python 3.11, and depth 30 would need 2^31 nodes.
+# depth 16 (131,071 nodes) still builds, its levels in about 0.03 s on a
+# 2-vCPU VM under Python 3.11.7, and depth 30 would need 2^31 nodes.
 _TREE_NODE_CAP = 2**17
 
 
 def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNode:
     """Backward preimage tree from x0: node arity is the exact preimage count.
 
-    Built level by level without recursion: each level is a list of
-    reduced (numerator, denominator) pairs, read off the previous one by
-    one call of the preimage kernel, which also gives each pair's count.
+    Built level by level without recursion: each level is a list of int
+    numerators over one denominator, read off the previous one by one
+    call of the preimage kernel, which also gives each value's count.
     The cyclic collector is paused for the levels, since they hold no
     cycles, and its prior state restored.  The tree is its levels
     (_Levels): the root returned is the one node built, and every other
-    node is built from its level pair when its parent's children are
+    node is built from its level's values when its parent's children are
     first read (no Fraction is built until a node's value is read).  A
     node kept alive keeps its tree's levels alive.  Raises
     PreconditionError for a start point outside [0,1] and once the tree
@@ -906,15 +937,17 @@ def branching_tree(system: InverseSystem, x0: Fraction, depth: int) -> BranchNod
     collecting = gc.isenabled()
     gc.disable()
     try:
-        levels = [[(x0.numerator, x0.denominator)]]
+        den, nums = x0.denominator, [x0.numerator]
+        dens, levels = [den], [nums]
         arities: list[list[int]] = []
         room = _TREE_NODE_CAP - 1
         for level in range(depth):
-            pairs, counts = _preimage_level(system._at(level), levels[-1], room)
-            room -= len(pairs)
-            levels.append(pairs)
+            den, nums, counts = _preimage_level(system._at(level), den, nums, room)
+            room -= len(nums)
+            dens.append(den)
+            levels.append(nums)
             arities.append(counts)
     finally:
         if collecting:
             gc.enable()
-    return _Levels(levels, arities).node(0, 0)
+    return _Levels(dens, levels, arities).node(0, 0)

@@ -331,6 +331,15 @@ class TestPrefixFreeTransform:
         assert PM.code_length("011") == 9
         assert PM.decode("101011011") == "011"
 
+    @given(bits)
+    def test_code_of_an_image_payload(self, s):
+        # a payload in the image codes to the input's code, which decodes to the input
+        for factory in BUILTIN_COMPRESSORS.values():
+            M = factory()
+            PM = prefixfree_transform(M)
+            assert PM.code(M.encode(s)) == PM.code_for_input(s)
+            assert PM.decode(PM.code(M.encode(s))) == s
+
     def test_code_rejects_non_image_payloads(self):
         PM = prefixfree_transform(runlength_compressor())
         with pytest.raises(PreconditionError, match="not in the compressor's image"):

@@ -24,7 +24,7 @@ import random
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pl_reference as ref
@@ -853,6 +853,8 @@ class TestBranchingTreeCollector:
 
 
 IDENTITY = PLMap(((F(0), F(0)), (F(1), F(1))))
+# an increasing homeomorphism that is not the identity
+HOMEO = PLMap(((F(0), F(0)), (F(1, 3), F(2, 3)), (F(1), F(1))))
 # alternate maps by level, so each level's kernel reads a different map
 MIXED = InverseSystem(lambda n: (tent_map(), five_segment_map(), IDENTITY)[n % 3])
 KNOWN = {"tent": TENT, "five": InverseSystem.constant(five_segment_map()), "mixed": MIXED}
@@ -959,24 +961,57 @@ class TestLevelKernelDifferential:
             new = _tree_outcome(KNOWN[name], x0, depth, il._TREE_NODE_CAP)
             assert new == _ref_tree(KNOWN[name], x0, depth, il._TREE_NODE_CAP)
 
-    @given(f=pl_maps(), level=st.lists(st.fractions(-1, 2, max_denominator=48), max_size=6), room=st.integers(0, 20))
-    def test_level_is_the_per_pair_kernel_concatenated(self, f, level, room):
-        pairs = [(y.numerator, y.denominator) for y in level]
+    @pytest.mark.parametrize("x0", [F(0), F(1, 2), F(2, 3), F(1)], ids=str)
+    def test_deep_homeomorphism_chains(self, x0):
+        # every value y has one preimage, y / 2 up to 2/3 and 2y - 1 from
+        # there: 1 stays 1 and 1/2 halves; unreduced, the denominator would
+        # double each level, while each level's is its value's reduced one
+        system, depth = InverseSystem.constant(HOMEO), 3000
+        for cap in (depth + 1, depth, il._TREE_NODE_CAP):
+            new = _tree_outcome(system, x0, depth, cap)
+            assert new == _ref_tree(system, x0, depth, cap)
+        assert branching_tree(system, x0, depth)._link[0].dens == [x.denominator for x, _ in new]
+
+    @given(
+        f=pl_maps(),
+        level=st.lists(st.fractions(-1, 2, max_denominator=48), max_size=6),
+        scale=st.integers(1, 6),
+        room=st.integers(0, 20),
+    )
+    def test_level_is_the_per_pair_kernel_concatenated(self, f, level, scale, room):
+        # the level goes in on a common denominator, reduced or (scale > 1) not
+        den = scale * lcm(*(y.denominator for y in level))
+        nums = [y.numerator * (den // y.denominator) for y in level]
         sols = [_outcome(ref.preimages, f.vertices, y) for y in level]
-        sols = [s if isinstance(s[0], type) else [(x.numerator, x.denominator) for x in s] for s in sols]
-        want = ([], [])
+        want, found = None, []
         for s in sols:
             if isinstance(s[0], type):
                 want = s
                 break
-            want[0].extend(s)
-            want[1].append(len(s))
-            if len(want[0]) > room:
+            found.extend(s)
+            if len(found) > room:
                 want = (PreconditionError, f"branching tree exceeds {il._TREE_NODE_CAP} nodes")
                 break
-        assert _outcome(il._preimage_level, f, pairs, room) == want
-        for (p, q), s in zip(pairs, sols):
-            assert _outcome(il._preimage_pairs, f, p, q) == s
+        if want is None:
+            # on the lcm of the solutions' reduced denominators, counted per value
+            d = lcm(*(x.denominator for x in found))
+            want = (d, [x.numerator * (d // x.denominator) for x in found], [len(s) for s in sols])
+        out = _outcome(il._preimage_level, f, den, nums, room)
+        assert out == want
+        if not isinstance(out[0], type) and len(found) == 1:
+            # a level of one solution is its reduced pair
+            assert (out[1][0], out[0]) == (found[0].numerator, found[0].denominator)
+        for y, s in zip(level, sols):
+            # a level of one value, as preimages and the branch codes call it
+            one = _outcome(il._preimage_level, f, scale * y.denominator, [scale * y.numerator], len(f.vertices))
+            if isinstance(s[0], type):
+                assert one == s
+                continue
+            d, xs, counts = one
+            assert [F(x, d) for x in xs] == list(s) and counts == [len(s)]
+            assert d == lcm(*(x.denominator for x in s))
+            if len(s) == 1:
+                assert (xs[0], d) == (s[0].numerator, s[0].denominator)
 
 
 # --- the frozen dataclass BranchNode replaced, its spec for repr, hash and equality

@@ -532,10 +532,8 @@ def test_refused_forms(kind, good, call):
             lambda: co_compressible_check("0101", None, lambda k: k + 1, F(1, 2), 1),
             "co_compressible_check needs a Compressor, not NoneType",
         ),
-        (
-            lambda: prefixfree_transform(None).code_length("01"),
-            "PrefixFreeMachine.code_length needs a Compressor, not NoneType",
-        ),
+        # a prefix-free machine refuses its base when it is built
+        (lambda: prefixfree_transform(None), "PrefixFreeMachine needs a Compressor, not NoneType"),
     ],
 )
 def test_wrong_types(call, expected):
